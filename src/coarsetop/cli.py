@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fixtures as fixtures_mod
@@ -26,6 +25,7 @@ from .cochains import RelativeComplex
 from .errors import CoarseTopError
 from .essential import (
     almost_essential_probe,
+    connecting_entry,
     essential_probe,
     localized_boundary_support,
     mv_assemble,
@@ -97,6 +97,7 @@ class ScenarioContext:
         else:
             raise CoarseTopError("scenario-invalid", f"unknown space kind {spec['kind']!r}")
         self.w = self._resolve_w(scenario.get("w"))
+        self._deep: dict[tuple[int, int, int], list] = {}  # (r, A, collar) -> deep components
 
     def _resolve_w(self, wspec):
         if wspec is None:
@@ -115,8 +116,10 @@ class ScenarioContext:
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
             return self.fixture.components[name]
-        cs = complement_components(self.space, self.w, r, A, collar=collar)
-        deep = cs.deep_components()
+        key = (r, A, collar)
+        if key not in self._deep:
+            self._deep[key] = complement_components(self.space, self.w, r, A, collar=collar).deep_components()
+        deep = self._deep[key]
         idx = int(name)
         raise_on_bad(0 <= idx < len(deep), f"component index {idx} out of range ({len(deep)} deep)")
         return deep[idx].mask
@@ -184,6 +187,7 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
     r = int(params.get("r", 1))
     A = int(params.get("A", 0))
     collar = int(params.get("collar", 2))
+    raise_on_bad(r >= 1, f"separate needs r >= 1, got {r}")
     windows = params.get("windows")
     gens_words = params.get("invariance_generators")
     rows = []  # (ball-or-None, w, component set) per window, masks aligned
@@ -275,14 +279,10 @@ def run_mv(ctx: ScenarioContext, params: dict) -> dict:
     axis = int(params.get("axis", 0))
     comp_name = params.get("component", "upper" if ctx.fixture else "0")
     C1 = ctx.component(comp_name, r=r, A=A, collar=collar)
-    base = mv_assemble(ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar)
-    RW = base.pieces.W
-    cross = crossing_cochain(ctx.space, axis, 0)
-    sigma = RW.cochain_from_edge_predicate(cross)
-    rep = mv_assemble(
-        ctx.space, ctx.w, C1, r=r, A=A, cap=cap, w_classes=[(1, sigma)], collar=collar
-    )
-    c = rep.connecting[0]
+    rep = mv_assemble(ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar)
+    RW = rep.pieces.W
+    sigma = RW.cochain_from_edge_predicate(crossing_cochain(ctx.space, axis, 0))
+    c = connecting_entry(rep.pieces, 1, sigma)
     supp_in = RW.support_vertices(1, sigma)
     loc = localized_boundary_support(rep.pieces, 1, sigma, supp_in)
     return {
@@ -456,15 +456,12 @@ def validate_analyses(scenario: dict) -> None:
             )
 
 
-def run_scenario(scenario: dict, seed: int = 0, threads: int = 1) -> tuple[dict, int]:
+def run_scenario(scenario: dict, seed: int = 0) -> tuple[dict, int]:
     raise_on_bad(scenario.get("schema") == SCHEMA_VERSION, "unsupported schema version")
     validate_analyses(scenario)
     ctx = ScenarioContext(scenario)
-    analyses = scenario.get("analyses", [])
-    results: list = [None] * len(analyses)
-
-    def run_one(t: int) -> dict:
-        block = analyses[t]
+    results = []
+    for block in scenario.get("analyses", []):
         name = block.get("analysis")
         entry = {"analysis": name, "params": {k: v for k, v in block.items() if k != "analysis"}}
         try:
@@ -476,15 +473,7 @@ def run_scenario(scenario: dict, seed: int = 0, threads: int = 1) -> tuple[dict,
                 raise CoarseTopError("scenario-invalid", f"unknown analysis {name!r}")
         except CoarseTopError as err:
             entry.update({"status": "error", "error": err.code, "message": str(err)})
-        return entry
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, entry in enumerate(pool.map(run_one, range(len(analyses)))):
-                results[t] = entry
-    else:
-        for t in range(len(analyses)):
-            results[t] = run_one(t)
+        results.append(entry)
     window = {
         "kind": scenario["space"]["kind"],
         "detail": scenario["space"].get("family") or scenario["space"].get("name"),
@@ -520,7 +509,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("--out", type=Path, default=Path("."))
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
     sub.add_parser("fixtures", help="list built-in fixtures")
     p_desc = sub.add_parser("describe", help="describe an analysis")
@@ -544,7 +532,7 @@ def main(argv=None) -> int:
         print(f"cannot parse scenario: {err}", file=sys.stderr)
         return 1
     try:
-        report, code = run_scenario(scenario, seed=args.seed, threads=args.threads)
+        report, code = run_scenario(scenario, seed=args.seed)
     except CoarseTopError as err:
         print(f"scenario failed: {err}", file=sys.stderr)
         return 1

@@ -40,9 +40,6 @@ class RelativeComplex:
     def n_rel(self, k: int) -> int:
         return len(self.rel[k]) if 0 <= k <= self.K.cap else 0
 
-    def rel_simplices(self, k: int) -> list[tuple[int, ...]]:
-        return [self.K.simplices[k][j] for j in self.rel[k]]
-
     def delta(self, k: int) -> GF2Matrix:
         """delta^k : C^k_rel -> C^{k+1}_rel (rows = relative (k+1)-simplices)."""
         mat = self._delta_cache.get(k)
@@ -115,16 +112,6 @@ class RelativeComplex:
                 out |= 1 << t
         return out
 
-    def restrict_vec(self, k: int, vec: int, allowed: SubsetMask) -> int:
-        """Zero out values on simplices not entirely inside the vertex mask."""
-        out = 0
-        ids = allowed.ids
-        for t in gf2.bits(vec):
-            s = self.K.simplices[k][self.rel[k][t]]
-            if all(v in ids for v in s):
-                out |= 1 << t
-        return out
-
     def simplex_positions_within(self, k: int, allowed: SubsetMask) -> list[int]:
         ids = allowed.ids
         return [
@@ -133,13 +120,38 @@ class RelativeComplex:
             if all(v in ids for v in self.K.simplices[k][j])
         ]
 
+    def representative_within(self, k: int, vec: int, allowed: SubsetMask) -> Optional[int]:
+        """vec + delta tau supported on relative k-simplices inside the mask, or None.
+
+        Support containment is simplex-level: the result may be nonzero only
+        on relative simplices with every vertex in ``allowed``. tau solves
+        (delta tau)(t) = vec(t) on every other relative k-simplex t.
+        """
+        inside = set(self.simplex_positions_within(k, allowed))
+        outside = (t for t in range(self.n_rel(k)) if t not in inside)
+        row_pos = {t: i for i, t in enumerate(outside)}
+
+        def outside_part(v: int) -> int:
+            out = 0
+            for t in gf2.bits(v):
+                i = row_pos.get(t)
+                if i is not None:
+                    out |= 1 << i
+            return out
+
+        delta = self.delta(k - 1)
+        tau = gf2.solve_columns([outside_part(c) for c in delta.columns], outside_part(vec))
+        if tau is None:
+            return None
+        return vec ^ delta.matvec(tau)
+
     def cocycle_basis(self, k: int) -> list[int]:
         return gf2.kernel_basis(self.delta(k))
 
     def coboundary_space(self, k: int) -> gf2.GF2Subspace:
         """im delta^{k-1} inside degree k."""
         if k == 0:
-            return gf2.GF2Subspace(self.n_rel(0), {})
+            return gf2.GF2Subspace(self.n_rel(0))
         return gf2.image_basis(self.delta(k - 1))
 
     def class_is_zero(self, k: int, vec: int) -> Optional[int]:

@@ -31,7 +31,7 @@ from .homology import (
     schedule_two_scale,
 )
 from .metric import FiniteMetricSpace, SubsetMask, neighborhood
-from .rips import RipsComplex, build_rips, fill_cycle
+from .rips import RipsComplex, build_rips, fill_cycle, fill_on_columns
 from .separation import is_coarse_complementary, simplex_dichotomy_check
 
 
@@ -186,32 +186,11 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     )
     local_cols = target.simplices_within(k + 1, local_vertices)
     if len(local_cols) <= max_witness_columns:
-        fill = _fill_on_columns(target, k, z, local_cols, want_witness=True)
+        fill = fill_on_columns(target, k, z, local_cols)
         if fill is not None:
             return {"survives": False, "fill": fill, "locality": f"N_{rho}(supp)"}
     feasible = fill_cycle(target, k, z, want_witness=False)
     return {"survives": feasible is None, "fill": None, "locality": "full/feasibility-only"}
-
-
-def _fill_on_columns(K: RipsComplex, k: int, z: int, cols_idx: list[int], want_witness: bool):
-    faces = K.index[k]
-    simp = K.simplices[k + 1]
-
-    def columns():
-        for j in cols_idx:
-            s = simp[j]
-            col = 0
-            for drop in range(len(s)):
-                col |= 1 << faces[s[:drop] + s[drop + 1:]]
-            yield col
-
-    x = gf2.solve_columns(columns(), z, want_witness=want_witness)
-    if x is None or not want_witness:
-        return x
-    out = 0
-    for b in gf2.bits(x):
-        out |= 1 << cols_idx[b]
-    return out
 
 
 # -- Mayer-Vietoris assembly -----------------------------------------------------------
@@ -300,27 +279,32 @@ def mv_assemble(
         rank_ok = gf2.rank_of_columns(stacked_q) + gf2.rank_of_columns(p_cols) == middle
         ses_ok[k] = bool(q_inj and p_surj and pq_zero and rank_ok)
     pieces = MVPieces(RX, RA, RB, RW, q_mats, p_mats)
-    connecting = []
-    for deg, sigma in w_classes:
-        if not RW.is_cocycle(deg, sigma):
-            raise CoarseTopError("not-a-cocycle", "supplied W-class is not a relative cocycle")
-        omega = connecting_map(pieces, deg, sigma)
-        nonzero = RX.class_is_zero(deg + 1, omega) is None
-        connecting.append(
-            {
-                "degree": deg,
-                "input": sigma,
-                "output": omega,
-                "nonzero_in_proxy": nonzero,
-                "support": RX.support_vertices(deg + 1, omega),
-            }
-        )
+    connecting = [connecting_entry(pieces, deg, sigma) for deg, sigma in w_classes]
     exactness = {}
     upto = check_exactness_upto if check_exactness_upto is not None else cap - 1
     for k in range(0, max(0, upto)):
         exactness[f"middle-H{k}"] = _exact_at_middle(pieces, k)
         exactness[f"w-H{k}"] = _exact_at_w(pieces, k)
     return MVReport(r, A, collar, dichotomy, ses_ok, connecting, exactness, pieces)
+
+
+def connecting_entry(pieces: MVPieces, deg: int, sigma: int) -> dict:
+    """The connecting map on one W-class: snake output, support, and nonzero test.
+
+    sigma is a cochain over the W piece's relative simplices and must be a
+    relative cocycle of degree ``deg``.
+    """
+    RX = pieces.X
+    if not pieces.W.is_cocycle(deg, sigma):
+        raise CoarseTopError("not-a-cocycle", "supplied W-class is not a relative cocycle")
+    omega = connecting_map(pieces, deg, sigma)
+    return {
+        "degree": deg,
+        "input": sigma,
+        "output": omega,
+        "nonzero_in_proxy": RX.class_is_zero(deg + 1, omega) is None,
+        "support": RX.support_vertices(deg + 1, omega),
+    }
 
 
 def connecting_map(pieces: MVPieces, deg: int, sigma: int) -> int:
@@ -403,7 +387,7 @@ def _exact_at_w(pieces: MVPieces, k: int) -> bool:
         img.append(pb.matvec(z))
     img += bd_w
     # kernel side: W-cocycles whose snake image is a coboundary on X
-    bx = gf2.image_basis(RX.delta(k)) if RX.n_rel(k) else gf2.GF2Subspace(RX.n_rel(k + 1), {})
+    bx = gf2.image_basis(RX.delta(k)) if RX.n_rel(k) else gf2.GF2Subspace(RX.n_rel(k + 1))
     reduced = [bx.reduce(connecting_map(pieces, k, z)) for z in z_w]
     combos = gf2.kernel_basis(GF2Matrix(RX.n_rel(k + 1), len(reduced), reduced))
     ker = []
@@ -463,32 +447,10 @@ def side_representability(
     Support containment is simplex-level: values may be nonzero only on
     relative simplices with every vertex in the side region.
     """
-    X = RX.K.space
-    allowed_vertices = side - neighborhood(X, W, s)
-    allowed = set(RX.simplex_positions_within(deg, allowed_vertices))
-    delta = RX.delta(deg - 1) if deg >= 1 else None
-    if delta is None:
+    if deg < 1:
         raise ValueError("degree must be >= 1")
-    forbidden_rows = [t for t in range(RX.n_rel(deg)) if t not in allowed]
-    row_pos = {t: i for i, t in enumerate(forbidden_rows)}
-    # constraint system: (delta tau)(t) = omega(t) on forbidden simplices
-    cols = []
-    for j in range(delta.cols):
-        col = 0
-        for t in gf2.bits(delta.columns[j]):
-            i = row_pos.get(t)
-            if i is not None:
-                col |= 1 << i
-        cols.append(col)
-    b = 0
-    for t in gf2.bits(omega):
-        i = row_pos.get(t)
-        if i is not None:
-            b |= 1 << i
-    tau = gf2.solve_columns(cols, b, want_witness=True)
-    if tau is None:
-        return None
-    return omega ^ delta.matvec(tau)
+    allowed = side - neighborhood(RX.K.space, W, s)
+    return RX.representative_within(deg, omega, allowed)
 
 
 def two_sided_representability(
@@ -538,6 +500,7 @@ __all__ = [
     "MVPieces",
     "MVReport",
     "mv_assemble",
+    "connecting_entry",
     "connecting_map",
     "localized_boundary_support",
     "side_representability",

@@ -1,9 +1,10 @@
 """Sparse bit-packed GF(2) linear algebra.
 
 Matrices store columns as Python ints (bit i of column j = entry (i, j)).
-Elimination picks pivots at the lowest nonzero row of each column, so the
-same reduction serves rank, solve, kernel/image bases and the two-scale
-homology image ranks used throughout the package.
+Elimination picks pivots at the lowest nonzero row of each column, and one
+reduction loop (:meth:`GF2Subspace._reduce`) serves rank, solve,
+kernel/image bases and the two-scale homology image ranks used throughout
+the package.
 
 All objects are immutable after construction; elimination produces new
 objects, so independent eliminations may run in parallel.
@@ -67,9 +68,6 @@ class GF2Matrix:
     def identity(cls, n: int) -> "GF2Matrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.columns[j] >> i) & 1
-
     def to_rows(self) -> list[list[int]]:
         return [[(self.columns[j] >> i) & 1 for j in range(self.cols)] for i in range(self.rows)]
 
@@ -95,13 +93,6 @@ class GF2Matrix:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.columns)
 
-    def vstack_row(self, row_vector: int) -> "GF2Matrix":
-        """Append one extra row (given as a bitmask over columns) at the bottom."""
-        cols = list(self.columns)
-        for j in bits(row_vector):
-            cols[j] |= 1 << self.rows
-        return GF2Matrix(self.rows + 1, self.cols, cols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GF2Matrix)
@@ -115,13 +106,24 @@ class GF2Matrix:
 
 
 class GF2Subspace:
-    """A subspace given by a reduced column-echelon basis (distinct pivots)."""
+    """A subspace in column-echelon form: the one elimination of the package.
 
-    __slots__ = ("ambient", "pivots")
+    ``pivots`` maps each pivot row to a basis vector with no bits below that
+    row, so pivot rows are distinct. With ``track=True`` every inserted
+    vector is numbered in insertion order and each basis vector carries its
+    combination mask over those numbers, so solves return witnesses and
+    dependent insertions return kernel combinations. Untracked, only pivots
+    are stored, which keeps feasibility solves over very large column
+    streams light.
+    """
 
-    def __init__(self, ambient: int, pivots: dict[int, int]):
+    __slots__ = ("ambient", "pivots", "combos", "inserted")
+
+    def __init__(self, ambient: int, track: bool = False):
         self.ambient = ambient
-        self.pivots = dict(pivots)  # pivot row -> reduced basis vector
+        self.pivots: dict[int, int] = {}  # pivot row -> basis vector
+        self.combos: Optional[dict[int, int]] = {} if track else None  # pivot row -> combination
+        self.inserted = 0
 
     @property
     def dim(self) -> int:
@@ -130,73 +132,82 @@ class GF2Subspace:
     def basis(self) -> list[int]:
         return [self.pivots[p] for p in sorted(self.pivots)]
 
+    def _reduce(self, v: int, m: int, full: bool) -> tuple[int, int, int]:
+        """Eliminate v against the pivots, lowest set bit first.
+
+        Returns (rest, m, row), with the combination masks of the pivots used
+        XORed into ``m``. With ``full``, rest is the residue of v (no bit at a
+        pivot row) and row is -1. Otherwise elimination stops at the first bit
+        without a pivot: rest still holds it and row names it; rest is 0 and
+        row -1 when v lies in the span.
+        """
+        pivots, combos = self.pivots, self.combos
+        out = 0
+        while v:
+            p = lowbit(v)
+            col = pivots.get(p)
+            if col is None:
+                if not full:
+                    return v, m, p
+                bit = 1 << p
+                out |= bit
+                v ^= bit
+            else:
+                v ^= col
+                if combos is not None:
+                    m ^= combos[p]
+        return out, m, -1
+
     def reduce(self, v: int) -> int:
         """Residue of v modulo the subspace (deterministic).
 
         Pivot vectors have no bits below their pivot row, so a bit with no
         pivot can never be cleared and lands in the residue.
         """
-        out = 0
-        while v:
-            p = lowbit(v)
-            col = self.pivots.get(p)
-            if col is None:
-                out |= 1 << p
-                v &= v - 1
-            else:
-                v ^= col
-        return out
+        return self._reduce(v, 0, True)[0]
 
     def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
+        return self._reduce(v, 0, False)[0] == 0
+
+    def insert(self, v: int) -> Optional[int]:
+        """Add the next vector: None if it enlarged the space, else its combination.
+
+        The combination of a dependent vector (0 when untracked) has its own
+        bit and those of the earlier vectors it is the sum of: a kernel vector.
+        """
+        m = 1 << self.inserted if self.combos is not None else 0
+        self.inserted += 1
+        v, m, p = self._reduce(v, m, False)
+        if v == 0:
+            return m
+        self.pivots[p] = v
+        if self.combos is not None:
+            self.combos[p] = m
+        return None
 
     def extend(self, v: int) -> bool:
-        """Mutating helper used during construction; True if v enlarged the space."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self.pivots[lowbit(v)] = v
-        return True
+        """Insert the next vector; True if it enlarged the space."""
+        return self.insert(v) is None
+
+    def solve(self, b: int) -> Optional[int]:
+        """Combination of inserted vectors summing to b (0 when untracked), or None."""
+        rest, x, _ = self._reduce(b, 0, False)
+        return None if rest else x
 
 
-def _eliminate(columns: Iterable[int], track: bool = False):
-    """Column echelon form.
-
-    Returns (pivots, combos, kernel) where pivots maps pivot row -> reduced
-    column, combos maps pivot row -> combination bitmask over input column
-    indices (only when track=True) and kernel lists combination bitmasks of
-    columns that reduced to zero (only when track=True).
-    """
-    pivots: dict[int, int] = {}
-    combos: dict[int, int] = {}
-    kernel: list[int] = []
-    for j, c in enumerate(columns):
-        m = 1 << j if track else 0
-        while c:
-            p = lowbit(c)
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = c
-                if track:
-                    combos[p] = m
-                break
-            c ^= other
-            if track:
-                m ^= combos[p]
-        else:
-            if track:
-                kernel.append(m)
-    return pivots, combos, kernel
+def _echelon(columns: Iterable[int], ambient: int = 0, track: bool = False) -> GF2Subspace:
+    space = GF2Subspace(ambient, track)
+    for c in columns:
+        space.insert(c)
+    return space
 
 
 def rank(A: GF2Matrix) -> int:
-    pivots, _, _ = _eliminate(A.columns)
-    return len(pivots)
+    return _echelon(A.columns).dim
 
 
 def rank_of_columns(columns: Iterable[int]) -> int:
-    pivots, _, _ = _eliminate(columns)
-    return len(pivots)
+    return _echelon(columns).dim
 
 
 def solve(A: GF2Matrix, b: int) -> Optional[int]:
@@ -211,47 +222,21 @@ def solve_columns(columns: Iterable[int], b: int, want_witness: bool = True) -> 
     feasible system), which avoids storing combination masks for very large
     systems.
     """
-    pivots: dict[int, int] = {}
-    combos: dict[int, int] = {}
-    for j, c in enumerate(columns):
-        m = (1 << j) if want_witness else 0
-        while c:
-            p = lowbit(c)
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = c
-                if want_witness:
-                    combos[p] = m
-                break
-            c ^= other
-            if want_witness:
-                m ^= combos[p]
-    x = 0
-    while b:
-        p = lowbit(b)
-        col = pivots.get(p)
-        if col is None:
-            return None
-        b ^= col
-        if want_witness:
-            x ^= combos[p]
-    return x
+    return _echelon(columns, track=want_witness).solve(b)
 
 
 def kernel_basis(A: GF2Matrix) -> list[int]:
     """Basis (bitmasks over columns) of the null space of A."""
-    _, _, kernel = _eliminate(A.columns, track=True)
-    return kernel
+    space = GF2Subspace(A.rows, track=True)
+    return [m for m in map(space.insert, A.columns) if m is not None]
 
 
 def image_basis(A: GF2Matrix) -> GF2Subspace:
-    pivots, _, _ = _eliminate(A.columns)
-    return GF2Subspace(A.rows, pivots)
+    return _echelon(A.columns, A.rows)
 
 
 def span_of(vectors: Iterable[int], ambient: int) -> GF2Subspace:
-    pivots, _, _ = _eliminate(vectors)
-    return GF2Subspace(ambient, pivots)
+    return _echelon(vectors, ambient)
 
 
 def quotient_image_rank(

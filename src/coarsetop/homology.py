@@ -96,18 +96,11 @@ def reduced_homology(K: RipsComplex, k: int) -> tuple[int, list[int]]:
     """
     if k + 1 > K.cap:
         raise ValueError("dimension cap too low: need k+1 simplices for boundaries")
-    cycles = _reduced_cycle_basis(K, k)
+    cycles = gf2.kernel_basis(K.boundary(k))
     boundaries = K.boundary(k + 1).columns
     space = gf2.span_of(boundaries, K.n_simplices(k))
     reps = [z for z in cycles if space.extend(z)]
     return len(reps), reps
-
-
-def _reduced_cycle_basis(K: RipsComplex, k: int) -> list[int]:
-    """Basis of reduced cycles: kernel of ∂_k with ∂_0 the augmentation."""
-    bnd = K.boundary(k)
-    combos = gf2.kernel_basis(bnd)
-    return combos
 
 
 def two_scale_image(inner: RipsComplex, outer: RipsComplex, k: int) -> TwoScaleImage:
@@ -120,7 +113,7 @@ def two_scale_image_along(f: ChainMap, k: int, schedule: Optional[WindowSchedule
     inner, outer = f.source, f.target
     if k + 1 > inner.cap or k + 1 > outer.cap:
         raise ValueError("dimension caps too low for this k")
-    cycles = _reduced_cycle_basis(inner, k)
+    cycles = gf2.kernel_basis(inner.boundary(k))
     images = [f.apply(k, z) for z in cycles]
     for img, z in zip(images, cycles):
         if outer.boundary_of_chain(k, img) != 0:
@@ -201,42 +194,17 @@ def ends_estimate(X: FiniteMetricSpace, schedules: Sequence[WindowSchedule]) -> 
         mask = annulus_mask(X, sched.S)
         if len(mask) == 0:
             raise WindowTooSmallError("empty complement at this schedule")
-        comps = _components(X, mask, sched.i)
+        comps = X.components(mask, sched.i)
         cut = sched.R - sched.collar
         deep = [c for c in comps if any(rad[v] > cut for v in c)]
         counts.append(len(deep))
-    t = trend_verdict(counts)
-    verdict: object
-    if t == "bounded":
-        verdict = counts[-1]
-    elif t == "growing":
-        verdict = "growing"
-    else:
-        verdict = "inconclusive"
-    return EndsReport(list(schedules), counts, verdict)
+    return EndsReport(list(schedules), counts, _trend_value(counts))
 
 
-def _components(X: FiniteMetricSpace, mask: SubsetMask, scale: int) -> list[list[int]]:
-    """Connected components of the scale-adjacency graph on a mask (sorted)."""
-    adj = X.adjacency_at_scale(scale)
-    ids = mask.ids
-    seen: set[int] = set()
-    out = []
-    for v in mask.sorted_ids():
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in ids and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
+def _trend_value(values: Sequence[int]) -> object:
+    """The last value when the trend is bounded, else "growing" or "inconclusive"."""
+    t = trend_verdict(values)
+    return values[-1] if t == "bounded" else t
 
 
 @dataclass
@@ -267,15 +235,7 @@ def coarse_cohomology_dim_estimate(
         img = schedule_two_scale(X, k - 1, sched, within=within)
         ranks.append(img.rank)
         images.append(img)
-    t = trend_verdict(ranks)
-    verdict: object
-    if t == "bounded":
-        verdict = ranks[-1]
-    elif t == "growing":
-        verdict = "growing"
-    else:
-        verdict = "inconclusive"
-    return DimEstimateReport(k, list(schedules), ranks, verdict, images)
+    return DimEstimateReport(k, list(schedules), ranks, _trend_value(ranks), images)
 
 
 # -- uniform acyclicity ------------------------------------------------------------

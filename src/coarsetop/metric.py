@@ -217,12 +217,10 @@ class FiniteMetricSpace:
                     best[x] = d
         return best
 
-    def neighbors_within(self, x: int, r: int) -> list[int]:
-        """Sorted ids at distance in (0, r] of x."""
-        return [y for y in self.adjacency_at_scale(r)[x]]
-
     def adjacency_at_scale(self, r: int) -> list[list[int]]:
         """For each point, sorted points at distance in (0, r]; cached."""
+        if r < 0:
+            raise ValueError("scale must be >= 0")
         cached = self._scale_adj_cache.get(r)
         if cached is not None:
             return cached
@@ -250,6 +248,32 @@ class FiniteMetricSpace:
                 row = self.dist_row(x)
                 out.append([y for y in range(self.n) if y != x and 0 <= row[y] <= r])
         self._scale_adj_cache[r] = out
+        return out
+
+    def components(self, mask: SubsetMask, scale: int) -> list[list[int]]:
+        """Connected components of the scale-adjacency graph on a mask.
+
+        Depth-first flood fill from each unvisited id in ascending order, so
+        components come ordered by their smallest id; each is sorted.
+        """
+        adj = self.adjacency_at_scale(scale)
+        ids = mask.ids
+        seen: set[int] = set()
+        out = []
+        for v in mask.sorted_ids():
+            if v in seen:
+                continue
+            comp = [v]
+            seen.add(v)
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if w in ids and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            out.append(sorted(comp))
         return out
 
     # -- masks and set operations ------------------------------------------------

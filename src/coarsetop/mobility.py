@@ -76,28 +76,9 @@ def local_representability(
     collar_ids = X.collar_mask(collar).ids
     if ball_ids & collar_ids:
         raise CollarViolationError(f"N_{D}({g}) touches the collar")
-    allowed = SubsetMask(X.n, ball_ids)
-    allowed_pos = set(R.simplex_positions_within(alpha0.k, allowed))
-    delta = R.delta(alpha0.k - 1)
-    forbidden = [t for t in range(R.n_rel(alpha0.k)) if t not in allowed_pos]
-    row_pos = {t: i for i, t in enumerate(forbidden)}
-    cols = []
-    for j in range(delta.cols):
-        col = 0
-        for t in gf2.bits(delta.columns[j]):
-            i = row_pos.get(t)
-            if i is not None:
-                col |= 1 << i
-        cols.append(col)
-    b = 0
-    for t in gf2.bits(alpha0.vec):
-        i = row_pos.get(t)
-        if i is not None:
-            b |= 1 << i
-    beta = gf2.solve_columns(cols, b, want_witness=True)
-    if beta is None:
+    witness_vec = R.representative_within(alpha0.k, alpha0.vec, SubsetMask(X.n, ball_ids))
+    if witness_vec is None:
         return None
-    witness_vec = alpha0.vec ^ delta.matvec(beta)
     return Cocycle(R, alpha0.k, witness_vec)
 
 

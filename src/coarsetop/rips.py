@@ -66,14 +66,20 @@ class RipsComplex:
         self._boundary_cache[k] = mat
         return mat
 
-    def iter_boundary_columns(self, k: int) -> Iterator[int]:
-        """Columns of ∂_k, streamed (memory-light form for large complexes)."""
+    def iter_boundary_columns(self, k: int, among: Optional[Iterable[int]] = None) -> Iterator[int]:
+        """Columns of ∂_k, streamed (memory-light form for large complexes).
+
+        ``among`` restricts the stream to those k-simplex indices, in order.
+        This is the one place boundary columns are built from face lookups.
+        """
+        simp = self.simplices[k]
+        chosen = simp if among is None else map(simp.__getitem__, among)
         if k == 0:
-            for _ in self.simplices[0]:
+            for _ in chosen:
                 yield 1
             return
         faces = self.index[k - 1]
-        for s in self.simplices[k]:
+        for s in chosen:
             col = 0
             for drop in range(len(s)):
                 col |= 1 << faces[s[:drop] + s[drop + 1:]]
@@ -84,11 +90,8 @@ class RipsComplex:
         if k == 0:
             return gf2.popcount(chain) & 1
         out = 0
-        faces = self.index[k - 1]
-        for j in gf2.bits(chain):
-            s = self.simplices[k][j]
-            for drop in range(len(s)):
-                out ^= 1 << faces[s[:drop] + s[drop + 1:]]
+        for col in self.iter_boundary_columns(k, gf2.bits(chain)):
+            out ^= col
         return out
 
     def chain_from_simplices(self, k: int, simplex_list: Iterable[Sequence[int]]) -> int:
@@ -181,8 +184,8 @@ class ChainMap:
     def validate(self) -> None:
         """Chain-map identity f∂ = ∂f in every dimension present, plus augmentation."""
         for k in range(1, len(self.mats)):
-            lhs = self.mats[k - 1].matmul(_as_matrix(self.source, k))
-            rhs = _as_matrix(self.target, k).matmul(self.mats[k])
+            lhs = self.mats[k - 1].matmul(self.source.boundary(k))
+            rhs = self.target.boundary(k).matmul(self.mats[k])
             if lhs != rhs:
                 raise NotAChainMapError(f"failure at dimension {k}")
         # augmentation: epsilon f_0 = epsilon
@@ -205,10 +208,6 @@ class ChainMap:
                 for v in self.target.simplices[k][t]:
                     worst = max(worst, min(row[v] for row in rows))
         return worst
-
-
-def _as_matrix(K: RipsComplex, k: int) -> GF2Matrix:
-    return K.boundary(k)
 
 
 def inclusion_chain_map(K: RipsComplex, L: RipsComplex) -> ChainMap:
@@ -247,34 +246,33 @@ def fill_cycle(
     if L.boundary_of_chain(k, z) != 0:
         raise NotACycleError()
     if locality is None:
-        cols_idx = range(L.n_simplices(k + 1))
-    else:
-        center, radius = locality
-        row = L.space.dist_row(center)
-        allowed = {v for v in L.vertex_mask.ids if 0 <= row[v] <= radius}
-        cols_idx = [
-            j for j, s in enumerate(L.simplices[k + 1]) if all(v in allowed for v in s)
-        ]
-    faces = L.index[k]
-    simp = L.simplices[k + 1]
+        return fill_on_columns(L, k, z, None, want_witness)
+    center, radius = locality
+    row = L.space.dist_row(center)
+    allowed = SubsetMask(L.space.n, (v for v in L.vertex_mask.ids if 0 <= row[v] <= radius))
+    return fill_on_columns(L, k, z, L.simplices_within(k + 1, allowed), want_witness)
 
-    def columns():
-        for j in cols_idx:
-            s = simp[j]
-            col = 0
-            for drop in range(len(s)):
-                col |= 1 << faces[s[:drop] + s[drop + 1:]]
-            yield col
 
-    x = gf2.solve_columns(columns(), z, want_witness=want_witness)
-    if x is None:
-        return None
-    if not want_witness:
-        return 0
+def fill_on_columns(
+    L: RipsComplex,
+    k: int,
+    z: int,
+    cols_idx: Optional[Sequence[int]],
+    want_witness: bool = True,
+) -> Optional[int]:
+    """Solve ∂w = z using only the (k+1)-simplices indexed by cols_idx (all when None).
+
+    Columns stream from :meth:`RipsComplex.iter_boundary_columns`. Returns
+    the fill as a chain over all (k+1)-simplices, 0 for a feasible
+    feasibility-only solve, or None when z is no boundary of those columns.
+    """
+    columns = L.iter_boundary_columns(k + 1, cols_idx)
+    x = gf2.solve_columns(columns, z, want_witness=want_witness)
+    if x is None or not want_witness or cols_idx is None:
+        return x
     out = 0
-    idx_list = list(cols_idx)
     for b in gf2.bits(x):
-        out |= 1 << idx_list[b]
+        out |= 1 << cols_idx[b]
     return out
 
 
@@ -370,5 +368,6 @@ __all__ = [
     "ChainMap",
     "inclusion_chain_map",
     "fill_cycle",
+    "fill_on_columns",
     "induced_chain_map",
 ]

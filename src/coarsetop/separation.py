@@ -91,7 +91,7 @@ def complement_components(
     A: int,
     collar: int = 2,
 ) -> CoarseComponentSet:
-    """Union-find components of P_r(X) \\ P_r(N_A(W)).
+    """Components of P_r(X) \\ P_r(N_A(W)), by flood fill, ordered by smallest id.
 
     deep = touches the collar and is not contained in N_{A+collar}(W) for
     the largest collar-safe test radius; the labels are monotone under
@@ -105,28 +105,12 @@ def complement_components(
     rad = X.radial
     R = X.window_radius
     cut = (R - collar) if (R is not None and rad is not None) else None
-    adj = X.adjacency_at_scale(r)
-    ids = off.ids
-    seen: set[int] = set()
     comps: list[CoarseComponent] = []
-    for v in off.sorted_ids():
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in ids and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
+    for comp in X.components(off, r):
         touches = bool(cut is not None and any(rad[u] > cut for u in comp))
         maxd = max(dW[u] for u in comp)
         deep = touches and maxd > A + collar
         comps.append(CoarseComponent(SubsetMask(X.n, comp), touches, maxd, deep))
-    comps.sort(key=lambda c: min(c.mask.ids))
     return CoarseComponentSet(X, W, r, A, collar, nA, comps)
 
 

@@ -93,13 +93,19 @@ def test_determinism_byte_identical(tmp_path):
     assert (out1 / "det.report.json").read_bytes() == (out2 / "det.report.json").read_bytes()
 
 
-def test_threads_do_not_change_report(tmp_path):
-    p = write_scenario(tmp_path, "thr", FIG1)
-    out1 = tmp_path / "t1"
-    out2 = tmp_path / "t2"
-    assert main(["run", str(p), "--out", str(out1)]) == 0
-    assert main(["run", str(p), "--out", str(out2), "--threads", "2"]) == 0
-    assert (out1 / "thr.report.json").read_bytes() == (out2 / "thr.report.json").read_bytes()
+def test_separate_rejects_scale_below_one(tmp_path):
+    # a negative scale once left the scale-adjacency search unbounded and
+    # reported one deep component with exit 0
+    scen = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "Z^2", "radius": 6},
+        "w": {"kind": "point"},
+        "analyses": [{"analysis": "separate", "r": -1, "A": 0}],
+    }
+    p = write_scenario(tmp_path, "negscale", scen)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "negscale.report.json").read_text())
+    assert report["results"][0]["error"] == "scenario-invalid"
 
 
 def test_cap_violation_aborts_single_analysis(tmp_path):

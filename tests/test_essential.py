@@ -5,16 +5,18 @@ import pytest
 import coarsetop.gf2 as gf2
 from coarsetop.errors import CoarseTopError
 from coarsetop.essential import (
+    _push_cycle,
     almost_essential_probe,
     connecting_map,
     essential_probe,
     localized_boundary_support,
     mv_assemble,
+    paired_target_schedule,
     two_sided_representability,
 )
 from coarsetop.fixtures import crossing_cochain, grid_fixture
 from coarsetop.groups import subgroup_trace
-from coarsetop.homology import WindowSchedule
+from coarsetop.homology import WindowSchedule, annulus_mask, schedule_two_scale
 from coarsetop.metric import neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.cochains import RelativeComplex
@@ -63,6 +65,38 @@ def test_essential_fig1(fig1_12):
     assert vt.verdict == "non-essential"
     assert all(not w["survives_in_target"] for w in vb.witnesses)
     assert any(w["survives_in_target"] for w in vt.witnesses)
+
+
+@pytest.mark.parametrize(
+    "max_witness_columns, path",
+    [(60_000, "full"), (2_000, "N_10(supp)"), (1_000, "full/feasibility-only")],
+    ids=["full-witness", "local-witness", "feasibility-only"],
+)
+def test_essential_fill_paths_agree(max_witness_columns, path):
+    # on fig1 at R=10 with this schedule the bottom target has 2,670 edges,
+    # 1,544 of them within N_10 of the cycle, so the cap picks the path of
+    # the bottom probe; every path must give the same verdicts
+    fix = grid_fixture("fig1_halfplane_flap", 10)
+    sched = WindowSchedule(S=4, i=2, S_out=2, j=2, R=10, collar=2)
+    w_img = schedule_two_scale(fix.space, 0, sched, within=fix.w)
+    scale, excise = paired_target_schedule(sched)
+    for name, verdict in (("bottom", "essential"), ("top", "non-essential")):
+        C = fix.components[name]
+        v = essential_probe(
+            fix.space, fix.w, C, 1, [sched], name,
+            skip_pd_check=True, max_witness_columns=max_witness_columns,
+        )
+        assert v.verdict == verdict
+        # the probe's target complex and pushed cycles, rebuilt to check the fills
+        target = build_rips(fix.space, annulus_mask(fix.space, excise, None, within=C | fix.w), scale, 1)
+        assert len(v.witnesses) == len(w_img.classes) > 0
+        for cls, w in zip(w_img.classes, v.witnesses):
+            if w["fill"] is not None:
+                z = _push_cycle(w_img.inner, target, 0, cls.representative)
+                assert target.boundary_of_chain(1, w["fill"]) == z
+        if name == "bottom":
+            assert [w["fill_locality"] for w in v.witnesses] == [path] * len(v.witnesses)
+            assert all(w["fill"] for w in v.witnesses) == (path != "full/feasibility-only")
 
 
 def test_essential_monotone_under_enlargement(fig1_12):

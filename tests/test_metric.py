@@ -39,6 +39,14 @@ def test_neighborhood_on_line():
     assert sorted(X.labels[i] for i in out.ids) == list(range(-3, 4))
 
 
+def test_scale_adjacency_rejects_negative_scale():
+    # the BFS stops at distance r, which a negative r never reaches
+    X = line_space()
+    assert X.adjacency_at_scale(0) == [[] for _ in range(X.n)]
+    with pytest.raises(ValueError):
+        X.adjacency_at_scale(-1)
+
+
 def test_neighborhood_r0_is_identity():
     X = line_space()
     S = X.mask([3, 7, 11])
