@@ -114,6 +114,10 @@ class ScenarioContext:
         raise CoarseTopError("scenario-invalid", f"unknown w kind {kind!r}")
 
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
+        raise_on_bad(
+            r >= 1 and A >= 0 and collar >= 0,
+            f"component lookup needs r >= 1, A >= 0, collar >= 0; got r={r}, A={A}, collar={collar}",
+        )
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
             return self.fixture.components[name]
         key = (r, A, collar)
@@ -284,7 +288,7 @@ def run_mv(ctx: ScenarioContext, params: dict) -> dict:
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(ctx.space, axis, 0))
     c = connecting_entry(rep.pieces, 1, sigma)
     supp_in = RW.support_vertices(1, sigma)
-    loc = localized_boundary_support(rep.pieces, 1, sigma, supp_in)
+    loc = localized_boundary_support(rep.pieces, 1, c["output"], supp_in)
     return {
         "status": "ok",
         "dichotomy": rep.dichotomy,

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import gf2
 from .cochains import RelativeComplex, extension_matrix, restriction_matrix
-from .errors import CoarseTopError, WindowTooSmallError
+from .errors import CoarseTopError, NotACycleError, WindowTooSmallError
 from .gf2 import GF2Matrix
 from .homology import (
     WindowSchedule,
@@ -31,7 +31,7 @@ from .homology import (
     schedule_two_scale,
 )
 from .metric import FiniteMetricSpace, SubsetMask, neighborhood
-from .rips import RipsComplex, build_rips, fill_cycle, fill_on_columns
+from .rips import RipsComplex, build_rips, fill_cycle
 from .separation import is_coarse_complementary, simplex_dichotomy_check
 
 
@@ -169,15 +169,19 @@ def _push_cycle(src: RipsComplex, dst: RipsComplex, k: int, chain: int) -> int:
 def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns: int) -> dict:
     """Decide z ∈ im ∂_{k+1}(target); extract a fill chain when affordable.
 
-    Small systems run witnessed directly. Large ones try one locality pass
-    around the cycle support for a compact witness, then decide on the full
-    complex with the witnessless streaming solve; the verdict always comes
-    from an exact membership computation.
+    Small systems run witnessed directly. Large ones start one streaming
+    solve on the columns near the cycle support, witnessed for a compact
+    fill when they are few enough; if they cannot fill z, the same solve
+    drops its combinations and resumes on the remaining columns, so no
+    column is eliminated twice. The verdict always comes from an exact
+    membership computation.
     """
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:
         fill = fill_cycle(target, k, z, want_witness=True)
         return {"survives": fill is None, "fill": fill, "locality": "full"}
+    if target.boundary_of_chain(k, z) != 0:
+        raise NotACycleError()
     supp = target.chain_support_vertices(k, z)
     rho = 2 * target.scale + 2
     d = target.space.dist_to_set(supp.ids)
@@ -185,11 +189,18 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
         target.space.n, (v for v in target.vertex_mask.ids if d[v] <= rho)
     )
     local_cols = target.simplices_within(k + 1, local_vertices)
-    if len(local_cols) <= max_witness_columns:
-        fill = fill_on_columns(target, k, z, local_cols)
-        if fill is not None:
+    witnessed = len(local_cols) <= max_witness_columns
+    solve = gf2.ColumnSolve(z, track=witnessed)
+    rest = None
+    if witnessed:
+        x = solve.feed(target.iter_boundary_columns(k + 1, local_cols))
+        if x is not None:
+            fill = gf2.vector_from_indices(local_cols[b] for b in gf2.bits(x))
             return {"survives": False, "fill": fill, "locality": f"N_{rho}(supp)"}
-    feasible = fill_cycle(target, k, z, want_witness=False)
+        solve.drop_witness()
+        skip = set(local_cols)
+        rest = (j for j in range(ncols) if j not in skip)
+    feasible = solve.feed(target.iter_boundary_columns(k + 1, rest))
     return {"survives": feasible is None, "fill": None, "locality": "full/feasibility-only"}
 
 
@@ -266,18 +277,19 @@ def mv_assemble(
         # columnwise short exactness:
         #  q injective, p surjective, p∘q = 0, rank q + rank p = middle dim
         stacked_q = [qa.columns[j] | (qb.columns[j] << RA.n_rel(k)) for j in range(RX.n_rel(k))]
-        q_inj = gf2.rank_of_columns(stacked_q) == RX.n_rel(k)
+        rank_q = gf2.rank_of_columns(stacked_q)
         p_cols = [pa.columns[j] for j in range(RA.n_rel(k))] + [
             pb.columns[j] for j in range(RB.n_rel(k))
         ]
-        p_surj = gf2.rank_of_columns(p_cols) == RW.n_rel(k)
+        rank_p = gf2.rank_of_columns(p_cols)
         pq_zero = all(
             pa.matvec(qa.columns[j]) ^ pb.matvec(qb.columns[j]) == 0
             for j in range(RX.n_rel(k))
         )
         middle = RA.n_rel(k) + RB.n_rel(k)
-        rank_ok = gf2.rank_of_columns(stacked_q) + gf2.rank_of_columns(p_cols) == middle
-        ses_ok[k] = bool(q_inj and p_surj and pq_zero and rank_ok)
+        ses_ok[k] = bool(
+            rank_q == RX.n_rel(k) and rank_p == RW.n_rel(k) and pq_zero and rank_q + rank_p == middle
+        )
     pieces = MVPieces(RX, RA, RB, RW, q_mats, p_mats)
     connecting = [connecting_entry(pieces, deg, sigma) for deg, sigma in w_classes]
     exactness = {}
@@ -403,18 +415,18 @@ def _exact_at_w(pieces: MVPieces, k: int) -> bool:
 def localized_boundary_support(
     pieces: MVPieces,
     deg: int,
-    sigma: int,
+    omega: int,
     input_support: SubsetMask,
 ) -> dict:
     """Support of the snake representative, with the schedule-derived radius check.
 
-    The snake (extend, coboundary, extend) moves support by at most one
-    simplex diameter, so the representative of delta~[sigma] must live
-    within R = (deg + 2) * r of the input support. The achieved radius is
-    reported exactly.
+    ``omega`` is the connecting-map output delta~[sigma] of a degree-``deg``
+    W-class sigma supported on ``input_support``. The snake (extend,
+    coboundary, extend) moves support by at most one simplex diameter, so
+    omega must live within R = (deg + 2) * r of the input support. The
+    achieved radius is reported exactly.
     """
     RX = pieces.X
-    omega = connecting_map(pieces, deg, sigma)
     supp = RX.support_vertices(deg + 1, omega)
     r = RX.K.scale
     bound = (deg + 2) * r

@@ -1,13 +1,17 @@
 """Sparse bit-packed GF(2) linear algebra.
 
 Matrices store columns as Python ints (bit i of column j = entry (i, j)).
-Elimination picks pivots at the lowest nonzero row of each column, and one
+Elimination picks pivots at the highest nonzero row of each column (found
+by ``bit_length``, O(1), where the lowest set bit costs O(size)), and one
 reduction loop (:meth:`GF2Subspace._reduce`) serves rank, solve,
 kernel/image bases and the two-scale homology image ranks used throughout
-the package.
+the package. Streaming membership solves (:class:`ColumnSolve`) stop
+pulling columns once the right-hand side lies in their span and can be
+resumed with more columns.
 
-All objects are immutable after construction; elimination produces new
-objects, so independent eliminations may run in parallel.
+Matrices are immutable after construction. A GF2Subspace or ColumnSolve
+is filled by the one elimination that owns it, so independent eliminations
+may run in parallel.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class GF2Matrix:
 class GF2Subspace:
     """A subspace in column-echelon form: the one elimination of the package.
 
-    ``pivots`` maps each pivot row to a basis vector with no bits below that
+    ``pivots`` maps each pivot row to a basis vector with no bits above that
     row, so pivot rows are distinct. With ``track=True`` every inserted
     vector is numbered in insertion order and each basis vector carries its
     combination mask over those numbers, so solves return witnesses and
@@ -129,11 +133,8 @@ class GF2Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def basis(self) -> list[int]:
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
     def _reduce(self, v: int, m: int, full: bool) -> tuple[int, int, int]:
-        """Eliminate v against the pivots, lowest set bit first.
+        """Eliminate v against the pivots, highest set bit first.
 
         Returns (rest, m, row), with the combination masks of the pivots used
         XORed into ``m``. With ``full``, rest is the residue of v (no bit at a
@@ -144,7 +145,7 @@ class GF2Subspace:
         pivots, combos = self.pivots, self.combos
         out = 0
         while v:
-            p = lowbit(v)
+            p = v.bit_length() - 1
             col = pivots.get(p)
             if col is None:
                 if not full:
@@ -161,7 +162,7 @@ class GF2Subspace:
     def reduce(self, v: int) -> int:
         """Residue of v modulo the subspace (deterministic).
 
-        Pivot vectors have no bits below their pivot row, so a bit with no
+        Pivot vectors have no bits above their pivot row, so a bit with no
         pivot can never be cleared and lands in the residue.
         """
         return self._reduce(v, 0, True)[0]
@@ -189,14 +190,45 @@ class GF2Subspace:
         """Insert the next vector; True if it enlarged the space."""
         return self.insert(v) is None
 
-    def solve(self, b: int) -> Optional[int]:
-        """Combination of inserted vectors summing to b (0 when untracked), or None."""
-        rest, x, _ = self._reduce(b, 0, False)
+
+class ColumnSolve:
+    """A solve of A x = b that pulls columns of A only while it must.
+
+    b is reduced first and its residue kept. After each inserted column the
+    residue's reduction continues only if that column created the pivot at
+    the residue's top row, and no column is pulled once the residue is 0.
+    :meth:`feed` may be called again with further columns; the solution is
+    the unique combination over the greedy-independent columns fed so far,
+    as a tracked elimination of every column would give.
+    """
+
+    __slots__ = ("space", "rest", "x", "row")
+
+    def __init__(self, b: int, track: bool = True):
+        self.space = GF2Subspace(0, track)
+        self.rest, self.x, self.row = self.space._reduce(b, 0, False)
+
+    def feed(self, columns: Iterable[int]) -> Optional[int]:
+        """Insert columns until b lies in their span; the solution, or None."""
+        space, pivots = self.space, self.space.pivots
+        rest, x, row = self.rest, self.x, self.row
+        if rest:
+            for c in columns:
+                if space.insert(c) is None and row in pivots:
+                    rest, x, row = space._reduce(rest, x, False)
+                    if not rest:
+                        break
+        self.rest, self.x, self.row = rest, x, row
         return None if rest else x
 
+    def drop_witness(self) -> None:
+        """Stop tracking combinations; a feasible solve then returns 0."""
+        self.space.combos = None
+        self.x = 0
 
-def _echelon(columns: Iterable[int], ambient: int = 0, track: bool = False) -> GF2Subspace:
-    space = GF2Subspace(ambient, track)
+
+def _echelon(columns: Iterable[int], ambient: int = 0) -> GF2Subspace:
+    space = GF2Subspace(ambient)
     for c in columns:
         space.insert(c)
     return space
@@ -216,13 +248,13 @@ def solve(A: GF2Matrix, b: int) -> Optional[int]:
 
 
 def solve_columns(columns: Iterable[int], b: int, want_witness: bool = True) -> Optional[int]:
-    """Streaming solve over a column iterable.
+    """Streaming solve over a column iterable, stopping once b is reached.
 
     With want_witness=False only feasibility is decided (0 is returned for a
     feasible system), which avoids storing combination masks for very large
     systems.
     """
-    return _echelon(columns, track=want_witness).solve(b)
+    return ColumnSolve(b, want_witness).feed(columns)
 
 
 def kernel_basis(A: GF2Matrix) -> list[int]:
@@ -263,6 +295,7 @@ def quotient_image_rank(
 __all__ = [
     "GF2Matrix",
     "GF2Subspace",
+    "ColumnSolve",
     "bits",
     "lowbit",
     "popcount",

@@ -179,7 +179,9 @@ def test_accept_5_mv_connecting_map(line_in_plane_8):
     assert rep.dichotomy
     assert all(rep.ses_ok.values())
     assert rep.connecting[0]["nonzero_in_proxy"]
-    out = localized_boundary_support(rep.pieces, 1, sigma, RW.support_vertices(1, sigma))
+    out = localized_boundary_support(
+        rep.pieces, 1, rep.connecting[0]["output"], RW.support_vertices(1, sigma)
+    )
     assert out["within_bound"]
     assert all(rep.exactness.values())
     print(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coarsetop.cli import main, run_scenario
 
 
@@ -105,6 +107,28 @@ def test_separate_rejects_scale_below_one(tmp_path):
     p = write_scenario(tmp_path, "negscale", scen)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "negscale.report.json").read_text())
+    assert report["results"][0]["error"] == "scenario-invalid"
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"analysis": "mv", "r": -1, "A": 1, "cap": 3, "component": "0"},
+        {"analysis": "almost-essential", "A": -3, "B_max": 6},
+    ],
+    ids=["mv-negative-r", "almost-essential-negative-A"],
+)
+def test_component_lookup_rejects_bad_scales(tmp_path, block):
+    # both once ended in an uncaught ValueError traceback
+    scen = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "Z^2", "radius": 6},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+        "analyses": [block],
+    }
+    p = write_scenario(tmp_path, "badscale", scen)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "badscale.report.json").read_text())
     assert report["results"][0]["error"] == "scenario-invalid"
 
 

@@ -99,6 +99,21 @@ def test_essential_fill_paths_agree(max_witness_columns, path):
             assert all(w["fill"] for w in v.witnesses) == (path != "full/feasibility-only")
 
 
+def test_essential_resumes_after_failed_local_solve():
+    # on fig1 at R=10 the bottom target has 1,042 edges and the two points of
+    # the pushed class lie more than 2ρ apart, so the local solve over the
+    # 310 edges within N_6 of them fails; the probe then resumes that solve
+    # on the other 732 edges and must reach the verdict of the full solve
+    fix = grid_fixture("fig1_halfplane_flap", 10)
+    C = fix.components["bottom"]
+    capped = essential_probe(fix.space, fix.w, C, 1, fig_schedules(10), "bottom", max_witness_columns=500)
+    default = essential_probe(fix.space, fix.w, C, 1, fig_schedules(10), "bottom")
+    assert capped.verdict == default.verdict == "essential"
+    assert len(capped.witnesses) > 0
+    assert [w["fill_locality"] for w in capped.witnesses] == ["full/feasibility-only"] * len(capped.witnesses)
+    assert [w["fill_locality"] for w in default.witnesses] == ["full"] * len(default.witnesses)
+
+
 def test_essential_monotone_under_enlargement(fig1_12):
     # bottom is essential; any complementary component containing it is
     # essential or inconclusive, never non-essential
@@ -192,7 +207,7 @@ def test_mv_connecting_map_nonzero(line_in_plane_8):
     c = rep.connecting[0]
     assert c["nonzero_in_proxy"]
     # localized support within the schedule-derived radius
-    out = localized_boundary_support(rep.pieces, 1, sigma, RW.support_vertices(1, sigma))
+    out = localized_boundary_support(rep.pieces, 1, c["output"], RW.support_vertices(1, sigma))
     assert out["within_bound"]
     assert out["achieved_radius"] <= 2
 

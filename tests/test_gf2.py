@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsetop import gf2
@@ -167,3 +167,85 @@ def test_shape_mismatch_raises():
     B = GF2Matrix.identity(4)
     with pytest.raises(ValueError):
         A.matmul(B)
+
+
+small_systems = st.integers(1, 9).flatmap(
+    lambda rows: st.tuples(
+        st.lists(st.integers(0, (1 << rows) - 1), min_size=0, max_size=12),
+        st.integers(0, (1 << rows) - 1),
+        st.just(rows),
+    )
+)
+
+
+def _dense(columns, rows):
+    return [[(c >> i) & 1 for c in columns] for i in range(rows)]
+
+
+def _tracked_full_solve(columns, b):
+    """Eliminate every column with tracking, then b as one more vector."""
+    space = gf2.GF2Subspace(0, track=True)
+    for c in columns:
+        space.insert(c)
+    m = space.insert(b)
+    return None if m is None else m ^ (1 << len(columns))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems, st.integers(0, 12))
+@example(([0b10, 0b01], 0b11, 2), 1)
+def test_early_exit_and_resumed_solves_match_dense(system, split):
+    columns, b, rows = system
+    split %= len(columns) + 1
+    rhs = [(b >> i) & 1 for i in range(rows)]
+    feasible = dense_solve_gf2(_dense(columns, rows), rhs) is not None if columns else b == 0
+    for want_witness in (True, False):
+        x = gf2.solve_columns(iter(columns), b, want_witness=want_witness)
+        assert (x is not None) == feasible
+    # the fallback of the essential probe: drop the witness after a failed prefix
+    resumed = gf2.ColumnSolve(b)
+    if resumed.feed(iter(columns[:split])) is None:
+        resumed.drop_witness()
+        assert resumed.feed(iter(columns[split:])) == (0 if feasible else None)
+    else:
+        assert feasible
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems, st.integers(0, 12))
+def test_witnessed_early_exit_matches_tracked_full_elimination(system, split):
+    columns, b, _ = system
+    split %= len(columns) + 1
+    x = gf2.solve_columns(iter(columns), b, want_witness=True)
+    assert x == _tracked_full_solve(columns, b)
+    if x is not None:
+        assert gf2.GF2Matrix(0, len(columns), columns).matvec(x) == b
+    # a solve fed in two parts gives the same witness
+    resumed = gf2.ColumnSolve(b)
+    resumed.feed(iter(columns[:split]))
+    assert resumed.feed(iter(columns[split:])) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems)
+def test_early_exit_pulls_no_column_after_reaching_b(system):
+    columns, b, _ = system
+    pulled = []
+    x = gf2.solve_columns((pulled.append(c) or c for c in columns), b)
+    if x is not None:
+        # the last column pulled is the one that completed the witness
+        assert x.bit_length() == len(pulled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems, st.integers(0, 511), st.integers(0, 511))
+def test_pivots_are_top_bits_and_reduce_is_linear(system, u, v):
+    columns, _, rows = system
+    space = gf2.span_of(columns, rows)
+    for p, vec in space.pivots.items():
+        assert vec.bit_length() - 1 == p
+    u &= (1 << rows) - 1
+    v &= (1 << rows) - 1
+    r = space.reduce(u)
+    assert all(not (r >> p) & 1 for p in space.pivots)
+    assert space.reduce(u ^ v) == r ^ space.reduce(v)
