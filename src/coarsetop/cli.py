@@ -89,10 +89,10 @@ class ScenarioContext:
         self.fixture = None
         if spec["kind"] == "group":
             model = parse_family(spec["family"])
-            self.ball = build_ball(model, int(spec["radius"]), max_vertices=self.max_vertices)
+            self.ball = build_ball(model, spec["radius"], max_vertices=self.max_vertices)
             self.space = self.ball.space
         elif spec["kind"] == "fixture":
-            self.fixture = grid_fixture(spec["name"], int(spec["radius"]))
+            self.fixture = grid_fixture(spec["name"], spec["radius"])
             self.space = self.fixture.space
         else:
             raise CoarseTopError("scenario-invalid", f"unknown space kind {spec['kind']!r}")
@@ -433,11 +433,19 @@ REQUIRED_PARAMS = {"essential": ("n",), "pd-signature": ("n",)}
 
 
 def validate_analyses(scenario: dict) -> None:
-    """Every analysis block must validate before any computation starts.
+    """The scenario and every analysis block validate before any computation.
 
-    Failures are anchored to the offending block index; cap violations are
-    runtime events and abort only their own analysis, not the run.
+    The scenario's shape, its space block and an integer radius are checked
+    first. Block failures are anchored to the offending block index; cap
+    violations are runtime events and abort only their own analysis.
     """
+    raise_on_bad(isinstance(scenario, dict), "a scenario must be a JSON object")
+    raise_on_bad(scenario.get("schema") == SCHEMA_VERSION, "unsupported schema version")
+    space = scenario.get("space")
+    raise_on_bad(isinstance(space, dict), "a scenario needs a 'space' object")
+    radius = space.get("radius")
+    raise_on_bad(type(radius) is int, f"space radius must be an integer, got {radius!r}")
+    raise_on_bad(isinstance(scenario.get("analyses", []), list), "'analyses' must be a list")
     for t, block in enumerate(scenario.get("analyses", [])):
         where = f"analyses[{t}]"
         raise_on_bad(isinstance(block, dict), f"{where}: analysis block must be an object")
@@ -461,7 +469,6 @@ def validate_analyses(scenario: dict) -> None:
 
 
 def run_scenario(scenario: dict, seed: int = 0) -> tuple[dict, int]:
-    raise_on_bad(scenario.get("schema") == SCHEMA_VERSION, "unsupported schema version")
     validate_analyses(scenario)
     ctx = ScenarioContext(scenario)
     results = []

@@ -9,12 +9,16 @@ rather than from paths inside the window.
 
 For families whose balls are convex in the Cayley graph (``convex_balls``)
 the word metric agrees with the induced path metric of the ball subgraph
-and BFS backs all distance queries; the lamplighter uses an explicit
-distance table instead. Both metrics are exposed on the ball.
+and BFS backs all distance queries. Other balls, the lamplighter's, are a
+:class:`WordMetricBall`: the word metric is left-invariant, so a distance
+row is |g^-1 h| over the ball, computed when first asked for, and the
+scale-r neighbourhood of g is the translate g B_r(e). No distance table is
+built. Both metrics are exposed on the ball.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -346,6 +350,40 @@ class Lamplighter(GroupModel):
         return f"(lit={sorted(s)}, pos={c})"
 
 
+class WordMetricBall(FiniteMetricSpace):
+    """A group ball with the global word metric, for balls that are not convex.
+
+    ``elements`` are normal forms in (word length, sort key) order with the
+    identity first, and ``index`` inverts them.
+    """
+
+    def __init__(self, model: GroupModel, elements: list, index: dict, radial: list, radius: int):
+        self.model = model
+        self.elements = elements
+        self.index = index
+        super().__init__(
+            len(elements), labels=elements, radial=radial, window_radius=radius, basepoint=0
+        )
+
+    def _compute_row(self, x: int) -> array:
+        mul, length = self.model.mul, self.model.length
+        g_inv = self.model.inv(self.elements[x])
+        return array("i", [length(mul(g_inv, h)) for h in self.elements])
+
+    def _neighbours_at_scale(self, r: int) -> list[list[int]]:
+        # N_r(g) = g B_r(e) holds inside the window only while B_r(e) does,
+        # that is for r <= radius; beyond it the rows are scanned.
+        if r > self.window_radius:
+            return super()._neighbours_at_scale(r)
+        mul, get = self.model.mul, self.index.get
+        prefix = self.elements[1 : sum(1 for d in self.radial if d <= r)]
+        out = []
+        for g in self.elements:
+            ids = [get(mul(g, b)) for b in prefix]
+            out.append(sorted(i for i in ids if i is not None))
+        return out
+
+
 @dataclass
 class BallModel:
     """All elements of word length <= radius, with both metrics and a partial action."""
@@ -426,18 +464,13 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
                 adj[i].append(j)
     adj = [sorted(set(a)) for a in adj]
     radial = [model.length(g) for g in elements]
-    labels = list(elements)  # normal forms; model.label renders them
     if model.convex_balls:
+        # labels are the normal forms; model.label renders them
         space = FiniteMetricSpace(
-            n, adjacency=adj, labels=labels, radial=radial, window_radius=radius, basepoint=0
+            n, adjacency=adj, labels=elements, radial=radial, window_radius=radius, basepoint=0
         )
     else:
-        table = [
-            [model.length(model.mul(model.inv(g), h)) for h in elements] for g in elements
-        ]
-        space = FiniteMetricSpace(
-            n, table=table, labels=labels, radial=radial, window_radius=radius, basepoint=0
-        )
+        space = WordMetricBall(model, elements, index, radial, radius)
     return BallModel(model, radius, elements, index, space, adj)
 
 
@@ -576,6 +609,7 @@ __all__ = [
     "FreeProduct",
     "Lamplighter",
     "amalgam_z2_z_z2",
+    "WordMetricBall",
     "BallModel",
     "build_ball",
     "subgroup_trace",

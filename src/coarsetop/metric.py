@@ -2,11 +2,13 @@
 
 Every analysis in the package runs over a :class:`FiniteMetricSpace`: a
 finite window with integer point ids and an integer-valued distance. Two
-backings exist: a unit-step graph (distances by BFS, computed lazily per
-source and cached) and an explicit distance table. All built-in models are
-graph path metrics, which makes every window 1-geodesic; table backing
-exists for subspaces and for group families whose balls are not convex in
-their Cayley graph.
+backings exist here: a unit-step graph (distances by BFS) and an explicit
+distance table, with which tests build arbitrary metrics. A subclass may
+instead compute rows itself by overriding ``_compute_row`` and
+``_neighbours_at_scale``; group balls that are not convex in their Cayley
+graph do so (``groups.WordMetricBall``). Distance rows are filled lazily
+per source, and this class alone validates scales and caches rows and
+scale adjacencies.
 
 Values are immutable after construction; the per-source distance cache is
 an idempotent fill and safe to share between threads.
@@ -116,8 +118,9 @@ class FiniteMetricSpace:
         window_radius: Optional[int] = None,
         basepoint: Optional[int] = None,
     ):
-        if (adjacency is None) == (table is None):
-            raise ValueError("exactly one of adjacency/table must be given")
+        computed = type(self)._compute_row is not FiniteMetricSpace._compute_row
+        if (adjacency is not None) + (table is not None) + computed != 1:
+            raise ValueError("exactly one of adjacency, table or a row computation must back the space")
         self.n = n
         self._adj = [sorted(a) for a in adjacency] if adjacency is not None else None
         self._table = [array("i", row) for row in table] if table is not None else None
@@ -166,23 +169,25 @@ class FiniteMetricSpace:
 
     def dist_row(self, x: int) -> array:
         row = self._row_cache.get(x)
-        if row is not None:
-            return row
+        if row is None:
+            row = self._row_cache[x] = self._compute_row(x)
+        return row
+
+    def _compute_row(self, x: int) -> array:
+        """Distances from x, uncached; subclasses override to back the space."""
         if self._table is not None:
-            row = self._table[x]
-        else:
-            row = array("i", [UNREACHABLE]) * self.n
-            row[x] = 0
-            dq = deque([x])
-            adj = self._adj
-            while dq:
-                u = dq.popleft()
-                du = row[u]
-                for w in adj[u]:
-                    if row[w] == UNREACHABLE:
-                        row[w] = du + 1
-                        dq.append(w)
-        self._row_cache[x] = row
+            return self._table[x]
+        row = array("i", [UNREACHABLE]) * self.n
+        row[x] = 0
+        dq = deque([x])
+        adj = self._adj
+        while dq:
+            u = dq.popleft()
+            du = row[u]
+            for w in adj[u]:
+                if row[w] == UNREACHABLE:
+                    row[w] = du + 1
+                    dq.append(w)
         return row
 
     def dist(self, x: int, y: int) -> float:
@@ -222,12 +227,20 @@ class FiniteMetricSpace:
         if r < 0:
             raise ValueError("scale must be >= 0")
         cached = self._scale_adj_cache.get(r)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._scale_adj_cache[r] = self._neighbours_at_scale(r)
+        return cached
+
+    def _neighbours_at_scale(self, r: int) -> list[list[int]]:
+        """Uncached body of adjacency_at_scale for a validated r >= 0.
+
+        Without a graph every row is scanned once; rows computed here are
+        not cached, so a scan leaves no n x n structure behind.
+        """
         if self._adj is not None and r == 1:
-            out = [sorted(set(a)) for a in self._adj]
-        elif self._adj is not None:
-            out = []
+            return [sorted(set(a)) for a in self._adj]
+        out = []
+        if self._adj is not None:
             for x in range(self.n):
                 found = {x: 0}
                 dq = deque([x])
@@ -242,12 +255,12 @@ class FiniteMetricSpace:
                             dq.append(w)
                 found.pop(x)
                 out.append(sorted(found))
-        else:
-            out = []
-            for x in range(self.n):
-                row = self.dist_row(x)
-                out.append([y for y in range(self.n) if y != x and 0 <= row[y] <= r])
-        self._scale_adj_cache[r] = out
+            return out
+        for x in range(self.n):
+            row = self._row_cache.get(x)
+            if row is None:
+                row = self._compute_row(x)
+            out.append([y for y in range(self.n) if y != x and 0 <= row[y] <= r])
         return out
 
     def components(self, mask: SubsetMask, scale: int) -> list[list[int]]:

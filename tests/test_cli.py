@@ -186,6 +186,23 @@ def test_bad_scenario_file(tmp_path):
     assert main(["run", str(p)]) == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"schema": 1},
+        [{"schema": 1}],
+        {"schema": 1, "space": {"kind": "group", "family": "Z", "radius": "abc"}, "analyses": []},
+    ],
+    ids=["no-space", "top-level-list", "radius-not-int"],
+)
+def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
+    # these once ended in a KeyError, AttributeError and ValueError traceback
+    p = write_scenario(tmp_path, "malformed", payload)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    assert "scenario-invalid" in capsys.readouterr().err
+    assert not (tmp_path / "malformed.report.json").exists()
+
+
 def test_unknown_analysis_fails_validation_up_front(tmp_path):
     import pytest
 

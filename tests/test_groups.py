@@ -167,6 +167,37 @@ def test_lamplighter_ball_growth():
     assert model.length(model.mul(t, s)) == 2
 
 
+@pytest.mark.parametrize(
+    "model,R",
+    [(Lamplighter(), 5), (Lamplighter(), 6), (FreeProduct([Lamplighter(), FreeAbelian(1)]), 4)],
+    ids=["lamplighter-R5", "lamplighter-R6", "lamplighter*Z-R4"],
+)
+def test_word_metric_ball_matches_dense_definition(model, R):
+    # rows are |g_x^-1 h|; scale neighbourhoods come from translating
+    # B_r(e) for r <= R and from scanning rows beyond R
+    ball = build_ball(model, R)
+    space, n = ball.space, len(ball.elements)
+    dense = [[model.length(model.mul(model.inv(g), h)) for h in ball.elements] for g in ball.elements]
+    for r in range(2 * R + 2):
+        expected = [[y for y in range(n) if y != x and dense[x][y] <= r] for x in range(n)]
+        assert space.adjacency_at_scale(r) == expected, f"scale {r}"
+    assert not space._row_cache  # no scale left rows behind
+    for x in range(n):
+        assert list(space.dist_row(x)) == dense[x]
+
+
+def test_word_metric_ball_length_calls_linear():
+    class CountingLamplighter(Lamplighter):
+        calls = 0
+
+        def length(self, g):
+            CountingLamplighter.calls += 1
+            return super().length(g)
+
+    ball = build_ball(CountingLamplighter(), 8)
+    assert CountingLamplighter.calls <= 8 * len(ball.elements)
+
+
 def test_subgroup_traces(z2_ball_10, f2_ball_6):
     z2 = z2_ball_10
     axis = subgroup_trace(z2, {"cyclic": (1, 0)})
