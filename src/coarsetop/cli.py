@@ -201,8 +201,11 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
             "windowed separation needs a subgroup w to rebuild per radius",
         )
         for R in windows:
-            ball = build_ball(ctx.ball.model, int(R), max_vertices=ctx.max_vertices)
-            w = subgroup_trace(ball, ctx.w_spec["spec"])
+            if int(R) == ctx.ball.radius:
+                ball, w = ctx.ball, ctx.w
+            else:
+                ball = build_ball(ctx.ball.model, int(R), max_vertices=ctx.max_vertices)
+                w = subgroup_trace(ball, ctx.w_spec["spec"])
             rows.append((ball, w, complement_components(ball.space, w, r, A, collar=collar)))
     else:
         rows.append((ctx.ball, ctx.w, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
@@ -283,7 +286,9 @@ def run_mv(ctx: ScenarioContext, params: dict) -> dict:
     axis = int(params.get("axis", 0))
     comp_name = params.get("component", "upper" if ctx.fixture else "0")
     C1 = ctx.component(comp_name, r=r, A=A, collar=collar)
-    rep = mv_assemble(ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar)
+    rep = mv_assemble(
+        ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar, max_simplices=ctx.max_simplices
+    )
     RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(ctx.space, axis, 0))
     c = connecting_entry(rep.pieces, 1, sigma)

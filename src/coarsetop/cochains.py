@@ -36,6 +36,7 @@ class RelativeComplex:
             self.rel.append(keep)
             self.rel_pos.append({j: t for t, j in enumerate(keep)})
         self._delta_cache: dict[int, GF2Matrix] = {}
+        self._image_cache: dict[int, gf2.GF2Subspace] = {}
 
     def n_rel(self, k: int) -> int:
         return len(self.rel[k]) if 0 <= k <= self.K.cap else 0
@@ -125,22 +126,21 @@ class RelativeComplex:
 
         Support containment is simplex-level: the result may be nonzero only
         on relative simplices with every vertex in ``allowed``. tau solves
-        (delta tau)(t) = vec(t) on every other relative k-simplex t.
+        (delta tau)(t) = vec(t) on every other relative k-simplex t, i.e. on
+        the rows kept by ``outside``. Masking zeroes the other rows in place
+        instead of renumbering the kept ones; the kept rows stay in the same
+        order, so every top-bit pivot lands on the same row and tau is the
+        solution a compacted system would give.
         """
-        inside = set(self.simplex_positions_within(k, allowed))
-        outside = (t for t in range(self.n_rel(k)) if t not in inside)
-        row_pos = {t: i for i, t in enumerate(outside)}
-
-        def outside_part(v: int) -> int:
-            out = 0
-            for t in gf2.bits(v):
-                i = row_pos.get(t)
-                if i is not None:
-                    out |= 1 << i
-            return out
-
+        ids = allowed.ids
+        simplices = self.K.simplices[k]
+        inside = 0  # the few simplices in the mask; outside is its complement
+        for t, j in enumerate(self.rel[k]):
+            if ids.issuperset(simplices[j]):
+                inside |= 1 << t
+        outside = inside ^ ((1 << self.n_rel(k)) - 1)
         delta = self.delta(k - 1)
-        tau = gf2.solve_columns([outside_part(c) for c in delta.columns], outside_part(vec))
+        tau = gf2.solve_columns([c & outside for c in delta.columns], vec & outside)
         if tau is None:
             return None
         return vec ^ delta.matvec(tau)
@@ -149,10 +149,20 @@ class RelativeComplex:
         return gf2.kernel_basis(self.delta(k))
 
     def coboundary_space(self, k: int) -> gf2.GF2Subspace:
-        """im delta^{k-1} inside degree k."""
-        if k == 0:
-            return gf2.GF2Subspace(self.n_rel(0))
-        return gf2.image_basis(self.delta(k - 1))
+        """im delta^{k-1} inside degree k, echelonised once per degree; read only."""
+        space = self._image_cache.get(k)
+        if space is None:
+            space = gf2.image_basis(self.delta(k - 1)) if k else gf2.GF2Subspace(self.n_rel(0))
+            self._image_cache[k] = space
+        return space
+
+    def is_coboundary(self, k: int, vec: int) -> bool:
+        """Whether vec is a relative coboundary, decided without a witness.
+
+        One reduction against im delta^{k-1}, echelonised once per degree; it
+        agrees with ``class_is_zero(k, vec) is not None``, which solves afresh.
+        """
+        return self.coboundary_space(k).contains(vec)
 
     def class_is_zero(self, k: int, vec: int) -> Optional[int]:
         """A relative cochain beta with delta beta = vec, or None."""

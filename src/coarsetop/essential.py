@@ -239,6 +239,7 @@ def mv_assemble(
     w_classes: Sequence[tuple[int, int]] = (),
     collar: int = 2,
     check_exactness_upto: Optional[int] = None,
+    max_simplices: int = 5_000_000,
 ) -> MVReport:
     """Assemble the three-piece short exact sequence and the connecting map.
 
@@ -253,13 +254,13 @@ def mv_assemble(
     C2 = (X.full_mask() - C1) | nA
     C1p = C1 | nA
     interior = X.interior_mask(collar)
-    KX = build_rips(X, X.full_mask(), r, cap)
+    KX = build_rips(X, X.full_mask(), r, cap, max_simplices=max_simplices)
     dichotomy = simplex_dichotomy_check(KX, nA, C1)
     if not dichotomy:
         raise CoarseTopError("dichotomy-failed", "a simplex straddles both sides; raise A")
-    KA = build_rips(X, C1p, r, cap)
-    KB = build_rips(X, C2, r, cap)
-    KW = build_rips(X, nA, r, cap)
+    KA = build_rips(X, C1p, r, cap, max_simplices=max_simplices)
+    KB = build_rips(X, C2, r, cap, max_simplices=max_simplices)
+    KW = build_rips(X, nA, r, cap, max_simplices=max_simplices)
     RX = RelativeComplex(KX, interior)
     RA = RelativeComplex(KA, interior & C1p)
     RB = RelativeComplex(KB, interior & C2)
@@ -314,7 +315,7 @@ def connecting_entry(pieces: MVPieces, deg: int, sigma: int) -> dict:
         "degree": deg,
         "input": sigma,
         "output": omega,
-        "nonzero_in_proxy": RX.class_is_zero(deg + 1, omega) is None,
+        "nonzero_in_proxy": not RX.is_coboundary(deg + 1, omega),
         "support": RX.support_vertices(deg + 1, omega),
     }
 

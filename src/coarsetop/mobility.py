@@ -5,7 +5,7 @@ representative cocycle supported inside N_D(g): witness = alpha0 + delta
 beta with beta ranging over collar-relative cochains. The mobility set is
 the union of witness supports over feasible centers; center-feasibility
 relaxes the diameter-D definition by at most a factor of two, which the
-Hausdorff comparisons absorb.
+Hausdorff comparisons absorb. A witness's diameter is computed only if read.
 
 Stabilizers are computed as traces: g enters when the transported cocycle
 alpha0 . g^{-1} is defined in-window and cohomologous to alpha0 via a
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf2
@@ -27,19 +28,23 @@ from .metric import SubsetMask, hausdorff_distance
 
 @dataclass
 class Cocycle:
-    """A GF(2) cochain with collar-relative cocycle condition, support and diameter."""
+    """A GF(2) cochain with collar-relative cocycle condition, support and diameter.
+
+    The diameter, a distance row per support vertex, is computed on first read.
+    """
 
     complex: RelativeComplex
     k: int
     vec: int
     support: SubsetMask = field(default=None)
-    diameter: float = field(default=None)
 
     def __post_init__(self):
         if self.support is None:
             self.support = self.complex.support_vertices(self.k, self.vec)
-        if self.diameter is None:
-            self.diameter = self.complex.support_diameter(self.k, self.vec)
+
+    @cached_property
+    def diameter(self) -> float:
+        return self.complex.support_diameter(self.k, self.vec)
 
     def validate(self) -> None:
         if not self.complex.is_cocycle(self.k, self.vec):
@@ -48,7 +53,7 @@ class Cocycle:
             raise CoarseTopError("bad-support", "stored support mask is stale")
 
     def is_zero_class(self) -> bool:
-        return self.complex.class_is_zero(self.k, self.vec) is not None
+        return self.complex.is_coboundary(self.k, self.vec)
 
     def export_simplex_values(self) -> list[tuple[int, ...]]:
         """Supporting simplices as sorted vertex tuples (value 1 over GF(2))."""
@@ -135,18 +140,15 @@ def transport_cocycle(
     """alpha . g^{-1}, with support g . supp(alpha); None when it escapes the window.
 
     Defined only when every support simplex translates inside the window
-    and the result still satisfies the relative cocycle condition.
+    and the result still satisfies the relative cocycle condition. Only
+    the support vertices are translated, each once.
     """
-    table = ball.action_table(g)
+    images = {v: ball.act_left(g, v) for v in alpha.support.ids}
     out = 0
     for t in gf2.bits(alpha.vec):
-        s = R.K.simplices[alpha.k][R.rel[alpha.k][t]]
-        imgs = []
-        for v in s:
-            iv = table[v]
-            if iv is None:
-                return None
-            imgs.append(iv)
+        imgs = [images[v] for v in R.K.simplices[alpha.k][R.rel[alpha.k][t]]]
+        if None in imgs:
+            return None
         tgt = tuple(sorted(imgs))
         j = R.K.index[alpha.k].get(tgt)
         if j is None:
@@ -174,7 +176,7 @@ def stab_trace(
         if moved is None:
             undetermined.append(gid)
             continue
-        if R.class_is_zero(alpha0.k, moved.vec ^ alpha0.vec) is not None:
+        if R.is_coboundary(alpha0.k, moved.vec ^ alpha0.vec):
             members.append(gid)
     return SubsetMask(X.n, members), undetermined
 
@@ -192,17 +194,9 @@ def stab_mob_comparison(
     orbit: set[int] = set()
     for gid in trace.ids:
         g = ball.elements[gid]
-        table = ball.action_table(g)
-        ok = True
-        moved = set()
-        for v in alpha0.support.ids:
-            iv = table[v]
-            if iv is None:
-                ok = False
-                break
-            moved.add(iv)
-        if ok:
-            orbit |= moved
+        moved = [ball.act_left(g, v) for v in alpha0.support.ids]
+        if None not in moved:
+            orbit.update(moved)
     res.stab_orbit = SubsetMask(ball.space.n, orbit)
     if orbit and len(res.mob_mask):
         res.stab_mob_hausdorff = hausdorff_distance(ball.space, res.stab_orbit, res.mob_mask)

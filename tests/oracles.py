@@ -118,3 +118,47 @@ def bfs_distances(adj, source):
                 dist[w] = dist[u] + 1
                 dq.append(w)
     return dist
+
+
+def compacted_representative_within(R, k, vec, allowed):
+    """The restricted coboundary solve with outside rows renumbered bit by bit.
+
+    Unlike the oracles above this one reuses the package's solve on purpose:
+    it is the reference for ``RelativeComplex.representative_within``, which
+    masks the rows instead of renumbering them and must return the very
+    same cochain, not merely some representative.
+    """
+    from coarsetop import gf2
+
+    inside = set(R.simplex_positions_within(k, allowed))
+    row_pos = {t: i for i, t in enumerate(t for t in range(R.n_rel(k)) if t not in inside)}
+
+    def outside_part(v):
+        out = 0
+        for t in gf2.bits(v):
+            i = row_pos.get(t)
+            if i is not None:
+                out |= 1 << i
+        return out
+
+    delta = R.delta(k - 1)
+    tau = gf2.solve_columns([outside_part(c) for c in delta.columns], outside_part(vec))
+    return None if tau is None else vec ^ delta.matvec(tau)
+
+
+def table_transport(ball, R, k, vec, g):
+    """alpha . g^{-1} read off the whole-ball action table, or None."""
+    table = ball.action_table(g)
+    out = 0
+    for t in range(R.n_rel(k)):
+        if not (vec >> t) & 1:
+            continue
+        imgs = [table[v] for v in R.K.simplices[k][R.rel[k][t]]]
+        if None in imgs:
+            return None
+        j = R.K.index[k].get(tuple(sorted(imgs)))
+        tpos = None if j is None else R.rel_pos[k].get(j)
+        if tpos is None:
+            return None
+        out |= 1 << tpos
+    return out if R.is_cocycle(k, out) else None

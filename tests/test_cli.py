@@ -154,6 +154,51 @@ def test_cap_violation_aborts_single_analysis(tmp_path):
     assert mob["error"] == "complex-too-large"
 
 
+def test_mv_respects_simplex_cap(tmp_path):
+    # the Mayer-Vietoris complexes once ignored caps.max_simplices and
+    # reported status ok with exit 0
+    scen = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "Z^2", "radius": 8},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+        "caps": {"max_simplices": 100},
+        "analyses": [{"analysis": "mv", "r": 2, "A": 1, "cap": 3, "component": "0"}],
+    }
+    p = write_scenario(tmp_path, "mvcap", scen)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "mvcap.report.json").read_text())
+    assert report["results"][0]["status"] == "error"
+    assert report["results"][0]["error"] == "complex-too-large"
+
+
+def test_windowed_separation_reuses_scenario_ball(monkeypatch):
+    import coarsetop.cli as cli
+
+    radii = []
+    build_ball = cli.build_ball
+
+    def counting_build_ball(model, radius, **kwargs):
+        radii.append(radius)
+        return build_ball(model, radius, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ball", counting_build_ball)
+    separate = {"analysis": "separate", "windows": [5, 6, 7], "invariance_generators": ["y"]}
+    scen = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "amalgam_z2_z_z2", "radius": 7},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "y"}},
+        "analyses": [separate],
+    }
+    report, code = run_scenario(scen)
+    assert code == 0
+    assert sorted(radii) == [5, 6, 7]  # the radius-7 window is the scenario's own ball
+    # a scenario radius outside the windows rebuilds every window: same rows
+    radii.clear()
+    fresh, _ = run_scenario({**scen, "space": {**scen["space"], "radius": 4}})
+    assert sorted(radii) == [4, 5, 6, 7]
+    assert fresh["results"][0] == report["results"][0]
+
+
 def test_window_too_large_cap(tmp_path):
     scen = {
         "schema": 1,

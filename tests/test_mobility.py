@@ -1,11 +1,20 @@
 """Mobility sets, stabilizer traces, the coarse n-manifold detector."""
 
+import dataclasses
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import compacted_representative_within, table_transport
 
 from coarsetop.cochains import RelativeComplex
 from coarsetop.errors import CollarViolationError
 from coarsetop.essential import connecting_map, mv_assemble
-from coarsetop.fixtures import crossing_cochain
+from coarsetop.fixtures import crossing_cochain, grid_fixture
+from coarsetop.groups import BallModel, FreeAbelian, build_ball
+from coarsetop.metric import SubsetMask, hausdorff_distance
 
 from coarsetop.mobility import (
     Cocycle,
@@ -205,3 +214,96 @@ def test_mv_class_agrees_with_cup_class(line_in_plane_8):
     r1 = mobility_set(RX, a_mv, 3)
     r2 = mobility_set(RX, a_cup, 3)
     assert r1.feasible_centers == r2.feasible_centers
+
+
+# -- cocycle queries: masked rows, cached coboundary space, support-only transport -----
+
+
+@functools.lru_cache(maxsize=None)
+def _small_complex(family, radius):
+    """Scale-2 relative complex up to triangles on a small window, collar 1."""
+    X = build_ball(FreeAbelian(2), radius).space if family == "Z^2" else grid_fixture(family, radius).space
+    K = build_rips(X, X.full_mask(), 2, 2)
+    return RelativeComplex(K, X.interior_mask(1))
+
+
+@st.composite
+def cochain_queries(draw):
+    """(complex, k, vec, mask): vec a coboundary, a random cochain or their sum."""
+    R = _small_complex(*draw(st.sampled_from([("Z^2", 4), ("Z^2", 5), ("line_in_plane", 4), ("line_in_plane", 5)])))
+    X = R.K.space
+    k = draw(st.integers(0, R.K.cap))
+    vec = 0
+    if k > 0 and draw(st.booleans()):
+        vec = R.coboundary(k - 1, draw(st.integers(0, (1 << R.n_rel(k - 1)) - 1)))
+    if draw(st.booleans()):
+        vec ^= draw(st.integers(0, (1 << R.n_rel(k)) - 1))
+    if draw(st.booleans()):
+        center = draw(st.integers(0, X.n - 1))
+        D = draw(st.integers(0, 4))
+        ids = [v for v, d in enumerate(X.dist_row(center)) if 0 <= d <= D]
+    else:
+        bits = draw(st.integers(0, (1 << X.n) - 1))
+        ids = [v for v in range(X.n) if (bits >> v) & 1]
+    return R, k, vec, SubsetMask(X.n, ids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cochain_queries())
+def test_masked_solve_and_coboundary_test_match_references(query):
+    R, k, vec, allowed = query
+    # the cached echelon answers exactly what the witnessed solve answers
+    assert R.is_coboundary(k, vec) == (R.class_is_zero(k, vec) is not None)
+    if k == 0:
+        return
+    # masking rows returns the very cochain the row-compacting solve returned
+    got = R.representative_within(k, vec, allowed)
+    assert got == compacted_representative_within(R, k, vec, allowed)
+    if got is not None:
+        assert R.is_coboundary(k, got ^ vec)
+        inside = set(R.simplex_positions_within(k, allowed))
+        assert all(t in inside for t in range(R.n_rel(k)) if (got >> t) & 1)
+
+
+class _NoTableBall(BallModel):
+    def action_table(self, g):
+        raise AssertionError("whole-ball action table built")
+
+
+def test_transport_reads_only_the_support():
+    ball = build_ball(FreeAbelian(2), 6)
+    X = ball.space
+    K = build_rips(X, X.full_mask(), 2, 3)
+    R = RelativeComplex(K, X.interior_mask(2))
+    vec = R.cochain_from_cup_product(crossing_cochain(X, 0, 0), crossing_cochain(X, 1, 0))
+    a0 = Cocycle(R, 2, vec)
+    lean = _NoTableBall(*(getattr(ball, f.name) for f in dataclasses.fields(ball)))
+
+    members, undetermined = [], []
+    for gid, g in enumerate(ball.elements):
+        expected = table_transport(ball, R, 2, vec, g)
+        moved = transport_cocycle(lean, R, a0, g)
+        assert (moved.vec if moved is not None else None) == expected
+        if expected is None:
+            undetermined.append(gid)
+        elif R.class_is_zero(2, expected ^ vec) is not None:
+            members.append(gid)
+    trace, undet = stab_trace(lean, R, a0)
+    assert sorted(trace.ids) == members and undet == undetermined
+    assert members and undetermined
+
+    res = stab_mob_comparison(lean, R, a0, 2)
+    orbit = set()
+    for gid in members:
+        table = ball.action_table(ball.elements[gid])
+        moved = [table[v] for v in a0.support.ids]
+        if None not in moved:
+            orbit.update(moved)
+    assert res.stab_orbit.ids == orbit
+    assert res.stab_mob_hausdorff == hausdorff_distance(X, res.stab_orbit, res.mob_mask)
+
+    # witness diameters are computed only when read, and then as before
+    w = next(iter(res.witnesses.values()))
+    assert "diameter" not in vars(w)
+    assert w.diameter == R.support_diameter(w.k, w.vec)
+    assert a0.diameter == R.support_diameter(2, vec)
