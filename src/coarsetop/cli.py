@@ -24,11 +24,13 @@ from . import fixtures as fixtures_mod
 from .cochains import RelativeComplex
 from .errors import CoarseTopError
 from .essential import (
+    EssentialVerdict,
     almost_essential_probe,
     connecting_entry,
     essential_probe,
     localized_boundary_support,
     mv_assemble,
+    pd_precondition,
 )
 from .fixtures import crossing_cochain, grid_fixture
 from .groups import (
@@ -238,11 +240,16 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
         names = sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]
     out = {}
     worst = "ok"
+    pd_reason = pd_precondition(ctx.space, ctx.w, n, scheds)  # one W for every component
     for name in names:
         C = ctx.component(name)
-        v = essential_probe(
-            ctx.space, ctx.w, C, n, scheds, component_name=str(name), probe_schedule=probe
-        )
+        if pd_reason:
+            v = EssentialVerdict(str(name), "inconclusive", None, reason=pd_reason)
+        else:
+            v = essential_probe(
+                ctx.space, ctx.w, C, n, scheds, component_name=str(name),
+                skip_pd_check=True, probe_schedule=probe,
+            )
         out[str(name)] = {
             "verdict": v.verdict,
             "reason": v.reason,
@@ -435,6 +442,15 @@ RUNNERS = {
 
 
 REQUIRED_PARAMS = {"essential": ("n",), "pd-signature": ("n",)}
+# parameters the runners read as integers, in any analysis block
+INT_PARAMS = (
+    "n", "probe_index", "r", "A", "collar", "B_max", "cap", "axis", "scale", "k_max", "lambda_max", "mu_max",
+)
+INT_LIST_PARAMS = ("windows", "D_schedule", "i_values", "r_values")
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def validate_analyses(scenario: dict) -> None:
@@ -449,7 +465,13 @@ def validate_analyses(scenario: dict) -> None:
     space = scenario.get("space")
     raise_on_bad(isinstance(space, dict), "a scenario needs a 'space' object")
     radius = space.get("radius")
-    raise_on_bad(type(radius) is int, f"space radius must be an integer, got {radius!r}")
+    raise_on_bad(type(radius) is int and radius >= 0, f"space radius must be an integer >= 0, got {radius!r}")
+    caps = scenario.get("caps", {})
+    raise_on_bad(
+        isinstance(caps, dict) and all(type(v) is int for v in caps.values()),
+        f"caps must map names to integers, got {caps!r}",
+    )
+    raise_on_bad(scenario.get("w") is None or isinstance(scenario["w"], dict), "'w' must be an object")
     raise_on_bad(isinstance(scenario.get("analyses", []), list), "'analyses' must be a list")
     for t, block in enumerate(scenario.get("analyses", [])):
         where = f"analyses[{t}]"
@@ -458,6 +480,12 @@ def validate_analyses(scenario: dict) -> None:
         raise_on_bad(name in ANALYSES, f"{where}: unknown analysis {name!r}")
         for param in REQUIRED_PARAMS.get(name, ()):
             raise_on_bad(param in block, f"{where}: {name} requires parameter {param!r}")
+        for param in INT_PARAMS:
+            value = block.get(param, 0)
+            raise_on_bad(type(value) is int, f"{where}: {param!r} must be an integer, got {value!r}")
+        for param in INT_LIST_PARAMS:
+            value = block.get(param, [])
+            raise_on_bad(_is_int_list(value), f"{where}: {param!r} must be a list of integers, got {value!r}")
         sched = block.get("schedules")
         if isinstance(sched, list):
             for row in sched:
@@ -465,6 +493,14 @@ def validate_analyses(scenario: dict) -> None:
                     isinstance(row, list) and len(row) == 5 and all(isinstance(v, int) for v in row),
                     f"{where}: schedule rows are [S, i, S_out, j, collar] integer lists",
                 )
+        elif isinstance(sched, dict):
+            auto = sched.get("auto")
+            ok = isinstance(auto, dict) and all(type(auto.get(key, 0)) is int for key in ("collar", "count"))
+            scales = auto.get("scales", [1, 1]) if ok else None
+            raise_on_bad(
+                ok and _is_int_list(scales) and len(scales) == 2,
+                f"{where}: auto schedules take integer 'collar' and 'count' and two integer 'scales'",
+            )
         needs_w = name in ("separate", "essential", "almost-essential", "mv", "pd-signature", "almost-invariant")
         if needs_w and scenario.get("w") is None:
             raise_on_bad(

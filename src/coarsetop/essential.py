@@ -95,6 +95,15 @@ def paired_target_schedule(sched: WindowSchedule) -> tuple[int, int]:
     return scale, excise
 
 
+def pd_precondition(X: FiniteMetricSpace, W: SubsetMask, n: int, schedules: Sequence[WindowSchedule]) -> str:
+    """Why W fails the PD signature check in dimension n, or "" when it passes."""
+    try:
+        pd = pd_signature_check(X, n, schedules, within=W)
+    except WindowTooSmallError as err:
+        return str(err)
+    return "" if pd.passed else f"W fails the PD signature check at n={n}: {pd.degree_verdicts}"
+
+
 def essential_probe(
     X: FiniteMetricSpace,
     W: SubsetMask,
@@ -108,19 +117,15 @@ def essential_probe(
 ) -> EssentialVerdict:
     """Probe one complementary component for essentiality in dimension n.
 
-    The schedule family drives the PD precondition on W; the class push
-    happens at ``probe_schedule`` (default: the last of the family).
+    The schedule family drives the PD precondition on W (see
+    :func:`pd_precondition`; a caller probing several components of one W
+    checks it once and passes ``skip_pd_check``); the class push happens at
+    ``probe_schedule`` (default: the last of the family).
     """
+    reason = "" if skip_pd_check else pd_precondition(X, W, n, schedules)
+    if reason:
+        return EssentialVerdict(component_name, "inconclusive", None, reason=reason)
     try:
-        if not skip_pd_check:
-            pd = pd_signature_check(X, n, schedules, within=W)
-            if not pd.passed:
-                return EssentialVerdict(
-                    component_name,
-                    "inconclusive",
-                    None,
-                    reason=f"W fails the PD signature check at n={n}: {pd.degree_verdicts}",
-                )
         sched = probe_schedule if probe_schedule is not None else schedules[-1]
         sched.validate()
         w_img = schedule_two_scale(X, n - 1, sched, within=W)
@@ -175,6 +180,15 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     drops its combinations and resumes on the remaining columns, so no
     column is eliminated twice. The verdict always comes from an exact
     membership computation.
+
+    Neither phase feeds coned columns (:meth:`RipsComplex.uncone`). The
+    local phase takes N_rho(supp) as the apex set, so each skipped local
+    column is a sum of local columns fed before it. The resume phase takes
+    the whole vertex mask: the cone simplices v∗f of a skipped column lie
+    either inside N_rho(supp), fed by the local phase, or at smaller indices
+    among the remaining columns. The pivots, the stopping column and the
+    fill are those of the unskipped solve. The path choice reads the
+    unskipped column counts, so the reported locality does not move.
     """
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:
@@ -193,14 +207,15 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     solve = gf2.ColumnSolve(z, track=witnessed)
     rest = None
     if witnessed:
-        x = solve.feed(target.iter_boundary_columns(k + 1, local_cols))
+        kept = target.uncone(k + 1, local_cols, local_vertices)
+        x = solve.feed(target.iter_boundary_columns(k + 1, kept))
         if x is not None:
-            fill = gf2.vector_from_indices(local_cols[b] for b in gf2.bits(x))
+            fill = gf2.vector_from_indices(kept[b] for b in gf2.bits(x))
             return {"survives": False, "fill": fill, "locality": f"N_{rho}(supp)"}
         solve.drop_witness()
         skip = set(local_cols)
         rest = (j for j in range(ncols) if j not in skip)
-    feasible = solve.feed(target.iter_boundary_columns(k + 1, rest))
+    feasible = solve.feed(target.iter_boundary_columns(k + 1, target.uncone(k + 1, rest)))
     return {"survives": feasible is None, "fill": None, "locality": "full/feasibility-only"}
 
 
@@ -215,6 +230,17 @@ class MVPieces:
     W: RelativeComplex  # N_A(W)
     q_mats: dict[int, tuple[GF2Matrix, GF2Matrix]]  # restrictions X->A, X->B
     p_mats: dict[int, tuple[GF2Matrix, GF2Matrix]]  # restrictions A->W, B->W
+    e_mats: dict[int, tuple[GF2Matrix, GF2Matrix]] = field(default_factory=dict, repr=False)
+
+    def extensions(self, deg: int) -> tuple[GF2Matrix, GF2Matrix]:
+        """Extensions by zero W->A in degree deg and A->X in deg + 1, built once per degree."""
+        pair = self.e_mats.get(deg)
+        if pair is None:
+            pair = self.e_mats[deg] = (
+                extension_matrix(self.W, self.A, deg),
+                extension_matrix(self.A, self.X, deg + 1),
+            )
+        return pair
 
 
 @dataclass
@@ -322,11 +348,9 @@ def connecting_entry(pieces: MVPieces, deg: int, sigma: int) -> dict:
 
 def connecting_map(pieces: MVPieces, deg: int, sigma: int) -> int:
     """Snake: extend by zero to the C1 piece, take delta, extend by zero to X."""
-    RA, RW, RX = pieces.A, pieces.W, pieces.X
-    ext_wa = extension_matrix(RW, RA, deg)
-    rho = ext_wa.matvec(sigma)
-    eta = RA.coboundary(deg, rho)
-    ext_ax = extension_matrix(RA, RX, deg + 1)
+    RA, RX = pieces.A, pieces.X
+    ext_wa, ext_ax = pieces.extensions(deg)
+    eta = RA.coboundary(deg, ext_wa.matvec(sigma))
     omega = ext_ax.matvec(eta)
     if not RX.is_cocycle(deg + 1, omega):
         raise CoarseTopError("snake-failed", "connecting-map output is not a relative cocycle")
@@ -509,6 +533,7 @@ __all__ = [
     "almost_essential_probe",
     "EssentialVerdict",
     "essential_probe",
+    "pd_precondition",
     "paired_target_schedule",
     "MVPieces",
     "MVReport",

@@ -8,6 +8,10 @@ complex that are artifacts of the finite window die in the outer one;
 whatever survives is the two-scale image, the computational stand-in for a
 coarse cohomology class one degree up.
 
+Boundary spans stream only the ∂ columns that :meth:`RipsComplex.uncone`
+keeps; the skipped ones are sums of earlier columns, so every echelon form,
+rank and representative is the one the whole boundary matrix gives.
+
 Verdicts over a schedule family are three-valued: a value is "stable" when
 the last three schedules agree, "growing" when they strictly increase, and
 "inconclusive" otherwise. Degree-0 coarse cohomology is 0 by definition
@@ -97,8 +101,7 @@ def reduced_homology(K: RipsComplex, k: int) -> tuple[int, list[int]]:
     if k + 1 > K.cap:
         raise ValueError("dimension cap too low: need k+1 simplices for boundaries")
     cycles = gf2.kernel_basis(K.boundary(k))
-    boundaries = K.boundary(k + 1).columns
-    space = gf2.span_of(boundaries, K.n_simplices(k))
+    space = gf2.span_of(K.iter_boundary_columns(k + 1, K.uncone(k + 1)), K.n_simplices(k))
     reps = [z for z in cycles if space.extend(z)]
     return len(reps), reps
 
@@ -119,7 +122,7 @@ def two_scale_image_along(f: ChainMap, k: int, schedule: Optional[WindowSchedule
         if outer.boundary_of_chain(k, img) != 0:
             raise NotAChainMapError("image of a cycle is not a cycle")
     rank, rep_positions = gf2.quotient_image_rank(
-        cycles, images, outer.boundary(k + 1).columns, outer.n_simplices(k)
+        cycles, images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k)
     )
     classes = [
         TwoScaleClass(k, cycles[t], schedule, True) for t in rep_positions
@@ -130,7 +133,8 @@ def two_scale_image_along(f: ChainMap, k: int, schedule: Optional[WindowSchedule
 def class_survives(image: TwoScaleImage, z_inner: int) -> bool:
     """Direct membership test: is the image of this inner cycle a boundary outside."""
     img = image.inclusion.apply(image.k, z_inner)
-    space = gf2.image_basis(image.outer.boundary(image.k + 1))
+    outer, k = image.outer, image.k
+    space = gf2.span_of(outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k))
     return not space.contains(img)
 
 

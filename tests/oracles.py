@@ -162,3 +162,8 @@ def table_transport(ball, R, k, vec, g):
             return None
         out |= 1 << tpos
     return out if R.is_cocycle(k, out) else None
+
+
+def every_column(K, k, among=None, apex=None):
+    """Stand-in for ``RipsComplex.uncone`` that keeps every column: the unskipped solve."""
+    return list(range(K.n_simplices(k))) if among is None else list(among)

@@ -199,6 +199,33 @@ def test_windowed_separation_reuses_scenario_ball(monkeypatch):
     assert fresh["results"][0] == report["results"][0]
 
 
+@pytest.mark.parametrize("n", [1, 2], ids=["pd-passes", "pd-fails"])
+def test_essential_checks_w_signature_once(monkeypatch, n):
+    import coarsetop.essential as essential
+    from coarsetop.fixtures import grid_fixture
+    from coarsetop.homology import WindowSchedule
+
+    calls = []
+    check = essential.pd_signature_check
+
+    def counting_check(*args, **kwargs):
+        calls.append(args[1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(essential, "pd_signature_check", counting_check)
+    block = {**FIG1["analyses"][1], "n": n}
+    report, _ = run_scenario({**FIG1, "analyses": [block]})
+    assert calls == [n]  # one W, two components
+    comps = report["results"][0]["components"]
+    assert sorted(comps) == ["bottom", "top"]
+    if n == 2:  # W is a line: every component is inconclusive for the per-probe reason
+        fix = grid_fixture("fig1_halfplane_flap", 10)
+        scheds = [WindowSchedule(S, i, S_out, j, 10, collar) for S, i, S_out, j, collar in block["schedules"]]
+        own = essential.essential_probe(fix.space, fix.w, fix.components["top"], n, scheds)
+        assert own.verdict == "inconclusive" and own.reason.startswith("W fails the PD")
+        assert all(c["verdict"] == "inconclusive" and c["reason"] == own.reason for c in comps.values())
+
+
 def test_window_too_large_cap(tmp_path):
     scen = {
         "schema": 1,
@@ -237,11 +264,23 @@ def test_bad_scenario_file(tmp_path):
         {"schema": 1},
         [{"schema": 1}],
         {"schema": 1, "space": {"kind": "group", "family": "Z", "radius": "abc"}, "analyses": []},
+        {"schema": 1, "space": {"kind": "group", "family": "Z", "radius": -3}, "analyses": []},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "r": 1.5}]},
+        {**FIG1, "analyses": [{"analysis": "essential", "n": "x"}]},
+        {**FIG1, "caps": {"max_vertices": "x"}},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "windows": "abc"}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "i_values": "x"}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "ends", "schedules": {"auto": {"count": 2.5}}}]},
+        {**Z2_AXIS, "w": [1, 2]},
     ],
-    ids=["no-space", "top-level-list", "radius-not-int"],
+    ids=[
+        "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
+        "n-not-int", "cap-not-int", "windows-not-list", "i-values-not-list", "auto-count-not-int",
+        "w-not-object",
+    ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
-    # these once ended in a KeyError, AttributeError and ValueError traceback
+    # all but r-not-integral once ended in a traceback; r = 1.5 silently ran as r = 1
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err

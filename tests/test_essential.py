@@ -114,6 +114,54 @@ def test_essential_resumes_after_failed_local_solve():
     assert [w["fill_locality"] for w in default.witnesses] == ["full"] * len(default.witnesses)
 
 
+@pytest.mark.parametrize(
+    "component, schedule, max_witness_columns",
+    [("bottom", None, 500), ("bottom", None, 200), ("top", None, 500), ("bottom", (4, 2, 2, 2), 2_000)],
+    ids=["resume", "untracked", "top-resume", "local-witness"],
+)
+def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witness_columns):
+    # fig1 R=10: with a 500-column budget the local phase fails and resumes;
+    # 200 is below the local count, so every column is fed untracked; the
+    # (4, 2, 2, 2) schedule fills locally with a witness. Skipping coned
+    # columns must leave each verdict, fill and locality, and the echelon
+    # form after every feed, as they are when every column is fed.
+    from unittest import mock
+
+    from coarsetop.rips import RipsComplex
+    from oracles import every_column
+
+    fix = grid_fixture("fig1_halfplane_flap", 10)
+    scheds = fig_schedules(10) if schedule is None else [WindowSchedule(*schedule, R=10, collar=2)]
+    fed = []
+
+    class RecordingSolve(gf2.ColumnSolve):
+        def feed(self, columns):
+            columns = list(columns)
+            fed.append((self, columns))
+            return super().feed(columns)
+
+    def run():
+        fed.clear()
+        with mock.patch.object(gf2, "ColumnSolve", RecordingSolve):
+            v = essential_probe(
+                fix.space, fix.w, fix.components[component], 1, scheds, component,
+                skip_pd_check=True, max_witness_columns=max_witness_columns,
+            )
+        echelons, pivots = {}, []
+        for solve, columns in fed:
+            space = echelons.setdefault(id(solve), gf2.GF2Subspace(0))
+            for c in columns:
+                space.insert(c)
+            pivots.append(dict(space.pivots))
+        return (v.verdict, v.witnesses, pivots), sum(len(c) for _, c in fed)
+
+    got, fed_kept = run()
+    with mock.patch.object(RipsComplex, "uncone", every_column):
+        expected, fed_all = run()
+    assert got == expected
+    assert fed_kept < fed_all
+
+
 def test_essential_monotone_under_enlargement(fig1_12):
     # bottom is essential; any complementary component containing it is
     # essential or inconclusive, never non-essential
@@ -210,6 +258,35 @@ def test_mv_connecting_map_nonzero(line_in_plane_8):
     out = localized_boundary_support(rep.pieces, 1, c["output"], RW.support_vertices(1, sigma))
     assert out["within_bound"]
     assert out["achieved_radius"] <= 2
+
+
+def test_mv_builds_extension_matrices_once_per_degree(line_in_plane_8, monkeypatch):
+    import coarsetop.essential as essential
+
+    fix = line_in_plane_8
+    X = fix.space
+    built = []
+    extension = essential.extension_matrix
+
+    def counting_extension(src, dst, deg):
+        built.append((id(src), id(dst), deg))
+        return extension(src, dst, deg)
+
+    monkeypatch.setattr(essential, "extension_matrix", counting_extension)
+    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    sigma = base.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
+    built.clear()
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, w_classes=[(1, sigma)])
+    degrees = {0, 1}  # the W-exactness checks in degrees 0 and 1, the class in degree 1
+    assert len(built) == len(set(built)) <= 2 * len(degrees)
+    assert all(rep.exactness.values()) and rep.connecting[0]["nonzero_in_proxy"]
+    for deg in degrees:  # further snakes reuse the matrices
+        connecting_map(rep.pieces, deg, 0)
+    assert len(built) <= 2 * len(degrees)
+    monkeypatch.undo()
+    ext_wa, ext_ax = rep.pieces.extensions(1)
+    P = rep.pieces
+    assert ext_wa == extension(P.W, P.A, 1) and ext_ax == extension(P.A, P.X, 2)
 
 
 def test_mv_degenerate_full_component(line_in_plane_8):

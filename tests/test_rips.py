@@ -239,3 +239,118 @@ def test_export_simplices(z_ball_12):
     for line in lines:
         vals = [int(x) for x in line.split()]
         assert vals == sorted(vals)
+
+
+# -- the cone rule: coned boundary columns are skipped exactly ----------------------
+
+import functools
+from unittest import mock
+
+from coarsetop.homology import class_survives, reduced_homology, two_scale_image
+from coarsetop.rips import RipsComplex
+
+from oracles import every_column
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(dim, R):
+    return build_ball(FreeAbelian(dim), R).space
+
+
+@st.composite
+def cone_cases(draw):
+    """(complex, column dimension d, apex, rng): small Z^2/Z^3 regions and random graphs."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["Z2", "Z3", "graph"]))
+    if kind == "graph":
+        n = draw(st.integers(6, 10))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35]
+        X = FiniteMetricSpace.from_graph(n, edges + [(i, i + 1) for i in range(n - 1)])
+    else:
+        X = _grid(2, 4) if kind == "Z2" else _grid(3, 2)
+    region = X.mask(v for v in range(X.n) if v == 0 or rng.random() < 0.85)
+    d = draw(st.integers(1, 3))
+    K = build_rips(X, region, draw(st.integers(1, 3)), d)
+    keep = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    apex = X.mask(v for v in range(X.n) if rng.random() < keep)  # may leave the region
+    return K, d, apex, rng
+
+
+def _two_phase_order(K, d, apex):
+    """Local columns inside the apex, then the rest: the essential probe's feed."""
+    local = K.simplices_within(d, apex)
+    inside = set(local)
+    rest = [j for j in range(K.n_simplices(d)) if j not in inside]
+    return local, rest, K.uncone(d, local, apex), K.uncone(d, rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_cases())
+def test_coned_columns_lie_in_the_span_fed_before_them(case):
+    K, d, apex, _ = case
+    local, rest, kept_local, kept_rest = _two_phase_order(K, d, apex)
+    assert kept_local == sorted(kept_local) and set(kept_local) <= set(local)
+    assert kept_rest == sorted(kept_rest) and set(kept_rest) <= set(rest)
+    kept = set(kept_local) | set(kept_rest)
+    cols = list(K.iter_boundary_columns(d))
+    space = gf2.GF2Subspace(K.n_simplices(d - 1))
+    for j in local + rest:
+        if j in kept:
+            space.insert(cols[j])
+        else:
+            assert space.contains(cols[j]), K.simplices[d][j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_cases(), st.sampled_from(["boundary", "random", "mixed"]))
+def test_solve_over_kept_columns_matches_all_columns(case, kind):
+    K, d, apex, rng = case
+    rows = K.n_simplices(d - 1)
+    b = 0
+    if kind != "random" and K.n_simplices(d):
+        b = K.boundary_of_chain(d, rng.getrandbits(K.n_simplices(d)))
+    if kind != "boundary" and rows:
+        b ^= 1 << rng.randrange(rows)
+    cols = list(K.iter_boundary_columns(d))
+    local, rest, kept_local, kept_rest = _two_phase_order(K, d, apex)
+    solves = []
+    for phases in ((local, rest), (kept_local, kept_rest)):
+        solve = gf2.ColumnSolve(b, track=True)
+        x = solve.feed(cols[j] for j in phases[0])
+        fill = None if x is None else gf2.vector_from_indices(phases[0][t] for t in gf2.bits(x))
+        solve.drop_witness()
+        feasible = solve.feed(cols[j] for j in phases[1]) is not None
+        solves.append((fill, feasible, solve.space.pivots))
+    assert solves[0] == solves[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone_cases(), st.integers(0, 3))
+def test_fills_and_images_match_the_unskipped_computation(case, radius):
+    K, d, apex, rng = case
+    k = d - 1
+    X = K.space
+    inner = build_rips(X, X.mask(v for v in K.vertex_mask.ids if v in apex.ids), max(1, K.scale - 1), d)
+    zs = [K.boundary_of_chain(d, rng.getrandbits(K.n_simplices(d))) for _ in range(2)]
+    center = rng.choice(K.vertices)
+
+    def compute():
+        fills = [fill_cycle(K, k, z) for z in zs] + [fill_cycle(K, k, z, (center, radius)) for z in zs]
+        if k == 0:
+            return fills
+        image = two_scale_image(inner, K, k)
+        reps = [c.representative for c in image.classes]
+        survives = [class_survives(image, z) for z in gf2.kernel_basis(inner.boundary(k))[:4]]
+        return fills, image.rank, reps, survives, reduced_homology(K, k)
+
+    with mock.patch.object(RipsComplex, "uncone", every_column):
+        expected = compute()
+    assert compute() == expected
+
+
+def test_uncone_skips_most_grid_columns():
+    X = _grid(2, 4)
+    K = build_rips(X, X.full_mask(), 3, 2)
+    assert len(K.uncone(2)) < 0.8 * K.n_simplices(2)
+    assert len(K.uncone(1)) == X.n - 1  # the edges kept are exactly a spanning tree
+    assert K.uncone(2, []) == [] and K.uncone(0) == list(range(X.n))
