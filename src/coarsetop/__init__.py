@@ -6,120 +6,3 @@ assembly, essential-component probes and mobility sets. Every
 verdict is relative to the window it was computed on; asymptotic claims are
 reported as three-valued trends, never certified.
 """
-
-from .metric import (
-    FiniteMetricSpace,
-    SubsetMask,
-    chain_profile,
-    hausdorff_distance,
-    neighborhood,
-    profile_point_map,
-)
-from .groups import (
-    BallModel,
-    FreeAbelian,
-    FreeGroup,
-    DirectProduct,
-    FreeProduct,
-    Lamplighter,
-    amalgam_z2_z_z2,
-    build_ball,
-    commensurability_probe,
-    subgroup_trace,
-)
-from .fixtures import crossing_cochain, grid_fixture, lattice_region, list_fixtures
-from .rips import RipsComplex, build_rips, fill_cycle, inclusion_chain_map, induced_chain_map
-from .homology import (
-    WindowSchedule,
-    coarse_cohomology_dim_estimate,
-    default_schedules,
-    ends_estimate,
-    pd_signature_check,
-    reduced_homology,
-    two_scale_image,
-    uniform_acyclicity_probe,
-)
-from .separation import (
-    almost_invariant_extract,
-    coarse_boundary,
-    coarse_n_separation,
-    complement_components,
-    invariant_components,
-    is_coarse_complementary,
-    shallow_bound_check,
-    stabilizer_trace,
-    verified_algebra_op,
-)
-from .cochains import RelativeComplex
-from .essential import (
-    almost_essential_probe,
-    essential_probe,
-    localized_boundary_support,
-    mv_assemble,
-    two_sided_representability,
-)
-from .mobility import (
-    Cocycle,
-    coarse_manifold_detector,
-    local_representability,
-    mobility_set,
-    stab_mob_comparison,
-)
-
-__all__ = [
-    "FiniteMetricSpace",
-    "SubsetMask",
-    "neighborhood",
-    "hausdorff_distance",
-    "chain_profile",
-    "profile_point_map",
-    "BallModel",
-    "FreeAbelian",
-    "FreeGroup",
-    "DirectProduct",
-    "FreeProduct",
-    "Lamplighter",
-    "amalgam_z2_z_z2",
-    "build_ball",
-    "subgroup_trace",
-    "commensurability_probe",
-    "grid_fixture",
-    "lattice_region",
-    "list_fixtures",
-    "RipsComplex",
-    "build_rips",
-    "inclusion_chain_map",
-    "fill_cycle",
-    "induced_chain_map",
-    "crossing_cochain",
-    "WindowSchedule",
-    "default_schedules",
-    "reduced_homology",
-    "two_scale_image",
-    "ends_estimate",
-    "coarse_cohomology_dim_estimate",
-    "uniform_acyclicity_probe",
-    "pd_signature_check",
-    "coarse_boundary",
-    "is_coarse_complementary",
-    "complement_components",
-    "verified_algebra_op",
-    "coarse_n_separation",
-    "invariant_components",
-    "stabilizer_trace",
-    "almost_invariant_extract",
-    "shallow_bound_check",
-    "RelativeComplex",
-    "almost_essential_probe",
-    "essential_probe",
-    "mv_assemble",
-    "localized_boundary_support",
-    "two_sided_representability",
-    "Cocycle",
-    "local_representability",
-    "mobility_set",
-    "stab_mob_comparison",
-    "coarse_manifold_detector",
-]
-
-__version__ = "0.1.0"

@@ -19,6 +19,7 @@ import math
 import random
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import fixtures as fixtures_mod
 from .cochains import RelativeComplex
@@ -60,18 +61,6 @@ from .separation import (
 
 SCHEMA_VERSION = 1
 
-ANALYSES = {
-    "ends": "ends_estimate over a schedule family; params: schedules | auto {scales, count}",
-    "separate": "deep complementary components of W; params: r, A, collar, windows (radii list for trend)",
-    "essential": "essential probe of a component; params: n, component, schedules",
-    "almost-essential": "smallest B with W inside N_B(C minus N_A(W)); params: A, B_max, component",
-    "mv": "Mayer-Vietoris assembly + connecting map of the W point class; params: r, A, cap, component, axis",
-    "mobility": "mobility set, stab comparison, manifold detector; params: class, n, D_schedule, scale, cap",
-    "acyclicity": "uniform acyclicity probe; params: k_max, i_values, r_values, lambda_max, mu_max, centers",
-    "pd-signature": "coarse PD signature check of W; params: n, schedules",
-    "almost-invariant": "H-almost invariant set extraction; params: A, component",
-}
-
 
 def raise_on_bad(cond: bool, message: str) -> None:
     if not cond:
@@ -81,10 +70,11 @@ def raise_on_bad(cond: bool, message: str) -> None:
 class ScenarioContext:
     """Space, W and component masks resolved once per scenario."""
 
-    def __init__(self, scenario: dict):
+    def __init__(self, scenario: dict, seed: int = 0):
         caps = scenario.get("caps", {})
         self.max_vertices = int(caps.get("max_vertices", 200_000))
         self.max_simplices = int(caps.get("max_simplices", 5_000_000))
+        self.seed = seed
         self.w_spec = scenario.get("w")
         spec = scenario["space"]
         self.ball = None
@@ -93,11 +83,9 @@ class ScenarioContext:
             model = parse_family(spec["family"])
             self.ball = build_ball(model, spec["radius"], max_vertices=self.max_vertices)
             self.space = self.ball.space
-        elif spec["kind"] == "fixture":
+        else:
             self.fixture = grid_fixture(spec["name"], spec["radius"])
             self.space = self.fixture.space
-        else:
-            raise CoarseTopError("scenario-invalid", f"unknown space kind {spec['kind']!r}")
         self.w = self._resolve_w(scenario.get("w"))
         self._deep: dict[tuple[int, int, int], list] = {}  # (r, A, collar) -> deep components
 
@@ -111,9 +99,7 @@ class ScenarioContext:
         if kind == "subgroup":
             raise_on_bad(self.ball is not None, "subgroup W requires a group space")
             return subgroup_trace(self.ball, wspec["spec"])
-        if kind == "point":
-            return SubsetMask(self.space.n, [self.space.basepoint or 0])
-        raise CoarseTopError("scenario-invalid", f"unknown w kind {kind!r}")
+        return SubsetMask(self.space.n, [self.space.basepoint or 0])  # "point"
 
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
         raise_on_bad(
@@ -122,6 +108,7 @@ class ScenarioContext:
         )
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
             return self.fixture.components[name]
+        raise_on_bad(str(name).isdecimal(), f"unknown component {name!r}")
         key = (r, A, collar)
         if key not in self._deep:
             self._deep[key] = complement_components(self.space, self.w, r, A, collar=collar).deep_components()
@@ -153,25 +140,22 @@ def parse_family(name: str):
     name = name.strip()
     if name == "Z":
         return FreeAbelian(1)
-    if name.startswith("Z^"):
-        return FreeAbelian(int(name[2:]))
-    if name.startswith("F_"):
-        return FreeGroup(int(name[2:]))
-    if name.startswith("free:"):
-        return FreeGroup(int(name.split(":")[1]))
     if name == "lamplighter":
         return Lamplighter()
     if name in ("amalgam", "amalgam_z2_z_z2"):
         return amalgam_z2_z_z2()
+    for prefix, model in (("Z^", FreeAbelian), ("F_", FreeGroup), ("free:", FreeGroup)):
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
+            return model(int(name[len(prefix):]))
     raise CoarseTopError("scenario-invalid", f"unknown group family {name!r}")
 
 
-def _verdict_str(v) -> str:
-    return str(v)
-
-
-def gf2_popcount(x) -> int:
-    return 0 if not x else int(x).bit_count()
+def crossing(ctx: ScenarioContext, axis: int):
+    """The crossing class of a coordinate axis, for spaces labelled by integer coordinates."""
+    label = ctx.space.labels[0]
+    dim = len(label) if all(type(c) is int for c in label) else 0
+    raise_on_bad(axis < dim, f"axis {axis} needs integer coordinates of dimension > {axis}; this space has {dim}")
+    return crossing_cochain(ctx.space, axis, 0)
 
 
 # -- analysis runners -------------------------------------------------------------
@@ -184,7 +168,7 @@ def run_ends(ctx: ScenarioContext, params: dict) -> dict:
     return {
         "status": status,
         "counts": rep.deep_counts,
-        "verdict": _verdict_str(rep.verdict),
+        "verdict": str(rep.verdict),
         "schedules": [vars(s) for s in scheds],
     }
 
@@ -234,7 +218,9 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
 def run_essential(ctx: ScenarioContext, params: dict) -> dict:
     n = int(params["n"])
     scheds = ctx.schedules(params.get("schedules"))
-    probe = scheds[int(params["probe_index"])] if "probe_index" in params else None
+    index = params.get("probe_index")
+    raise_on_bad(index is None or index < len(scheds), f"probe_index {index} with {len(scheds)} schedules")
+    probe = None if index is None else scheds[index]
     names = params.get("components")
     if names is None:
         names = sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]
@@ -257,7 +243,7 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
                 {
                     "survives": w["survives_in_target"],
                     "locality": w["fill_locality"],
-                    "fill_size": gf2_popcount(w.get("fill")),
+                    "fill_size": int(w.get("fill") or 0).bit_count(),
                 }
                 for w in v.witnesses
             ],
@@ -292,12 +278,13 @@ def run_mv(ctx: ScenarioContext, params: dict) -> dict:
     collar = int(params.get("collar", 2))
     axis = int(params.get("axis", 0))
     comp_name = params.get("component", "upper" if ctx.fixture else "0")
+    cross = crossing(ctx, axis)
     C1 = ctx.component(comp_name, r=r, A=A, collar=collar)
     rep = mv_assemble(
         ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar, max_simplices=ctx.max_simplices
     )
     RW = rep.pieces.W
-    sigma = RW.cochain_from_edge_predicate(crossing_cochain(ctx.space, axis, 0))
+    sigma = RW.cochain_from_edge_predicate(cross)
     c = connecting_entry(rep.pieces, 1, sigma)
     supp_in = RW.support_vertices(1, sigma)
     loc = localized_boundary_support(rep.pieces, 1, c["output"], supp_in)
@@ -318,9 +305,9 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
     collar = int(params.get("collar", 2))
     D_schedule = [int(d) for d in params.get("D_schedule", [1, 2])]
     if kind == "crossing":
-        n, scale, cap = 1, int(params.get("scale", 1)), 2
+        n, scale, cap, axes = 1, int(params.get("scale", 1)), 2, [crossing(ctx, 0)]
     elif kind == "fundamental":
-        n, scale, cap = 2, int(params.get("scale", 2)), 3
+        n, scale, cap, axes = 2, int(params.get("scale", 2)), 3, [crossing(ctx, 0), crossing(ctx, 1)]
     elif kind == "edge-cut":
         n, scale, cap = 1, int(params.get("scale", 1)), 2
     else:
@@ -328,11 +315,9 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
     K = build_rips(ctx.space, ctx.space.full_mask(), scale, cap, max_simplices=ctx.max_simplices)
     R = RelativeComplex(K, ctx.space.interior_mask(collar))
     if kind == "crossing":
-        vec = R.cochain_from_edge_predicate(crossing_cochain(ctx.space, 0, 0))
+        vec = R.cochain_from_edge_predicate(*axes)
     elif kind == "fundamental":
-        vec = R.cochain_from_cup_product(
-            crossing_cochain(ctx.space, 0, 0), crossing_cochain(ctx.space, 1, 0)
-        )
+        vec = R.cochain_from_cup_product(*axes)
     else:
         raise_on_bad(ctx.ball is not None, "edge-cut class requires a group ball")
         gens = ctx.ball.model.generators()
@@ -362,7 +347,7 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
     return out
 
 
-def run_acyclicity(ctx: ScenarioContext, params: dict, rng: random.Random) -> dict:
+def run_acyclicity(ctx: ScenarioContext, params: dict) -> dict:
     k_max = int(params.get("k_max", 1))
     i_values = [int(v) for v in params.get("i_values", [1])]
     r_values = [int(v) for v in params.get("r_values", [1, 2, 3])]
@@ -379,9 +364,10 @@ def run_acyclicity(ctx: ScenarioContext, params: dict, rng: random.Random) -> di
             and ctx.space.radial[v] + mu_max <= (ctx.space.window_radius or 0)
         ]
         count = min(int(centers_spec["sample"]), len(safe))
-        centers = sorted(rng.sample(safe, count)) if safe else [ctx.space.basepoint or 0]
+        centers = sorted(random.Random(ctx.seed).sample(safe, count)) if safe else [ctx.space.basepoint or 0]
     else:
-        centers = [int(v) for v in centers_spec]
+        centers = centers_spec
+        raise_on_bad(max(centers, default=0) < ctx.space.n, f"centers {centers} outside the {ctx.space.n} points")
     prof = uniform_acyclicity_probe(
         ctx.space, k_max, centers, i_values, r_values, lambda_max, mu_max
     )
@@ -411,7 +397,7 @@ def run_pd_signature(ctx: ScenarioContext, params: dict) -> dict:
     return {
         "status": "ok",
         "passed": rep.passed,
-        "degree_verdicts": {str(k): _verdict_str(v) for k, v in rep.degree_verdicts.items()},
+        "degree_verdicts": {str(k): str(v) for k, v in rep.degree_verdicts.items()},
     }
 
 
@@ -429,63 +415,137 @@ def run_almost_invariant(ctx: ScenarioContext, params: dict) -> dict:
     }
 
 
-RUNNERS = {
-    "ends": run_ends,
-    "separate": run_separate,
-    "essential": run_essential,
-    "almost-essential": run_almost_essential,
-    "mv": run_mv,
-    "mobility": run_mobility,
-    "pd-signature": run_pd_signature,
-    "almost-invariant": run_almost_invariant,
+class Analysis(NamedTuple):
+    """One CLI analysis: its runner, its ``describe`` line, required parameters, whether it needs a W."""
+
+    run: Callable[[ScenarioContext, dict], dict]
+    describe: str
+    required: tuple[str, ...] = ()
+    needs_w: bool = False
+
+
+ANALYSES = {
+    "ends": Analysis(run_ends, "ends_estimate over a schedule family; params: schedules | auto {scales, count}"),
+    "separate": Analysis(
+        run_separate,
+        "deep complementary components of W; params: r, A, collar, windows (radii list for trend), "
+        "invariance_generators",
+        needs_w=True,
+    ),
+    "essential": Analysis(
+        run_essential, "essential probe of components; params: n, components, schedules, probe_index", ("n",), True
+    ),
+    "almost-essential": Analysis(
+        run_almost_essential,
+        "smallest B with W inside N_B(C minus N_A(W)); params: A, B_max, components",
+        needs_w=True,
+    ),
+    "mv": Analysis(
+        run_mv,
+        "Mayer-Vietoris assembly + connecting map of the W point class; params: r, A, cap, collar, component, axis",
+        needs_w=True,
+    ),
+    "mobility": Analysis(
+        run_mobility,
+        "mobility set, stab comparison, manifold detector; params: class, D_schedule, scale, collar, "
+        "stab_comparison, export_class",
+    ),
+    "acyclicity": Analysis(
+        run_acyclicity, "uniform acyclicity probe; params: k_max, i_values, r_values, lambda_max, mu_max, centers"
+    ),
+    "pd-signature": Analysis(run_pd_signature, "coarse PD signature check of W; params: n, schedules", ("n",), True),
+    "almost-invariant": Analysis(
+        run_almost_invariant, "H-almost invariant set extraction; params: A, component", needs_w=True
+    ),
 }
 
+SPACE_NAME_KEYS = {"group": "family", "fixture": "name"}
+W_KINDS = ("fixture-w", "subgroup", "point")
+# integer parameters, in any analysis block, and the least value of each; r, A
+# and collar are checked where they are used and fail only their own analysis
+INT_PARAMS = {
+    "n": 1, "probe_index": 0, "B_max": 0, "cap": 2, "axis": 0, "scale": 0, "k_max": 0,
+    "lambda_max": 0, "mu_max": 0, "r": None, "A": None, "collar": None,
+}
+# integer-list parameters and the least entry of each; a runner reads an entry of the nonempty ones
+INT_LIST_PARAMS = {"windows": 1, "D_schedule": 0, "i_values": 0, "r_values": 0}
+NONEMPTY_LISTS = ("D_schedule", "r_values")
 
-REQUIRED_PARAMS = {"essential": ("n",), "pd-signature": ("n",)}
-# parameters the runners read as integers, in any analysis block
-INT_PARAMS = (
-    "n", "probe_index", "r", "A", "collar", "B_max", "cap", "axis", "scale", "k_max", "lambda_max", "mu_max",
-)
-INT_LIST_PARAMS = ("windows", "D_schedule", "i_values", "r_values")
+
+def _is_int(value, minimum=None) -> bool:
+    return type(value) is int and (minimum is None or value >= minimum)
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
+def _is_int_list(value, minimum=None) -> bool:
+    return isinstance(value, list) and all(_is_int(v, minimum) for v in value)
 
 
 def validate_analyses(scenario: dict) -> None:
     """The scenario and every analysis block validate before any computation.
 
-    The scenario's shape, its space block and an integer radius are checked
-    first. Block failures are anchored to the offending block index; cap
-    violations are runtime events and abort only their own analysis.
+    The scenario's shape, its space and w blocks and a positive radius are
+    checked first. Block failures are anchored to the offending block index.
+    What needs the built space (component names, acyclicity centres, axes)
+    and cap violations are runtime events and abort only their own analysis.
     """
     raise_on_bad(isinstance(scenario, dict), "a scenario must be a JSON object")
     raise_on_bad(scenario.get("schema") == SCHEMA_VERSION, "unsupported schema version")
     space = scenario.get("space")
     raise_on_bad(isinstance(space, dict), "a scenario needs a 'space' object")
+    kind = space.get("kind")
+    raise_on_bad(kind in SPACE_NAME_KEYS, f"space kind must be 'group' or 'fixture', got {kind!r}")
+    key = SPACE_NAME_KEYS[kind]
+    raise_on_bad(isinstance(space.get(key), str), f"a {kind} space needs a string {key!r}")
     radius = space.get("radius")
-    raise_on_bad(type(radius) is int and radius >= 0, f"space radius must be an integer >= 0, got {radius!r}")
+    raise_on_bad(_is_int(radius, 1), f"space radius must be an integer >= 1, got {radius!r}")
     caps = scenario.get("caps", {})
     raise_on_bad(
         isinstance(caps, dict) and all(type(v) is int for v in caps.values()),
         f"caps must map names to integers, got {caps!r}",
     )
-    raise_on_bad(scenario.get("w") is None or isinstance(scenario["w"], dict), "'w' must be an object")
+    w = scenario.get("w")
+    raise_on_bad(
+        w is None
+        or isinstance(w, dict) and w.get("kind") in W_KINDS and (w["kind"] != "subgroup" or "spec" in w),
+        f"'w' must be an object with a kind in {W_KINDS} (and a 'spec' for a subgroup), got {w!r}",
+    )
     raise_on_bad(isinstance(scenario.get("analyses", []), list), "'analyses' must be a list")
     for t, block in enumerate(scenario.get("analyses", [])):
         where = f"analyses[{t}]"
         raise_on_bad(isinstance(block, dict), f"{where}: analysis block must be an object")
         name = block.get("analysis")
         raise_on_bad(name in ANALYSES, f"{where}: unknown analysis {name!r}")
-        for param in REQUIRED_PARAMS.get(name, ()):
+        for param in ANALYSES[name].required:
             raise_on_bad(param in block, f"{where}: {name} requires parameter {param!r}")
-        for param in INT_PARAMS:
-            value = block.get(param, 0)
-            raise_on_bad(type(value) is int, f"{where}: {param!r} must be an integer, got {value!r}")
-        for param in INT_LIST_PARAMS:
-            value = block.get(param, [])
-            raise_on_bad(_is_int_list(value), f"{where}: {param!r} must be a list of integers, got {value!r}")
+        for param, least in INT_PARAMS.items():
+            raise_on_bad(
+                param not in block or _is_int(block[param], least),
+                f"{where}: {param!r} must be an integer{'' if least is None else f' >= {least}'}, "
+                f"got {block.get(param)!r}",
+            )
+        for param, least in INT_LIST_PARAMS.items():
+            value = block.get(param)
+            raise_on_bad(
+                param not in block or _is_int_list(value, least) and (value or param not in NONEMPTY_LISTS),
+                f"{where}: {param!r} must be a {'nonempty ' * (param in NONEMPTY_LISTS)}list of integers "
+                f">= {least}, got {value!r}",
+            )
+        names = block.get("components", [])
+        raise_on_bad(
+            isinstance(names, list) and all(isinstance(c, (str, int)) for c in names + [block.get("component", "")]),
+            f"{where}: 'components' is a list of names and 'component' a name (strings or integers)",
+        )
+        gens = block.get("invariance_generators", [])
+        raise_on_bad(
+            isinstance(gens, list) and all(isinstance(g, str) for g in gens),
+            f"{where}: 'invariance_generators' must be a list of words",
+        )
+        centers = block.get("centers", "basepoint")
+        raise_on_bad(
+            centers == "basepoint" or _is_int_list(centers, 0)
+            or isinstance(centers, dict) and _is_int(centers.get("sample"), 0),
+            f"{where}: 'centers' is \"basepoint\", {{\"sample\": count}} or a list of point ids, got {centers!r}",
+        )
         sched = block.get("schedules")
         if isinstance(sched, list):
             for row in sched:
@@ -498,31 +558,26 @@ def validate_analyses(scenario: dict) -> None:
             ok = isinstance(auto, dict) and all(type(auto.get(key, 0)) is int for key in ("collar", "count"))
             scales = auto.get("scales", [1, 1]) if ok else None
             raise_on_bad(
-                ok and _is_int_list(scales) and len(scales) == 2,
-                f"{where}: auto schedules take integer 'collar' and 'count' and two integer 'scales'",
+                ok and _is_int_list(scales, 0) and len(scales) == 2,
+                f"{where}: auto schedules take integer 'collar' and 'count' and two integer 'scales' >= 0",
             )
-        needs_w = name in ("separate", "essential", "almost-essential", "mv", "pd-signature", "almost-invariant")
-        if needs_w and scenario.get("w") is None:
+        else:
             raise_on_bad(
-                scenario["space"]["kind"] == "fixture",
-                f"{where}: {name} needs a W; give a 'w' block or use a fixture space",
+                sched in (None, "auto"), f"{where}: 'schedules' is a list of rows, \"auto\" or {{\"auto\": {{...}}}}"
             )
+        if ANALYSES[name].needs_w and w is None:
+            raise_on_bad(kind == "fixture", f"{where}: {name} needs a W; give a 'w' block or use a fixture space")
 
 
 def run_scenario(scenario: dict, seed: int = 0) -> tuple[dict, int]:
     validate_analyses(scenario)
-    ctx = ScenarioContext(scenario)
+    ctx = ScenarioContext(scenario, seed)
     results = []
     for block in scenario.get("analyses", []):
-        name = block.get("analysis")
+        name = block["analysis"]
         entry = {"analysis": name, "params": {k: v for k, v in block.items() if k != "analysis"}}
         try:
-            if name == "acyclicity":
-                entry.update(run_acyclicity(ctx, block, random.Random(seed)))
-            elif name in RUNNERS:
-                entry.update(RUNNERS[name](ctx, block))
-            else:
-                raise CoarseTopError("scenario-invalid", f"unknown analysis {name!r}")
+            entry.update(ANALYSES[name].run(ctx, block))
         except CoarseTopError as err:
             entry.update({"status": "error", "error": err.code, "message": str(err)})
         results.append(entry)
@@ -575,7 +630,7 @@ def main(argv=None) -> int:
         if args.analysis not in ANALYSES:
             print(f"unknown analysis {args.analysis!r}; known: {sorted(ANALYSES)}", file=sys.stderr)
             return 1
-        print(f"{args.analysis}: {ANALYSES[args.analysis]}")
+        print(f"{args.analysis}: {ANALYSES[args.analysis].describe}")
         return 0
     # run
     try:

@@ -1,8 +1,8 @@
 """Finite ball models of finitely generated groups.
 
 Only families whose word problem is solved by a canonical normal form are
-supported: free abelian, free, direct products, free products, the amalgam
-of two copies of Z^2 over a common Z factor, and the lamplighter group.
+supported: free abelian, free, direct products, the amalgam of two copies
+of Z^2 over a common Z factor, and the lamplighter group.
 Each model multiplies and inverts normal forms and reports exact word
 length, so the global word metric on a ball is computed from normal forms
 rather than from paths inside the window.
@@ -65,6 +65,8 @@ class GroupModel:
         for token in text.split():
             if "^" in token:
                 name, p = token.split("^", 1)
+                if not p.removeprefix("-").isdecimal():
+                    raise BadSubgroupSpecError(f"bad power {p!r} in word {text!r}")
                 power = int(p)
             else:
                 name, power = token, 1
@@ -234,52 +236,6 @@ def _name_clash(factors) -> bool:
     return len(names) != len(set(names))
 
 
-class FreeProduct(GroupModel):
-    """Free product with alternating syllable normal form."""
-
-    def __init__(self, factors: Sequence[GroupModel], family: Optional[str] = None):
-        self.factors = list(factors)
-        self.family = family or " * ".join(f.family for f in self.factors)
-        self.convex_balls = all(f.convex_balls for f in self.factors)
-
-    def identity(self):
-        return ()
-
-    def generators(self):
-        out = []
-        for i, f in enumerate(self.factors):
-            for name, g in f.generators():
-                out.append((f"{name}{i}" if _name_clash(self.factors) else name, ((i, g),)))
-        return out
-
-    def mul(self, g, h):
-        out = list(g)
-        for syl in h:
-            i, x = syl
-            if out and out[-1][0] == i:
-                merged = self.factors[i].mul(out[-1][1], x)
-                out.pop()
-                if merged != self.factors[i].identity():
-                    out.append((i, merged))
-            else:
-                out.append((i, x))
-        return tuple(out)
-
-    def inv(self, g):
-        return tuple((i, self.factors[i].inv(x)) for i, x in reversed(g))
-
-    def length(self, g):
-        return sum(self.factors[i].length(x) for i, x in g)
-
-    def sortkey(self, g):
-        return (self.length(g), tuple((i, self.factors[i].sortkey(x)) for i, x in g))
-
-    def label(self, g):
-        if not g:
-            return "e"
-        return "".join(self.factors[i].label(x) for i, x in g)
-
-
 def amalgam_z2_z_z2() -> GroupModel:
     """The amalgam Z^2 *_Z Z^2 of two planes glued along a common axis.
 
@@ -394,9 +350,6 @@ class BallModel:
     index: dict
     space: FiniteMetricSpace
     cayley_adjacency: list[list[int]]
-
-    def element_id(self, g) -> Optional[int]:
-        return self.index.get(g)
 
     def act_left(self, g, x: int) -> Optional[int]:
         """Id of g * elements[x], or None when the product leaves the window."""
@@ -606,7 +559,6 @@ __all__ = [
     "FreeAbelian",
     "FreeGroup",
     "DirectProduct",
-    "FreeProduct",
     "Lamplighter",
     "amalgam_z2_z_z2",
     "WordMetricBall",

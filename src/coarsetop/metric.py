@@ -1,4 +1,4 @@
-"""Finite metric spaces, subset masks, neighborhoods and t-chains.
+"""Finite metric spaces, subset masks and neighborhoods.
 
 Every analysis in the package runs over a :class:`FiniteMetricSpace`: a
 finite window with integer point ids and an integer-valued distance. Two
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySubsetError
@@ -313,14 +312,6 @@ class FiniteMetricSpace:
     def interior_mask(self, width: int) -> SubsetMask:
         return ~self.collar_mask(width)
 
-    def ball_cardinality_profile(self, radii: Sequence[int]) -> dict[int, int]:
-        """max_x |N_r(x)| per requested r; the bounded-geometry report."""
-        out = {}
-        for r in radii:
-            adj = self.adjacency_at_scale(r)
-            out[r] = max((len(a) + 1 for a in adj), default=0)
-        return out
-
 
 # -- module-level operations ------------------------------------------------------
 
@@ -347,116 +338,10 @@ def hausdorff_distance(X: FiniteMetricSpace, A: SubsetMask, B: SubsetMask) -> fl
     )
 
 
-@dataclass
-class ChainProfile:
-    """Minimal t-chain lengths between all pairs (UNREACHABLE where none)."""
-
-    t: int
-    lengths: list[array]
-    unreachable_pairs: int
-
-    def length(self, x: int, y: int) -> float:
-        d = self.lengths[x][y]
-        return math.inf if d == UNREACHABLE else d
-
-
-def chain_profile(X: FiniteMetricSpace, t: int) -> ChainProfile:
-    """Per-pair minimal t-chain lengths via BFS on the t-adjacency graph."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    adj = X.adjacency_at_scale(t)
-    rows = []
-    unreachable = 0
-    for x in range(X.n):
-        row = array("i", [UNREACHABLE]) * X.n
-        row[x] = 0
-        dq = deque([x])
-        while dq:
-            u = dq.popleft()
-            du = row[u]
-            for w in adj[u]:
-                if row[w] == UNREACHABLE:
-                    row[w] = du + 1
-                    dq.append(w)
-        unreachable += sum(1 for d in row if d == UNREACHABLE)
-        rows.append(row)
-    return ChainProfile(t, rows, unreachable)
-
-
-@dataclass
-class CoarseMapProfile:
-    """Sampled distortion envelope of a point map.
-
-    eta and phi are non-decreasing step functions stored as sorted
-    (input distance, value) breakpoints satisfying
-    eta(d(x,y)) <= d(f x, f y) <= phi(d(x,y)) on every sampled pair;
-    density is the covering constant B of the image.
-    """
-
-    eta: list[tuple[int, float]]
-    phi: list[tuple[int, float]]
-    density: float
-
-    def eta_at(self, d: float) -> float:
-        out = 0.0
-        for s, v in self.eta:
-            if s <= d:
-                out = v
-            else:
-                break
-        return out
-
-    def phi_at(self, d: float) -> float:
-        out = 0.0
-        for s, v in self.phi:
-            if s <= d:
-                out = v
-        return out
-
-
-def profile_point_map(
-    X: FiniteMetricSpace,
-    Y: FiniteMetricSpace,
-    f: Sequence[int],
-    sample_pairs: Optional[Iterable[tuple[int, int]]] = None,
-) -> CoarseMapProfile:
-    """Sampled (eta, phi, B) profile of the map x -> f[x]."""
-    if sample_pairs is None:
-        sample_pairs = ((x, y) for x in range(X.n) for y in range(x + 1, X.n))
-    per_d: dict[int, list[float]] = {}
-    for x, y in sample_pairs:
-        dx = X.dist(x, y)
-        dy = Y.dist(f[x], f[y])
-        if math.isinf(dx):
-            continue
-        per_d.setdefault(int(dx), []).append(dy)
-    ds = sorted(per_d)
-    # eta(s) = min image distance over sampled source distances >= s
-    eta = []
-    running = math.inf
-    for s in reversed(ds):
-        running = min(running, min(per_d[s]))
-        eta.append((s, running))
-    eta.reverse()
-    # phi(s) = max image distance over sampled source distances <= s
-    phi = []
-    running = 0.0
-    for s in ds:
-        running = max(running, max(per_d[s]))
-        phi.append((s, running))
-    dimg = Y.dist_to_set(set(f))
-    density = max(dimg) if dimg else 0.0
-    return CoarseMapProfile(eta, phi, density)
-
-
 __all__ = [
     "UNREACHABLE",
     "SubsetMask",
     "FiniteMetricSpace",
     "neighborhood",
     "hausdorff_distance",
-    "ChainProfile",
-    "chain_profile",
-    "CoarseMapProfile",
-    "profile_point_map",
 ]

@@ -164,14 +164,6 @@ class RipsComplex:
                 kept.append(j)
         return kept
 
-    def export_simplices(self) -> str:
-        """Plain-text export: one sorted vertex tuple per line, per dimension."""
-        lines = []
-        for k in range(self.cap + 1):
-            for s in self.simplices[k]:
-                lines.append(" ".join(str(v) for v in s))
-        return "\n".join(lines) + "\n"
-
 
 def build_rips(
     X: FiniteMetricSpace,

@@ -114,39 +114,6 @@ def complement_components(
     return CoarseComponentSet(X, W, r, A, collar, nA, comps)
 
 
-# -- boolean algebra of complementary sets -----------------------------------------
-
-
-def verified_algebra_op(
-    X: FiniteMetricSpace,
-    W: SubsetMask,
-    r: int,
-    A: int,
-    op: str,
-    C1: SubsetMask,
-    C2: Optional[SubsetMask] = None,
-) -> SubsetMask:
-    """Apply complement/union/intersection/symmetric difference, re-verified.
-
-    The result of any of these on (r, A)-complementary inputs is again
-    (r, A)-complementary; the check is replayed literally and a failure
-    raises, which would signal the inputs were not complementary.
-    """
-    if op == "complement":
-        out = ~C1
-    elif op == "union":
-        out = C1 | C2
-    elif op == "intersection":
-        out = C1 & C2
-    elif op == "symmetric_difference":
-        out = C1 ^ C2
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    if not is_coarse_complementary(X, W, out, r, A):
-        raise CoarseTopError("algebra-not-complementary", f"{op} result failed verification")
-    return out
-
-
 # -- separation reports --------------------------------------------------------------
 
 
@@ -162,9 +129,6 @@ class WindowSeparation:
 class SeparationReport:
     windows: list[WindowSeparation]
     verdict: str  # "stable" | "growing" | "inconclusive"
-
-    def max_deep(self) -> int:
-        return max(w.n_deep for w in self.windows)
 
 
 def coarse_n_separation(
@@ -431,7 +395,6 @@ __all__ = [
     "CoarseComponent",
     "CoarseComponentSet",
     "complement_components",
-    "verified_algebra_op",
     "WindowSeparation",
     "SeparationReport",
     "coarse_n_separation",

@@ -272,19 +272,83 @@ def test_bad_scenario_file(tmp_path):
         {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "i_values": "x"}]},
         {**Z2_AXIS, "analyses": [{"analysis": "ends", "schedules": {"auto": {"count": 2.5}}}]},
         {**Z2_AXIS, "w": [1, 2]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mv", "cap": -1}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mv", "cap": 0}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mv", "cap": 1}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mobility", "scale": -1}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mobility", "D_schedule": []}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "r_values": []}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "i_values": [-1]}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "windows": [3, -1, 4]}]},
+        {**FIG1, "analyses": [{"analysis": "essential", "n": 0}]},
+        {**FIG1, "analyses": [{"analysis": "essential", "n": 1, "probe_index": -1}]},
+        {**FIG1, "analyses": [{"analysis": "almost-essential", "B_max": -1}]},
+        {**Z2_AXIS, "space": {"family": "Z^2", "radius": 6}},
+        {**Z2_AXIS, "space": {"kind": "fixture", "radius": 6}},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "Z^2", "radius": 0}},
+        {**Z2_AXIS, "space": {"kind": "group", "family": 5, "radius": 6}},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "Z^x", "radius": 6}},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "Z^-1", "radius": 6}},
+        {**Z2_AXIS, "w": {"spec": {"cyclic": "a"}}},
+        {**Z2_AXIS, "w": {"kind": "subgroup"}},
+        {**FIG1, "analyses": [{"analysis": "almost-essential", "components": 5}]},
+        {**FIG1, "analyses": [{"analysis": "ends", "schedules": "x"}]},
+        {**FIG1, "analyses": [{"analysis": "ends", "schedules": 5}]},
+        {**FIG1, "analyses": [{"analysis": "ends", "schedules": {"auto": {"scales": [-1, 1]}}}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "invariance_generators": 5}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": "abc"}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": {"sample": "x"}}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": {"sample": -1}}]},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
         "n-not-int", "cap-not-int", "windows-not-list", "i-values-not-list", "auto-count-not-int",
-        "w-not-object",
+        "w-not-object", "mv-cap-negative", "mv-cap-zero", "mv-cap-one", "scale-negative",
+        "D-schedule-empty", "r-values-empty", "i-values-negative", "windows-negative",
+        "n-zero", "probe-index-negative", "B-max-negative", "space-no-kind", "fixture-no-name",
+        "radius-zero", "family-not-string", "family-Z^x", "family-Z^-1", "w-no-kind",
+        "subgroup-no-spec", "components-not-list", "schedules-string", "schedules-int",
+        "auto-scales-negative", "generators-not-list", "centers-string", "centers-sample-not-int",
+        "centers-sample-negative",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
-    # all but r-not-integral once ended in a traceback; r = 1.5 silently ran as r = 1
+    # each once ended in a traceback, except three silent answers: r = 1.5 ran
+    # as r = 1, n = 0 and probe_index = -1 (the last schedule) ran to an
+    # inconclusive verdict and B_max = -1 reported an empty B grid with exit 0
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err
     assert not (tmp_path / "malformed.report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": [999]}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mv", "axis": 5}]},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "F_2", "radius": 4}, "analyses": [{"analysis": "mv"}]},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "Z", "radius": 6},
+         "analyses": [{"analysis": "mobility", "class": "fundamental"}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mv", "component": "x"}]},
+        {**FIG1, "analyses": [{"analysis": "almost-essential", "components": ["x"]}]},
+        {**FIG1, "analyses": [{"analysis": "essential", "n": 1, "probe_index": 3,
+                               "schedules": FIG1["analyses"][1]["schedules"]}]},
+    ],
+    ids=[
+        "centers-outside", "mv-axis-above-dimension", "mv-axis-without-coordinates",
+        "fundamental-class-on-a-line", "component-not-a-name", "fixture-component-not-a-name",
+        "probe-index-past-schedules",
+    ],
+)
+def test_space_dependent_checks_fail_their_analysis(tmp_path, payload):
+    # each once ended in a traceback; these need the built space, so they end
+    # their own analysis as an error entry
+    p = write_scenario(tmp_path, "spacecheck", payload)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "spacecheck.report.json").read_text())
+    assert report["results"][0]["status"] == "error"
+    assert report["results"][0]["error"] == "scenario-invalid"
 
 
 def test_unknown_analysis_fails_validation_up_front(tmp_path):

@@ -1,7 +1,6 @@
-"""Finite metric spaces: neighborhoods, Hausdorff distance, t-chains."""
+"""Finite metric spaces: neighborhoods, Hausdorff distance, masks."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -12,10 +11,8 @@ from coarsetop.errors import EmptySubsetError
 from coarsetop.metric import (
     FiniteMetricSpace,
     SubsetMask,
-    chain_profile,
     hausdorff_distance,
     neighborhood,
-    profile_point_map,
 )
 
 from oracles import bfs_distances
@@ -131,72 +128,6 @@ def test_distance_matches_bfs_oracle():
         oracle = bfs_distances(adj, s)
         for t in range(n):
             assert X.dist(s, t) == oracle[t]
-
-
-def test_chain_profile_on_line():
-    X = line_space(0, 8)
-    prof = chain_profile(X, 1)
-    i0 = X.labels.index(0)
-    for nlab in range(9):
-        assert prof.length(i0, X.labels.index(nlab)) == nlab
-
-
-def test_chain_profile_two_point_unreachable():
-    X = FiniteMetricSpace.from_table([[0, 10], [10, 0]], labels=[0, 10])
-    prof = chain_profile(X, 1)
-    assert math.isinf(prof.length(0, 1))
-    assert prof.unreachable_pairs == 2
-
-
-def test_chain_profile_lattice_matches_path_metric(z2_ball_10):
-    # at t=1 the minimal chain length equals the distance of an
-    # independently rebuilt lattice graph
-    X = z2_ball_10.space
-    prof = chain_profile(X, 1)
-    index = {lab: i for i, lab in enumerate(X.labels)}
-    adj = {
-        i: {
-            index[q]
-            for q in [
-                (p[0] + 1, p[1]),
-                (p[0] - 1, p[1]),
-                (p[0], p[1] + 1),
-                (p[0], p[1] - 1),
-            ]
-            if q in index
-        }
-        for i, p in enumerate(X.labels)
-    }
-    rng = random.Random(5)
-    for _ in range(60):
-        a = rng.randrange(X.n)
-        oracle = bfs_distances(adj, a)
-        for _ in range(5):
-            b = rng.randrange(X.n)
-            assert prof.length(a, b) == oracle[b]
-
-
-def test_bounded_geometry_report(z2_ball_10):
-    prof = z2_ball_10.space.ball_cardinality_profile([1, 2])
-    assert prof[1] == 5  # center plus 4 lattice neighbors
-    assert prof[2] == 13
-
-
-def test_coarse_map_profile_envelopes():
-    X = line_space(0, 10)
-    Y = line_space(0, 25)
-    f = [Y.labels.index(2 * X.labels[i]) for i in range(X.n)]
-    prof = profile_point_map(X, Y, f)
-    # doubling map: eta(d) = phi(d) = 2d on sampled pairs, density covers odd points
-    for x in range(X.n):
-        for y in range(x + 1, X.n):
-            d = X.dist(x, y)
-            dy = Y.dist(f[x], f[y])
-            assert prof.eta_at(d) <= dy <= prof.phi_at(d)
-    assert prof.density == 5  # points 21..25 are far from the even image
-    # both envelopes are non-decreasing step functions
-    assert [v for _, v in prof.eta] == sorted(v for _, v in prof.eta)
-    assert [v for _, v in prof.phi] == sorted(v for _, v in prof.phi)
 
 
 @settings(max_examples=30, deadline=None)

@@ -230,17 +230,6 @@ def test_induced_map_schedule_exhausted(z_ball_12):
         induced_chain_map(f, K, big.space, [1, 1], target_mask=evens)
 
 
-def test_export_simplices(z_ball_12):
-    X = z_ball_12.space
-    K = build_rips(X, X.mask([0, 1, 2]), 1, 1)
-    text = K.export_simplices()
-    lines = text.strip().split("\n")
-    assert len(lines) == K.n_simplices(0) + K.n_simplices(1)
-    for line in lines:
-        vals = [int(x) for x in line.split()]
-        assert vals == sorted(vals)
-
-
 # -- the cone rule: coned boundary columns are skipped exactly ----------------------
 
 import functools

@@ -1,8 +1,5 @@
 """Coarse boundaries, complementary components, relative ends, extraction."""
 
-import pytest
-
-from coarsetop.errors import CoarseTopError
 from coarsetop.fixtures import lattice_region
 from coarsetop.groups import FreeAbelian, FreeGroup, build_ball, subgroup_trace
 from coarsetop.metric import SubsetMask, neighborhood
@@ -18,7 +15,6 @@ from coarsetop.separation import (
     shallow_bound_check,
     simplex_dichotomy_check,
     stabilizer_trace,
-    verified_algebra_op,
 )
 
 from oracles import flood_fill_components
@@ -124,23 +120,6 @@ def test_simplex_dichotomy(z2_ball_10):
     nA = neighborhood(X, axis, 1)
     K = build_rips(X, X.full_mask(), 2, 2)
     assert simplex_dichotomy_check(K, nA, upper)
-
-
-def test_component_algebra(z2_ball_12):
-    X = z2_ball_12.space
-    axis = X.mask_where(lambda p: p[1] == 0)
-    cs = complement_components(X, axis, 1, 0)
-    c0, c1 = (c.mask for c in cs.components[:2])
-    u = verified_algebra_op(X, axis, 1, 0, "union", c0, c1)
-    assert u == c0 | c1
-    # the complement of the union of both half-planes is the axis: shallow
-    assert (~u) == axis
-    comp = verified_algebra_op(X, axis, 1, 0, "complement", c0)
-    assert comp == ~c0
-    sd = verified_algebra_op(X, axis, 1, 0, "symmetric_difference", c0, c0)
-    assert len(sd) == 0
-    inter = verified_algebra_op(X, axis, 1, 0, "intersection", c0, c1)
-    assert len(inter) == 0
 
 
 def test_separation_report_trends():
@@ -269,11 +248,3 @@ def test_shallow_bound_pocket_fixture():
     out = shallow_bound_check(X, W, 1, 0, range(0, 8))
     assert out["shallow_components"] == 1
     assert out["R"] == 3
-
-
-def test_algebra_rejects_non_complementary(z2_ball_10):
-    X = z2_ball_10.space
-    axis = X.mask_where(lambda p: p[1] == 0)
-    evens = X.mask_where(lambda p: (p[0] + p[1]) % 2 == 0)
-    with pytest.raises(CoarseTopError):
-        verified_algebra_op(X, axis, 1, 0, "complement", evens)
