@@ -335,7 +335,7 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
         "detector": {"covered": det.covered, "verdict": det.verdict, "D_schedule": D_schedule},
     }
     if ctx.ball is not None and params.get("stab_comparison", True):
-        res = stab_mob_comparison(ctx.ball, R, alpha0, D_schedule[-1], collar=collar)
+        res = stab_mob_comparison(ctx.ball, R, alpha0, D_schedule[-1], collar=collar, res=det.result)
         out["stab_mob_hausdorff"] = (
             None if res.stab_mob_hausdorff is None or math.isinf(res.stab_mob_hausdorff)
             else res.stab_mob_hausdorff
@@ -469,7 +469,7 @@ INT_PARAMS = {
 }
 # integer-list parameters and the least entry of each; a runner reads an entry of the nonempty ones
 INT_LIST_PARAMS = {"windows": 1, "D_schedule": 0, "i_values": 0, "r_values": 0}
-NONEMPTY_LISTS = ("D_schedule", "r_values")
+NONEMPTY_LISTS = ("D_schedule", "i_values", "r_values")
 
 
 def _is_int(value, minimum=None) -> bool:
@@ -542,24 +542,27 @@ def validate_analyses(scenario: dict) -> None:
         )
         centers = block.get("centers", "basepoint")
         raise_on_bad(
-            centers == "basepoint" or _is_int_list(centers, 0)
+            centers == "basepoint" or _is_int_list(centers, 0) and centers
             or isinstance(centers, dict) and _is_int(centers.get("sample"), 0),
-            f"{where}: 'centers' is \"basepoint\", {{\"sample\": count}} or a list of point ids, got {centers!r}",
+            f"{where}: 'centers' is \"basepoint\", {{\"sample\": count}} or a nonempty list of point ids, "
+            f"got {centers!r}",
         )
         sched = block.get("schedules")
         if isinstance(sched, list):
+            raise_on_bad(sched, f"{where}: 'schedules' needs at least one row")
             for row in sched:
                 raise_on_bad(
-                    isinstance(row, list) and len(row) == 5 and all(isinstance(v, int) for v in row),
-                    f"{where}: schedule rows are [S, i, S_out, j, collar] integer lists",
+                    _is_int_list(row) and len(row) == 5 and row[1] >= 1 and row[4] >= 0,
+                    f"{where}: schedule rows are [S, i, S_out, j, collar] integer lists with i >= 1, collar >= 0",
                 )
         elif isinstance(sched, dict):
             auto = sched.get("auto")
-            ok = isinstance(auto, dict) and all(type(auto.get(key, 0)) is int for key in ("collar", "count"))
+            ok = isinstance(auto, dict) and _is_int(auto.get("collar", 0), 0) and _is_int(auto.get("count", 0))
             scales = auto.get("scales", [1, 1]) if ok else None
             raise_on_bad(
                 ok and _is_int_list(scales, 0) and len(scales) == 2,
-                f"{where}: auto schedules take integer 'collar' and 'count' and two integer 'scales' >= 0",
+                f"{where}: auto schedules take an integer 'collar' >= 0, an integer 'count' "
+                "and two integer 'scales' >= 0",
             )
         else:
             raise_on_bad(

@@ -37,6 +37,8 @@ class RelativeComplex:
             self.rel_pos.append({j: t for t, j in enumerate(keep)})
         self._delta_cache: dict[int, GF2Matrix] = {}
         self._image_cache: dict[int, gf2.GF2Subspace] = {}
+        self._by_first: dict[int, dict[int, list[int]]] = {}  # degree -> first vertex -> positions
+        self._residues: dict[int, dict[int, int]] = {}  # degree -> position t -> residue of e_t
 
     def n_rel(self, k: int) -> int:
         return len(self.rel[k]) if 0 <= k <= self.K.cap else 0
@@ -48,12 +50,12 @@ class RelativeComplex:
             return mat
         n_hi = self.n_rel(k + 1)
         cols = [0] * self.n_rel(k)
-        pos_k = self.rel_pos[k]
+        pos_k, faces = self.rel_pos[k], self.K.index[k]
         for t_hi, j_hi in enumerate(self.rel[k + 1]):
             s = self.K.simplices[k + 1][j_hi]
             for drop in range(len(s)):
                 face = s[:drop] + s[drop + 1:]
-                j_lo = self.K.index[k].get(face)
+                j_lo = faces.get(face)
                 if j_lo is None:
                     continue
                 t_lo = pos_k.get(j_lo)
@@ -114,35 +116,45 @@ class RelativeComplex:
         return out
 
     def simplex_positions_within(self, k: int, allowed: SubsetMask) -> list[int]:
-        ids = allowed.ids
-        return [
-            t
-            for t, j in enumerate(self.rel[k])
-            if all(v in ids for v in self.K.simplices[k][j])
-        ]
+        """Positions of the relative k-simplices with every vertex in the mask, ascending.
+
+        Simplices are looked up by their first vertex, indexed once per
+        degree, so the cost follows the mask's stars, not the whole complex.
+        """
+        by_first = self._by_first.get(k)
+        if by_first is None:
+            by_first = self._by_first[k] = {}
+            for t, j in enumerate(self.rel[k]):
+                by_first.setdefault(self.K.simplices[k][j][0], []).append(t)
+        ids, simplices, rel = allowed.ids, self.K.simplices[k], self.rel[k]
+        return sorted(t for v in ids for t in by_first.get(v, ()) if ids.issuperset(simplices[rel[t]]))
 
     def representative_within(self, k: int, vec: int, allowed: SubsetMask) -> Optional[int]:
         """vec + delta tau supported on relative k-simplices inside the mask, or None.
 
         Support containment is simplex-level: the result may be nonzero only
-        on relative simplices with every vertex in ``allowed``. tau solves
-        (delta tau)(t) = vec(t) on every other relative k-simplex t, i.e. on
-        the rows kept by ``outside``. Masking zeroes the other rows in place
-        instead of renumbering the kept ones; the kept rows stay in the same
-        order, so every top-bit pivot lands on the same row and tau is the
-        solution a compacted system would give.
+        on the simplices B inside ``allowed``. Feasibility is decided first, on
+        residues: reduction r against the echelon of im delta^{k-1} (cached per
+        degree) is linear with kernel exactly im delta, so vec lies in
+        im delta + C_B if and only if r(vec) lies in the span of
+        {r(e_t) : t in B}. That system has |B| columns; each r(e_t) is reduced
+        once per complex, since neighbouring balls share most simplices. The
+        answer is exact, so an infeasible mask costs no full solve.
+
+        A feasible mask gets the witnessed solve: tau solves
+        (delta tau)(t) = vec(t) on every relative k-simplex t outside B.
+        Masking zeroes the rows in B in place instead of renumbering the
+        others; the kept rows stay in order, so every top-bit pivot lands on
+        the same row and tau is the solution a compacted system would give.
         """
-        ids = allowed.ids
-        simplices = self.K.simplices[k]
-        inside = 0  # the few simplices in the mask; outside is its complement
-        for t, j in enumerate(self.rel[k]):
-            if ids.issuperset(simplices[j]):
-                inside |= 1 << t
-        outside = inside ^ ((1 << self.n_rel(k)) - 1)
+        inside = self.simplex_positions_within(k, allowed)
+        reduce, residues = self.coboundary_space(k).reduce, self._residues.setdefault(k, {})
+        residues.update({t: reduce(1 << t) for t in inside if t not in residues})
+        if gf2.ColumnSolve(reduce(vec), track=False).feed(residues[t] for t in inside) is None:
+            return None
+        outside = gf2.vector_from_indices(inside) ^ ((1 << self.n_rel(k)) - 1)
         delta = self.delta(k - 1)
         tau = gf2.solve_columns([c & outside for c in delta.columns], vec & outside)
-        if tau is None:
-            return None
         return vec ^ delta.matvec(tau)
 
     def cocycle_basis(self, k: int) -> list[int]:
@@ -183,9 +195,10 @@ def restriction_matrix(src: RelativeComplex, dst: RelativeComplex, k: int) -> GF
     dst simplex absent from src's relative list restricts from zero.
     """
     cols = [0] * src.n_rel(k)
+    src_index = src.K.index[k]
     for t_dst, j_dst in enumerate(dst.rel[k]):
         s = dst.K.simplices[k][j_dst]
-        j_src = src.K.index[k].get(s)
+        j_src = src_index.get(s)
         if j_src is None:
             raise ValueError("destination simplex missing from source complex")
         t_src = src.rel_pos[k].get(j_src)

@@ -7,6 +7,14 @@ the union of witness supports over feasible centers; center-feasibility
 relaxes the diameter-D definition by at most a factor of two, which the
 Hausdorff comparisons absorb. A witness's diameter is computed only if read.
 
+A center is decided on its ball. Its infeasibility is read off residues
+modulo the cached echelon of im delta: alpha0 is representable inside the
+ball exactly when its residue lies in the span of the residues of the
+ball's simplices (see ``RelativeComplex.representative_within``), so the
+answer is the one a full solve would give, and only feasible centers pay
+for the witnessed solve. The detector hands its last mobility set to the
+stab comparison, so no center is solved twice at one D.
+
 Stabilizers are computed as traces: g enters when the transported cocycle
 alpha0 . g^{-1} is defined in-window and cohomologous to alpha0 via a
 relative coboundary. No claim about the infinite stabilizer is emitted.
@@ -73,13 +81,15 @@ def local_representability(
     """A witness cocycle representing [alpha0] with support in N_D(g), or None.
 
     The witness support lies in a ball of radius D, hence has diameter at
-    most 2D. Centers whose ball leaks into the collar are rejected.
+    most 2D. Centers whose ball leaks into the collar are rejected. The ball
+    is read off the space's cached scale-D adjacency and tested against the
+    collar point by point, so a center costs on the order of its ball.
     """
     X = R.K.space
-    row = X.dist_row(g)
-    ball_ids = {v for v in R.K.vertex_mask.ids if 0 <= row[v] <= D}
-    collar_ids = X.collar_mask(collar).ids
-    if ball_ids & collar_ids:
+    ball_ids = R.K.vertex_mask.ids & {g, *X.adjacency_at_scale(D)[g]}
+    if X.radial is not None and X.window_radius is not None and any(
+        X.radial[v] > X.window_radius - collar for v in ball_ids
+    ):
         raise CollarViolationError(f"N_{D}({g}) touches the collar")
     witness_vec = R.representative_within(alpha0.k, alpha0.vec, SubsetMask(X.n, ball_ids))
     if witness_vec is None:
@@ -187,9 +197,15 @@ def stab_mob_comparison(
     alpha0: Cocycle,
     D: int,
     collar: int = 2,
+    res: Optional[MobilityResult] = None,
 ) -> MobilityResult:
-    """Hausdorff comparison of the stab-trace orbit of supp(alpha0) with Mob."""
-    res = mobility_set(R, alpha0, D, collar=collar)
+    """Hausdorff comparison of the stab-trace orbit of supp(alpha0) with Mob.
+
+    ``res`` is the mobility set at D when the caller already has it (the
+    detector's last); it is completed in place instead of solved again.
+    """
+    if res is None:
+        res = mobility_set(R, alpha0, D, collar=collar)
     trace, _ = stab_trace(ball, R, alpha0)
     orbit: set[int] = set()
     for gid in trace.ids:
@@ -244,6 +260,7 @@ class ManifoldDetectorReport:
     D_schedule: list[int]
     covered: list[bool]
     verdict: str  # "true" | "false" | "inconclusive"
+    result: Optional[MobilityResult] = field(default=None, repr=False)  # Mob at the last D
 
 
 def coarse_manifold_detector(
@@ -265,6 +282,7 @@ def coarse_manifold_detector(
     X = R.K.space
     interior = X.interior_mask(collar) & R.K.vertex_mask
     covered = []
+    res = None
     for D in D_schedule:
         res = mobility_set(R, alpha0, D, collar=collar)
         # a feasible center lies within D of its witness support, so the
@@ -282,7 +300,7 @@ def coarse_manifold_detector(
         verdict = "false"
     else:
         verdict = "true" if covered[-1] else "inconclusive"
-    return ManifoldDetectorReport(n, list(D_schedule), covered, verdict)
+    return ManifoldDetectorReport(n, list(D_schedule), covered, verdict, res)
 
 
 __all__ = [

@@ -37,6 +37,26 @@ from .gf2 import GF2Matrix
 from .metric import FiniteMetricSpace, SubsetMask
 
 
+class SimplexIndex:
+    """simplex -> position, per dimension; each dimension's dict is built on first read.
+
+    Indexed like the list of dicts it stands for. Most analyses read the
+    faces of one or two dimensions only, so the others are never built.
+    """
+
+    __slots__ = ("levels", "dicts")
+
+    def __init__(self, levels: list[list[tuple[int, ...]]]):
+        self.levels = levels
+        self.dicts: list[Optional[dict[tuple[int, ...], int]]] = [None] * len(levels)
+
+    def __getitem__(self, k: int) -> dict[tuple[int, ...], int]:
+        d = self.dicts[k]
+        if d is None:
+            d = self.dicts[k] = {s: i for i, s in enumerate(self.levels[k])}
+        return d
+
+
 class RipsComplex:
     """P_r on a vertex mask of a space, up to dimension cap m."""
 
@@ -47,9 +67,7 @@ class RipsComplex:
         self.scale = scale
         self.cap = cap
         self.simplices = simplices  # per dim, sorted lists of sorted id tuples
-        self.index: list[dict[tuple[int, ...], int]] = [
-            {s: i for i, s in enumerate(level)} for level in simplices
-        ]
+        self.index = SimplexIndex(simplices)
         self._boundary_cache: dict[int, GF2Matrix] = {}
 
     # -- basic counts ---------------------------------------------------------

@@ -126,11 +126,13 @@ def compacted_representative_within(R, k, vec, allowed):
     Unlike the oracles above this one reuses the package's solve on purpose:
     it is the reference for ``RelativeComplex.representative_within``, which
     masks the rows instead of renumbering them and must return the very
-    same cochain, not merely some representative.
+    same cochain, not merely some representative. The simplices inside the
+    mask come from a scan of every relative simplex, not from the package's
+    first-vertex index.
     """
     from coarsetop import gf2
 
-    inside = set(R.simplex_positions_within(k, allowed))
+    inside = {t for t, j in enumerate(R.rel[k]) if allowed.ids.issuperset(R.K.simplices[k][j])}
     row_pos = {t: i for i, t in enumerate(t for t in range(R.n_rel(k)) if t not in inside)}
 
     def outside_part(v):

@@ -36,6 +36,8 @@ Z2_AXIS = {
     ],
 }
 
+Z2_POINT = {"schema": 1, "space": {"kind": "group", "family": "Z^2", "radius": 5}, "w": {"kind": "point"}}
+
 
 def test_fig1_scenario_runs(tmp_path):
     p = write_scenario(tmp_path, "fig1", FIG1)
@@ -299,6 +301,12 @@ def test_bad_scenario_file(tmp_path):
         {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": "abc"}]},
         {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": {"sample": "x"}}]},
         {**Z2_AXIS, "analyses": [{"analysis": "acyclicity", "centers": {"sample": -1}}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "schedules": [[0, 0, 0, 0, 0]]}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "schedules": []}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "schedules": [[2, 1, 1, 1, -1]]}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "schedules": {"auto": {"collar": -2}}}]},
+        {**Z2_POINT, "analyses": [{"analysis": "acyclicity", "centers": []}]},
+        {**Z2_POINT, "analyses": [{"analysis": "acyclicity", "i_values": []}]},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
@@ -309,13 +317,17 @@ def test_bad_scenario_file(tmp_path):
         "radius-zero", "family-not-string", "family-Z^x", "family-Z^-1", "w-no-kind",
         "subgroup-no-spec", "components-not-list", "schedules-string", "schedules-int",
         "auto-scales-negative", "generators-not-list", "centers-string", "centers-sample-not-int",
-        "centers-sample-negative",
+        "centers-sample-negative", "schedule-row-scale-zero", "schedules-empty", "schedule-row-collar-negative",
+        "auto-collar-negative", "centers-empty", "i-values-empty",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
-    # each once ended in a traceback, except three silent answers: r = 1.5 ran
-    # as r = 1, n = 0 and probe_index = -1 (the last schedule) ran to an
-    # inconclusive verdict and B_max = -1 reported an empty B grid with exit 0
+    # each once ended in a traceback, except silent answers: r = 1.5 ran as
+    # r = 1, n = 0 and probe_index = -1 (the last schedule) ran to an
+    # inconclusive verdict, B_max = -1 reported an empty B grid with exit 0,
+    # a scale-0 schedule row and an empty row list ran ends to inconclusive,
+    # an auto collar of -2 reported ok, and empty acyclicity centers or
+    # i_values reported ok with no entries
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err

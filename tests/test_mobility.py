@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from oracles import compacted_representative_within, table_transport
 
+from coarsetop import gf2
+from coarsetop import mobility as mobility_mod
+from coarsetop.cli import run_scenario
 from coarsetop.cochains import RelativeComplex
 from coarsetop.errors import CollarViolationError
 from coarsetop.essential import connecting_map, mv_assemble
 from coarsetop.fixtures import crossing_cochain, grid_fixture
-from coarsetop.groups import BallModel, FreeAbelian, build_ball
-from coarsetop.metric import SubsetMask, hausdorff_distance
+from coarsetop.groups import BallModel, FreeAbelian, FreeGroup, Lamplighter, build_ball
+from coarsetop.metric import FiniteMetricSpace, SubsetMask, hausdorff_distance
 
 from coarsetop.mobility import (
     Cocycle,
@@ -24,6 +27,7 @@ from coarsetop.mobility import (
     mobset_replay,
     stab_mob_comparison,
     stab_trace,
+    _collar_safe_centers,
     transport_cocycle,
 )
 from coarsetop.rips import build_rips
@@ -181,8 +185,6 @@ def test_detector_z2(z2_setup):
 
 
 def test_z2_fundamental_feasible_everywhere(z2_setup):
-    from coarsetop.mobility import _collar_safe_centers
-
     _, R, a0 = z2_setup
     centers = _collar_safe_centers(R, 3, 2)
     res = mobility_set(R, a0, 3)
@@ -252,6 +254,9 @@ def cochain_queries(draw):
 @given(cochain_queries())
 def test_masked_solve_and_coboundary_test_match_references(query):
     R, k, vec, allowed = query
+    # the first-vertex index finds exactly the simplices a scan finds
+    scan = [t for t, j in enumerate(R.rel[k]) if allowed.ids.issuperset(R.K.simplices[k][j])]
+    assert R.simplex_positions_within(k, allowed) == scan
     # the cached echelon answers exactly what the witnessed solve answers
     assert R.is_coboundary(k, vec) == (R.class_is_zero(k, vec) is not None)
     if k == 0:
@@ -307,3 +312,110 @@ def test_transport_reads_only_the_support():
     assert "diameter" not in vars(w)
     assert w.diameter == R.support_diameter(w.k, w.vec)
     assert a0.diameter == R.support_diameter(2, vec)
+
+
+# -- centres decided on the ball: residue test, ball-sized masks, one Mob per D ---------
+
+
+def _edge_cut_f2_5():
+    ball = build_ball(FreeGroup(2), 5)
+    X = ball.space
+    K = build_rips(X, X.full_mask(), 1, 2)
+    R = RelativeComplex(K, X.interior_mask(1))
+    edge = tuple(sorted((ball.index[()], ball.index[(1,)])))
+    return R, Cocycle(R, 1, 1 << R.rel_pos[1][K.index[1][edge]]), 1
+
+
+def _crossing_line_in_plane_8():
+    X = grid_fixture("line_in_plane", 8).space
+    K = build_rips(X, X.full_mask(), 1, 2)
+    R = RelativeComplex(K, X.interior_mask(2))
+    return R, Cocycle(R, 1, R.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))), 2
+
+
+def _row_ball(R, g, D):
+    row = R.K.space.dist_row(g)
+    return SubsetMask(R.K.space.n, (v for v in R.K.vertex_mask.ids if 0 <= row[v] <= D))
+
+
+@pytest.mark.parametrize("setup", [_edge_cut_f2_5, _crossing_line_in_plane_8], ids=["f2-edge-cut", "line-crossing"])
+def test_full_solve_only_for_feasible_centers(monkeypatch, setup):
+    # infeasible centres are decided by the residue test alone; each feasible
+    # one costs exactly one witnessed solve, whose witness is the reference's
+    R, a0, collar = setup()
+    feasible = 0
+    for D in (1, 2):
+        calls = []
+        solve = gf2.solve_columns
+        monkeypatch.setattr(gf2, "solve_columns", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        res = mobility_set(R, a0, D, collar=collar)
+        monkeypatch.undo()
+        centers = _collar_safe_centers(R, D, collar)
+        assert len(res.feasible_centers) < len(centers)
+        assert len(calls) == len(res.feasible_centers)
+        feasible += len(calls)
+        for g in centers:
+            expected = compacted_representative_within(R, 1, a0.vec, _row_ball(R, g, D))
+            got = res.witnesses.get(g)
+            assert (None if got is None else got.vec) == expected
+    # the crossing class of a line through the plane window is carried by no ball
+    assert feasible > 0 or setup is _crossing_line_in_plane_8
+
+
+def test_run_mobility_solves_one_mobility_set_per_D(monkeypatch):
+    seen = []
+    real = mobility_mod.mobility_set
+    monkeypatch.setattr(mobility_mod, "mobility_set", lambda R, a0, D, **kw: seen.append(D) or real(R, a0, D, **kw))
+    scenario = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "F_2", "radius": 5},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+        "analyses": [{"analysis": "mobility", "class": "edge-cut", "D_schedule": [1, 2], "collar": 1}],
+    }
+    report, code = run_scenario(scenario)
+    entry = report["results"][0]
+    assert code == 0 and entry["status"] == "ok" and entry["mob_size"] > 0
+    assert seen == [1, 2]
+
+
+def _table_z2_4():
+    # Z^2 at radius 4 as an explicit distance table, with the collar data kept
+    X = build_ball(FreeAbelian(2), 4).space
+    return FiniteMetricSpace.from_table(
+        [list(X.dist_row(v)) for v in range(X.n)], radial=X.radial, window_radius=X.window_radius,
+        basepoint=X.basepoint,
+    )
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        lambda: grid_fixture("line_in_plane", 5).space,
+        lambda: build_ball(Lamplighter(), 4).space,
+        _table_z2_4,
+    ],
+    ids=["graph", "word-metric-ball", "table"],
+)
+def test_ball_from_scale_adjacency_matches_distance_rows(space):
+    X = space()
+    drop = set(range(0, X.n, 7)) - {X.basepoint}  # a vertex mask short of the space
+    K = build_rips(X, X.mask(v for v in range(X.n) if v not in drop), 1, 2)
+    R = RelativeComplex(K, X.interior_mask(1))
+    near = next(t for t, j in enumerate(R.rel[1]) if X.basepoint in K.simplices[1][j])
+    collar_ids = X.collar_mask(1).ids
+    outcomes = set()
+    for vec in (sum(1 << t for t in range(0, R.n_rel(1), 5)), 1 << near):
+        a0 = Cocycle(R, 1, vec)
+        for D in (0, 1, 2):
+            for g in range(X.n):
+                ball = _row_ball(R, g, D)
+                if ball.ids & collar_ids:
+                    with pytest.raises(CollarViolationError):
+                        local_representability(R, a0, g, D, collar=1)
+                    outcomes.add("collar")
+                    continue
+                w = local_representability(R, a0, g, D, collar=1)
+                assert (None if w is None else w.vec) == R.representative_within(1, vec, ball)
+                assert w is None or w.support.issubset(ball)
+                outcomes.add(w is not None)
+    assert outcomes == {"collar", True, False}

@@ -45,6 +45,17 @@ def test_simplices_match_brute_force(z2_ball_10):
         assert K.simplices[k] == sorted(oracle[k])
 
 
+def test_simplex_index_built_per_dimension_on_first_read(z2_ball_10):
+    X = z2_ball_10.space
+    K = build_rips(X, X.mask_where(lambda p: abs(p[0]) <= 3 and abs(p[1]) <= 3), 2, 3)
+    assert K.index.dicts == [None] * 4
+    K.boundary(2)  # reads the edge index only
+    assert [d is not None for d in K.index.dicts] == [False, True, False, False]
+    for k in range(K.cap + 1):
+        assert K.index[k] == {s: i for i, s in enumerate(K.simplices[k])}
+    assert K.index[-1] is K.index[K.cap]
+
+
 def test_boundary_squares_to_zero(z2_ball_10, f2_ball_6):
     for space, r, m in ((z2_ball_10.space, 2, 3), (f2_ball_6.space, 2, 2)):
         K = build_rips(space, space.full_mask(), r, m)
