@@ -220,13 +220,13 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
     scheds = ctx.schedules(params.get("schedules"))
     index = params.get("probe_index")
     raise_on_bad(index is None or index < len(scheds), f"probe_index {index} with {len(scheds)} schedules")
-    probe = None if index is None else scheds[index]
+    probe = scheds[-1 if index is None else index]
     names = params.get("components")
     if names is None:
         names = sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]
     out = {}
     worst = "ok"
-    pd_reason = pd_precondition(ctx.space, ctx.w, n, scheds)  # one W for every component
+    pd_reason, w_images = pd_precondition(ctx.space, ctx.w, n, scheds)  # one W for every component
     for name in names:
         C = ctx.component(name)
         if pd_reason:
@@ -234,7 +234,8 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
         else:
             v = essential_probe(
                 ctx.space, ctx.w, C, n, scheds, component_name=str(name),
-                skip_pd_check=True, probe_schedule=probe,
+                skip_pd_check=True, probe_schedule=probe, w_image=w_images.get(probe),
+                max_simplices=ctx.max_simplices,
             )
         out[str(name)] = {
             "verdict": v.verdict,

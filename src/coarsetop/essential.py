@@ -25,6 +25,7 @@ from .cochains import RelativeComplex, extension_matrix, restriction_matrix
 from .errors import CoarseTopError, NotACycleError, WindowTooSmallError
 from .gf2 import GF2Matrix
 from .homology import (
+    TwoScaleImage,
     WindowSchedule,
     annulus_mask,
     pd_signature_check,
@@ -95,13 +96,21 @@ def paired_target_schedule(sched: WindowSchedule) -> tuple[int, int]:
     return scale, excise
 
 
-def pd_precondition(X: FiniteMetricSpace, W: SubsetMask, n: int, schedules: Sequence[WindowSchedule]) -> str:
-    """Why W fails the PD signature check in dimension n, or "" when it passes."""
+def pd_precondition(
+    X: FiniteMetricSpace, W: SubsetMask, n: int, schedules: Sequence[WindowSchedule]
+) -> tuple[str, dict[WindowSchedule, TwoScaleImage]]:
+    """Why W fails the PD signature check in dimension n ("" when it passes).
+
+    When it passes, the check's own two-scale images of H~_{n-1}(W-annuli)
+    come with it, per schedule: they are the images a probe pushes.
+    """
     try:
         pd = pd_signature_check(X, n, schedules, within=W)
     except WindowTooSmallError as err:
-        return str(err)
-    return "" if pd.passed else f"W fails the PD signature check at n={n}: {pd.degree_verdicts}"
+        return str(err), {}
+    if not pd.passed:
+        return f"W fails the PD signature check at n={n}: {pd.degree_verdicts}", {}
+    return "", dict(zip(schedules, pd.images))
 
 
 def essential_probe(
@@ -114,21 +123,27 @@ def essential_probe(
     skip_pd_check: bool = False,
     max_witness_columns: int = 60_000,
     probe_schedule: Optional[WindowSchedule] = None,
+    w_image: Optional[TwoScaleImage] = None,
+    max_simplices: int = 5_000_000,
 ) -> EssentialVerdict:
     """Probe one complementary component for essentiality in dimension n.
 
     The schedule family drives the PD precondition on W (see
-    :func:`pd_precondition`; a caller probing several components of one W
-    checks it once and passes ``skip_pd_check``); the class push happens at
-    ``probe_schedule`` (default: the last of the family).
+    :func:`pd_precondition`); the class push happens at ``probe_schedule``
+    (default: the last of the family). A caller probing several components
+    of one W checks it once, passes ``skip_pd_check``, and hands over the
+    check's image at the probe schedule as ``w_image``. The target complex
+    is capped at ``max_simplices``.
     """
-    reason = "" if skip_pd_check else pd_precondition(X, W, n, schedules)
-    if reason:
-        return EssentialVerdict(component_name, "inconclusive", None, reason=reason)
+    sched = probe_schedule if probe_schedule is not None else schedules[-1]
+    if not skip_pd_check:
+        reason, images = pd_precondition(X, W, n, schedules)
+        if reason:
+            return EssentialVerdict(component_name, "inconclusive", None, reason=reason)
+        w_image = images.get(sched)
     try:
-        sched = probe_schedule if probe_schedule is not None else schedules[-1]
         sched.validate()
-        w_img = schedule_two_scale(X, n - 1, sched, within=W)
+        w_img = w_image if w_image is not None else schedule_two_scale(X, n - 1, sched, within=W)
     except WindowTooSmallError as err:
         return EssentialVerdict(component_name, "inconclusive", None, reason=str(err))
     if w_img.rank == 0:
@@ -139,7 +154,7 @@ def essential_probe(
     target_mask = annulus_mask(X, excise, None, within=(C | W))
     if len(target_mask) == 0:
         return EssentialVerdict(component_name, "inconclusive", sched, reason="empty target annulus")
-    target = build_rips(X, target_mask, scale, n)
+    target = build_rips(X, target_mask, scale, n, max_simplices=max_simplices)
     witnesses = []
     any_survives = False
     for cls in w_img.classes:
@@ -188,7 +203,8 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     either inside N_rho(supp), fed by the local phase, or at smaller indices
     among the remaining columns. The pivots, the stopping column and the
     fill are those of the unskipped solve. The path choice reads the
-    unskipped column counts, so the reported locality does not move.
+    unskipped column counts, so the reported locality does not move. The
+    resume phase streams the cone test, which stops where the solve stops.
     """
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:
@@ -207,7 +223,7 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     solve = gf2.ColumnSolve(z, track=witnessed)
     rest = None
     if witnessed:
-        kept = target.uncone(k + 1, local_cols, local_vertices)
+        kept = list(target.uncone(k + 1, local_cols, local_vertices))
         x = solve.feed(target.iter_boundary_columns(k + 1, kept))
         if x is not None:
             fill = gf2.vector_from_indices(kept[b] for b in gf2.bits(x))

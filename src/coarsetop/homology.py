@@ -334,6 +334,7 @@ class PDSignatureReport:
     n: int
     degree_verdicts: dict[int, object]
     passed: bool
+    images: list[TwoScaleImage] = field(default_factory=list, repr=False)  # degree n, per schedule
 
 
 def pd_signature_check(
@@ -345,13 +346,15 @@ def pd_signature_check(
     """Check the coarse cohomology proxy pattern (0, ..., 0, 1) in degrees 1..n."""
     verdicts: dict[int, object] = {}
     ok = True
+    images: list[TwoScaleImage] = []
     for k in range(1, n + 1):
         rep = coarse_cohomology_dim_estimate(X, k, schedules, within=within)
         verdicts[k] = rep.verdict
+        images = rep.images
         expected = 1 if k == n else 0
         if rep.verdict != expected:
             ok = False
-    return PDSignatureReport(n, verdicts, ok)
+    return PDSignatureReport(n, verdicts, ok, images)
 
 
 __all__ = [

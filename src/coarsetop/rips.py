@@ -1,9 +1,18 @@
 """Rips complexes with GF(2) boundary matrices, inclusions and cycle filling.
 
 Simplices are canonical sorted id-tuples; GF(2) coefficients remove all
-orientation bookkeeping. Enumeration extends cliques over the r-adjacency
-graph in lexicographic order, so ids and matrices are deterministic.
-Chains in dimension k are int bitsets over the dimension-k simplex list.
+orientation bookkeeping. Chains in dimension k are int bitsets over the
+dimension-k simplex list.
+
+Cliques are grown one dimension at a time from the simplex list below.
+The children of s are s + (w,) for the forward neighbours w > s[-1] of its
+last vertex that are forward neighbours of every other vertex of s too.
+Parents come in lexicographic order and children in ascending w, so each
+list comes out sorted and ids and matrices are deterministic. The
+candidates follow from s and the forward-neighbour sets alone, so nothing
+is kept per simplex besides the simplex itself: a per-simplex candidate
+list would hold as many live containers as there are simplices, and the
+cyclic garbage collector would traverse them all on every full collection.
 
 The dimension cap defaults to n+1 for an analysis in dimension n, since no
 operation here needs higher simplices. fill_cycle solves the sparse GF(2)
@@ -29,6 +38,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf2
@@ -112,8 +123,8 @@ class RipsComplex:
         faces = self.index[k - 1]
         for s in chosen:
             col = 0
-            for drop in range(len(s)):
-                col |= 1 << faces[s[:drop] + s[drop + 1:]]
+            for face in combinations(s, k):
+                col |= 1 << faces[face]
             yield col
 
     def boundary_of_chain(self, k: int, chain: int) -> int:
@@ -144,7 +155,7 @@ class RipsComplex:
 
     def uncone(
         self, k: int, among: Optional[Iterable[int]] = None, apex: Optional[SubsetMask] = None
-    ) -> list[int]:
+    ) -> Iterator[int]:
         """The indices in ``among`` (every k-simplex when None) of the columns not coned, in order.
 
         s is coned when some vertex v < s[0] of the apex set (the vertex
@@ -155,32 +166,45 @@ class RipsComplex:
         every simplex in the apex that precedes it in index order is fed
         before it, in an earlier feed or earlier in ``among``. Vertices
         (k = 0) are all kept.
+
+        The indices are yielded as they are tested, so a solve that stops
+        early stops the cone test with it. The apex vertices below x within
+        the scale are memoized only while x is not below the first vertex
+        of the current simplex: ``among`` ascends, so a vertex below it is
+        never asked for again, and the memo stays a band of the mask.
         """
         chosen = range(self.n_simplices(k)) if among is None else among
         if self.scale == 0 or k == 0:
-            return list(chosen)
+            yield from chosen
+            return
         ids = self.vertex_mask.ids if apex is None else apex.ids & self.vertex_mask.ids
         adj = self.space.adjacency_at_scale(self.scale)
-        nbrs = {v: set(adj[v]) for v in self.vertex_mask.ids}  # freed before any column is fed
-        lower: dict[int, list[int]] = {}  # s0 -> apex vertices below s0 within the scale
+        below: dict[int, frozenset[int]] = {}  # x -> apex vertices below x within the scale
+        memoized: list[int] = []  # heap of the keys of ``below``
+
+        def lower(x: int) -> frozenset[int]:
+            got = below.get(x)
+            if got is None:
+                row = adj[x]
+                got = below[x] = ids.intersection(row[: bisect_left(row, x)])
+                heappush(memoized, x)
+            return got
+
         simp = self.simplices[k]
-        kept = []
         prefix, common = None, None
         for j in chosen:
             s = simp[j]
             if s[:-1] != prefix:  # simplices sharing all but their last vertex come in a run
                 prefix = s[:-1]
-                common = lower.get(s[0])
-                if common is None:
-                    row = adj[s[0]]
-                    common = lower[s[0]] = [v for v in row[: bisect_left(row, s[0])] if v in ids]
+                while memoized and memoized[0] < s[0]:
+                    del below[heappop(memoized)]
+                common = lower(s[0])
                 for x in prefix[1:]:
                     if not common:
                         break
-                    common = nbrs[x].intersection(common)
-            if not common or nbrs[s[-1]].isdisjoint(common):
-                kept.append(j)
-        return kept
+                    common = common & lower(x)
+            if not common or common.isdisjoint(lower(s[-1])):
+                yield j
 
 
 def build_rips(
@@ -193,7 +217,11 @@ def build_rips(
     """All simplices of P_r(V) up to dimension m.
 
     A tuple spans a simplex iff its pairwise distances are <= r; cliques are
-    grown over the r-adjacency graph in sorted order.
+    grown over the r-adjacency graph in sorted order (see the module
+    docstring). More than ``max_simplices`` simplices raise
+    ComplexTooLargeError, checked once per parent; its counts give every
+    whole dimension, and for the one that passed the cap the simplices up
+    to the first beyond it.
     """
     if r < 0 or m < 0:
         raise ValueError("scale and cap must be >= 0")
@@ -204,26 +232,23 @@ def build_rips(
     fwd_sets = {v: set(nb) for v, nb in fwd.items()}
     counts = {0: len(verts)}
     simplices: list[list[tuple[int, ...]]] = [[(v,) for v in verts]]
-    total = len(verts)
-    if total > max_simplices:
+    if len(verts) > max_simplices:
         raise ComplexTooLargeError(counts, max_simplices)
-    level = [((v,), fwd[v]) for v in verts]
+    room = max_simplices - len(verts)
     for k in range(1, m + 1):
-        nxt = []
         out = []
-        for s, cand in level:
-            for u in cand:
-                ns = s + (u,)
-                ncand = [w for w in cand if w in fwd_sets[u]] if k < m else []
-                out.append(ns)
-                nxt.append((ns, ncand))
-                total += 1
-                if total > max_simplices:
-                    counts[k] = len(out)
-                    raise ComplexTooLargeError(counts, max_simplices)
+        for s in simplices[-1]:
+            cand = fwd[s[-1]]
+            for x in s[:-1]:
+                fx = fwd_sets[x]
+                cand = [w for w in cand if w in fx]
+            out.extend([s + (w,) for w in cand])
+            if len(out) > room:
+                counts[k] = room + 1  # the simplices made when the cap was first passed
+                raise ComplexTooLargeError(counts, max_simplices)
         counts[k] = len(out)
+        room -= len(out)
         simplices.append(out)
-        level = nxt
     return RipsComplex(X, V, r, m, simplices)
 
 
@@ -331,7 +356,7 @@ def fill_on_columns(
     feasibility-only solve, or None when z is no boundary of those columns.
     """
     among = None if allowed is None else L.simplices_within(k + 1, allowed)
-    cols_idx = L.uncone(k + 1, among, allowed)
+    cols_idx = list(L.uncone(k + 1, among, allowed))
     x = gf2.solve_columns(L.iter_boundary_columns(k + 1, cols_idx), z, want_witness=want_witness)
     if x is None or not want_witness:
         return x

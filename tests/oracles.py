@@ -166,6 +166,25 @@ def table_transport(ball, R, k, vec, g):
     return out if R.is_cocycle(k, out) else None
 
 
+def uncone_by_definition(K, k, among=None, apex=None):
+    """The indices in ``among`` (all when None) whose k-simplex is not coned, from distances alone.
+
+    s is coned when some vertex v < s[0] of the apex set (the vertex mask
+    when None) inside the vertex mask lies within the scale of every vertex
+    of s. Vertices, and every simplex at scale 0, are kept.
+    """
+    chosen = list(range(K.n_simplices(k)) if among is None else among)
+    if k == 0 or K.scale == 0:
+        return chosen
+    apex_ids = K.vertex_mask.ids if apex is None else apex.ids & K.vertex_mask.ids
+    kept = []
+    for j in chosen:
+        s = K.simplices[k][j]
+        if not any(v < s[0] and all(K.space.dist(v, x) <= K.scale for x in s) for v in apex_ids):
+            kept.append(j)
+    return kept
+
+
 def every_column(K, k, among=None, apex=None):
     """Stand-in for ``RipsComplex.uncone`` that keeps every column: the unskipped solve."""
     return list(range(K.n_simplices(k))) if among is None else list(among)

@@ -173,6 +173,17 @@ def test_mv_respects_simplex_cap(tmp_path):
     assert report["results"][0]["error"] == "complex-too-large"
 
 
+def test_essential_respects_simplex_cap(tmp_path):
+    # the essential probe's target complex once ignored caps.max_simplices
+    # and reported status ok with exit 0
+    scen = {**FIG1, "caps": {"max_simplices": 100}, "analyses": [FIG1["analyses"][1]]}
+    p = write_scenario(tmp_path, "esscap", scen)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "esscap.report.json").read_text())
+    assert report["results"][0]["status"] == "error"
+    assert report["results"][0]["error"] == "complex-too-large"
+
+
 def test_windowed_separation_reuses_scenario_ball(monkeypatch):
     import coarsetop.cli as cli
 
@@ -226,6 +237,29 @@ def test_essential_checks_w_signature_once(monkeypatch, n):
         own = essential.essential_probe(fix.space, fix.w, fix.components["top"], n, scheds)
         assert own.verdict == "inconclusive" and own.reason.startswith("W fails the PD")
         assert all(c["verdict"] == "inconclusive" and c["reason"] == own.reason for c in comps.values())
+
+
+def test_essential_builds_each_complex_once(monkeypatch):
+    # the probes push the W-classes the PD check already computed: one
+    # inner and one outer W complex per schedule, one target per component
+    import coarsetop.essential as essential
+    import coarsetop.homology as homology
+
+    built = []
+    build_rips = homology.build_rips
+
+    def counting_build_rips(X, V, r, m, **kwargs):
+        built.append((V.ids, r, m))
+        return build_rips(X, V, r, m, **kwargs)
+
+    monkeypatch.setattr(homology, "build_rips", counting_build_rips)
+    monkeypatch.setattr(essential, "build_rips", counting_build_rips)
+    block = FIG1["analyses"][1]
+    report, code = run_scenario({**FIG1, "analyses": [block]})
+    assert code == 0
+    assert len(built) == len(set(built)) == 2 * len(block["schedules"]) + 2
+    comps = report["results"][0]["components"]
+    assert {name: c["verdict"] for name, c in comps.items()} == {"bottom": "essential", "top": "non-essential"}
 
 
 def test_window_too_large_cap(tmp_path):

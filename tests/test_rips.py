@@ -66,9 +66,14 @@ def test_boundary_squares_to_zero(z2_ball_10, f2_ball_6):
 
 
 def test_complex_too_large():
+    # Z^2 R=8 at scale 2 has 145 vertices, 738 edges and 1,158 triangles; the
+    # counts name every whole dimension and the simplices of the one that
+    # passed the cap, up to the first one beyond it (they reach the report)
     ball = build_ball(FreeAbelian(2), 8)
-    with pytest.raises(ComplexTooLargeError):
-        build_rips(ball.space, ball.space.full_mask(), 2, 2, max_simplices=100)
+    for cap, counts in ((100, {0: 145}), (200, {0: 145, 1: 56}), (1000, {0: 145, 1: 738, 2: 118})):
+        with pytest.raises(ComplexTooLargeError) as err:
+            build_rips(ball.space, ball.space.full_mask(), 2, 2, max_simplices=cap)
+        assert err.value.counts == counts and err.value.cap == cap
 
 
 def test_fill_cycle_unit_square(z2_ball_10):
@@ -281,7 +286,7 @@ def _two_phase_order(K, d, apex):
     local = K.simplices_within(d, apex)
     inside = set(local)
     rest = [j for j in range(K.n_simplices(d)) if j not in inside]
-    return local, rest, K.uncone(d, local, apex), K.uncone(d, rest)
+    return local, rest, list(K.uncone(d, local, apex)), list(K.uncone(d, rest))
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,6 +356,97 @@ def test_fills_and_images_match_the_unskipped_computation(case, radius):
 def test_uncone_skips_most_grid_columns():
     X = _grid(2, 4)
     K = build_rips(X, X.full_mask(), 3, 2)
-    assert len(K.uncone(2)) < 0.8 * K.n_simplices(2)
-    assert len(K.uncone(1)) == X.n - 1  # the edges kept are exactly a spanning tree
-    assert K.uncone(2, []) == [] and K.uncone(0) == list(range(X.n))
+    assert len(list(K.uncone(2))) < 0.8 * K.n_simplices(2)
+    assert len(list(K.uncone(1))) == X.n - 1  # the edges kept are exactly a spanning tree
+    assert list(K.uncone(2, [])) == [] and list(K.uncone(0)) == list(range(X.n))
+
+
+# -- clique growth, face lookups and the lazy cone test against their definitions ----
+
+from itertools import islice, zip_longest
+
+from oracles import uncone_by_definition
+
+
+@st.composite
+def small_spaces(draw):
+    """(space, vertex mask, r, m): a random graph or distance table on at most 12 points."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        X = FiniteMetricSpace.from_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3])
+    else:
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                table[a][b] = table[b][a] = rng.randint(1, 5)
+        X = FiniteMetricSpace.from_table(table)
+    V = X.mask(v for v in range(n) if rng.random() < 0.8)
+    return X, V, draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+
+def capped_counts(levels, cap):
+    """``ComplexTooLargeError.counts`` by definition, or None when every simplex fits.
+
+    Dimensions are made whole and in order. The vertices are all made
+    before the first check; in a higher dimension the count stops at the
+    first simplex beyond the cap.
+    """
+    counts, made = {}, 0
+    for k, size in enumerate(levels):
+        if made + size > cap:
+            counts[k] = size if k == 0 else cap - made + 1
+            return counts
+        counts[k] = size
+        made += size
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_spaces())
+def test_build_rips_matches_brute_force_at_every_cap(case):
+    X, V, r, m = case
+    K = build_rips(X, V, r, m)
+    oracle = brute_force_simplices(V.sorted_ids(), X.dist, r, m)
+    for k in range(m + 1):
+        assert K.simplices[k] == oracle[k] == sorted(oracle[k])
+    levels = [len(oracle[k]) for k in range(m + 1)]
+    for cap in range(1, sum(levels) + 2):
+        want = capped_counts(levels, cap)
+        if want is None:
+            assert build_rips(X, V, r, m, max_simplices=cap).simplices == K.simplices
+            continue
+        with pytest.raises(ComplexTooLargeError) as err:
+            build_rips(X, V, r, m, max_simplices=cap)
+        assert err.value.counts == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_spaces(), st.randoms(use_true_random=False))
+def test_boundary_columns_drop_one_vertex(case, rng):
+    X, V, r, _ = case
+    K = build_rips(X, V, r, 3)
+    for k in range(1, 4):
+        position = {s: i for i, s in enumerate(K.simplices[k - 1])}
+        want = [sum(1 << position[s[:d] + s[d + 1:]] for d in range(k + 1)) for s in K.simplices[k]]
+        assert list(K.iter_boundary_columns(k)) == want
+        among = rng.sample(range(len(want)), rng.randint(0, len(want)))
+        assert list(K.iter_boundary_columns(k, among)) == [want[j] for j in among]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone_cases(), st.integers(0, 40))
+def test_lazy_uncone_matches_the_eager_definition(case, stop):
+    K, d, apex, rng = case
+    assert list(K.uncone(d)) == uncone_by_definition(K, d)
+    local, rest = _two_phase_order(K, d, apex)[:2]
+    want_local = uncone_by_definition(K, d, local, apex)
+    want_rest = uncone_by_definition(K, d, rest)
+    # two streams on one complex, pulled alternately, one index at a time
+    pulled = list(zip_longest(K.uncone(d, iter(local), apex), K.uncone(d, iter(rest))))
+    assert [a for a, _ in pulled if a is not None] == want_local
+    assert [b for _, b in pulled if b is not None] == want_rest
+    # a stream left early yields a prefix; one out of index order still tests every index
+    assert list(islice(K.uncone(d), stop)) == uncone_by_definition(K, d)[:stop]
+    shuffled = rng.sample(range(K.n_simplices(d)), K.n_simplices(d))
+    assert list(K.uncone(d, shuffled, apex)) == uncone_by_definition(K, d, shuffled, apex)
