@@ -40,6 +40,7 @@ from .groups import (
     Lamplighter,
     amalgam_z2_z_z2,
     build_ball,
+    restrict_ball,
     subgroup_trace,
 )
 from .homology import (
@@ -187,11 +188,13 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
             "windowed separation needs a subgroup w to rebuild per radius",
         )
         for R in windows:
-            if int(R) == ctx.ball.radius:
-                ball, w = ctx.ball, ctx.w
+            if R == ctx.ball.radius:
+                ball = ctx.ball
+            elif R < ctx.ball.radius and ctx.ball.model.convex_balls:  # a prefix of the scenario's ball
+                ball = restrict_ball(ctx.ball, R)
             else:
-                ball = build_ball(ctx.ball.model, int(R), max_vertices=ctx.max_vertices)
-                w = subgroup_trace(ball, ctx.w_spec["spec"])
+                ball = build_ball(ctx.ball.model, R, max_vertices=ctx.max_vertices)
+            w = ctx.w if ball is ctx.ball else subgroup_trace(ball, ctx.w_spec["spec"])
             rows.append((ball, w, complement_components(ball.space, w, r, A, collar=collar)))
     else:
         rows.append((ctx.ball, ctx.w, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
@@ -226,7 +229,7 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
         names = sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]
     out = {}
     worst = "ok"
-    pd_reason, w_images = pd_precondition(ctx.space, ctx.w, n, scheds)  # one W for every component
+    pd_reason, w_images = pd_precondition(ctx.space, ctx.w, n, scheds, ctx.max_simplices)  # one W for all
     for name in names:
         C = ctx.component(name)
         if pd_reason:
@@ -370,7 +373,7 @@ def run_acyclicity(ctx: ScenarioContext, params: dict) -> dict:
         centers = centers_spec
         raise_on_bad(max(centers, default=0) < ctx.space.n, f"centers {centers} outside the {ctx.space.n} points")
     prof = uniform_acyclicity_probe(
-        ctx.space, k_max, centers, i_values, r_values, lambda_max, mu_max
+        ctx.space, k_max, centers, i_values, r_values, lambda_max, mu_max, ctx.max_simplices
     )
     entries = [
         {
@@ -394,7 +397,7 @@ def run_acyclicity(ctx: ScenarioContext, params: dict) -> dict:
 def run_pd_signature(ctx: ScenarioContext, params: dict) -> dict:
     n = int(params["n"])
     scheds = ctx.schedules(params.get("schedules"))
-    rep = pd_signature_check(ctx.space, n, scheds, within=ctx.w)
+    rep = pd_signature_check(ctx.space, n, scheds, within=ctx.w, max_simplices=ctx.max_simplices)
     return {
         "status": "ok",
         "passed": rep.passed,

@@ -97,7 +97,8 @@ def paired_target_schedule(sched: WindowSchedule) -> tuple[int, int]:
 
 
 def pd_precondition(
-    X: FiniteMetricSpace, W: SubsetMask, n: int, schedules: Sequence[WindowSchedule]
+    X: FiniteMetricSpace, W: SubsetMask, n: int, schedules: Sequence[WindowSchedule],
+    max_simplices: int = 5_000_000,
 ) -> tuple[str, dict[WindowSchedule, TwoScaleImage]]:
     """Why W fails the PD signature check in dimension n ("" when it passes).
 
@@ -105,7 +106,7 @@ def pd_precondition(
     come with it, per schedule: they are the images a probe pushes.
     """
     try:
-        pd = pd_signature_check(X, n, schedules, within=W)
+        pd = pd_signature_check(X, n, schedules, within=W, max_simplices=max_simplices)
     except WindowTooSmallError as err:
         return str(err), {}
     if not pd.passed:
@@ -132,18 +133,20 @@ def essential_probe(
     :func:`pd_precondition`); the class push happens at ``probe_schedule``
     (default: the last of the family). A caller probing several components
     of one W checks it once, passes ``skip_pd_check``, and hands over the
-    check's image at the probe schedule as ``w_image``. The target complex
-    is capped at ``max_simplices``.
+    check's image at the probe schedule as ``w_image``. Every complex it
+    builds is capped at ``max_simplices``.
     """
     sched = probe_schedule if probe_schedule is not None else schedules[-1]
     if not skip_pd_check:
-        reason, images = pd_precondition(X, W, n, schedules)
+        reason, images = pd_precondition(X, W, n, schedules, max_simplices)
         if reason:
             return EssentialVerdict(component_name, "inconclusive", None, reason=reason)
         w_image = images.get(sched)
     try:
         sched.validate()
-        w_img = w_image if w_image is not None else schedule_two_scale(X, n - 1, sched, within=W)
+        w_img = w_image if w_image is not None else schedule_two_scale(
+            X, n - 1, sched, within=W, max_simplices=max_simplices
+        )
     except WindowTooSmallError as err:
         return EssentialVerdict(component_name, "inconclusive", None, reason=str(err))
     if w_img.rank == 0:

@@ -1,8 +1,8 @@
 """Finite ball models of finitely generated groups.
 
 Only families whose word problem is solved by a canonical normal form are
-supported: free abelian, free, direct products, the amalgam of two copies
-of Z^2 over a common Z factor, and the lamplighter group.
+supported: free abelian, free, the amalgam of two copies of Z^2 over a
+common Z factor, and the lamplighter group.
 Each model multiplies and inverts normal forms and reports exact word
 length, so the global word metric on a ball is computed from normal forms
 rather than from paths inside the window.
@@ -19,7 +19,9 @@ built. Both metrics are exposed on the ball.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import BadSubgroupSpecError, WindowTooLargeError
@@ -116,23 +118,7 @@ class FreeAbelian(GroupModel):
 
     def ball_size_estimate(self, radius):
         # exact L1 ball count via Vandermonde-type sum
-        total = 0
-        for k in range(min(self.n, radius) + 1):
-            total += (
-                2**k
-                * _binom(self.n, k)
-                * _binom(radius, k)
-            )
-        return total
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+        return sum(2**k * comb(self.n, k) * comb(radius, k) for k in range(min(self.n, radius) + 1))
 
 
 class FreeGroup(GroupModel):
@@ -185,80 +171,54 @@ class FreeGroup(GroupModel):
         return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
 
 
-class DirectProduct(GroupModel):
-    """Direct product with the union of factor generators and the L1 sum metric."""
-
-    def __init__(self, factors: Sequence[GroupModel], family: Optional[str] = None):
-        self.factors = list(factors)
-        self.family = family or " x ".join(f.family for f in self.factors)
-        self.convex_balls = all(f.convex_balls for f in self.factors)
-
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def generators(self):
-        out = []
-        for i, f in enumerate(self.factors):
-            for name, g in f.generators():
-                v = list(self.identity())
-                v[i] = g
-                out.append((f"{name}{i}" if _name_clash(self.factors) else name, tuple(v)))
-        return out
-
-    def mul(self, g, h):
-        return tuple(f.mul(a, b) for f, a, b in zip(self.factors, g, h))
-
-    def inv(self, g):
-        return tuple(f.inv(a) for f, a in zip(self.factors, g))
-
-    def length(self, g):
-        return sum(f.length(a) for f, a in zip(self.factors, g))
-
-    def sortkey(self, g):
-        return tuple(f.sortkey(a) for f, a in zip(self.factors, g))
-
-    def label(self, g):
-        return "(" + ", ".join(f.label(a) for f, a in zip(self.factors, g)) + ")"
-
-    def ball_size_estimate(self, radius):
-        # crude upper bound: product of factor balls
-        sizes = [f.ball_size_estimate(radius) for f in self.factors]
-        if any(s is None for s in sizes):
-            return None
-        out = 1
-        for s in sizes:
-            out *= s
-        return out
-
-
-def _name_clash(factors) -> bool:
-    names = [name for f in factors for name, _ in f.generators()]
-    return len(names) != len(set(names))
-
-
-def amalgam_z2_z_z2() -> GroupModel:
+class Amalgam(GroupModel):
     """The amalgam Z^2 *_Z Z^2 of two planes glued along a common axis.
 
     With presentation <x, y | [x,y]> *_{y=y} <z, y | [z,y]> the shared
     generator y is central, so coset-representative normal forms reduce to
     pairs (free word in x,z; power of y), and the word length over the
-    generators {x, y, z} splits as the sum of the two parts.
+    generators {x, y, z} splits as the sum of the two parts. Factor 0 is
+    the free part <x, z>, factor 1 the axis <y>.
     """
-    free = FreeGroup(2)
-    line = FreeAbelian(1)
-    model = DirectProduct([free, line], family="Z2*_Z*Z2")
 
-    def generators():
-        fe = free.identity()
-        le = line.identity()
-        return [
-            ("x", ((1,), le)),
-            ("z", ((2,), le)),
-            ("y", (fe, (1,))),
-        ]
+    family = "Z2*_Z*Z2"
+    convex_balls = True
+    _free = FreeGroup(2)
 
-    model.generators = generators  # type: ignore[method-assign]
-    return model
+    def identity(self):
+        return ((), (0,))
+
+    def generators(self):
+        return [("x", ((1,), (0,))), ("z", ((2,), (0,))), ("y", ((), (1,)))]
+
+    def mul(self, g, h):
+        u, (a,) = g
+        v, (b,) = h
+        n, m = len(u), 0  # m letters of u's tail cancel against v's head
+        top = min(n, len(v))
+        while m < top and u[n - 1 - m] == -v[m]:
+            m += 1
+        return (u[: n - m] + v[m:], (a + b,))
+
+    def inv(self, g):
+        u, (a,) = g
+        return (tuple(-x for x in reversed(u)), (-a,))
+
+    def length(self, g):
+        return len(g[0]) + abs(g[1][0])
+
+    def sortkey(self, g):
+        return ((len(g[0]), g[0]), g[1])
+
+    def label(self, g):
+        return f"({self._free.label(g[0])}, {g[1]})"
+
+    def ball_size_estimate(self, radius):
+        # crude upper bound: the free ball times the axis segment
+        return self._free.ball_size_estimate(radius) * (2 * radius + 1)
+
+
+amalgam_z2_z_z2 = Amalgam  # the family name scenarios use
 
 
 class Lamplighter(GroupModel):
@@ -391,6 +351,7 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
         inv = model.inv(g)
         if inv != g:
             steps.append(inv)
+    mul, length = model.mul, model.length
     layers = [[model.identity()]]
     seen = {model.identity()}
     count = 1
@@ -398,8 +359,8 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
         frontier = []
         for g in layers[-1]:
             for s in steps:
-                h = model.mul(g, s)
-                if h not in seen and model.length(h) <= radius:
+                h = mul(g, s)
+                if h not in seen and length(h) <= radius:
                     seen.add(h)
                     frontier.append(h)
                     count += 1
@@ -412,11 +373,11 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
     adj = [[] for _ in range(n)]
     for i, g in enumerate(elements):
         for s in steps:
-            j = index.get(model.mul(g, s))
+            j = index.get(mul(g, s))
             if j is not None and j != i:
                 adj[i].append(j)
     adj = [sorted(set(a)) for a in adj]
-    radial = [model.length(g) for g in elements]
+    radial = [length(g) for g in elements]
     if model.convex_balls:
         # labels are the normal forms; model.label renders them
         space = FiniteMetricSpace(
@@ -427,6 +388,26 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
     return BallModel(model, radius, elements, index, space, adj)
 
 
+def restrict_ball(ball: BallModel, r: int) -> BallModel:
+    """B_r cut out of a larger ball of a family with convex balls.
+
+    Ids are in (word length, sort key) order, so B_r is the prefix of the
+    elements up to length r, and each Cayley adjacency list is cut at its
+    size; the result equals ``build_ball(ball.model, r)``.
+    """
+    if not ball.model.convex_balls or not 1 <= r <= ball.radius:
+        raise ValueError(f"cannot restrict a radius-{ball.radius} ball to radius {r}")
+    if r == ball.radius:
+        return ball
+    radial = ball.space.radial
+    n = bisect_right(radial, r)
+    elements = ball.elements[:n]
+    index = {g: i for i, g in enumerate(elements)}
+    adj = [a[: bisect_left(a, n)] for a in ball.cayley_adjacency[:n]]
+    space = FiniteMetricSpace(n, adjacency=adj, labels=elements, radial=radial[:n], window_radius=r, basepoint=0)
+    return BallModel(ball.model, r, elements, index, space, adj)
+
+
 # -- subgroup traces ----------------------------------------------------------------
 
 
@@ -435,7 +416,7 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
 
     Spec forms:
       {"cyclic": word-or-nf}            powers of one element
-      {"factor": i}                     a factor of a direct product
+      {"factor": i}                     the free part (0) or the axis (1) of the amalgam
       {"sublattice": {"k": 2, "coords": [0]}}   k Z^m inside Z^n
       {"generators": [words]}           in-window BFS over the listed generators
     """
@@ -460,20 +441,13 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
                 cur = model.mul(cur, step)
         return SubsetMask(len(ball.elements), ids)
     if kind == "factor":
-        if not isinstance(model, DirectProduct):
-            raise BadSubgroupSpecError("factor spec requires a direct product model")
+        if not isinstance(model, Amalgam):
+            raise BadSubgroupSpecError("factor spec requires the amalgam model")
         i = int(value)
-        if not 0 <= i < len(model.factors):
+        if i not in (0, 1):
             raise BadSubgroupSpecError(f"factor index {i} out of range")
-        idents = [f.identity() for f in model.factors]
-        return SubsetMask(
-            len(ball.elements),
-            (
-                t
-                for t, g in enumerate(ball.elements)
-                if all(g[j] == idents[j] for j in range(len(model.factors)) if j != i)
-            ),
-        )
+        j, e = 1 - i, model.identity()  # the other part is trivial on the factor
+        return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if g[j] == e[j]))
     if kind == "sublattice":
         if not isinstance(model, FreeAbelian):
             raise BadSubgroupSpecError("sublattice spec requires a free abelian model")
@@ -528,8 +502,10 @@ def commensurability_probe(
 
     radii = sorted(radii)
     distances = []
+    # convex families cut every smaller window out of the largest ball
+    top = build_ball(model, radii[-1], max_vertices=max_vertices) if radii and model.convex_balls else None
     for R in radii:
-        ball = build_ball(model, R, max_vertices=max_vertices)
+        ball = restrict_ball(top, R) if top else build_ball(model, R, max_vertices=max_vertices)
         H = subgroup_trace(ball, H_spec)
         K = subgroup_trace(ball, K_spec)
         distances.append(hausdorff_distance(ball.space, H, K))
@@ -558,12 +534,13 @@ __all__ = [
     "GroupModel",
     "FreeAbelian",
     "FreeGroup",
-    "DirectProduct",
+    "Amalgam",
     "Lamplighter",
     "amalgam_z2_z_z2",
     "WordMetricBall",
     "BallModel",
     "build_ball",
+    "restrict_ball",
     "subgroup_trace",
     "CommensurabilityReport",
     "commensurability_probe",

@@ -162,16 +162,17 @@ def schedule_two_scale(
     sched: WindowSchedule,
     within: Optional[SubsetMask] = None,
     cap: Optional[int] = None,
+    max_simplices: int = 5_000_000,
 ) -> TwoScaleImage:
-    """The two-scale image of H~_k between the schedule's complement annuli."""
+    """The two-scale image of H~_k between the schedule's complement annuli, built under the cap."""
     sched.validate()
     m = cap if cap is not None else k + 1
     inner_mask = annulus_mask(X, sched.S, sched.R - sched.collar, within)
     outer_mask = annulus_mask(X, sched.S_out, None, within)
     if len(inner_mask) == 0 or len(outer_mask) == 0:
         raise WindowTooSmallError("empty annulus at this schedule")
-    inner = build_rips(X, inner_mask, sched.i, m)
-    outer = build_rips(X, outer_mask, sched.j, m)
+    inner = build_rips(X, inner_mask, sched.i, m, max_simplices=max_simplices)
+    outer = build_rips(X, outer_mask, sched.j, m, max_simplices=max_simplices)
     out = two_scale_image(inner, outer, k)
     for c in out.classes:
         c.schedule = sched
@@ -225,6 +226,7 @@ def coarse_cohomology_dim_estimate(
     k: int,
     schedules: Sequence[WindowSchedule],
     within: Optional[SubsetMask] = None,
+    max_simplices: int = 5_000_000,
 ) -> DimEstimateReport:
     """dim H^k proxy via surviving H~_{k-1} of complement annuli.
 
@@ -236,7 +238,7 @@ def coarse_cohomology_dim_estimate(
     ranks = []
     images = []
     for sched in schedules:
-        img = schedule_two_scale(X, k - 1, sched, within=within)
+        img = schedule_two_scale(X, k - 1, sched, within=within, max_simplices=max_simplices)
         ranks.append(img.rank)
         images.append(img)
     return DimEstimateReport(k, list(schedules), ranks, _trend_value(ranks), images)
@@ -292,6 +294,7 @@ def uniform_acyclicity_probe(
     r_values: Sequence[int],
     lambda_max: int,
     mu_max: int,
+    max_simplices: int = 5_000_000,
 ) -> AcyclicityProfile:
     """Smallest (lambda, mu) killing H~_k(P_i(N_r(x))) in P_lambda(N_mu(x)).
 
@@ -307,14 +310,14 @@ def uniform_acyclicity_probe(
             for i in sorted(i_values):
                 for r in sorted(r_values):
                     inner_mask = SubsetMask(X.n, (v for v in range(X.n) if 0 <= row[v] <= r))
-                    inner = build_rips(X, inner_mask, i, k + 1)
+                    inner = build_rips(X, inner_mask, i, k + 1, max_simplices=max_simplices)
                     found = None
                     for lam in range(max(i, 1), lambda_max + 1):
                         for mu in range(r, mu_max + 1):
                             outer_mask = SubsetMask(
                                 X.n, (v for v in range(X.n) if 0 <= row[v] <= mu)
                             )
-                            outer = build_rips(X, outer_mask, lam, k + 1)
+                            outer = build_rips(X, outer_mask, lam, k + 1, max_simplices=max_simplices)
                             if two_scale_image(inner, outer, k).rank == 0:
                                 found = (lam, mu)
                                 break
@@ -342,13 +345,14 @@ def pd_signature_check(
     n: int,
     schedules: Sequence[WindowSchedule],
     within: Optional[SubsetMask] = None,
+    max_simplices: int = 5_000_000,
 ) -> PDSignatureReport:
     """Check the coarse cohomology proxy pattern (0, ..., 0, 1) in degrees 1..n."""
     verdicts: dict[int, object] = {}
     ok = True
     images: list[TwoScaleImage] = []
     for k in range(1, n + 1):
-        rep = coarse_cohomology_dim_estimate(X, k, schedules, within=within)
+        rep = coarse_cohomology_dim_estimate(X, k, schedules, within=within, max_simplices=max_simplices)
         verdicts[k] = rep.verdict
         images = rep.images
         expected = 1 if k == n else 0

@@ -291,16 +291,21 @@ def almost_invariant_extract(
     nA = neighborhood(X, H, A)
     h_elems = [ball.elements[i] for i in H.sorted_ids()]
     allowed = C.ids | nA.ids
+    mul, get = model.mul, ball.index.get
     members = []
-    for g_id in range(X.n):
-        g = ball.elements[g_id]
-        coset_ids = []
+    for g_id, g in enumerate(ball.elements):
+        # a member has a defined coset element and none outside C ∪ N_A(H)
+        defined = False
         for h in h_elems:
-            i = ball.index.get(model.mul(g, h))
-            if i is not None:
-                coset_ids.append(i)
-        if coset_ids and all(i in allowed for i in coset_ids):
-            members.append(g_id)
+            i = get(mul(g, h))
+            if i is None:
+                continue
+            if i not in allowed:
+                break
+            defined = True
+        else:
+            if defined:
+                members.append(g_id)
     xhat = SubsetMask(X.n, members)
 
     # (i) right multiplication by H generators preserves X^ where defined;

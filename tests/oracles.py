@@ -120,6 +120,17 @@ def bfs_distances(adj, source):
     return dist
 
 
+def amalgam_mul_reference(g, h):
+    """Product in Z^2 *_Z Z^2 by free reduction of the concatenated words and an integer sum."""
+    word = []
+    for x in g[0] + h[0]:
+        if word and word[-1] == -x:
+            word.pop()
+        else:
+            word.append(x)
+    return (tuple(word), (g[1][0] + h[1][0],))
+
+
 def compacted_representative_within(R, k, vec, allowed):
     """The restricted coboundary solve with outside rows renumbered bit by bit.
 

@@ -204,12 +204,70 @@ def test_windowed_separation_reuses_scenario_ball(monkeypatch):
     }
     report, code = run_scenario(scen)
     assert code == 0
-    assert sorted(radii) == [5, 6, 7]  # the radius-7 window is the scenario's own ball
-    # a scenario radius outside the windows rebuilds every window: same rows
+    # the radius-7 window is the scenario's own ball, the smaller ones its prefixes
+    assert radii == [7]
+    # a scenario radius below the windows builds every window: same rows
     radii.clear()
     fresh, _ = run_scenario({**scen, "space": {**scen["space"], "radius": 4}})
     assert sorted(radii) == [4, 5, 6, 7]
     assert fresh["results"][0] == report["results"][0]
+    # lamplighter balls are not convex, so no window is a prefix of another
+    radii.clear()
+    lamp = {"kind": "group", "family": "lamplighter", "radius": 6}
+    separate = {"analysis": "separate", "windows": [4, 5, 6]}
+    run_scenario({**scen, "space": lamp, "w": {"kind": "subgroup", "spec": {"cyclic": "t"}}, "analyses": [separate]})
+    assert sorted(radii) == [4, 5, 6]
+
+
+Z2_CAPPED = {
+    "schema": 1,
+    "space": {"kind": "group", "family": "Z^2", "radius": 8},
+    "w": {"kind": "subgroup", "spec": {"generators": ["a", "b"]}},  # the whole plane
+    "caps": {"max_simplices": 50},
+}
+
+
+@pytest.mark.parametrize(
+    "block",
+    [{"analysis": "pd-signature", "n": 2}, {"analysis": "acyclicity"}],
+    ids=["pd-signature", "acyclicity"],
+)
+def test_w_complexes_respect_simplex_cap(tmp_path, block):
+    # the two-scale and acyclicity complexes once ignored caps.max_simplices
+    # and reported status ok with exit 0; ends builds no complex and stays ok
+    scen = {**Z2_CAPPED, "analyses": [block, {"analysis": "ends"}]}
+    p = write_scenario(tmp_path, "wcap", scen)
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    capped, ends = json.loads((tmp_path / "wcap.report.json").read_text())["results"]
+    assert capped["status"] == "error" and capped["error"] == "complex-too-large"
+    assert ends["status"] == "ok"
+
+
+def test_essential_pd_check_respects_simplex_cap(monkeypatch):
+    # the PD check on W once built complexes of up to 6,544 simplices under
+    # a cap of 2,000 before the capped probe target aborted
+    import coarsetop.homology as homology
+    import coarsetop.rips as rips
+
+    sizes = []
+    build_rips = rips.build_rips
+
+    def sizing_build_rips(*args, **kwargs):
+        K = build_rips(*args, **kwargs)
+        sizes.append(sum(K.n_simplices(k) for k in range(K.cap + 1)))
+        return K
+
+    monkeypatch.setattr(homology, "build_rips", sizing_build_rips)
+    scen = {
+        **FIG1,
+        "space": {"kind": "fixture", "name": "fig2_plane_fin", "radius": 10},
+        "caps": {"max_simplices": 2000},
+        "analyses": [{**FIG1["analyses"][1], "n": 2, "probe_index": 1}],
+    }
+    report, code = run_scenario(scen)
+    assert code == 1
+    assert report["results"][0]["error"] == "complex-too-large"
+    assert sizes and max(sizes) <= 2000
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["pd-passes", "pd-fails"])

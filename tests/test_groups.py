@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from coarsetop.errors import BadSubgroupSpecError, WindowTooLargeError
 from coarsetop.fixtures import grid_fixture, list_fixtures
 from coarsetop.groups import (
-    DirectProduct,
     FreeAbelian,
     FreeGroup,
     Lamplighter,
     amalgam_z2_z_z2,
     build_ball,
     commensurability_probe,
+    restrict_ball,
     subgroup_trace,
 )
-from oracles import bfs_distances
+from oracles import amalgam_mul_reference, bfs_distances
 
 
 def test_ball_sizes_trivial():
@@ -146,6 +146,54 @@ def test_amalgam_model_basics():
     assert all(model.length(g) <= 3 for g in ball.elements)
 
 
+def test_amalgam_mul_matches_reference():
+    model = amalgam_z2_z_z2()
+    ball = build_ball(model, 3)
+    e = model.identity()
+    for g in ball.elements:
+        assert model.mul(model.inv(g), g) == e
+        for h in ball.elements:
+            assert model.mul(g, h) == amalgam_mul_reference(g, h)
+
+
+def test_amalgam_length_is_cayley_distance():
+    # the convexity claim: word length agrees with BFS inside the ball
+    ball = build_ball(amalgam_z2_z_z2(), 5)
+    dist = bfs_distances(ball.cayley_adjacency, 0)
+    assert [dist[i] for i in range(len(ball.elements))] == [ball.model.length(g) for g in ball.elements]
+
+
+@pytest.mark.parametrize(
+    "model,R,radii",
+    [
+        (FreeAbelian(2), 16, range(8, 16)),
+        (amalgam_z2_z_z2(), 7, (5, 6)),
+        (FreeGroup(2), 6, (3, 4, 5)),
+        (FreeAbelian(3), 8, (4, 6)),
+    ],
+    ids=["Z2-16", "amalgam-7", "F2-6", "Z3-8"],
+)
+def test_restricted_ball_equals_built_ball(model, R, radii):
+    big = build_ball(model, R)
+    assert restrict_ball(big, R) is big
+    for r in radii:
+        cut, fresh = restrict_ball(big, r), build_ball(model, r)
+        assert cut.radius == r and cut.space.window_radius == r
+        assert cut.elements == fresh.elements
+        assert cut.index == fresh.index
+        assert cut.cayley_adjacency == fresh.cayley_adjacency
+        assert cut.space.radial == fresh.space.radial
+        for scale in (1, 3):
+            assert cut.space.adjacency_at_scale(scale) == fresh.space.adjacency_at_scale(scale)
+
+
+def test_restriction_needs_a_convex_family():
+    with pytest.raises(ValueError):
+        restrict_ball(build_ball(Lamplighter(), 4), 3)
+    with pytest.raises(ValueError):
+        restrict_ball(build_ball(FreeGroup(2), 3), 4)
+
+
 def test_lamplighter_ball_growth():
     ball = build_ball(Lamplighter(), 4)
     model = ball.model
@@ -200,10 +248,16 @@ def test_subgroup_traces(z2_ball_10, f2_ball_6):
 
 
 def test_subgroup_trace_factor():
-    prod = DirectProduct([FreeAbelian(1), FreeGroup(2)])
-    ball = build_ball(prod, 3)
-    fac = subgroup_trace(ball, {"factor": 0})
-    assert sorted(ball.elements[i] for i in fac.ids) == [((k,), ()) for k in range(-3, 4)]
+    model = amalgam_z2_z_z2()
+    ball = build_ball(model, 3)
+    free = subgroup_trace(ball, {"factor": 0})
+    assert free == subgroup_trace(ball, {"generators": ["x", "z"]})
+    assert sorted(ball.elements[i] for i in free.ids) == sorted(g for g in ball.elements if g[1] == (0,))
+    axis = subgroup_trace(ball, {"factor": 1})
+    assert axis == subgroup_trace(ball, {"cyclic": "y"})
+    assert sorted(ball.elements[i] for i in axis.ids) == [((), (k,)) for k in range(-3, 4)]
+    with pytest.raises(BadSubgroupSpecError):
+        subgroup_trace(ball, {"factor": 2})
 
 
 def test_subgroup_trace_closed_under_own_generators(z2_ball_10):
@@ -239,6 +293,25 @@ def test_commensurability_probe_bounded_and_growing():
     rf = commensurability_probe(FreeGroup(2), {"cyclic": "a"}, {"cyclic": "a^2"}, [3, 4, 5, 6])
     assert all(d == 1 for d in rf.distances)
     assert rf.verdict == "bounded"
+
+
+def test_commensurability_probe_builds_one_convex_ball(monkeypatch):
+    import coarsetop.groups as groups
+
+    radii = []
+    build_ball = groups.build_ball
+
+    def counting_build_ball(model, radius, **kwargs):
+        radii.append(radius)
+        return build_ball(model, radius, **kwargs)
+
+    monkeypatch.setattr(groups, "build_ball", counting_build_ball)
+    rep = commensurability_probe(FreeGroup(2), {"cyclic": "a"}, {"cyclic": "a^2"}, [5, 3, 4, 6])
+    assert radii == [6]  # the smaller windows are its prefixes
+    assert rep.radii == [3, 4, 5, 6] and rep.distances == [1, 1, 1, 1]
+    radii.clear()
+    commensurability_probe(Lamplighter(), {"cyclic": "t"}, {"cyclic": "t^2"}, [3, 4])
+    assert radii == [3, 4]
 
 
 def test_fixture_catalog():
