@@ -72,9 +72,8 @@ class ScenarioContext:
     """Space, W and component masks resolved once per scenario."""
 
     def __init__(self, scenario: dict, seed: int = 0):
-        caps = scenario.get("caps", {})
-        self.max_vertices = int(caps.get("max_vertices", 200_000))
-        self.max_simplices = int(caps.get("max_simplices", 5_000_000))
+        caps = with_defaults(CAPS, scenario.get("caps", {}), self)
+        self.max_vertices, self.max_simplices = caps["max_vertices"], caps["max_simplices"]
         self.seed = seed
         self.w_spec = scenario.get("w")
         spec = scenario["space"]
@@ -103,10 +102,6 @@ class ScenarioContext:
         return SubsetMask(self.space.n, [self.space.basepoint or 0])  # "point"
 
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
-        raise_on_bad(
-            r >= 1 and A >= 0 and collar >= 0,
-            f"component lookup needs r >= 1, A >= 0, collar >= 0; got r={r}, A={A}, collar={collar}",
-        )
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
             return self.fixture.components[name]
         raise_on_bad(str(name).isdecimal(), f"unknown component {name!r}")
@@ -120,21 +115,11 @@ class ScenarioContext:
 
     def schedules(self, block) -> list[WindowSchedule]:
         R = self.space.window_radius
-        if block is None or block == "auto":
+        if block in (None, "auto"):
             return default_schedules(R)
-        if isinstance(block, dict) and "auto" in block:
-            auto = block["auto"]
-            return default_schedules(
-                R,
-                collar=int(auto.get("collar", 2)),
-                scales=tuple(auto.get("scales", (1, 1))),
-                count=int(auto.get("count", 3)),
-            )
-        out = []
-        for row in block:
-            S, i, S_out, j, collar = (int(v) for v in row)
-            out.append(WindowSchedule(S=S, i=i, S_out=S_out, j=j, R=R, collar=collar))
-        return out
+        if isinstance(block, dict):
+            return default_schedules(R, **block["auto"])
+        return [WindowSchedule(S, i, S_out, j, R, collar) for S, i, S_out, j, collar in block]
 
 
 def parse_family(name: str):
@@ -163,30 +148,20 @@ def crossing(ctx: ScenarioContext, axis: int):
 
 
 def run_ends(ctx: ScenarioContext, params: dict) -> dict:
-    scheds = ctx.schedules(params.get("schedules"))
+    scheds = ctx.schedules(params["schedules"])
     rep = ends_estimate(ctx.space, scheds)
     status = "inconclusive" if rep.verdict == "inconclusive" else "ok"
-    return {
-        "status": status,
-        "counts": rep.deep_counts,
-        "verdict": str(rep.verdict),
-        "schedules": [vars(s) for s in scheds],
-    }
+    return {"status": status, "counts": rep.deep_counts, "verdict": str(rep.verdict),
+            "schedules": [vars(s) for s in scheds]}
 
 
 def run_separate(ctx: ScenarioContext, params: dict) -> dict:
-    r = int(params.get("r", 1))
-    A = int(params.get("A", 0))
-    collar = int(params.get("collar", 2))
-    raise_on_bad(r >= 1, f"separate needs r >= 1, got {r}")
-    windows = params.get("windows")
-    gens_words = params.get("invariance_generators")
+    r, A, collar = params["r"], params["A"], params["collar"]
+    windows, gens_words = params["windows"], params["invariance_generators"]
     rows = []  # (ball-or-None, w, component set) per window, masks aligned
     if windows and ctx.ball is not None:
-        raise_on_bad(
-            ctx.w_spec is not None and ctx.w_spec.get("kind") == "subgroup",
-            "windowed separation needs a subgroup w to rebuild per radius",
-        )
+        subgroup_w = ctx.w_spec is not None and ctx.w_spec.get("kind") == "subgroup"
+        raise_on_bad(subgroup_w, "windowed separation needs a subgroup w to rebuild per radius")
         for R in windows:
             if R == ctx.ball.radius:
                 ball = ctx.ball
@@ -219,18 +194,15 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
 
 
 def run_essential(ctx: ScenarioContext, params: dict) -> dict:
-    n = int(params["n"])
-    scheds = ctx.schedules(params.get("schedules"))
-    index = params.get("probe_index")
-    raise_on_bad(index is None or index < len(scheds), f"probe_index {index} with {len(scheds)} schedules")
-    probe = scheds[-1 if index is None else index]
-    names = params.get("components")
-    if names is None:
-        names = sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]
+    n = params["n"]
+    scheds = ctx.schedules(params["schedules"])
+    index = params["probe_index"]
+    raise_on_bad(index < len(scheds), f"probe_index {index} with {len(scheds)} schedules")
+    probe = scheds[index]
     out = {}
     worst = "ok"
     pd_reason, w_images = pd_precondition(ctx.space, ctx.w, n, scheds, ctx.max_simplices)  # one W for all
-    for name in names:
+    for name in params["components"]:
         C = ctx.component(name)
         if pd_reason:
             v = EssentialVerdict(str(name), "inconclusive", None, reason=pd_reason)
@@ -240,35 +212,22 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
                 skip_pd_check=True, probe_schedule=probe, w_image=w_images.get(probe),
                 max_simplices=ctx.max_simplices,
             )
-        out[str(name)] = {
-            "verdict": v.verdict,
-            "reason": v.reason,
-            "classes": [
-                {
-                    "survives": w["survives_in_target"],
-                    "locality": w["fill_locality"],
-                    "fill_size": int(w.get("fill") or 0).bit_count(),
-                }
-                for w in v.witnesses
-            ],
-        }
+        classes = [
+            {"survives": w["survives_in_target"], "locality": w["fill_locality"],
+             "fill_size": int(w.get("fill") or 0).bit_count()}
+            for w in v.witnesses
+        ]
+        out[str(name)] = {"verdict": v.verdict, "reason": v.reason, "classes": classes}
         if v.verdict == "inconclusive":
             worst = "inconclusive"
-    return {
-        "status": worst,
-        "components": out,
-        "schedules": [vars(s) for s in scheds],
-    }
+    return {"status": worst, "components": out, "schedules": [vars(s) for s in scheds]}
 
 
 def run_almost_essential(ctx: ScenarioContext, params: dict) -> dict:
-    A = int(params.get("A", 0))
-    B_grid = list(range(0, int(params.get("B_max", 8)) + 1))
-    names = params.get("components")
-    if names is None:
-        names = sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]
+    A = params["A"]
+    B_grid = list(range(params["B_max"] + 1))
     out = {}
-    for name in names:
+    for name in params["components"]:
         C = ctx.component(name, A=A)
         rep = almost_essential_probe(ctx.space, ctx.w, C, A, B_grid)
         out[str(name)] = {"verdict": rep.verdict, "window_radius": rep.window_radius}
@@ -276,17 +235,10 @@ def run_almost_essential(ctx: ScenarioContext, params: dict) -> dict:
 
 
 def run_mv(ctx: ScenarioContext, params: dict) -> dict:
-    r = int(params.get("r", 2))
-    A = int(params.get("A", 1))
-    cap = int(params.get("cap", 3))
-    collar = int(params.get("collar", 2))
-    axis = int(params.get("axis", 0))
-    comp_name = params.get("component", "upper" if ctx.fixture else "0")
-    cross = crossing(ctx, axis)
-    C1 = ctx.component(comp_name, r=r, A=A, collar=collar)
-    rep = mv_assemble(
-        ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar, max_simplices=ctx.max_simplices
-    )
+    r, A, cap, collar = params["r"], params["A"], params["cap"], params["collar"]
+    cross = crossing(ctx, params["axis"])
+    C1 = ctx.component(params["component"], r=r, A=A, collar=collar)
+    rep = mv_assemble(ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar, max_simplices=ctx.max_simplices)
     RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(cross)
     c = connecting_entry(rep.pieces, 1, sigma)
@@ -305,18 +257,10 @@ def run_mv(ctx: ScenarioContext, params: dict) -> dict:
 
 
 def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
-    kind = params.get("class", "crossing")
-    collar = int(params.get("collar", 2))
-    D_schedule = [int(d) for d in params.get("D_schedule", [1, 2])]
-    if kind == "crossing":
-        n, scale, cap, axes = 1, int(params.get("scale", 1)), 2, [crossing(ctx, 0)]
-    elif kind == "fundamental":
-        n, scale, cap, axes = 2, int(params.get("scale", 2)), 3, [crossing(ctx, 0), crossing(ctx, 1)]
-    elif kind == "edge-cut":
-        n, scale, cap = 1, int(params.get("scale", 1)), 2
-    else:
-        raise CoarseTopError("scenario-invalid", f"unknown mobility class {kind!r}")
-    K = build_rips(ctx.space, ctx.space.full_mask(), scale, cap, max_simplices=ctx.max_simplices)
+    kind, collar, D_schedule = params["class"], params["collar"], params["D_schedule"]
+    n = 2 if kind == "fundamental" else 1
+    axes = [] if kind == "edge-cut" else [crossing(ctx, axis) for axis in range(n)]
+    K = build_rips(ctx.space, ctx.space.full_mask(), params["scale"], n + 1, max_simplices=ctx.max_simplices)
     R = RelativeComplex(K, ctx.space.interior_mask(collar))
     if kind == "crossing":
         vec = R.cochain_from_edge_predicate(*axes)
@@ -324,10 +268,8 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
         vec = R.cochain_from_cup_product(*axes)
     else:
         raise_on_bad(ctx.ball is not None, "edge-cut class requires a group ball")
-        gens = ctx.ball.model.generators()
-        e_id = ctx.ball.index[ctx.ball.model.identity()]
-        a_id = ctx.ball.index[gens[0][1]]
-        edge = tuple(sorted((e_id, a_id)))
+        ball = ctx.ball
+        edge = tuple(sorted((ball.index[ball.model.identity()], ball.index[ball.model.generators()[0][1]])))
         vec = 1 << R.rel_pos[1][K.index[1][edge]]
     alpha0 = Cocycle(R, n, vec)
     alpha0.validate()
@@ -338,78 +280,52 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
         "nonzero": not alpha0.is_zero_class(),
         "detector": {"covered": det.covered, "verdict": det.verdict, "D_schedule": D_schedule},
     }
-    if ctx.ball is not None and params.get("stab_comparison", True):
+    if ctx.ball is not None and params["stab_comparison"]:
         res = stab_mob_comparison(ctx.ball, R, alpha0, D_schedule[-1], collar=collar, res=det.result)
-        out["stab_mob_hausdorff"] = (
-            None if res.stab_mob_hausdorff is None or math.isinf(res.stab_mob_hausdorff)
-            else res.stab_mob_hausdorff
-        )
+        h = res.stab_mob_hausdorff
+        out["stab_mob_hausdorff"] = None if h is None or math.isinf(h) else h
         out["mob_size"] = len(res.mob_mask)
         out["stab_orbit_size"] = len(res.stab_orbit) if res.stab_orbit else 0
-    if params.get("export_class", False):
+    if params["export_class"]:
         out["class_simplices"] = [list(s) for s in alpha0.export_simplex_values()]
     return out
 
 
 def run_acyclicity(ctx: ScenarioContext, params: dict) -> dict:
-    k_max = int(params.get("k_max", 1))
-    i_values = [int(v) for v in params.get("i_values", [1])]
-    r_values = [int(v) for v in params.get("r_values", [1, 2, 3])]
-    lambda_max = int(params.get("lambda_max", 3))
-    mu_max = int(params.get("mu_max", max(r_values) + 3))
-    centers_spec = params.get("centers", "basepoint")
+    mu_max, centers_spec = params["mu_max"], params["centers"]
     if centers_spec == "basepoint":
         centers = [ctx.space.basepoint or 0]
-    elif isinstance(centers_spec, dict) and "sample" in centers_spec:
-        safe = [
-            v
-            for v in range(ctx.space.n)
-            if ctx.space.radial is not None
-            and ctx.space.radial[v] + mu_max <= (ctx.space.window_radius or 0)
-        ]
-        count = min(int(centers_spec["sample"]), len(safe))
+    elif isinstance(centers_spec, dict):
+        radial, R = ctx.space.radial, ctx.space.window_radius or 0
+        safe = [v for v in range(ctx.space.n) if radial is not None and radial[v] + mu_max <= R]
+        count = min(centers_spec["sample"], len(safe))
         centers = sorted(random.Random(ctx.seed).sample(safe, count)) if safe else [ctx.space.basepoint or 0]
     else:
         centers = centers_spec
         raise_on_bad(max(centers, default=0) < ctx.space.n, f"centers {centers} outside the {ctx.space.n} points")
     prof = uniform_acyclicity_probe(
-        ctx.space, k_max, centers, i_values, r_values, lambda_max, mu_max, ctx.max_simplices
+        ctx.space, params["k_max"], centers, params["i_values"], params["r_values"], params["lambda_max"], mu_max,
+        ctx.max_simplices,
     )
     entries = [
-        {
-            "center": e.center,
-            "k": e.k,
-            "i": e.i,
-            "r": e.r,
-            "lambda": e.lam,
-            "mu": e.mu,
-            "failed": e.failed,
-        }
+        {"center": e.center, "k": e.k, "i": e.i, "r": e.r, "lambda": e.lam, "mu": e.mu, "failed": e.failed}
         for e in prof.entries
     ]
-    return {
-        "status": "ok" if not prof.failures() else "inconclusive",
-        "entries": entries,
-        "failures": len(prof.failures()),
-    }
+    failures = len(prof.failures())
+    return {"status": "inconclusive" if failures else "ok", "entries": entries, "failures": failures}
 
 
 def run_pd_signature(ctx: ScenarioContext, params: dict) -> dict:
-    n = int(params["n"])
-    scheds = ctx.schedules(params.get("schedules"))
-    rep = pd_signature_check(ctx.space, n, scheds, within=ctx.w, max_simplices=ctx.max_simplices)
-    return {
-        "status": "ok",
-        "passed": rep.passed,
-        "degree_verdicts": {str(k): str(v) for k, v in rep.degree_verdicts.items()},
-    }
+    scheds = ctx.schedules(params["schedules"])
+    rep = pd_signature_check(ctx.space, params["n"], scheds, within=ctx.w, max_simplices=ctx.max_simplices)
+    verdicts = {str(k): str(v) for k, v in rep.degree_verdicts.items()}
+    return {"status": "ok", "passed": rep.passed, "degree_verdicts": verdicts}
 
 
 def run_almost_invariant(ctx: ScenarioContext, params: dict) -> dict:
     raise_on_bad(ctx.ball is not None, "almost-invariant extraction requires a group ball")
-    A = int(params.get("A", 0))
-    comp_name = params.get("component", "0")
-    C = ctx.component(comp_name, A=A)
+    A = params["A"]
+    C = ctx.component(params["component"], A=A)
     xhat, report = almost_invariant_extract(ctx.ball, ctx.w, C, A)
     return {
         "status": "ok" if report["verdict"] == "ok" else "inconclusive",
@@ -419,94 +335,210 @@ def run_almost_invariant(ctx: ScenarioContext, params: dict) -> dict:
     }
 
 
+# -- the parameter table ----------------------------------------------------------
+
+
+class Derived(NamedTuple):
+    """A default that depends on the space or on the block's earlier parameters."""
+
+    text: str
+    rule: Callable[[ScenarioContext, dict], object]
+
+
+REQUIRED = object()  # the default of a parameter a block must give
+
+
+class Param(NamedTuple):
+    """One parameter: the check its value passes, the type and range ``describe`` prints, its default."""
+
+    check: Callable[[object], bool]
+    kind: str
+    default: object = REQUIRED
+
+    def describe(self) -> str:
+        default = self.default
+        if default is REQUIRED:
+            return f"{self.kind}; required"
+        return f"{self.kind}; default {default.text if isinstance(default, Derived) else json.dumps(default)}"
+
+
+def _is_int(value, least=None) -> bool:
+    return type(value) is int and (least is None or value >= least)
+
+
+def _is_int_list(value, least=None, nonempty=False) -> bool:
+    return isinstance(value, list) and (bool(value) or not nonempty) and all(_is_int(v, least) for v in value)
+
+
+def integer(least: int, default=REQUIRED) -> Param:
+    return Param(lambda v: _is_int(v, least), f"integer >= {least}", default)
+
+
+def integers(least: int, default, nonempty: bool = True) -> Param:
+    kind = f"{'nonempty ' * nonempty}list of integers >= {least}"
+    return Param(lambda v: _is_int_list(v, least, nonempty), kind, default)
+
+
+def flag(default: bool) -> Param:
+    return Param(lambda v: type(v) is bool, "true or false", default)
+
+
+def component(default) -> Param:
+    return Param(_is_name, "component name (a string or an integer)", default)
+
+
+def _is_schedules(value) -> bool:
+    if isinstance(value, list):
+        rows_ok = (_is_int_list(row) and len(row) == 5 and row[1] >= 1 and row[4] >= 0 for row in value)
+        return bool(value) and all(rows_ok)
+    if isinstance(value, dict):
+        auto = value.get("auto")
+        return (
+            value.keys() == {"auto"} and isinstance(auto, dict) and auto.keys() <= {"collar", "scales", "count"}
+            and _is_int(auto.get("collar", 0), 0) and _is_int(auto.get("count", 0))
+            and ("scales" not in auto or _is_int_list(auto["scales"], 1) and len(auto["scales"]) == 2)
+        )
+    return value in (None, "auto")
+
+
+def _is_centers(value) -> bool:
+    return (
+        value == "basepoint" or _is_int_list(value, 0, nonempty=True)
+        or isinstance(value, dict) and value.keys() == {"sample"} and _is_int(value["sample"], 0)
+    )
+
+
+def _is_name(value) -> bool:
+    return type(value) in (str, int)
+
+
+def _is_words(value) -> bool:
+    return isinstance(value, list) and all(type(w) is str for w in value)
+
+
+SCHEDULES = Param(
+    _is_schedules,
+    'nonempty list of [S, i, S_out, j, collar] rows with i >= 1 and collar >= 0, "auto", '
+    'or {"auto": {"collar": integer >= 0, "scales": [i, j] integers >= 1, "count": integer}}',
+    "auto",
+)
+COMPONENTS = Param(
+    lambda v: isinstance(v, list) and bool(v) and all(_is_name(c) for c in v),
+    "nonempty list of component names (strings or integers)",
+    Derived('the fixture\'s components, else ["0", "1"]',
+            lambda ctx, p: sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]),
+)
+CAPS = {"max_vertices": integer(1, 200_000), "max_simplices": integer(1, 5_000_000)}
+
+
+def with_defaults(table: dict[str, Param], block: dict, ctx: ScenarioContext) -> dict:
+    """The block with each absent parameter set to its default, in table order."""
+    out = {}
+    for name, param in table.items():
+        if name in block:
+            out[name] = block[name]
+        else:
+            out[name] = param.default.rule(ctx, out) if isinstance(param.default, Derived) else param.default
+    return out
+
+
+def check_params(table: dict[str, Param], block: dict, where: str) -> None:
+    for name, value in block.items():
+        raise_on_bad(name in table, f"{where}: unknown parameter {name!r}; known: {', '.join(table)}")
+        raise_on_bad(table[name].check(value), f"{where}: {name!r} expects {table[name].kind}, got {value!r}")
+    for name, param in table.items():
+        raise_on_bad(name in block or param.default is not REQUIRED, f"{where} requires parameter {name!r}")
+
+
 class Analysis(NamedTuple):
-    """One CLI analysis: its runner, its ``describe`` line, required parameters, whether it needs a W."""
+    """One CLI analysis: its runner, what it computes, its parameter table, whether it needs a W."""
 
     run: Callable[[ScenarioContext, dict], dict]
-    describe: str
-    required: tuple[str, ...] = ()
+    summary: str
+    params: dict[str, Param]
     needs_w: bool = False
 
 
 ANALYSES = {
-    "ends": Analysis(run_ends, "ends_estimate over a schedule family; params: schedules | auto {scales, count}"),
+    "ends": Analysis(run_ends, "ends_estimate over a schedule family", {"schedules": SCHEDULES}),
     "separate": Analysis(
-        run_separate,
-        "deep complementary components of W; params: r, A, collar, windows (radii list for trend), "
-        "invariance_generators",
+        run_separate, "deep complementary components of W, with a trend over window radii",
+        {"r": integer(1, 1), "A": integer(0, 0), "collar": integer(0, 2), "windows": integers(1, [], nonempty=False),
+         "invariance_generators": Param(_is_words, "list of words", [])},
         needs_w=True,
     ),
     "essential": Analysis(
-        run_essential, "essential probe of components; params: n, components, schedules, probe_index", ("n",), True
-    ),
-    "almost-essential": Analysis(
-        run_almost_essential,
-        "smallest B with W inside N_B(C minus N_A(W)); params: A, B_max, components",
+        run_essential, "essential probe of components",
+        {"n": integer(1), "components": COMPONENTS, "schedules": SCHEDULES,
+         "probe_index": integer(0, Derived("the last schedule", lambda ctx, p: -1))},
         needs_w=True,
     ),
+    "almost-essential": Analysis(
+        run_almost_essential, "smallest B with W inside N_B(C minus N_A(W))",
+        {"A": integer(0, 0), "B_max": integer(0, 8), "components": COMPONENTS}, needs_w=True,
+    ),
     "mv": Analysis(
-        run_mv,
-        "Mayer-Vietoris assembly + connecting map of the W point class; params: r, A, cap, collar, component, axis",
+        run_mv, "Mayer-Vietoris assembly + connecting map of the W point class",
+        {"r": integer(1, 2), "A": integer(0, 1), "cap": integer(2, 3), "collar": integer(0, 2),
+         "component": component(Derived('"upper" on a fixture, else "0"',
+                                        lambda ctx, p: "upper" if ctx.fixture else "0")),
+         "axis": integer(0, 0)},
         needs_w=True,
     ),
     "mobility": Analysis(
-        run_mobility,
-        "mobility set, stab comparison, manifold detector; params: class, D_schedule, scale, collar, "
-        "stab_comparison, export_class",
+        run_mobility, "mobility set, stab comparison, manifold detector",
+        {"class": Param(lambda v: v in ("crossing", "fundamental", "edge-cut"), "crossing | fundamental | edge-cut",
+                        "crossing"),
+         "D_schedule": integers(0, [1, 2]),
+         "scale": integer(0, Derived("2 for the fundamental class, else 1",
+                                     lambda ctx, p: 2 if p["class"] == "fundamental" else 1)),
+         "collar": integer(0, 2),
+         "stab_comparison": flag(True),
+         "export_class": flag(False)},
     ),
     "acyclicity": Analysis(
-        run_acyclicity, "uniform acyclicity probe; params: k_max, i_values, r_values, lambda_max, mu_max, centers"
+        run_acyclicity, "uniform acyclicity probe",
+        {"k_max": integer(0, 1), "i_values": integers(0, [1]), "r_values": integers(0, [1, 2, 3]),
+         "lambda_max": integer(0, 3),
+         "mu_max": integer(0, Derived("max(r_values) + 3", lambda ctx, p: max(p["r_values"]) + 3)),
+         "centers": Param(_is_centers, '"basepoint", {"sample": integer >= 0} or a nonempty list of point ids',
+                          "basepoint")},
     ),
-    "pd-signature": Analysis(run_pd_signature, "coarse PD signature check of W; params: n, schedules", ("n",), True),
+    "pd-signature": Analysis(
+        run_pd_signature, "coarse PD signature check of W", {"n": integer(1), "schedules": SCHEDULES}, needs_w=True
+    ),
     "almost-invariant": Analysis(
-        run_almost_invariant, "H-almost invariant set extraction; params: A, component", needs_w=True
+        run_almost_invariant, "H-almost invariant set extraction",
+        {"A": integer(0, 0), "component": component("0")}, needs_w=True,
     ),
 }
 
 SPACE_NAME_KEYS = {"group": "family", "fixture": "name"}
 W_KINDS = ("fixture-w", "subgroup", "point")
-# integer parameters, in any analysis block, and the least value of each; r, A
-# and collar are checked where they are used and fail only their own analysis
-INT_PARAMS = {
-    "n": 1, "probe_index": 0, "B_max": 0, "cap": 2, "axis": 0, "scale": 0, "k_max": 0,
-    "lambda_max": 0, "mu_max": 0, "r": None, "A": None, "collar": None,
-}
-# integer-list parameters and the least entry of each; a runner reads an entry of the nonempty ones
-INT_LIST_PARAMS = {"windows": 1, "D_schedule": 0, "i_values": 0, "r_values": 0}
-NONEMPTY_LISTS = ("D_schedule", "i_values", "r_values")
-
-
-def _is_int(value, minimum=None) -> bool:
-    return type(value) is int and (minimum is None or value >= minimum)
-
-
-def _is_int_list(value, minimum=None) -> bool:
-    return isinstance(value, list) and all(_is_int(v, minimum) for v in value)
 
 
 def validate_analyses(scenario: dict) -> None:
     """The scenario and every analysis block validate before any computation.
 
-    The scenario's shape, its space and w blocks and a positive radius are
-    checked first. Block failures are anchored to the offending block index.
-    What needs the built space (component names, acyclicity centres, axes)
-    and cap violations are runtime events and abort only their own analysis.
+    The scenario's shape, its space, caps and w blocks and a positive radius
+    are checked first, then each block against its analysis's parameter
+    table. Block failures are anchored to the offending block index. What
+    needs the built space (component names, acyclicity centres, axes) and
+    cap violations are runtime events and abort only their own analysis.
     """
     raise_on_bad(isinstance(scenario, dict), "a scenario must be a JSON object")
     raise_on_bad(scenario.get("schema") == SCHEMA_VERSION, "unsupported schema version")
     space = scenario.get("space")
     raise_on_bad(isinstance(space, dict), "a scenario needs a 'space' object")
     kind = space.get("kind")
-    raise_on_bad(kind in SPACE_NAME_KEYS, f"space kind must be 'group' or 'fixture', got {kind!r}")
+    raise_on_bad(kind in ("group", "fixture"), f"space kind must be 'group' or 'fixture', got {kind!r}")
     key = SPACE_NAME_KEYS[kind]
     raise_on_bad(isinstance(space.get(key), str), f"a {kind} space needs a string {key!r}")
     radius = space.get("radius")
     raise_on_bad(_is_int(radius, 1), f"space radius must be an integer >= 1, got {radius!r}")
     caps = scenario.get("caps", {})
-    raise_on_bad(
-        isinstance(caps, dict) and all(type(v) is int for v in caps.values()),
-        f"caps must map names to integers, got {caps!r}",
-    )
+    raise_on_bad(isinstance(caps, dict), f"caps must be an object, got {caps!r}")
+    check_params(CAPS, caps, "caps")
     w = scenario.get("w")
     raise_on_bad(
         w is None
@@ -518,60 +550,8 @@ def validate_analyses(scenario: dict) -> None:
         where = f"analyses[{t}]"
         raise_on_bad(isinstance(block, dict), f"{where}: analysis block must be an object")
         name = block.get("analysis")
-        raise_on_bad(name in ANALYSES, f"{where}: unknown analysis {name!r}")
-        for param in ANALYSES[name].required:
-            raise_on_bad(param in block, f"{where}: {name} requires parameter {param!r}")
-        for param, least in INT_PARAMS.items():
-            raise_on_bad(
-                param not in block or _is_int(block[param], least),
-                f"{where}: {param!r} must be an integer{'' if least is None else f' >= {least}'}, "
-                f"got {block.get(param)!r}",
-            )
-        for param, least in INT_LIST_PARAMS.items():
-            value = block.get(param)
-            raise_on_bad(
-                param not in block or _is_int_list(value, least) and (value or param not in NONEMPTY_LISTS),
-                f"{where}: {param!r} must be a {'nonempty ' * (param in NONEMPTY_LISTS)}list of integers "
-                f">= {least}, got {value!r}",
-            )
-        names = block.get("components", [])
-        raise_on_bad(
-            isinstance(names, list) and all(isinstance(c, (str, int)) for c in names + [block.get("component", "")]),
-            f"{where}: 'components' is a list of names and 'component' a name (strings or integers)",
-        )
-        gens = block.get("invariance_generators", [])
-        raise_on_bad(
-            isinstance(gens, list) and all(isinstance(g, str) for g in gens),
-            f"{where}: 'invariance_generators' must be a list of words",
-        )
-        centers = block.get("centers", "basepoint")
-        raise_on_bad(
-            centers == "basepoint" or _is_int_list(centers, 0) and centers
-            or isinstance(centers, dict) and _is_int(centers.get("sample"), 0),
-            f"{where}: 'centers' is \"basepoint\", {{\"sample\": count}} or a nonempty list of point ids, "
-            f"got {centers!r}",
-        )
-        sched = block.get("schedules")
-        if isinstance(sched, list):
-            raise_on_bad(sched, f"{where}: 'schedules' needs at least one row")
-            for row in sched:
-                raise_on_bad(
-                    _is_int_list(row) and len(row) == 5 and row[1] >= 1 and row[4] >= 0,
-                    f"{where}: schedule rows are [S, i, S_out, j, collar] integer lists with i >= 1, collar >= 0",
-                )
-        elif isinstance(sched, dict):
-            auto = sched.get("auto")
-            ok = isinstance(auto, dict) and _is_int(auto.get("collar", 0), 0) and _is_int(auto.get("count", 0))
-            scales = auto.get("scales", [1, 1]) if ok else None
-            raise_on_bad(
-                ok and _is_int_list(scales, 0) and len(scales) == 2,
-                f"{where}: auto schedules take an integer 'collar' >= 0, an integer 'count' "
-                "and two integer 'scales' >= 0",
-            )
-        else:
-            raise_on_bad(
-                sched in (None, "auto"), f"{where}: 'schedules' is a list of rows, \"auto\" or {{\"auto\": {{...}}}}"
-            )
+        raise_on_bad(isinstance(name, str) and name in ANALYSES, f"{where}: unknown analysis {name!r}")
+        check_params(ANALYSES[name].params, {k: v for k, v in block.items() if k != "analysis"}, f"{where} {name}")
         if ANALYSES[name].needs_w and w is None:
             raise_on_bad(kind == "fixture", f"{where}: {name} needs a W; give a 'w' block or use a fixture space")
 
@@ -582,9 +562,10 @@ def run_scenario(scenario: dict, seed: int = 0) -> tuple[dict, int]:
     results = []
     for block in scenario.get("analyses", []):
         name = block["analysis"]
-        entry = {"analysis": name, "params": {k: v for k, v in block.items() if k != "analysis"}}
+        params = {k: v for k, v in block.items() if k != "analysis"}
+        entry = {"analysis": name, "params": params}
         try:
-            entry.update(ANALYSES[name].run(ctx, block))
+            entry.update(ANALYSES[name].run(ctx, with_defaults(ANALYSES[name].params, params, ctx)))
         except CoarseTopError as err:
             entry.update({"status": "error", "error": err.code, "message": str(err)})
         results.append(entry)
@@ -595,13 +576,8 @@ def run_scenario(scenario: dict, seed: int = 0) -> tuple[dict, int]:
         "points": ctx.space.n,
     }
     report = {"schema": SCHEMA_VERSION, "window": window, "results": results}
-    if any(r.get("status") == "error" for r in results):
-        code = 1
-    elif any(r.get("status") == "inconclusive" for r in results):
-        code = 2
-    else:
-        code = 0
-    return report, code
+    statuses = {r["status"] for r in results}
+    return report, 1 if "error" in statuses else 2 if "inconclusive" in statuses else 0
 
 
 def render_text(report: dict) -> str:
@@ -637,7 +613,10 @@ def main(argv=None) -> int:
         if args.analysis not in ANALYSES:
             print(f"unknown analysis {args.analysis!r}; known: {sorted(ANALYSES)}", file=sys.stderr)
             return 1
-        print(f"{args.analysis}: {ANALYSES[args.analysis].describe}")
+        analysis = ANALYSES[args.analysis]
+        print(f"{args.analysis}: {analysis.summary}")
+        for name, param in analysis.params.items():
+            print(f"  {name}: {param.describe()}")
         return 0
     # run
     try:

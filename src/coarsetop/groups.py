@@ -54,9 +54,6 @@ class GroupModel:
         """Total order on normal forms used for deterministic ids."""
         return repr(g)
 
-    def label(self, g) -> str:
-        return repr(g)
-
     def ball_size_estimate(self, radius: int) -> Optional[int]:
         return None
 
@@ -113,9 +110,6 @@ class FreeAbelian(GroupModel):
     def sortkey(self, g):
         return g
 
-    def label(self, g):
-        return str(tuple(g))
-
     def ball_size_estimate(self, radius):
         # exact L1 ball count via Vandermonde-type sum
         return sum(2**k * comb(self.n, k) * comb(radius, k) for k in range(min(self.n, radius) + 1))
@@ -154,15 +148,6 @@ class FreeGroup(GroupModel):
 
     def sortkey(self, g):
         return (len(g), g)
-
-    def label(self, g):
-        if not g:
-            return "e"
-        names = dict((i + 1, name) for i, (name, _) in enumerate(self.generators()))
-        parts = []
-        for x in g:
-            parts.append(names[abs(x)] + ("'" if x < 0 else ""))
-        return "".join(parts)
 
     def ball_size_estimate(self, radius):
         k = self.k
@@ -209,9 +194,6 @@ class Amalgam(GroupModel):
 
     def sortkey(self, g):
         return ((len(g[0]), g[0]), g[1])
-
-    def label(self, g):
-        return f"({self._free.label(g[0])}, {g[1]})"
 
     def ball_size_estimate(self, radius):
         # crude upper bound: the free ball times the axis segment
@@ -260,10 +242,6 @@ class Lamplighter(GroupModel):
     def sortkey(self, g):
         s, c = g
         return (c, tuple(sorted(s)))
-
-    def label(self, g):
-        s, c = g
-        return f"(lit={sorted(s)}, pos={c})"
 
 
 class WordMetricBall(FiniteMetricSpace):
@@ -379,7 +357,6 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
     adj = [sorted(set(a)) for a in adj]
     radial = [length(g) for g in elements]
     if model.convex_balls:
-        # labels are the normal forms; model.label renders them
         space = FiniteMetricSpace(
             n, adjacency=adj, labels=elements, radial=radial, window_radius=radius, basepoint=0
         )

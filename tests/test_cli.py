@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coarsetop.cli import main, run_scenario
+from coarsetop.cli import ANALYSES, main, run_scenario
 
 
 def write_scenario(tmp_path, name, payload):
@@ -95,43 +95,6 @@ def test_determinism_byte_identical(tmp_path):
     assert main(["run", str(p), "--out", str(out1)]) == 0
     assert main(["run", str(p), "--out", str(out2)]) == 0
     assert (out1 / "det.report.json").read_bytes() == (out2 / "det.report.json").read_bytes()
-
-
-def test_separate_rejects_scale_below_one(tmp_path):
-    # a negative scale once left the scale-adjacency search unbounded and
-    # reported one deep component with exit 0
-    scen = {
-        "schema": 1,
-        "space": {"kind": "group", "family": "Z^2", "radius": 6},
-        "w": {"kind": "point"},
-        "analyses": [{"analysis": "separate", "r": -1, "A": 0}],
-    }
-    p = write_scenario(tmp_path, "negscale", scen)
-    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "negscale.report.json").read_text())
-    assert report["results"][0]["error"] == "scenario-invalid"
-
-
-@pytest.mark.parametrize(
-    "block",
-    [
-        {"analysis": "mv", "r": -1, "A": 1, "cap": 3, "component": "0"},
-        {"analysis": "almost-essential", "A": -3, "B_max": 6},
-    ],
-    ids=["mv-negative-r", "almost-essential-negative-A"],
-)
-def test_component_lookup_rejects_bad_scales(tmp_path, block):
-    # both once ended in an uncaught ValueError traceback
-    scen = {
-        "schema": 1,
-        "space": {"kind": "group", "family": "Z^2", "radius": 6},
-        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
-        "analyses": [block],
-    }
-    p = write_scenario(tmp_path, "badscale", scen)
-    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "badscale.report.json").read_text())
-    assert report["results"][0]["error"] == "scenario-invalid"
 
 
 def test_cap_violation_aborts_single_analysis(tmp_path):
@@ -340,9 +303,13 @@ def test_fixtures_listing(capsys):
 
 
 def test_describe(capsys):
-    assert main(["describe", "essential"]) == 0
-    out = capsys.readouterr().out
-    assert "schedules" in out
+    # one line per parameter in the analysis's own table, with its type, range and default
+    for name, analysis in ANALYSES.items():
+        assert main(["describe", name]) == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head.startswith(f"{name}: ")
+        assert [line.split(":", 1)[0].strip() for line in lines] == list(analysis.params)
+        assert all(line.endswith("; required") or "; default " in line for line in lines)
     assert main(["describe", "nope"]) == 1
 
 
@@ -399,6 +366,24 @@ def test_bad_scenario_file(tmp_path):
         {**Z2_POINT, "analyses": [{"analysis": "ends", "schedules": {"auto": {"collar": -2}}}]},
         {**Z2_POINT, "analyses": [{"analysis": "acyclicity", "centers": []}]},
         {**Z2_POINT, "analyses": [{"analysis": "acyclicity", "i_values": []}]},
+        {**Z2_POINT, "space": {**Z2_POINT["space"], "radius": 6},
+         "analyses": [{"analysis": "separate", "r": -1, "A": 0}]},
+        {**Z2_AXIS, "space": {**Z2_AXIS["space"], "radius": 6},
+         "analyses": [{"analysis": "mv", "r": -1, "A": 1, "cap": 3, "component": "0"}]},
+        {**Z2_AXIS, "space": {**Z2_AXIS["space"], "radius": 6},
+         "analyses": [{"analysis": "almost-essential", "A": -3, "B_max": 6}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "A": -1}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "schedules": {"auto": {"scales": [0, 0]}}}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "colar": 3}]},
+        {**Z2_AXIS, "caps": {"max_simplex": 100}},
+        {**Z2_AXIS, "caps": {"max_vertices": 0}},
+        {**Z2_AXIS, "analyses": [{"analysis": "mobility", "stab_comparison": "no"}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mobility", "export_class": 1}]},
+        {**Z2_AXIS, "analyses": [{"analysis": "mobility", "class": "loop"}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "n": 0}]},
+        {**Z2_POINT, "space": {"kind": ["group"], "family": "Z^2", "radius": 5}},
+        {**Z2_POINT, "analyses": [{"analysis": ["ends"]}]},
+        {**FIG1, "analyses": [{"analysis": "essential", "n": 1, "components": []}]},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
@@ -410,16 +395,29 @@ def test_bad_scenario_file(tmp_path):
         "subgroup-no-spec", "components-not-list", "schedules-string", "schedules-int",
         "auto-scales-negative", "generators-not-list", "centers-string", "centers-sample-not-int",
         "centers-sample-negative", "schedule-row-scale-zero", "schedules-empty", "schedule-row-collar-negative",
-        "auto-collar-negative", "centers-empty", "i-values-empty",
+        "auto-collar-negative", "centers-empty", "i-values-empty", "separate-scale-below-one", "mv-negative-r",
+        "almost-essential-negative-A", "separate-A-negative", "auto-scales-zero", "unknown-parameter", "unknown-cap",
+        "cap-zero", "stab-comparison-not-bool", "export-class-not-bool", "mobility-class-unknown",
+        "parameter-of-another-analysis", "space-kind-not-string", "analysis-name-not-string",
+        "components-empty",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
-    # each once ended in a traceback, except silent answers: r = 1.5 ran as
-    # r = 1, n = 0 and probe_index = -1 (the last schedule) ran to an
-    # inconclusive verdict, B_max = -1 reported an empty B grid with exit 0,
-    # a scale-0 schedule row and an empty row list ran ends to inconclusive,
-    # an auto collar of -2 reported ok, and empty acyclicity centers or
-    # i_values reported ok with no entries
+    # Each now ends up front, with no report. Before, most ended in a
+    # traceback; these did not:
+    # - silent answers: r = 1.5 ran as r = 1; n = 0 and probe_index = -1 (the
+    #   last schedule) ran to an inconclusive verdict; B_max = -1 reported an
+    #   empty B grid with exit 0; a scale-0 schedule row and an empty row list
+    #   ran ends to inconclusive; an auto collar of -2 and auto scales [0, 0]
+    #   reported ok; empty acyclicity centers or i_values reported ok with no
+    #   entries, and empty essential components with none; "colar" ran
+    #   with collar 2, an unknown cap name was ignored, and
+    #   "stab_comparison": "no" and "export_class": 1 read as true
+    # - later errors: r = -1 on separate and mv, A = -3 on almost-essential
+    #   and an unknown mobility class were runtime error entries, and
+    #   max_vertices 0 ended as window-too-large
+    # - rejected for the wrong reason: n in an ends block failed n >= 1, but
+    #   ends reads no n, so it is now an unknown parameter there
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err
@@ -483,6 +481,22 @@ def test_missing_required_param_fails_validation(tmp_path):
     with pytest.raises(CoarseTopError) as err:
         run_scenario(scen)
     assert "requires parameter" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "colar": 3}]},
+        {**Z2_POINT, "analyses": [{"analysis": "ends", "n": 0}]},
+        {**Z2_AXIS, "caps": {"max_simplex": 100}},
+    ],
+    ids=["misspelt", "read-by-another-analysis", "cap"],
+)
+def test_unknown_name_fails_validation(scenario):
+    from coarsetop.errors import CoarseTopError
+
+    with pytest.raises(CoarseTopError, match="unknown parameter"):
+        run_scenario(scenario)
 
 
 def test_inconclusive_exit_code():
