@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import fixtures as fixtures_mod
 from .cochains import RelativeComplex
-from .errors import CoarseTopError
+from .errors import BadSubgroupSpecError, CoarseTopError
 from .essential import (
     EssentialVerdict,
     almost_essential_probe,
@@ -84,6 +84,8 @@ class ScenarioContext:
             self.ball = build_ball(model, spec["radius"], max_vertices=self.max_vertices)
             self.space = self.ball.space
         else:
+            known = fixtures_mod.list_fixtures()
+            raise_on_bad(spec["name"] in known, f"unknown fixture {spec['name']!r}; known: {', '.join(known)}")
             self.fixture = grid_fixture(spec["name"], spec["radius"])
             self.space = self.fixture.space
         self.w = self._resolve_w(scenario.get("w"))
@@ -98,7 +100,10 @@ class ScenarioContext:
             return self.fixture.w
         if kind == "subgroup":
             raise_on_bad(self.ball is not None, "subgroup W requires a group space")
-            return subgroup_trace(self.ball, wspec["spec"])
+            try:
+                return subgroup_trace(self.ball, wspec["spec"])
+            except BadSubgroupSpecError as err:  # the spec is the scenario's: unknown names and values
+                raise CoarseTopError("scenario-invalid", f"w: {err}") from err
         return SubsetMask(self.space.n, [self.space.basepoint or 0])  # "point"
 
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:

@@ -208,6 +208,8 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     fill are those of the unskipped solve. The path choice reads the
     unskipped column counts, so the reported locality does not move. The
     resume phase streams the cone test, which stops where the solve stops.
+    Both phases feed banded columns, so the echelon, the residue and the
+    combination masks are stored by their spans (see :mod:`coarsetop.gf2`).
     """
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:
@@ -227,14 +229,14 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     rest = None
     if witnessed:
         kept = list(target.uncone(k + 1, local_cols, local_vertices))
-        x = solve.feed(target.iter_boundary_columns(k + 1, kept))
+        x = solve.feed(target.iter_banded_columns(k + 1, kept))
         if x is not None:
             fill = gf2.vector_from_indices(kept[b] for b in gf2.bits(x))
             return {"survives": False, "fill": fill, "locality": f"N_{rho}(supp)"}
         solve.drop_witness()
         skip = set(local_cols)
         rest = (j for j in range(ncols) if j not in skip)
-    feasible = solve.feed(target.iter_boundary_columns(k + 1, target.uncone(k + 1, rest)))
+    feasible = solve.feed(target.iter_banded_columns(k + 1, target.uncone(k + 1, rest)))
     return {"survives": feasible is None, "fill": None, "locality": "full/feasibility-only"}
 
 

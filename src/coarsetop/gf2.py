@@ -4,19 +4,33 @@ Matrices store columns as Python ints (bit i of column j = entry (i, j)).
 Elimination picks pivots at the highest nonzero row of each column (found
 by ``bit_length``, O(1), where the lowest set bit costs O(size)), and one
 reduction loop (:meth:`GF2Subspace._reduce`) serves rank, solve,
-kernel/image bases and the two-scale homology image ranks used throughout
-the package. Streaming membership solves (:class:`ColumnSolve`) stop
-pulling columns once the right-hand side lies in their span and can be
-resumed with more columns.
+kernel/image bases, ``span_of`` and the two-scale homology image ranks
+used throughout the package. Streaming membership solves
+(:class:`ColumnSolve`) stop pulling columns once the right-hand side lies
+in their span and can be resumed with more columns.
 
-Matrices are immutable after construction. A GF2Subspace or ColumnSolve
-is filled by the one elimination that owns it, so independent eliminations
-may run in parallel.
+A ColumnSolve also takes banded columns, ``(bits, lo)`` pairs standing for
+``bits << lo`` with bit 0 of ``bits`` set, as Rips boundary columns come
+(``RipsComplex.iter_banded_columns``). It then keeps its whole echelon
+banded (:class:`BandedEchelon`): pivots are stored shifted down to their
+lowest set bit, and the residue and combination masks carry their own
+offsets, so a vector costs the span of its rows, not its top row (on the
+essential probe's targets, a few thousand rows against about twenty
+thousand). Values, pivot rows, stopping columns and witnesses are those of
+the plain solve. The first column fed picks the form, and a solve fed one
+form rejects the other. GF2Matrix callers (cochain coboundaries, kernel
+and image bases, ``span_of``) keep the plain loop: the offsets cost time
+on every step and pay only where vectors sit far above row 0.
+
+Matrices are immutable after construction. A GF2Subspace, BandedEchelon
+or ColumnSolve is filled by the one elimination that owns it, so
+independent eliminations may run in parallel.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 def lowbit(x: int) -> int:
@@ -110,7 +124,7 @@ class GF2Matrix:
 
 
 class GF2Subspace:
-    """A subspace in column-echelon form: the one elimination of the package.
+    """A subspace in column-echelon form, reduced by the plain loop of the package.
 
     ``pivots`` maps each pivot row to a basis vector with no bits above that
     row, so pivot rows are distinct. With ``track=True`` every inserted
@@ -191,6 +205,68 @@ class GF2Subspace:
         return self.insert(v) is None
 
 
+class BandedEchelon:
+    """The echelon of a solve fed banded columns; every vector stored by its band.
+
+    A banded vector ``(bits, off)`` stands for ``bits << off``. ``pivots``
+    maps each pivot row p to its basis vector shifted down to its lowest
+    set bit, so its offset is ``p + 1 - bits.bit_length()`` and needs no
+    storage. With tracking, ``combos`` maps p to the vector's combination
+    mask over the inserted column numbers as a ``(bits, off)`` pair. The
+    reduction is :meth:`GF2Subspace._reduce`'s, highest set bit first, on
+    shifted operands.
+    """
+
+    __slots__ = ("pivots", "combos", "inserted")
+
+    def __init__(self, track: bool = False):
+        self.pivots: dict[int, int] = {}  # pivot row -> basis vector >> its lowest set bit
+        self.combos: Optional[dict[int, tuple[int, int]]] = {} if track else None
+        self.inserted = 0
+
+    def _reduce(self, v: int, off: int, m: int, mo: int) -> tuple[int, int, int, int, int]:
+        """Eliminate v << off until its top bit has no pivot.
+
+        The masks of the pivots used are XORed into m << mo. Returns
+        (v, off, m, mo, row), where row is the top row left, or -1 and v = 0
+        when the vector lies in the span.
+        """
+        pivots, combos = self.pivots, self.combos
+        while v:
+            p = off + v.bit_length() - 1
+            u = pivots.get(p)
+            if u is None:
+                return v, off, m, mo, p
+            d = p + 1 - u.bit_length() - off  # u's offset relative to v's
+            if d >= 0:
+                v ^= u << d
+            else:
+                v = (v << -d) ^ u
+                off += d
+            if combos is not None:
+                c, co = combos[p]
+                d = co - mo
+                if d >= 0:
+                    m ^= c << d
+                else:
+                    m = (m << -d) ^ c
+                    mo = co
+        return 0, 0, m, mo, -1
+
+    def extend(self, v: int, off: int) -> bool:
+        """Insert the next banded vector; True if it enlarged the space."""
+        n = self.inserted
+        self.inserted += 1
+        v, off, m, mo, p = self._reduce(v, off, 1, n)
+        if v == 0:
+            return False
+        self.pivots[p] = v >> ((v & -v).bit_length() - 1)
+        if self.combos is not None:
+            shift = (m & -m).bit_length() - 1
+            self.combos[p] = (m >> shift, mo + shift)
+        return True
+
+
 class ColumnSolve:
     """A solve of A x = b that pulls columns of A only while it must.
 
@@ -200,26 +276,59 @@ class ColumnSolve:
     :meth:`feed` may be called again with further columns; the solution is
     the unique combination over the greedy-independent columns fed so far,
     as a tracked elimination of every column would give.
+
+    Columns are plain ints or banded ``(bits, lo)`` pairs (see the module
+    docstring); the first column fed picks the echelon, and the residue
+    ``rest << off`` and the combination ``x << xoff`` follow it.
     """
 
-    __slots__ = ("space", "rest", "x", "row")
+    __slots__ = ("space", "rest", "off", "x", "xoff", "row")
 
     def __init__(self, b: int, track: bool = True):
-        self.space = GF2Subspace(0, track)
+        self.space: Union[GF2Subspace, BandedEchelon] = GF2Subspace(0, track)
         self.rest, self.x, self.row = self.space._reduce(b, 0, False)
+        self.off = self.xoff = 0
 
-    def feed(self, columns: Iterable[int]) -> Optional[int]:
+    def feed(self, columns: Iterable) -> Optional[int]:
         """Insert columns until b lies in their span; the solution, or None."""
+        if self.rest:
+            columns = iter(columns)
+            first = next(columns, None)
+            if first is not None:
+                banded = type(first) is tuple
+                space = self.space
+                if banded and not isinstance(space, BandedEchelon) and not space.inserted:
+                    self.space = BandedEchelon(space.combos is not None)
+                    self.off = lowbit(self.rest)
+                    self.rest >>= self.off
+                elif banded != isinstance(space, BandedEchelon):
+                    raise TypeError("a ColumnSolve takes its columns in one form, plain ints or (bits, lo) pairs")
+                columns = chain((first,), columns)
+                if banded:
+                    self._feed_banded(columns)
+                else:
+                    self._feed_plain(columns)
+        return None if self.rest else self.x << self.xoff
+
+    def _feed_plain(self, columns: Iterator[int]) -> None:
         space, pivots = self.space, self.space.pivots
         rest, x, row = self.rest, self.x, self.row
-        if rest:
-            for c in columns:
-                if space.insert(c) is None and row in pivots:
-                    rest, x, row = space._reduce(rest, x, False)
-                    if not rest:
-                        break
+        for c in columns:
+            if space.insert(c) is None and row in pivots:
+                rest, x, row = space._reduce(rest, x, False)
+                if not rest:
+                    break
         self.rest, self.x, self.row = rest, x, row
-        return None if rest else x
+
+    def _feed_banded(self, columns: Iterator[tuple[int, int]]) -> None:
+        space, pivots = self.space, self.space.pivots
+        rest, off, x, xoff, row = self.rest, self.off, self.x, self.xoff, self.row
+        for c, lo in columns:
+            if space.extend(c, lo) and row in pivots:
+                rest, off, x, xoff, row = space._reduce(rest, off, x, xoff)
+                if not rest:
+                    break
+        self.rest, self.off, self.x, self.xoff, self.row = rest, off, x, xoff, row
 
     def drop_witness(self) -> None:
         """Stop tracking combinations; a feasible solve then returns 0."""
@@ -247,8 +356,11 @@ def solve(A: GF2Matrix, b: int) -> Optional[int]:
     return solve_columns(A.columns, b, want_witness=True)
 
 
-def solve_columns(columns: Iterable[int], b: int, want_witness: bool = True) -> Optional[int]:
+def solve_columns(columns: Iterable, b: int, want_witness: bool = True) -> Optional[int]:
     """Streaming solve over a column iterable, stopping once b is reached.
+
+    Columns are plain ints or banded ``(bits, lo)`` pairs, as for
+    :class:`ColumnSolve`.
 
     With want_witness=False only feasibility is decided (0 is returned for a
     feasible system), which avoids storing combination masks for very large
@@ -295,6 +407,7 @@ def quotient_image_rank(
 __all__ = [
     "GF2Matrix",
     "GF2Subspace",
+    "BandedEchelon",
     "ColumnSolve",
     "bits",
     "lowbit",

@@ -315,7 +315,9 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
     """Enumerate the word-metric ball by BFS over generator moves.
 
     Element ids are assigned in (word length, normal-form sort key) order,
-    so identical inputs always produce identical spaces.
+    so identical inputs always produce identical spaces. Each product g·s
+    is formed once: the BFS records the ones it forms, by discovery number,
+    and only the last layer's are formed afterwards for the adjacency.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -330,31 +332,31 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> B
         if inv != g:
             steps.append(inv)
     mul, length = model.mul, model.length
+    found = {model.identity(): 0}  # element -> discovery number
     layers = [[model.identity()]]
-    seen = {model.identity()}
-    count = 1
+    moves = array("l")  # per element in id order: discovery number of g·s per step, -1 outside the ball
     for _ in range(radius):
         frontier = []
-        for g in layers[-1]:
+        for g in layers[-1]:  # the layers before come in id order, so g's moves land at its id
             for s in steps:
                 h = mul(g, s)
-                if h not in seen and length(h) <= radius:
-                    seen.add(h)
+                t = found.get(h)
+                if t is None and length(h) <= radius:
+                    t = found[h] = len(found)
                     frontier.append(h)
-                    count += 1
-                    if count > max_vertices:
-                        raise WindowTooLargeError(count, max_vertices)
+                    if t >= max_vertices:
+                        raise WindowTooLargeError(t + 1, max_vertices)
+                moves.append(-1 if t is None else t)
         layers.append(sorted(frontier, key=model.sortkey))
+    for g in layers[-1]:
+        moves.extend(found.get(mul(g, s), -1) for s in steps)
     elements = [g for layer in layers for g in layer]
     index = {g: i for i, g in enumerate(elements)}
-    n = len(elements)
-    adj = [[] for _ in range(n)]
-    for i, g in enumerate(elements):
-        for s in steps:
-            j = index.get(mul(g, s))
-            if j is not None and j != i:
-                adj[i].append(j)
-    adj = [sorted(set(a)) for a in adj]
+    ids = [0] * len(elements)  # discovery number -> id
+    for g, t in found.items():
+        ids[t] = index[g]
+    n, k = len(elements), len(steps)
+    adj = [sorted({ids[t] for t in moves[i * k:(i + 1) * k] if t >= 0} - {i}) for i in range(n)]
     radial = [length(g) for g in elements]
     if model.convex_balls:
         space = FiniteMetricSpace(
@@ -388,21 +390,34 @@ def restrict_ball(ball: BallModel, r: int) -> BallModel:
 # -- subgroup traces ----------------------------------------------------------------
 
 
+def _element(model: GroupModel, value, kind: str):
+    """A subgroup spec's element: a word in the generator names, a normal form (a tuple), or a Z^n vector."""
+    if isinstance(value, str):
+        return model.parse_word(value)
+    if isinstance(value, tuple):
+        return value
+    if isinstance(model, FreeAbelian) and isinstance(value, list) and len(value) == model.n:
+        if all(type(a) is int for a in value):
+            return tuple(value)
+    raise BadSubgroupSpecError(f"{kind} expects a word or a normal form, got {value!r}")
+
+
 def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
     """Mask of ball elements lying in the specified subgroup.
 
     Spec forms:
-      {"cyclic": word-or-nf}            powers of one element
+      {"cyclic": word-or-nf}            powers of one element (a Z^n element may be a list)
       {"factor": i}                     the free part (0) or the axis (1) of the amalgam
-      {"sublattice": {"k": 2, "coords": [0]}}   k Z^m inside Z^n
-      {"generators": [words]}           in-window BFS over the listed generators
+      {"sublattice": {"k": 2, "coords": [0]}}   k Z^m inside Z^n (k >= 1, axes below n)
+      {"generators": [words-or-nfs]}    in-window BFS over the listed generators
+    Any other value raises BadSubgroupSpecError.
     """
     model = ball.model
     if not isinstance(spec, dict) or len(spec) != 1:
         raise BadSubgroupSpecError(f"spec must be a single-key dict, got {spec!r}")
     kind, value = next(iter(spec.items()))
     if kind == "cyclic":
-        g = model.parse_word(value) if isinstance(value, str) else value
+        g = _element(model, value, kind)
         if g == model.identity():
             raise BadSubgroupSpecError("cyclic generator is the identity")
         ids = set()
@@ -420,23 +435,32 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
     if kind == "factor":
         if not isinstance(model, Amalgam):
             raise BadSubgroupSpecError("factor spec requires the amalgam model")
-        i = int(value)
-        if i not in (0, 1):
-            raise BadSubgroupSpecError(f"factor index {i} out of range")
-        j, e = 1 - i, model.identity()  # the other part is trivial on the factor
+        if type(value) is not int or value not in (0, 1):
+            raise BadSubgroupSpecError(f"factor index must be 0 or 1, got {value!r}")
+        j, e = 1 - value, model.identity()  # the other part is trivial on the factor
         return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if g[j] == e[j]))
     if kind == "sublattice":
         if not isinstance(model, FreeAbelian):
             raise BadSubgroupSpecError("sublattice spec requires a free abelian model")
-        k = int(value.get("k", 1))
-        coords = set(value.get("coords", range(model.n)))
+        known = isinstance(value, dict) and value.keys() <= {"k", "coords"}
+        k, coords = (value.get("k", 1), value.get("coords", list(range(model.n)))) if known else (0, None)
+        if (
+            type(k) is not int or k < 1 or not isinstance(coords, list)
+            or not all(type(j) is int and 0 <= j < model.n for j in coords)
+        ):
+            raise BadSubgroupSpecError(
+                f'sublattice expects {{"k": integer >= 1, "coords": [axes below {model.n}]}}, got {value!r}'
+            )
+        coords = set(coords)
         def member(g):
             return all(
                 (g[j] % k == 0) if j in coords else (g[j] == 0) for j in range(model.n)
             )
         return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if member(g)))
     if kind == "generators":
-        gens = [model.parse_word(w) if isinstance(w, str) else w for w in value]
+        if not isinstance(value, list):
+            raise BadSubgroupSpecError(f"generators expects a list of words or normal forms, got {value!r}")
+        gens = [_element(model, w, kind) for w in value]
         steps = []
         for g in gens:
             steps.append(g)

@@ -32,6 +32,14 @@ of the columns fed before it: skipping it creates or moves no pivot, so
 ranks, residues, stopping columns, greedy-independent columns and hence
 witnesses are exactly those of the unskipped elimination. On the fig1/fig2
 targets two thirds to four fifths of the columns are coned.
+
+Boundary columns are built in one place, :meth:`RipsComplex.iter_banded_columns`,
+as banded pairs (bits, lo) standing for bits << lo, lo being the column's
+lowest row. A column spans only the rows between its facets, so the pair
+costs that span, not the top row. The membership solves (fills and the
+essential probe) feed the pairs to ``gf2.ColumnSolve``, whose echelon then
+stays banded; ``iter_boundary_columns`` and ``boundary`` shift them to
+plain ints for the GF2Matrix callers.
 """
 
 from __future__ import annotations
@@ -108,24 +116,35 @@ class RipsComplex:
         self._boundary_cache[k] = mat
         return mat
 
-    def iter_boundary_columns(self, k: int, among: Optional[Iterable[int]] = None) -> Iterator[int]:
-        """Columns of ∂_k, streamed (memory-light form for large complexes).
+    def iter_banded_columns(
+        self, k: int, among: Optional[Iterable[int]] = None
+    ) -> Iterator[tuple[int, int]]:
+        """Columns of ∂_k, streamed as banded pairs (bits, lo): the column is bits << lo.
 
         ``among`` restricts the stream to those k-simplex indices, in order.
-        This is the one place boundary columns are built from face lookups.
+        lo is the row of s[:-1], the facet without the last vertex, which is
+        the lexicographically smallest facet and so the column's lowest row;
+        bit 0 of bits is always set. This is the one place boundary columns
+        are built from face lookups.
         """
         simp = self.simplices[k]
         chosen = simp if among is None else map(simp.__getitem__, among)
         if k == 0:
             for _ in chosen:
-                yield 1
+                yield 1, 0
             return
         faces = self.index[k - 1]
         for s in chosen:
-            col = 0
-            for face in combinations(s, k):
-                col |= 1 << faces[face]
-            yield col
+            facets = combinations(s, k)  # s[:-1] comes first
+            lo = faces[next(facets)]
+            col = 1
+            for face in facets:
+                col |= 1 << (faces[face] - lo)
+            yield col, lo
+
+    def iter_boundary_columns(self, k: int, among: Optional[Iterable[int]] = None) -> Iterator[int]:
+        """Columns of ∂_k as plain ints, streamed (memory-light form for large complexes)."""
+        return (col << lo for col, lo in self.iter_banded_columns(k, among))
 
     def boundary_of_chain(self, k: int, chain: int) -> int:
         """∂_k applied to a chain bitset (k >= 1); k = 0 gives the augmentation."""
@@ -352,12 +371,13 @@ def fill_on_columns(
     Coned columns are skipped with ``allowed`` as the apex set: each is the
     sum of columns of simplices v∗f inside ``allowed`` fed before it, so the
     pivots and the fill are those of the solve over every simplex inside.
+    The columns are fed banded, so the solve's echelon is stored banded.
     Returns the fill as a chain over all (k+1)-simplices, 0 for a feasible
     feasibility-only solve, or None when z is no boundary of those columns.
     """
     among = None if allowed is None else L.simplices_within(k + 1, allowed)
     cols_idx = list(L.uncone(k + 1, among, allowed))
-    x = gf2.solve_columns(L.iter_boundary_columns(k + 1, cols_idx), z, want_witness=want_witness)
+    x = gf2.solve_columns(L.iter_banded_columns(k + 1, cols_idx), z, want_witness=want_witness)
     if x is None or not want_witness:
         return x
     return gf2.vector_from_indices(cols_idx[b] for b in gf2.bits(x))

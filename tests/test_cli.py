@@ -384,6 +384,16 @@ def test_bad_scenario_file(tmp_path):
         {**Z2_POINT, "space": {"kind": ["group"], "family": "Z^2", "radius": 5}},
         {**Z2_POINT, "analyses": [{"analysis": ["ends"]}]},
         {**FIG1, "analyses": [{"analysis": "essential", "n": 1, "components": []}]},
+        {**FIG1, "space": {"kind": "fixture", "name": "fig3_nowhere", "radius": 6}},
+        {**Z2_POINT, "space": {"kind": "group", "family": "lamplighter", "radius": 3},
+         "w": {"kind": "subgroup", "spec": {"cyclic": "a"}}},
+        {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"cyclic": 5}}},
+        {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"sublattice": 3}}},
+        {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"sublattice": {"k": 0}}}},
+        {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"sublattice": {"coords": [2]}}}},
+        {**Z2_POINT, "space": {"kind": "group", "family": "amalgam", "radius": 3},
+         "w": {"kind": "subgroup", "spec": {"factor": "x"}}},
+        {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"generators": "ab"}}},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
@@ -399,7 +409,8 @@ def test_bad_scenario_file(tmp_path):
         "almost-essential-negative-A", "separate-A-negative", "auto-scales-zero", "unknown-parameter", "unknown-cap",
         "cap-zero", "stab-comparison-not-bool", "export-class-not-bool", "mobility-class-unknown",
         "parameter-of-another-analysis", "space-kind-not-string", "analysis-name-not-string",
-        "components-empty",
+        "components-empty", "unknown-fixture", "w-unknown-generator", "cyclic-not-word", "sublattice-not-object",
+        "sublattice-k-zero", "sublattice-axis-out-of-range", "factor-not-int", "generators-string",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
@@ -418,6 +429,10 @@ def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
     #   max_vertices 0 ended as window-too-large
     # - rejected for the wrong reason: n in an ends block failed n >= 1, but
     #   ends reads no n, so it is now an unknown parameter there
+    # - wrong code: an unknown fixture ended as unknown-fixture and an unknown
+    #   generator in a W word as bad-subgroup-spec; a W spec value of the
+    #   wrong type was a traceback, and "generators": "ab" silently read the
+    #   string as the list ["a", "b"]
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err

@@ -147,11 +147,12 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
                 fix.space, fix.w, fix.components[component], 1, scheds, component,
                 skip_pd_check=True, max_witness_columns=max_witness_columns,
             )
+        # the probe feeds banded (bits, lo) columns; replay them as plain ints
         echelons, pivots = {}, []
         for solve, columns in fed:
             space = echelons.setdefault(id(solve), gf2.GF2Subspace(0))
-            for c in columns:
-                space.insert(c)
+            for c, lo in columns:
+                space.insert(c << lo)
             pivots.append(dict(space.pivots))
         return (v.verdict, v.witnesses, pivots), sum(len(c) for _, c in fed)
 
@@ -160,6 +161,45 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
         expected, fed_all = run()
     assert got == expected
     assert fed_kept < fed_all
+
+
+@pytest.mark.parametrize("max_witness_columns", [60_000, 500], ids=["full", "local-then-resume"])
+def test_essential_echelon_is_stored_banded(max_witness_columns):
+    # A memory gate by counters, not timing, on fig1 R=10's small solves.
+    # Every pivot a solve stores is shifted down to its lowest set bit, so
+    # the bits stored are bounded by the pivots' spans, taken from a plain
+    # replay of the fed columns; plain ints would store every row from 0 to
+    # the pivot, more than twice as many bits here.
+    from unittest import mock
+
+    fix = grid_fixture("fig1_halfplane_flap", 10)
+    pulled = {}  # solve -> the columns it pulled, over all its feeds
+
+    class RecordingSolve(gf2.ColumnSolve):
+        def feed(self, columns):
+            seen = pulled.setdefault(self, [])
+            return super().feed(seen.append(c) or c for c in columns)
+
+    with mock.patch.object(gf2, "ColumnSolve", RecordingSolve):
+        for name in ("bottom", "top"):
+            essential_probe(
+                fix.space, fix.w, fix.components[name], 1, fig_schedules(10), name,
+                skip_pd_check=True, max_witness_columns=max_witness_columns,
+            )
+    assert len(pulled) == 2
+    for solve, columns in pulled.items():
+        replay = gf2.GF2Subspace(0)
+        for c, lo in columns:
+            replay.insert(c << lo)
+        space = solve.space
+        assert isinstance(space, gf2.BandedEchelon) and space.pivots.keys() == replay.pivots.keys()
+        assert all(u & 1 for u in space.pivots.values())
+        if space.combos is not None:
+            assert all(m & 1 for m, _ in space.combos.values())
+        max_span = max(p - gf2.lowbit(q) for p, q in replay.pivots.items())
+        stored = sum(u.bit_length() for u in space.pivots.values())
+        assert stored <= (max_span + 1) * len(space.pivots)
+        assert 2 * stored <= sum(q.bit_length() for q in replay.pivots.values())
 
 
 def test_essential_monotone_under_enlargement(fig1_12):

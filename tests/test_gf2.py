@@ -249,3 +249,73 @@ def test_pivots_are_top_bits_and_reduce_is_linear(system, u, v):
     r = space.reduce(u)
     assert all(not (r >> p) & 1 for p in space.pivots)
     assert space.reduce(u ^ v) == r ^ space.reduce(v)
+
+
+@st.composite
+def banded_systems(draw):
+    """Banded columns (bits with bit 0 set, lo) and b: a sum of some columns, maybe plus one row."""
+    columns = draw(st.lists(st.tuples(st.integers(0, 63).map(lambda c: 2 * c + 1), st.integers(0, 24)), max_size=12))
+    chosen = draw(st.integers(0, (1 << len(columns)) - 1))
+    b = 0
+    for t, (c, lo) in enumerate(columns):
+        if (chosen >> t) & 1:
+            b ^= c << lo
+    if draw(st.booleans()):
+        b ^= 1 << draw(st.integers(0, 31))
+    return columns, b
+
+
+def _two_feeds(b, columns, split, track, drop):
+    """A solve fed columns[:split], optionally dropping its witness, then the rest."""
+    solve = gf2.ColumnSolve(b, track=track)
+    pulled = []
+
+    def stream(part):
+        for c in part:
+            pulled.append(c)
+            yield c
+
+    first = solve.feed(stream(columns[:split]))
+    if drop:
+        solve.drop_witness()
+    second = solve.feed(stream(columns[split:]))
+    return solve, (first, second, solve.row, len(pulled))
+
+
+def _unshifted(pivots):
+    return {p: u << (p + 1 - u.bit_length()) for p, u in pivots.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(banded_systems(), st.integers(0, 12), st.booleans(), st.booleans())
+@example(([(0b11, 3), (0b1, 0), (0b101, 1)], 0b1011), 1, True, True)
+def test_banded_solve_matches_plain_solve(system, split, track, drop):
+    # the same stream fed as plain ints and as (bits, lo) pairs: the same
+    # solutions, residue row and columns pulled, and the same echelon once
+    # each stored pivot is shifted back up by its implied offset
+    columns, b = system
+    plain, plain_out = _two_feeds(b, [c << lo for c, lo in columns], split, track, drop)
+    banded, banded_out = _two_feeds(b, columns, split, track, drop)
+    assert banded_out == plain_out
+    assert banded.rest << banded.off == plain.rest
+    if banded_out[3]:
+        assert isinstance(banded.space, gf2.BandedEchelon)
+    assert all(u & 1 for u in banded.space.pivots.values())
+    assert _unshifted(banded.space.pivots) == plain.space.pivots
+    if plain.space.combos is None:
+        assert banded.space.combos is None
+    else:
+        assert {p: m << mo for p, (m, mo) in banded.space.combos.items()} == plain.space.combos
+
+
+def test_a_solve_takes_its_columns_in_one_form():
+    banded = gf2.ColumnSolve(0b110)
+    assert banded.feed([(0b1, 1)]) is None
+    with pytest.raises(TypeError):
+        banded.feed([0b100])
+    plain = gf2.ColumnSolve(0b110)
+    assert plain.feed([0b10]) is None
+    with pytest.raises(TypeError):
+        plain.feed([(0b1, 2)])
+    # both finish in their own form
+    assert banded.feed([(0b1, 2)]) == plain.feed([0b100]) == 0b11

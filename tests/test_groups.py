@@ -233,6 +233,35 @@ def test_word_metric_ball_length_calls_linear():
     assert CountingLamplighter.calls <= 8 * len(ball.elements)
 
 
+@pytest.mark.parametrize(
+    "family,args,R",
+    [(amalgam_z2_z_z2, (), 5), (Lamplighter, (), 4), (FreeGroup, (2,), 4), (FreeAbelian, (2,), 6)],
+    ids=["amalgam-5", "lamplighter-4", "F2-4", "Z2-6"],
+)
+def test_build_ball_forms_each_product_once(family, args, R):
+    # one mul per element and step: the BFS's products are reused for the
+    # Cayley adjacency; ids and adjacency are those of their definitions
+    class Counting(family):
+        calls = 0
+
+        def mul(self, g, h):
+            Counting.calls += 1
+            return super().mul(g, h)
+
+    model = Counting(*args)
+    ball = build_ball(model, R)
+    steps = [g for _, g in model.generators()]
+    steps += [model.inv(g) for g in steps if model.inv(g) != g]
+    n = len(ball.elements)
+    assert Counting.calls == n * len(steps)
+    key = lambda g: (model.length(g), model.sortkey(g))  # noqa: E731
+    assert ball.elements == sorted(ball.elements, key=key) and len(ball.index) == n
+    assert all(ball.index[g] == i for i, g in enumerate(ball.elements))
+    for i, g in enumerate(ball.elements):
+        near = {ball.index.get(model.mul(g, s)) for s in steps} - {None, i}
+        assert ball.cayley_adjacency[i] == sorted(near)
+
+
 def test_subgroup_traces(z2_ball_10, f2_ball_6):
     z2 = z2_ball_10
     axis = subgroup_trace(z2, {"cyclic": (1, 0)})
@@ -280,6 +309,22 @@ def test_bad_subgroup_specs(z2_ball_10):
     for word in ("a^x", "a^", "a^--1"):  # each once a ValueError from int()
         with pytest.raises(BadSubgroupSpecError):
             subgroup_trace(z2_ball_10, {"cyclic": word})
+    # values of the wrong kind: once a TypeError, an AttributeError, a
+    # ZeroDivisionError, the trivial subgroup, and "ab" read as ["a", "b"]
+    for spec in (
+        {"cyclic": 5}, {"cyclic": [1]}, {"cyclic": [0, 0]}, {"cyclic": [1, "x"]}, {"sublattice": 3},
+        {"sublattice": {"k": 0}}, {"sublattice": {"k": 2, "coords": [2]}}, {"sublattice": {"n": 2}},
+        {"generators": "ab"}, {"generators": ["a", 5]},
+    ):
+        with pytest.raises(BadSubgroupSpecError):
+            subgroup_trace(z2_ball_10, spec)
+    amalgam = build_ball(amalgam_z2_z_z2(), 2)
+    for value in ("x", 2, True, None):
+        with pytest.raises(BadSubgroupSpecError):
+            subgroup_trace(amalgam, {"factor": value})
+    # a Z^n element may be given as a JSON vector
+    assert subgroup_trace(z2_ball_10, {"cyclic": [1, 0]}) == subgroup_trace(z2_ball_10, {"cyclic": "a"})
+    assert subgroup_trace(z2_ball_10, {"generators": [[0, 2]]}) == subgroup_trace(z2_ball_10, {"cyclic": "b^2"})
 
 
 def test_commensurability_probe_bounded_and_growing():

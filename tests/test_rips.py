@@ -435,6 +435,23 @@ def test_boundary_columns_drop_one_vertex(case, rng):
 
 
 @settings(max_examples=40, deadline=None)
+@given(small_spaces(), st.randoms(use_true_random=False))
+def test_banded_columns_shift_to_the_boundary_columns(case, rng):
+    # (bits, lo): lo is the row of s[:-1], the column's lowest row, and
+    # bits << lo is the column iter_boundary_columns streams
+    X, V, r, _ = case
+    K = build_rips(X, V, r, 3)
+    for k in range(4):
+        banded = list(K.iter_banded_columns(k))
+        assert [c << lo for c, lo in banded] == list(K.iter_boundary_columns(k))
+        assert all(c & 1 for c, _ in banded)
+        if k:
+            assert [lo for _, lo in banded] == [K.index[k - 1][s[:-1]] for s in K.simplices[k]]
+        among = rng.sample(range(len(banded)), rng.randint(0, len(banded)))
+        assert list(K.iter_banded_columns(k, among)) == [banded[j] for j in among]
+
+
+@settings(max_examples=40, deadline=None)
 @given(cone_cases(), st.integers(0, 40))
 def test_lazy_uncone_matches_the_eager_definition(case, stop):
     K, d, apex, rng = case

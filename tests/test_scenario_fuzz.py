@@ -5,6 +5,8 @@
 violation, not a malformed scenario; it too ends the run with exit 1).
 Blocks draw their keys from their analysis's parameter table plus one
 unknown name, and their values from every JSON type, mostly small integers.
+Subgroup W specs draw every spec kind with words, unknown generators and
+values of every JSON type.
 Windows have radius <= 4, so each example runs in milliseconds; each
 analysis gets a fixed, derandomized budget of examples.
 """
@@ -45,13 +47,30 @@ def values(draw):
     return draw(st.lists(small_ints, max_size=4) if kind < 17 else anything)
 
 
+words = st.sampled_from(["a", "b", "t", "s", "x", "y", "z", "q", "a^2", "b^-1 a", "a^x", "", "a a^-1"])
+spec_values = st.one_of(
+    words, anything, st.lists(words, max_size=2),
+    st.dictionaries(st.sampled_from(["k", "coords", "kk"]), st.one_of(small_ints, st.lists(small_ints, max_size=3)),
+                    max_size=2),
+)
+
+
+@st.composite
+def subgroup_specs(draw, family: str):
+    """Mostly the family's own cyclic W; one in four draws any spec kind with any value."""
+    if draw(st.integers(0, 3)):
+        return {"cyclic": GENERATORS[family]}
+    kind = draw(st.sampled_from(["cyclic", "factor", "sublattice", "generators", "bogus"]))
+    return {kind: draw(spec_values)}
+
+
 @st.composite
 def scenarios(draw, first: str):
     radius = draw(st.integers(1, 4))
     if draw(st.booleans()):
         family = draw(st.sampled_from(sorted(GENERATORS)))
         space = {"kind": "group", "family": family, "radius": radius}
-        spec = {"cyclic": GENERATORS[family]}
+        spec = draw(subgroup_specs(family))
         fitting = [{"kind": "point"}, {"kind": "subgroup", "spec": spec}]
     else:
         space = {"kind": "fixture", "name": draw(st.sampled_from(FIXTURES)), "radius": radius}
