@@ -86,7 +86,7 @@ class ScenarioContext:
         else:
             known = fixtures_mod.list_fixtures()
             raise_on_bad(spec["name"] in known, f"unknown fixture {spec['name']!r}; known: {', '.join(known)}")
-            self.fixture = grid_fixture(spec["name"], spec["radius"])
+            self.fixture = grid_fixture(spec["name"], spec["radius"], max_vertices=self.max_vertices)
             self.space = self.fixture.space
         self.w = self._resolve_w(scenario.get("w"))
         self._deep: dict[tuple[int, int, int], list] = {}  # (r, A, collar) -> deep components
@@ -105,6 +105,13 @@ class ScenarioContext:
             except BadSubgroupSpecError as err:  # the spec is the scenario's: unknown names and values
                 raise CoarseTopError("scenario-invalid", f"w: {err}") from err
         return SubsetMask(self.space.n, [self.space.basepoint or 0])  # "point"
+
+    def words(self, words: list) -> list:
+        """The group elements of ``invariance_generators`` words; none on a fixture."""
+        try:
+            return [self.ball.model.parse_word(word) for word in words] if self.ball else []
+        except BadSubgroupSpecError as err:  # an unknown name in the scenario, as for W
+            raise CoarseTopError("scenario-invalid", f"invariance_generators: {err}") from err
 
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
@@ -162,7 +169,7 @@ def run_ends(ctx: ScenarioContext, params: dict) -> dict:
 
 def run_separate(ctx: ScenarioContext, params: dict) -> dict:
     r, A, collar = params["r"], params["A"], params["collar"]
-    windows, gens_words = params["windows"], params["invariance_generators"]
+    windows, gens = params["windows"], ctx.words(params["invariance_generators"])
     rows = []  # (ball-or-None, w, component set) per window, masks aligned
     if windows and ctx.ball is not None:
         subgroup_w = ctx.w_spec is not None and ctx.w_spec.get("kind") == "subgroup"
@@ -179,12 +186,8 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
     else:
         rows.append((ctx.ball, ctx.w, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
     inv_counts = None
-    if gens_words and all(ball is not None for ball, _, _ in rows):
-        inv_counts = []
-        for ball, w, cs in rows:
-            gens = [ball.model.parse_word(word) for word in gens_words]
-            _, e = invariant_components(ball, w, gens, cs)
-            inv_counts.append(e)
+    if gens:  # words are read on group spaces only, whose windows are all balls
+        inv_counts = [invariant_components(ball, w, gens, cs)[1] for ball, w, cs in rows]
     sets = [cs for _, _, cs in rows]
     rep = coarse_n_separation(sets, inv_counts)
     last = sets[-1]
@@ -564,6 +567,8 @@ def validate_analyses(scenario: dict) -> None:
 def run_scenario(scenario: dict, seed: int = 0) -> tuple[dict, int]:
     validate_analyses(scenario)
     ctx = ScenarioContext(scenario, seed)
+    for block in scenario.get("analyses", []):  # unknown generator names end before any analysis
+        ctx.words(block.get("invariance_generators", []))
     results = []
     for block in scenario.get("analyses", []):
         name = block["analysis"]

@@ -154,7 +154,7 @@ class RelativeComplex:
             return None
         outside = gf2.vector_from_indices(inside) ^ ((1 << self.n_rel(k)) - 1)
         delta = self.delta(k - 1)
-        tau = gf2.solve_columns([c & outside for c in delta.columns], vec & outside)
+        tau = gf2.solve_columns((c & outside for c in delta.columns), vec & outside)
         return vec ^ delta.matvec(tau)
 
     def cocycle_basis(self, k: int) -> list[int]:

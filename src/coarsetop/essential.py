@@ -65,7 +65,7 @@ def almost_essential_probe(
     targets = (W & interior).sorted_ids()
     if not targets or len(core) == 0:
         return AlmostEssentialReport(A, None, list(B_grid), "fails-at-window", X.window_radius or -1)
-    d = X.dist_to_set(core.ids)
+    d = X.dist_to_set(core.ids, max([0, *B_grid]))  # a need beyond every B reads inf
     need = max(d[w] for w in targets)
     for B in sorted(B_grid):
         if need <= B:
@@ -219,7 +219,7 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
         raise NotACycleError()
     supp = target.chain_support_vertices(k, z)
     rho = 2 * target.scale + 2
-    d = target.space.dist_to_set(supp.ids)
+    d = target.space.dist_to_set(supp.ids, rho)
     local_vertices = SubsetMask(
         target.space.n, (v for v in target.vertex_mask.ids if d[v] <= rho)
     )

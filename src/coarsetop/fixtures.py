@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import UnknownFixtureError
+from .errors import UnknownFixtureError, WindowTooLargeError
 from .metric import FiniteMetricSpace, SubsetMask
 
 
@@ -49,7 +49,11 @@ def lattice_region(points: list[tuple], window_radius: Optional[int] = None) -> 
     )
 
 
-def _box(radius: int, dim: int):
+def _box(radius: int, dim: int, max_vertices: int):
+    """The lattice points of the box window, refused before enumeration above the cap."""
+    size = (2 * radius + 1) ** dim
+    if size > max_vertices:
+        raise WindowTooLargeError(size, max_vertices)
     rng = range(-radius, radius + 1)
     return itertools.product(*[rng] * dim)
 
@@ -66,10 +70,14 @@ def list_fixtures() -> dict[str, str]:
     return {name: desc for name, (desc, _) in sorted(_FIXTURES.items())}
 
 
-def grid_fixture(name: str, radius: int) -> Fixture:
-    """Build a named fixture clipped to the box window of the given radius."""
+def grid_fixture(name: str, radius: int, max_vertices: int = 200_000) -> Fixture:
+    """Build a named fixture clipped to the box window of the given radius.
+
+    The box's (2 radius + 1)^d points are checked against ``max_vertices``
+    before any is enumerated, as a group ball's size estimate is.
+    """
     if name == "fig1_halfplane_flap":
-        region = [p for p in _box(radius, 2) if p[1] <= 0 or p[0] >= 0]
+        region = [p for p in _box(radius, 2, max_vertices) if p[1] <= 0 or p[0] >= 0]
         space = lattice_region(region, radius)
         w = space.mask_where(lambda p: p[1] == 0)
         comps = {
@@ -80,7 +88,7 @@ def grid_fixture(name: str, radius: int) -> Fixture:
     if name == "fig2_plane_fin":
         region = [
             p
-            for p in _box(radius, 3)
+            for p in _box(radius, 3, max_vertices)
             if p[2] == 0 or p[2] <= -1 or (1 <= p[2] <= max(abs(p[0]), abs(p[1])))
         ]
         space = lattice_region(region, radius)
@@ -91,7 +99,7 @@ def grid_fixture(name: str, radius: int) -> Fixture:
         }
         return Fixture(name, space, w, comps, 2)
     if name == "line_in_plane":
-        space = lattice_region(list(_box(radius, 2)), radius)
+        space = lattice_region(list(_box(radius, 2, max_vertices)), radius)
         w = space.mask_where(lambda p: p[1] == 0)
         comps = {
             "upper": space.mask_where(lambda p: p[1] > 0),
@@ -99,7 +107,7 @@ def grid_fixture(name: str, radius: int) -> Fixture:
         }
         return Fixture(name, space, w, comps, 1)
     if name == "plane_in_space":
-        space = lattice_region(list(_box(radius, 3)), radius)
+        space = lattice_region(list(_box(radius, 3, max_vertices)), radius)
         w = space.mask_where(lambda p: p[2] == 0)
         comps = {
             "upper": space.mask_where(lambda p: p[2] > 0),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Optional, Sequence
 
 from .errors import BadSubgroupSpecError, WindowTooLargeError
@@ -270,11 +270,27 @@ class WordMetricBall(FiniteMetricSpace):
         if r > self.window_radius:
             return super()._neighbours_at_scale(r)
         mul, get = self.model.mul, self.index.get
-        prefix = self.elements[1 : sum(1 for d in self.radial if d <= r)]
+        prefix = self.elements[1 : bisect_right(self.radial, r)]
         out = []
         for g in self.elements:
             ids = [get(mul(g, b)) for b in prefix]
             out.append(sorted(i for i in ids if i is not None))
+        return out
+
+    def _field(self, ids: list[int], limit: Optional[int]) -> list[float]:
+        # d(x, S) <= limit exactly when x = s·b with |b| <= limit, and B_limit(e)
+        # lies in the window while limit <= radius; beyond it rows are read.
+        if limit is None or limit > self.window_radius:
+            return super()._field(ids, limit)
+        mul, get, elements, radial = self.model.mul, self.index.get, self.elements, self.radial
+        prefix = range(bisect_right(radial, limit))
+        out = [inf] * self.n
+        for s in ids:
+            g = elements[s]
+            for b in prefix:
+                i = get(mul(g, elements[b]))
+                if i is not None and radial[b] < out[i]:
+                    out[i] = radial[b]
         return out
 
 

@@ -4,11 +4,19 @@ Every analysis in the package runs over a :class:`FiniteMetricSpace`: a
 finite window with integer point ids and an integer-valued distance. Two
 backings exist here: a unit-step graph (distances by BFS) and an explicit
 distance table, with which tests build arbitrary metrics. A subclass may
-instead compute rows itself by overriding ``_compute_row`` and
-``_neighbours_at_scale``; group balls that are not convex in their Cayley
-graph do so (``groups.WordMetricBall``). Distance rows are filled lazily
-per source, and this class alone validates scales and caches rows and
-scale adjacencies.
+instead compute rows itself by overriding ``_compute_row``,
+``_neighbours_at_scale`` and ``_field``; group balls that are not convex in
+their Cayley graph do so (``groups.WordMetricBall``). Distance rows are
+filled lazily per source, and this class alone validates scales and limits
+and caches rows and scale adjacencies.
+
+``dist_to_set(S, limit)`` is the one distance-to-a-set query. With a limit
+r, every point at distance more than r from S reads inf and every other
+point its exact distance, so ``d[x] <= r`` tests x in N_r(S) exactly. Graph
+spaces stop their BFS at depth r; word-metric balls translate B_r(e) by
+each point of S while r is at most the window radius. Callers that compare
+with one fixed radius pass it; callers that need distances themselves
+(Hausdorff distances, spreads, shallow depths) pass no limit.
 
 Values are immutable after construction; the per-source distance cache is
 an idempotent fill and safe to share between threads.
@@ -193,31 +201,45 @@ class FiniteMetricSpace:
         d = self.dist_row(x)[y]
         return math.inf if d == UNREACHABLE else d
 
-    def dist_to_set(self, ids: Iterable[int]) -> list[float]:
-        """d(x, S) for every x, by multi-source BFS (graph) or row minima."""
+    def dist_to_set(self, ids: Iterable[int], limit: Optional[int] = None) -> list[float]:
+        """d(x, S) for every x; with a limit, every d(x, S) > limit reads inf.
+
+        A caller that only tests d(x, S) <= r passes r: graph spaces then cut
+        their multi-source BFS at depth r, and word-metric balls compute no
+        row while r is at most the window radius.
+        """
         ids = sorted(set(ids))
         if not ids:
             raise EmptySubsetError()
+        if limit is not None and limit < 0:
+            raise ValueError("limit must be >= 0")
+        return self._field(ids, limit)
+
+    def _field(self, ids: list[int], limit: Optional[int]) -> list[float]:
+        """Body of dist_to_set for sorted nonempty ids; subclasses may override."""
         if self._adj is not None:
+            depth = self.n if limit is None else limit
             out = [UNREACHABLE] * self.n
-            dq = deque()
             for s in ids:
                 out[s] = 0
-                dq.append(s)
+            dq = deque(ids)
             while dq:
                 u = dq.popleft()
                 du = out[u]
+                if du == depth:
+                    continue
                 for w in self._adj[u]:
                     if out[w] == UNREACHABLE:
                         out[w] = du + 1
                         dq.append(w)
             return [math.inf if d == UNREACHABLE else d for d in out]
+        cap = math.inf if limit is None else limit
         best = [math.inf] * self.n
         for s in ids:
             row = self.dist_row(s)
             for x in range(self.n):
                 d = row[x]
-                if d != UNREACHABLE and d < best[x]:
+                if d != UNREACHABLE and d < best[x] and d <= cap:
                     best[x] = d
         return best
 
@@ -322,7 +344,7 @@ def neighborhood(X: FiniteMetricSpace, S: SubsetMask, r: int) -> SubsetMask:
         raise EmptySubsetError()
     if r < 0:
         raise ValueError("r must be >= 0")
-    d = X.dist_to_set(S.ids)
+    d = X.dist_to_set(S.ids, r)
     return SubsetMask(X.n, (x for x in range(X.n) if d[x] <= r))
 
 

@@ -292,7 +292,7 @@ def coarse_manifold_detector(
         if len(probe) == 0:
             covered.append(False)
             continue
-        d = X.dist_to_set(probe.ids)
+        d = X.dist_to_set(probe.ids, D)
         covered.append(all(d[v] <= D for v in interior.ids))
     if all(covered):
         verdict = "true"

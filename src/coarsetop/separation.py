@@ -25,7 +25,7 @@ def coarse_boundary(X: FiniteMetricSpace, C: SubsetMask, r: int) -> SubsetMask:
         raise ValueError("r must be >= 1")
     if len(C) == 0:
         return SubsetMask.empty(X.n)
-    d = X.dist_to_set(C.ids)
+    d = X.dist_to_set(C.ids, r)
     return SubsetMask(X.n, (x for x in range(X.n) if x not in C.ids and d[x] <= r))
 
 
@@ -35,7 +35,7 @@ def is_coarse_complementary(
     """Literal containment check boundary_r(C \\ N_A(W)) inside N_A(W)."""
     if r < 1 or A < 0:
         raise ValueError("need r >= 1 and A >= 0")
-    nA = neighborhood(X, W, A) if A > 0 else _closure0(X, W)
+    nA = neighborhood(X, W, A)
     core = C - nA
     if len(core) == 0:
         return True  # vacuously complementary
@@ -43,16 +43,10 @@ def is_coarse_complementary(
     return bdry.issubset(nA)
 
 
-def _closure0(X: FiniteMetricSpace, W: SubsetMask) -> SubsetMask:
-    # N_0(W) = W itself for integer metrics
-    return W
-
-
 @dataclass
 class CoarseComponent:
     mask: SubsetMask
     touches_collar: bool
-    max_dist_to_w: float
     deep: bool
 
 
@@ -95,22 +89,23 @@ def complement_components(
 
     deep = touches the collar and is not contained in N_{A+collar}(W) for
     the largest collar-safe test radius; the labels are monotone under
-    window growth.
+    window growth. N_A(W) and the depth test read one field cut at A + collar.
     """
     if len(W) == 0:
         raise EmptySubsetError("W must be nonempty")
-    nA = neighborhood(X, W, A)
+    if A < 0:
+        raise ValueError("A must be >= 0")
+    dW = X.dist_to_set(W.ids, A + collar)
+    nA = SubsetMask(X.n, (x for x in range(X.n) if dW[x] <= A))
     off = X.full_mask() - nA
-    dW = X.dist_to_set(W.ids)
     rad = X.radial
     R = X.window_radius
     cut = (R - collar) if (R is not None and rad is not None) else None
     comps: list[CoarseComponent] = []
     for comp in X.components(off, r):
         touches = bool(cut is not None and any(rad[u] > cut for u in comp))
-        maxd = max(dW[u] for u in comp)
-        deep = touches and maxd > A + collar
-        comps.append(CoarseComponent(SubsetMask(X.n, comp), touches, maxd, deep))
+        deep = touches and any(dW[u] > A + collar for u in comp)
+        comps.append(CoarseComponent(SubsetMask(X.n, comp), touches, deep))
     return CoarseComponentSet(X, W, r, A, collar, nA, comps)
 
 
@@ -288,7 +283,10 @@ def almost_invariant_extract(
     """
     X = ball.space
     model = ball.model
-    nA = neighborhood(X, H, A)
+    if A < 0:
+        raise ValueError("A must be >= 0")
+    dH = X.dist_to_set(H.ids, A + collar)  # N_A(H) and the depth test (iii)
+    nA = SubsetMask(X.n, (x for x in range(X.n) if dH[x] <= A))
     h_elems = [ball.elements[i] for i in H.sorted_ids()]
     allowed = C.ids | nA.ids
     mul, get = model.mul, ball.index.get
@@ -330,7 +328,6 @@ def almost_invariant_extract(
     comp = ~xhat
     rad = X.radial
     cut = (X.window_radius or 0) - collar
-    dH = X.dist_to_set(H.ids)
     def deep(mask: SubsetMask) -> bool:
         pts = (mask - nA).ids
         return any(rad[v] > cut for v in pts) and any(dH[v] > A + collar for v in pts)
@@ -358,7 +355,8 @@ def shallow_bound_check(
     shallow = cs.shallow_components()
     if not shallow:
         return {"R": A, "shallow_components": 0, "note": "no shallow components exist"}
-    worst = max(c.max_dist_to_w for c in shallow)
+    dW = X.dist_to_set(W.ids)
+    worst = max(dW[u] for c in shallow for u in c.mask.ids)
     for R in sorted(R_grid):
         if worst <= R:
             return {"R": R, "shallow_components": len(shallow), "max_depth": worst}

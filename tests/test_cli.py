@@ -283,16 +283,18 @@ def test_essential_builds_each_complex_once(monkeypatch):
     assert {name: c["verdict"] for name, c in comps.items()} == {"bottom": "essential", "top": "non-essential"}
 
 
-def test_window_too_large_cap(tmp_path):
-    scen = {
-        "schema": 1,
-        "space": {"kind": "group", "family": "F_2", "radius": 6},
-        "caps": {"max_vertices": 10},
-        "analyses": [{"analysis": "ends"}],
-    }
-    p = write_scenario(tmp_path, "toolarge", scen)
-    code = main(["run", str(p), "--out", str(tmp_path)])
-    assert code == 1
+def test_window_too_large_cap(tmp_path, capsys):
+    for space, cap in [
+        ({"kind": "group", "family": "F_2", "radius": 6}, 10),
+        # the 13^3 = 2,197 box points are compared with the cap before any is built
+        ({"kind": "fixture", "name": "plane_in_space", "radius": 6}, 1),
+    ]:
+        scen = {"schema": 1, "space": space, "caps": {"max_vertices": cap}, "analyses": [{"analysis": "ends"}]}
+        p = write_scenario(tmp_path, "toolarge", scen)
+        code = main(["run", str(p), "--out", str(tmp_path)])
+        assert code == 1
+        assert "window-too-large" in capsys.readouterr().err
+        assert not (tmp_path / "toolarge.report.json").exists()
 
 
 def test_fixtures_listing(capsys):
@@ -394,6 +396,7 @@ def test_bad_scenario_file(tmp_path):
         {**Z2_POINT, "space": {"kind": "group", "family": "amalgam", "radius": 3},
          "w": {"kind": "subgroup", "spec": {"factor": "x"}}},
         {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"generators": "ab"}}},
+        {**Z2_AXIS, "analyses": [{"analysis": "separate", "invariance_generators": ["q"]}]},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
@@ -411,6 +414,7 @@ def test_bad_scenario_file(tmp_path):
         "parameter-of-another-analysis", "space-kind-not-string", "analysis-name-not-string",
         "components-empty", "unknown-fixture", "w-unknown-generator", "cyclic-not-word", "sublattice-not-object",
         "sublattice-k-zero", "sublattice-axis-out-of-range", "factor-not-int", "generators-string",
+        "invariance-generator-unknown",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
@@ -432,7 +436,8 @@ def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
     # - wrong code: an unknown fixture ended as unknown-fixture and an unknown
     #   generator in a W word as bad-subgroup-spec; a W spec value of the
     #   wrong type was a traceback, and "generators": "ab" silently read the
-    #   string as the list ["a", "b"]
+    #   string as the list ["a", "b"]; an unknown invariance_generators name
+    #   ended separate as bad-subgroup-spec after its components were built
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err

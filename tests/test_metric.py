@@ -1,6 +1,7 @@
 """Finite metric spaces: neighborhoods, Hausdorff distance, masks."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsetop.errors import EmptySubsetError
+from coarsetop.fixtures import grid_fixture
+from coarsetop.groups import FreeAbelian, Lamplighter, build_ball
 from coarsetop.metric import (
     FiniteMetricSpace,
     SubsetMask,
@@ -140,3 +143,36 @@ def test_mask_algebra_hypothesis(n, seed):
     assert (a & b).issubset(a)
     assert (a ^ b) == ((a | b) - (a & b))
     assert (~(~a)) == a
+
+
+def _table_space():
+    # l_inf on a 7 x 7 patch of Z^2: an integer metric with no unit-step graph
+    pts = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    table = [[max(abs(a - c), abs(b - d)) for c, d in pts] for a, b in pts]
+    return FiniteMetricSpace.from_table(table, radial=[max(map(abs, p)) for p in pts], window_radius=3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: grid_fixture("fig1_halfplane_flap", 5).space,
+        lambda: build_ball(FreeAbelian(2), 5).space,
+        _table_space,
+        lambda: build_ball(Lamplighter(), 5).space,
+    ],
+    ids=["grid-fixture", "convex-ball", "table", "lamplighter"],
+)
+def test_bounded_field_is_the_full_field_cut_at_the_limit(make):
+    # d(x, S) from the rows by definition; every entry above the limit reads inf
+    X = make()
+    R = X.window_radius
+    rng = random.Random(5)
+    sets = [[X.basepoint or 0], [X.n - 1], rng.sample(range(X.n), 4), rng.sample(range(X.n), X.n // 3)]
+    for S in sets:
+        full = [min(X.dist(x, s) for s in S) for x in range(X.n)]
+        assert X.dist_to_set(S) == full
+        for limit in (0, 1, R // 2, R - 1, R, R + 1, 2 * R + 1):
+            expected = [d if d <= limit else math.inf for d in full]
+            assert X.dist_to_set(S, limit) == expected, (S, limit)
+    with pytest.raises(ValueError):
+        X.dist_to_set(sets[0], -1)

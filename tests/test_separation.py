@@ -1,8 +1,10 @@
 """Coarse boundaries, complementary components, relative ends, extraction."""
 
+import pytest
+
 from coarsetop.fixtures import lattice_region
-from coarsetop.groups import FreeAbelian, FreeGroup, build_ball, subgroup_trace
-from coarsetop.metric import SubsetMask, neighborhood
+from coarsetop.groups import FreeAbelian, FreeGroup, Lamplighter, amalgam_z2_z_z2, build_ball, subgroup_trace
+from coarsetop.metric import FiniteMetricSpace, SubsetMask, neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.separation import (
     almost_invariant_extract,
@@ -248,3 +250,50 @@ def test_shallow_bound_pocket_fixture():
     out = shallow_bound_check(X, W, 1, 0, range(0, 8))
     assert out["shallow_components"] == 1
     assert out["R"] == 3
+
+
+def test_w_neighbourhoods_on_a_word_metric_ball_compute_no_rows():
+    # N_A(W) and the depth tests of a lamplighter ball read one bounded field
+    # each, by translating B_{A+collar}(e), so no distance row is computed
+    ball = build_ball(Lamplighter(), 7)
+    X = ball.space
+    W = subgroup_trace(ball, {"cyclic": "t"})
+    assert len(neighborhood(X, W, 2)) > len(W)
+    cs = complement_components(X, W, 1, 1, collar=2)
+    assert cs.deep_components() and cs.shallow_components()
+    _, rep = almost_invariant_extract(ball, W, cs.deep_components()[0].mask, 1)
+    assert rep["window_radius"] == 7
+    assert not X._row_cache
+
+
+@pytest.mark.parametrize(
+    "family,R,spec",
+    [(Lamplighter(), 7, {"cyclic": "t"}), (amalgam_z2_z_z2(), 5, {"factor": 1})],
+    ids=["lamplighter-t", "amalgam-axis"],
+)
+def test_deep_and_shallow_labels_match_the_full_field(family, R, spec, monkeypatch):
+    # labels by definition: N_A(W) = {d(x, W) <= A}; deep = touches the collar
+    # and some point lies farther than A + collar from W
+    ball = build_ball(family, R)
+    X = ball.space
+    W = subgroup_trace(ball, spec)
+    full = [min(X.dist(x, w) for w in W.ids) for x in range(X.n)]
+    extracted = []
+    for r, A, collar in ((1, 0, 2), (1, 1, 2), (2, 1, 1), (1, 2, 0), (1, 1, R)):
+        cs = complement_components(X, W, r, A, collar=collar)
+        assert cs.nA == X.mask(x for x in range(X.n) if full[x] <= A)
+        assert cs.partition_ok()
+        for c in cs.components:
+            touches = any(X.radial[u] > R - collar for u in c.mask.ids)
+            assert c.touches_collar == touches
+            assert c.deep == (touches and max(full[u] for u in c.mask.ids) > A + collar)
+        depth = shallow_bound_check(X, W, r, A, range(2 * R + 1), collar=collar)
+        shallow = [u for c in cs.shallow_components() for u in c.mask.ids]
+        assert depth.get("max_depth", A) == max((full[u] for u in shallow), default=A)
+        C = (cs.deep_components() or cs.components)[0].mask
+        extracted.append((C, A, collar, almost_invariant_extract(ball, W, C, A, collar=collar)))
+    # the extraction's N_A(H) and depth test (iii) also agree with full fields
+    unbounded = FiniteMetricSpace.dist_to_set
+    monkeypatch.setattr(FiniteMetricSpace, "dist_to_set", lambda self, ids, limit=None: unbounded(self, ids))
+    for C, A, collar, result in extracted:
+        assert almost_invariant_extract(ball, W, C, A, collar=collar) == result
