@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import fixtures as fixtures_mod
 from .cochains import RelativeComplex
-from .errors import BadSubgroupSpecError, CoarseTopError
+from .errors import MAX_SIMPLICES, MAX_VERTICES, BadSubgroupSpecError, CoarseTopError
 from .essential import (
     EssentialVerdict,
     almost_essential_probe,
@@ -436,7 +436,7 @@ COMPONENTS = Param(
     Derived('the fixture\'s components, else ["0", "1"]',
             lambda ctx, p: sorted(ctx.fixture.components) if ctx.fixture else ["0", "1"]),
 )
-CAPS = {"max_vertices": integer(1, 200_000), "max_simplices": integer(1, 5_000_000)}
+CAPS = {"max_vertices": integer(1, MAX_VERTICES), "max_simplices": integer(1, MAX_SIMPLICES)}
 
 
 def with_defaults(table: dict[str, Param], block: dict, ctx: ScenarioContext) -> dict:

@@ -9,6 +9,12 @@ fundamental classes (H^2 of a plane window, the crossing class of a line
 window) that plain cohomology of a contractible window would lose.
 
 Cochains are int bitsets over the local index of relative simplices.
+
+Each degree k is factored once per complex and cached: δ^k, the transpose
+of the relative boundary streamed from :meth:`RipsComplex.iter_banded_columns`
+(no faces are enumerated here); the echelon of the coboundaries im δ^{k-1};
+and a cocycle basis of ker δ^k. Every caller shares these objects, so they
+are read only.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ class RelativeComplex:
             self.rel_pos.append({j: t for t, j in enumerate(keep)})
         self._delta_cache: dict[int, GF2Matrix] = {}
         self._image_cache: dict[int, gf2.GF2Subspace] = {}
+        self._cocycle_cache: dict[int, list[int]] = {}
         self._by_first: dict[int, dict[int, list[int]]] = {}  # degree -> first vertex -> positions
         self._residues: dict[int, dict[int, int]] = {}  # degree -> position t -> residue of e_t
 
@@ -44,25 +51,26 @@ class RelativeComplex:
         return len(self.rel[k]) if 0 <= k <= self.K.cap else 0
 
     def delta(self, k: int) -> GF2Matrix:
-        """delta^k : C^k_rel -> C^{k+1}_rel (rows = relative (k+1)-simplices)."""
+        """delta^k : C^k_rel -> C^{k+1}_rel (rows = relative (k+1)-simplices).
+
+        The transpose of the relative ∂_{k+1}, read column by column from
+        :meth:`RipsComplex.iter_banded_columns`; facets outside the relative
+        list drop out.
+        """
         mat = self._delta_cache.get(k)
         if mat is not None:
             return mat
-        n_hi = self.n_rel(k + 1)
         cols = [0] * self.n_rel(k)
-        pos_k, faces = self.rel_pos[k], self.K.index[k]
-        for t_hi, j_hi in enumerate(self.rel[k + 1]):
-            s = self.K.simplices[k + 1][j_hi]
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1:]
-                j_lo = faces.get(face)
-                if j_lo is None:
-                    continue
-                t_lo = pos_k.get(j_lo)
+        pos_k = self.rel_pos[k]
+        for t_hi, (col, lo) in enumerate(self.K.iter_banded_columns(k + 1, self.rel[k + 1])):
+            row = 1 << t_hi
+            while col:  # the k + 2 facets, top bit first
+                b = col.bit_length() - 1
+                t_lo = pos_k.get(lo + b)
                 if t_lo is not None:
-                    cols[t_lo] |= 1 << t_hi
-        mat = GF2Matrix(n_hi, self.n_rel(k), cols)
-        self._delta_cache[k] = mat
+                    cols[t_lo] |= row
+                col ^= 1 << b
+        mat = self._delta_cache[k] = GF2Matrix(self.n_rel(k + 1), self.n_rel(k), cols)
         return mat
 
     def coboundary(self, k: int, vec: int) -> int:
@@ -158,7 +166,16 @@ class RelativeComplex:
         return vec ^ delta.matvec(tau)
 
     def cocycle_basis(self, k: int) -> list[int]:
-        return gf2.kernel_basis(self.delta(k))
+        """A basis of ker delta^k, eliminated once per degree; read only.
+
+        At k >= cap every cochain counts as a cocycle, as in :meth:`is_cocycle`.
+        """
+        basis = self._cocycle_cache.get(k)
+        if basis is None:
+            basis = self._cocycle_cache[k] = (
+                gf2.kernel_basis(self.delta(k)) if k < self.K.cap else [1 << t for t in range(self.n_rel(k))]
+            )
+        return basis
 
     def coboundary_space(self, k: int) -> gf2.GF2Subspace:
         """im delta^{k-1} inside degree k, echelonised once per degree; read only."""
@@ -183,9 +200,7 @@ class RelativeComplex:
         return gf2.solve(self.delta(k - 1), vec)
 
     def cohomology_dim(self, k: int) -> int:
-        zdim = self.n_rel(k) - gf2.rank(self.delta(k)) if k < self.K.cap else self.n_rel(k)
-        bdim = 0 if k == 0 else gf2.rank(self.delta(k - 1))
-        return zdim - bdim
+        return len(self.cocycle_basis(k)) - self.coboundary_space(k).dim
 
 
 def restriction_matrix(src: RelativeComplex, dst: RelativeComplex, k: int) -> GF2Matrix:

@@ -1,10 +1,15 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the default resource caps.
 
 Every hard failure carries a short machine-readable code (used by the CLI
 report writer) alongside the human message.
 """
 
 from __future__ import annotations
+
+# Defaults of caps.max_vertices (points of a ball or fixture, WindowTooLargeError)
+# and caps.max_simplices (simplices of a Rips complex, ComplexTooLargeError).
+MAX_VERTICES = 200_000
+MAX_SIMPLICES = 5_000_000
 
 
 class CoarseTopError(Exception):

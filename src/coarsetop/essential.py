@@ -12,7 +12,11 @@ The Mayer-Vietoris assembly works on collar-relative cochain complexes of
 the pieces N_A(W), N_A(W) ∪ C, N_A(W) ∪ (X\\C) and X at one Rips scale,
 verifies the short exact sequence columnwise (the simplex dichotomy is the
 gate), computes the connecting map by the extend/coboundary/extend snake,
-and checks exactness at the reachable spots as subspace identities.
+and checks exactness at the reachable spots as subspace identities. Both
+spots, H^k(A) ⊕ H^k(B) and H^k(W), go through one routine that compares
+the image with the preimage of the next term's coboundaries; it reads the
+pieces' cached cocycle bases and coboundary echelons, so each degree of
+each piece is eliminated once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import gf2
 from .cochains import RelativeComplex, extension_matrix, restriction_matrix
-from .errors import CoarseTopError, NotACycleError, WindowTooSmallError
+from .errors import MAX_SIMPLICES, CoarseTopError, NotACycleError, WindowTooSmallError
 from .gf2 import GF2Matrix
 from .homology import (
     TwoScaleImage,
@@ -98,7 +102,7 @@ def paired_target_schedule(sched: WindowSchedule) -> tuple[int, int]:
 
 def pd_precondition(
     X: FiniteMetricSpace, W: SubsetMask, n: int, schedules: Sequence[WindowSchedule],
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> tuple[str, dict[WindowSchedule, TwoScaleImage]]:
     """Why W fails the PD signature check in dimension n ("" when it passes).
 
@@ -125,7 +129,7 @@ def essential_probe(
     max_witness_columns: int = 60_000,
     probe_schedule: Optional[WindowSchedule] = None,
     w_image: Optional[TwoScaleImage] = None,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> EssentialVerdict:
     """Probe one complementary component for essentiality in dimension n.
 
@@ -249,9 +253,26 @@ class MVPieces:
     A: RelativeComplex  # N_A(W) ∪ C1
     B: RelativeComplex  # N_A(W) ∪ C2
     W: RelativeComplex  # N_A(W)
-    q_mats: dict[int, tuple[GF2Matrix, GF2Matrix]]  # restrictions X->A, X->B
-    p_mats: dict[int, tuple[GF2Matrix, GF2Matrix]]  # restrictions A->W, B->W
+    q: dict[int, GF2Matrix] = field(default_factory=dict, repr=False)  # C^k(X) -> C^k(A) ⊕ C^k(B)
+    p: dict[int, GF2Matrix] = field(default_factory=dict, repr=False)  # C^k(A) ⊕ C^k(B) -> C^k(W)
     e_mats: dict[int, tuple[GF2Matrix, GF2Matrix]] = field(default_factory=dict, repr=False)
+
+    # C^k(A) ⊕ C^k(B) is encoded as a | (b << A.n_rel(k)); only add_degree and direct_sum write it.
+
+    def add_degree(self, k: int) -> tuple[GF2Matrix, GF2Matrix]:
+        """q and p in degree k, from the four restriction matrices."""
+        n = self.A.n_rel(k)
+        qa, qb = restriction_matrix(self.X, self.A, k), restriction_matrix(self.X, self.B, k)
+        pa, pb = restriction_matrix(self.A, self.W, k), restriction_matrix(self.B, self.W, k)
+        q_cols = [a | (b << n) for a, b in zip(qa.columns, qb.columns)]
+        q = self.q[k] = GF2Matrix(qa.rows + qb.rows, qa.cols, q_cols)
+        p = self.p[k] = GF2Matrix(pa.rows, pa.cols + pb.cols, pa.columns + pb.columns)
+        return q, p
+
+    def direct_sum(self, k: int, a_vecs: Sequence[int], b_vecs: Sequence[int]) -> list[int]:
+        """The vectors of both sides as elements of C^k(A) ⊕ C^k(B)."""
+        n = self.A.n_rel(k)
+        return [*a_vecs, *(v << n for v in b_vecs)]
 
     def extensions(self, deg: int) -> tuple[GF2Matrix, GF2Matrix]:
         """Extensions by zero W->A in degree deg and A->X in deg + 1, built once per degree."""
@@ -286,7 +307,7 @@ def mv_assemble(
     w_classes: Sequence[tuple[int, int]] = (),
     collar: int = 2,
     check_exactness_upto: Optional[int] = None,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> MVReport:
     """Assemble the three-piece short exact sequence and the connecting map.
 
@@ -312,33 +333,15 @@ def mv_assemble(
     RA = RelativeComplex(KA, interior & C1p)
     RB = RelativeComplex(KB, interior & C2)
     RW = RelativeComplex(KW, interior & nA)
-    q_mats = {}
-    p_mats = {}
+    pieces = MVPieces(RX, RA, RB, RW)
     ses_ok = {}
     for k in range(cap + 1):
-        qa = restriction_matrix(RX, RA, k)
-        qb = restriction_matrix(RX, RB, k)
-        pa = restriction_matrix(RA, RW, k)
-        pb = restriction_matrix(RB, RW, k)
-        q_mats[k] = (qa, qb)
-        p_mats[k] = (pa, pb)
+        q, p = pieces.add_degree(k)
         # columnwise short exactness:
         #  q injective, p surjective, p∘q = 0, rank q + rank p = middle dim
-        stacked_q = [qa.columns[j] | (qb.columns[j] << RA.n_rel(k)) for j in range(RX.n_rel(k))]
-        rank_q = gf2.rank_of_columns(stacked_q)
-        p_cols = [pa.columns[j] for j in range(RA.n_rel(k))] + [
-            pb.columns[j] for j in range(RB.n_rel(k))
-        ]
-        rank_p = gf2.rank_of_columns(p_cols)
-        pq_zero = all(
-            pa.matvec(qa.columns[j]) ^ pb.matvec(qb.columns[j]) == 0
-            for j in range(RX.n_rel(k))
-        )
-        middle = RA.n_rel(k) + RB.n_rel(k)
-        ses_ok[k] = bool(
-            rank_q == RX.n_rel(k) and rank_p == RW.n_rel(k) and pq_zero and rank_q + rank_p == middle
-        )
-    pieces = MVPieces(RX, RA, RB, RW, q_mats, p_mats)
+        rank_q, rank_p = gf2.rank_of_columns(q.columns), gf2.rank_of_columns(p.columns)
+        pq_zero = not any(map(p.matvec, q.columns))
+        ses_ok[k] = bool(rank_q == q.cols and rank_p == p.rows and pq_zero and rank_q + rank_p == p.cols)
     connecting = [connecting_entry(pieces, deg, sigma) for deg, sigma in w_classes]
     exactness = {}
     upto = check_exactness_upto if check_exactness_upto is not None else cap - 1
@@ -386,76 +389,45 @@ def _span_equal(span_a: list[int], span_b: list[int], ambient: int) -> bool:
     return all(sb.contains(v) for v in span_a)
 
 
+def _exact_at(image, cocycles, g, target: gf2.GF2Subspace, bounds, ambient: int) -> bool:
+    """span(image) + B = {z in span(cocycles) : g(z) in target} + B, with B = span(bounds).
+
+    g must be linear. The kernel side comes from one elimination: the
+    combinations of the cocycles whose g-images reduce to 0 against target.
+    """
+    reduced = [target.reduce(g(z)) for z in cocycles]
+    combos = gf2.kernel_basis(GF2Matrix(target.ambient, len(reduced), reduced))
+    as_matrix = GF2Matrix(ambient, len(cocycles), cocycles)
+    kernel = [as_matrix.matvec(m) for m in combos]
+    return _span_equal([*image, *bounds], [*kernel, *bounds], ambient)
+
+
 def _exact_at_middle(pieces: MVPieces, k: int) -> bool:
     """im q* = ker p* at H^k(A) ⊕ H^k(B)."""
-    RX, RA, RB, RW = pieces.X, pieces.A, pieces.B, pieces.W
-    qa, qb = pieces.q_mats[k]
-    pa, pb = pieces.p_mats[k]
-    offs = RA.n_rel(k)
-    dim_mid = RA.n_rel(k) + RB.n_rel(k)
-    # cocycles of the middle term (block diagonal delta)
-    da, db = RA.delta(k), RB.delta(k)
-    mid_delta = GF2Matrix(
-        da.rows + db.rows,
-        dim_mid,
-        [da.columns[j] for j in range(da.cols)]
-        + [db.columns[j] << da.rows for j in range(db.cols)],
+    RX, RA, RB = pieces.X, pieces.A, pieces.B
+    bounds = pieces.direct_sum(k, RA.delta(k - 1).columns, RB.delta(k - 1).columns) if k else []
+    return _exact_at(
+        [pieces.q[k].matvec(z) for z in RX.cocycle_basis(k)],
+        pieces.direct_sum(k, RA.cocycle_basis(k), RB.cocycle_basis(k)),
+        pieces.p[k].matvec,
+        pieces.W.coboundary_space(k),
+        bounds,
+        RA.n_rel(k) + RB.n_rel(k),
     )
-    z_mid = gf2.kernel_basis(mid_delta)
-    bd_mid_cols = (
-        []
-        if k == 0
-        else [
-            RA.delta(k - 1).columns[j] for j in range(RA.n_rel(k - 1))
-        ]
-        + [RB.delta(k - 1).columns[j] << offs for j in range(RB.n_rel(k - 1))]
-    )
-    # image side: q of X-cocycles, plus middle coboundaries
-    z_x = gf2.kernel_basis(RX.delta(k)) if k < RX.K.cap else [1 << j for j in range(RX.n_rel(k))]
-    img = [qa.matvec(z) | (qb.matvec(z) << offs) for z in z_x] + bd_mid_cols
-    # kernel side: middle cocycles whose p-image is a W-coboundary
-    bw = RW.coboundary_space(k)
-    reduced = []
-    for z in z_mid:
-        pz = pa.matvec(z & ((1 << offs) - 1)) ^ pb.matvec(z >> offs)
-        reduced.append(bw.reduce(pz))
-    combos = gf2.kernel_basis(GF2Matrix(RW.n_rel(k), len(reduced), reduced))
-    ker = []
-    for m in combos:
-        v = 0
-        for b in gf2.bits(m):
-            v ^= z_mid[b]
-        ker.append(v)
-    ker += bd_mid_cols
-    return _span_equal(img, ker, dim_mid)
 
 
 def _exact_at_w(pieces: MVPieces, k: int) -> bool:
     """im p* = ker delta~ at H^k(W)."""
-    RX, RA, RB, RW = pieces.X, pieces.A, pieces.B, pieces.W
-    pa, pb = pieces.p_mats[k]
-    z_w = gf2.kernel_basis(RW.delta(k)) if k < RW.K.cap else [1 << j for j in range(RW.n_rel(k))]
-    bd_w = [] if k == 0 else list(RW.delta(k - 1).columns)
-    # image side: p of middle cocycles
-    da, db = RA.delta(k), RB.delta(k)
-    img = []
-    for z in gf2.kernel_basis(da):
-        img.append(pa.matvec(z))
-    for z in gf2.kernel_basis(db):
-        img.append(pb.matvec(z))
-    img += bd_w
-    # kernel side: W-cocycles whose snake image is a coboundary on X
-    bx = gf2.image_basis(RX.delta(k)) if RX.n_rel(k) else gf2.GF2Subspace(RX.n_rel(k + 1))
-    reduced = [bx.reduce(connecting_map(pieces, k, z)) for z in z_w]
-    combos = gf2.kernel_basis(GF2Matrix(RX.n_rel(k + 1), len(reduced), reduced))
-    ker = []
-    for m in combos:
-        v = 0
-        for b in gf2.bits(m):
-            v ^= z_w[b]
-        ker.append(v)
-    ker += bd_w
-    return _span_equal(img, ker, RW.n_rel(k))
+    RA, RB, RW = pieces.A, pieces.B, pieces.W
+    mid = pieces.direct_sum(k, RA.cocycle_basis(k), RB.cocycle_basis(k))
+    return _exact_at(
+        [pieces.p[k].matvec(z) for z in mid],
+        RW.cocycle_basis(k),
+        lambda z: connecting_map(pieces, k, z),
+        pieces.X.coboundary_space(k + 1),
+        RW.delta(k - 1).columns if k else [],
+        RW.n_rel(k),
+    )
 
 
 def localized_boundary_support(

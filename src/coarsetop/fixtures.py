@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import UnknownFixtureError, WindowTooLargeError
+from .errors import MAX_VERTICES, UnknownFixtureError, WindowTooLargeError
 from .metric import FiniteMetricSpace, SubsetMask
 
 
@@ -70,7 +70,7 @@ def list_fixtures() -> dict[str, str]:
     return {name: desc for name, (desc, _) in sorted(_FIXTURES.items())}
 
 
-def grid_fixture(name: str, radius: int, max_vertices: int = 200_000) -> Fixture:
+def grid_fixture(name: str, radius: int, max_vertices: int = MAX_VERTICES) -> Fixture:
     """Build a named fixture clipped to the box window of the given radius.
 
     The box's (2 radius + 1)^d points are checked against ``max_vertices``

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, inf
 from typing import Optional, Sequence
 
-from .errors import BadSubgroupSpecError, WindowTooLargeError
+from .errors import MAX_VERTICES, BadSubgroupSpecError, WindowTooLargeError
 from .metric import FiniteMetricSpace, SubsetMask
 
 
@@ -327,7 +327,7 @@ class BallModel:
         )
 
 
-def build_ball(model: GroupModel, radius: int, max_vertices: int = 200_000) -> BallModel:
+def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES) -> BallModel:
     """Enumerate the word-metric ball by BFS over generator moves.
 
     Element ids are assigned in (word length, normal-form sort key) order,
@@ -507,7 +507,7 @@ class CommensurabilityReport:
 
 
 def commensurability_probe(
-    model: GroupModel, H_spec, K_spec, radii: Sequence[int], max_vertices: int = 200_000
+    model: GroupModel, H_spec, K_spec, radii: Sequence[int], max_vertices: int = MAX_VERTICES
 ) -> CommensurabilityReport:
     """Per-radius Hausdorff distance between the traces of H and K.
 

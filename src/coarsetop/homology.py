@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import gf2
-from .errors import NotAChainMapError, WindowTooSmallError
+from .errors import MAX_SIMPLICES, NotAChainMapError, WindowTooSmallError
 from .groups import trend_verdict
 from .metric import FiniteMetricSpace, SubsetMask
 from .rips import ChainMap, RipsComplex, build_rips, inclusion_chain_map
@@ -77,9 +77,8 @@ class TwoScaleClass:
 
     k: int
     representative: int  # cycle bitset over inner k-simplices
-    schedule: WindowSchedule
+    schedule: Optional[WindowSchedule]  # set by schedule_two_scale
     survives: bool
-    basis_role: str = "image-basis"
 
 
 @dataclass
@@ -112,7 +111,7 @@ def two_scale_image(inner: RipsComplex, outer: RipsComplex, k: int) -> TwoScaleI
     return two_scale_image_along(f, k)
 
 
-def two_scale_image_along(f: ChainMap, k: int, schedule: Optional[WindowSchedule] = None) -> TwoScaleImage:
+def two_scale_image_along(f: ChainMap, k: int) -> TwoScaleImage:
     inner, outer = f.source, f.target
     if k + 1 > inner.cap or k + 1 > outer.cap:
         raise ValueError("dimension caps too low for this k")
@@ -124,9 +123,7 @@ def two_scale_image_along(f: ChainMap, k: int, schedule: Optional[WindowSchedule
     rank, rep_positions = gf2.quotient_image_rank(
         cycles, images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k)
     )
-    classes = [
-        TwoScaleClass(k, cycles[t], schedule, True) for t in rep_positions
-    ]
+    classes = [TwoScaleClass(k, cycles[t], None, True) for t in rep_positions]
     return TwoScaleImage(inner, outer, f, k, rank, classes)
 
 
@@ -161,18 +158,16 @@ def schedule_two_scale(
     k: int,
     sched: WindowSchedule,
     within: Optional[SubsetMask] = None,
-    cap: Optional[int] = None,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> TwoScaleImage:
     """The two-scale image of H~_k between the schedule's complement annuli, built under the cap."""
     sched.validate()
-    m = cap if cap is not None else k + 1
     inner_mask = annulus_mask(X, sched.S, sched.R - sched.collar, within)
     outer_mask = annulus_mask(X, sched.S_out, None, within)
     if len(inner_mask) == 0 or len(outer_mask) == 0:
         raise WindowTooSmallError("empty annulus at this schedule")
-    inner = build_rips(X, inner_mask, sched.i, m, max_simplices=max_simplices)
-    outer = build_rips(X, outer_mask, sched.j, m, max_simplices=max_simplices)
+    inner = build_rips(X, inner_mask, sched.i, k + 1, max_simplices=max_simplices)
+    outer = build_rips(X, outer_mask, sched.j, k + 1, max_simplices=max_simplices)
     out = two_scale_image(inner, outer, k)
     for c in out.classes:
         c.schedule = sched
@@ -226,7 +221,7 @@ def coarse_cohomology_dim_estimate(
     k: int,
     schedules: Sequence[WindowSchedule],
     within: Optional[SubsetMask] = None,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> DimEstimateReport:
     """dim H^k proxy via surviving H~_{k-1} of complement annuli.
 
@@ -294,7 +289,7 @@ def uniform_acyclicity_probe(
     r_values: Sequence[int],
     lambda_max: int,
     mu_max: int,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> AcyclicityProfile:
     """Smallest (lambda, mu) killing H~_k(P_i(N_r(x))) in P_lambda(N_mu(x)).
 
@@ -345,7 +340,7 @@ def pd_signature_check(
     n: int,
     schedules: Sequence[WindowSchedule],
     within: Optional[SubsetMask] = None,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> PDSignatureReport:
     """Check the coarse cohomology proxy pattern (0, ..., 0, 1) in degrees 1..n."""
     verdicts: dict[int, object] = {}

@@ -39,7 +39,8 @@ lowest row. A column spans only the rows between its facets, so the pair
 costs that span, not the top row. The membership solves (fills and the
 essential probe) feed the pairs to ``gf2.ColumnSolve``, whose echelon then
 stays banded; ``iter_boundary_columns`` and ``boundary`` shift them to
-plain ints for the GF2Matrix callers.
+plain ints for the GF2Matrix callers, and ``RelativeComplex.delta``
+transposes the relative ones into the coboundary δ.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf2
-from .errors import ComplexTooLargeError, NotACycleError, NotAChainMapError, NotASubcomplexError, ScheduleExhaustedError
+from .errors import MAX_SIMPLICES, ComplexTooLargeError, NotACycleError, NotAChainMapError, NotASubcomplexError, ScheduleExhaustedError
 from .gf2 import GF2Matrix
 from .metric import FiniteMetricSpace, SubsetMask
 
@@ -231,7 +232,7 @@ def build_rips(
     V: SubsetMask,
     r: int,
     m: int,
-    max_simplices: int = 5_000_000,
+    max_simplices: int = MAX_SIMPLICES,
 ) -> RipsComplex:
     """All simplices of P_r(V) up to dimension m.
 

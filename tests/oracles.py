@@ -199,3 +199,14 @@ def uncone_by_definition(K, k, among=None, apex=None):
 def every_column(K, k, among=None, apex=None):
     """Stand-in for ``RipsComplex.uncone`` that keeps every column: the unskipped solve."""
     return list(range(K.n_simplices(k))) if among is None else list(among)
+
+
+def relative_coboundary_by_definition(K, interior_ids, k):
+    """Columns of the relative coboundary δ^k, read off vertex sets alone.
+
+    A simplex is relative when one of its vertices is interior; rows and
+    columns follow the complex's simplex order. Each relative k-simplex
+    maps to the relative (k+1)-simplices containing it.
+    """
+    lo, hi = ([s for s in K.simplices[d] if interior_ids & set(s)] for d in (k, k + 1))
+    return [sum(1 << b for b, up in enumerate(hi) if set(face) <= set(up)) for face in lo]

@@ -397,6 +397,38 @@ def test_span_comparator_detects_difference(line_in_plane_8):
     assert _span_equal([0b01, 0b10], [0b11, 0b01], 2) is True
 
 
+def test_exactness_helper_detects_a_missed_kernel_class():
+    # g keeps coordinate 0 and the target is {0}, so the kernel side is span(e1)
+    from coarsetop.essential import _exact_at
+
+    cocycles, g, target = [0b01, 0b10], (lambda z: z & 1), gf2.GF2Subspace(1)
+    assert _exact_at([], cocycles, g, target, [], 2) is False
+    assert _exact_at([0b01], cocycles, g, target, [], 2) is False
+    assert _exact_at([0b11], cocycles, g, target, [], 2) is False
+    assert _exact_at([0b10], cocycles, g, target, [], 2) is True
+    assert _exact_at([], cocycles, g, target, [0b10], 2) is True  # a coboundary fills the class
+
+
+def test_mv_eliminates_each_cocycle_basis_once(line_in_plane_8, monkeypatch):
+    # four pieces' cocycle bases in degrees 0 and 1, plus one kernel per exactness spot
+    fix = line_in_plane_8
+    seen = []
+    kernel_basis = gf2.kernel_basis
+
+    def counting_kernel_basis(A):
+        seen.append(A)
+        return kernel_basis(A)
+
+    monkeypatch.setattr(gf2, "kernel_basis", counting_kernel_basis)
+    rep = mv_assemble(fix.space, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    assert len(rep.exactness) == 4 and all(rep.exactness.values())
+    assert len(seen) <= 12
+    P = rep.pieces
+    for piece in (P.X, P.A, P.B, P.W):
+        for k in range(3):
+            assert sum(A is piece.delta(k) for A in seen) <= 1
+
+
 def test_two_sided_fundamental_class(line_in_plane_8):
     fix = line_in_plane_8
     X = fix.space
