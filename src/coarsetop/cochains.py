@@ -12,9 +12,10 @@ Cochains are int bitsets over the local index of relative simplices.
 
 Each degree k is factored once per complex and cached: δ^k, the transpose
 of the relative boundary streamed from :meth:`RipsComplex.iter_banded_columns`
-(no faces are enumerated here); the echelon of the coboundaries im δ^{k-1};
-and a cocycle basis of ker δ^k. Every caller shares these objects, so they
-are read only.
+(no faces are enumerated here); the tracked echelon of the coboundaries
+im δ^{k-1}, which also answers every masked solve of
+:meth:`RelativeComplex.representative_within`; and a cocycle basis of
+ker δ^k. Every caller shares these objects, so they are read only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class RelativeComplex:
         self._image_cache: dict[int, gf2.GF2Subspace] = {}
         self._cocycle_cache: dict[int, list[int]] = {}
         self._by_first: dict[int, dict[int, list[int]]] = {}  # degree -> first vertex -> positions
-        self._residues: dict[int, dict[int, int]] = {}  # degree -> position t -> residue of e_t
 
     def n_rel(self, k: int) -> int:
         return len(self.rel[k]) if 0 <= k <= self.K.cap else 0
@@ -141,29 +141,17 @@ class RelativeComplex:
         """vec + delta tau supported on relative k-simplices inside the mask, or None.
 
         Support containment is simplex-level: the result may be nonzero only
-        on the simplices B inside ``allowed``. Feasibility is decided first, on
-        residues: reduction r against the echelon of im delta^{k-1} (cached per
-        degree) is linear with kernel exactly im delta, so vec lies in
-        im delta + C_B if and only if r(vec) lies in the span of
-        {r(e_t) : t in B}. That system has |B| columns; each r(e_t) is reduced
-        once per complex, since neighbouring balls share most simplices. The
-        answer is exact, so an infeasible mask costs no full solve.
-
-        A feasible mask gets the witnessed solve: tau solves
+        on the simplices B inside ``allowed``. tau solves
         (delta tau)(t) = vec(t) on every relative k-simplex t outside B.
         Masking zeroes the rows in B in place instead of renumbering the
         others; the kept rows stay in order, so every top-bit pivot lands on
         the same row and tau is the solution a compacted system would give.
+        The solve runs on the tracked echelon of im delta^{k-1}, cached per
+        degree, and re-reduces only the pivots the mask touches
+        (:meth:`gf2.GF2Subspace.solve_masked`); None means infeasible.
         """
-        inside = self.simplex_positions_within(k, allowed)
-        reduce, residues = self.coboundary_space(k).reduce, self._residues.setdefault(k, {})
-        residues.update({t: reduce(1 << t) for t in inside if t not in residues})
-        if gf2.ColumnSolve(reduce(vec), track=False).feed(residues[t] for t in inside) is None:
-            return None
-        outside = gf2.vector_from_indices(inside) ^ ((1 << self.n_rel(k)) - 1)
-        delta = self.delta(k - 1)
-        tau = gf2.solve_columns((c & outside for c in delta.columns), vec & outside)
-        return vec ^ delta.matvec(tau)
+        tau = self.coboundary_space(k).solve_masked(vec, self.simplex_positions_within(k, allowed))
+        return None if tau is None else vec ^ self.delta(k - 1).matvec(tau)
 
     def cocycle_basis(self, k: int) -> list[int]:
         """A basis of ker delta^k, eliminated once per degree; read only.
@@ -178,10 +166,14 @@ class RelativeComplex:
         return basis
 
     def coboundary_space(self, k: int) -> gf2.GF2Subspace:
-        """im delta^{k-1} inside degree k, echelonised once per degree; read only."""
+        """im delta^{k-1} inside degree k, echelonised once per degree; read only.
+
+        The echelon is tracked, its columns inserted in index order, so it
+        also answers the masked solves of :meth:`representative_within`.
+        """
         space = self._image_cache.get(k)
         if space is None:
-            space = gf2.image_basis(self.delta(k - 1)) if k else gf2.GF2Subspace(self.n_rel(0))
+            space = gf2.image_basis(self.delta(k - 1)) if k else gf2.GF2Subspace(self.n_rel(0), track=True)
             self._image_cache[k] = space
         return space
 

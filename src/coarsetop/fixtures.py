@@ -63,6 +63,7 @@ _FIXTURES: dict[str, tuple[str, int]] = {
     "fig2_plane_fin": ("plane with a half-space below and a cone-complement fin above", 2),
     "line_in_plane": ("the x-axis inside the full plane window", 1),
     "plane_in_space": ("the z=0 plane inside the full 3-space window", 2),
+    "three_page_book": ("three half-planes of Z^3 glued along the x-axis: the z=0 plane and the fin y=0, z>0", 1),
 }
 
 
@@ -114,6 +115,16 @@ def grid_fixture(name: str, radius: int, max_vertices: int = MAX_VERTICES) -> Fi
             "lower": space.mask_where(lambda p: p[2] < 0),
         }
         return Fixture(name, space, w, comps, 2)
+    if name == "three_page_book":
+        region = [p for p in _box(radius, 3, max_vertices) if p[2] == 0 or (p[1] == 0 and p[2] > 0)]
+        space = lattice_region(region, radius)
+        w = space.mask_where(lambda p: p[1] == 0 and p[2] == 0)
+        comps = {
+            "fin": space.mask_where(lambda p: p[2] > 0),
+            "north": space.mask_where(lambda p: p[1] > 0),
+            "south": space.mask_where(lambda p: p[1] < 0),
+        }
+        return Fixture(name, space, w, comps, 1)
     raise UnknownFixtureError(name, _FIXTURES)
 
 

@@ -22,6 +22,11 @@ form rejects the other. GF2Matrix callers (cochain coboundaries, kernel
 and image bases, ``span_of``) keep the plain loop: the offsets cost time
 on every step and pay only where vectors sit far above row 0.
 
+A tracked echelon of columns inserted in order also answers the solve over
+the same columns with a set of rows masked to zero
+(:meth:`GF2Subspace.solve_masked`): it re-reduces only the pivots the mask
+touches, so a family of masked solves shares one elimination.
+
 Matrices are immutable after construction. A GF2Subspace, BandedEchelon
 or ColumnSolve is filled by the one elimination that owns it, so
 independent eliminations may run in parallel.
@@ -29,6 +34,7 @@ independent eliminations may run in parallel.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -147,16 +153,16 @@ class GF2Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, v: int, m: int, full: bool) -> tuple[int, int, int]:
+    def _reduce(self, v: int, m: Optional[int], full: bool) -> tuple[int, Optional[int], int]:
         """Eliminate v against the pivots, highest set bit first.
 
         Returns (rest, m, row), with the combination masks of the pivots used
-        XORed into ``m``. With ``full``, rest is the residue of v (no bit at a
-        pivot row) and row is -1. Otherwise elimination stops at the first bit
-        without a pivot: rest still holds it and row names it; rest is 0 and
-        row -1 when v lies in the span.
+        XORed into ``m``; with ``m`` None none is kept. With ``full``, rest is
+        the residue of v (no bit at a pivot row) and row is -1. Otherwise
+        elimination stops at the first bit without a pivot: rest still holds
+        it and row names it; rest is 0 and row -1 when v lies in the span.
         """
-        pivots, combos = self.pivots, self.combos
+        pivots, combos = self.pivots, (self.combos if m is not None else None)
         out = 0
         while v:
             p = v.bit_length() - 1
@@ -179,10 +185,10 @@ class GF2Subspace:
         Pivot vectors have no bits above their pivot row, so a bit with no
         pivot can never be cleared and lands in the residue.
         """
-        return self._reduce(v, 0, True)[0]
+        return self._reduce(v, None, True)[0]
 
     def contains(self, v: int) -> bool:
-        return self._reduce(v, 0, False)[0] == 0
+        return self._reduce(v, None, False)[0] == 0
 
     def insert(self, v: int) -> Optional[int]:
         """Add the next vector: None if it enlarged the space, else its combination.
@@ -203,6 +209,56 @@ class GF2Subspace:
     def extend(self, v: int) -> bool:
         """Insert the next vector; True if it enlarged the space."""
         return self.insert(v) is None
+
+    def solve_masked(self, b: int, rows: Sequence[int]) -> Optional[int]:
+        """What ``solve_columns([c & ~M for c in cols], b & ~M)`` returns, M the mask of ``rows``.
+
+        The space is the tracked echelon of ``cols`` inserted in order, read
+        only. The top bit of ``combos[p]`` is the column that created pivot
+        p, and a pivot off M keeps its row under the mask. So only the pivots
+        on M, and any later pivot whose row a re-reduced vector lands on, are
+        re-reduced in column order against the masked pivots of earlier
+        columns. One that vanishes marks its column dependent, and its
+        combination replaces that column in the solution of b & ~M: the
+        unique one over the columns the masked greedy solve keeps.
+        """
+        pivots, combos = self.pivots, self.combos
+        keep = ~vector_from_indices(rows)
+        moved: dict[int, tuple[int, int]] = {}  # row -> re-reduced (vector, combination)
+        dependent: dict[int, int] = {}  # column -> combination summing to 0 under the mask
+
+        def reduce(v: int, m: int, j: int) -> tuple[int, int, int]:
+            """Reduce v against the masked pivots of the columns before j: (v, m, top row)."""
+            while v:
+                q = v.bit_length() - 1
+                hit = moved.get(q)
+                if hit is None:
+                    u = pivots.get(q)
+                    if u is None or combos[q].bit_length() - 1 > j:
+                        return v, m, q
+                    hit = (u & keep, combos[q])
+                v ^= hit[0]
+                m ^= hit[1]
+            return 0, m, -1
+
+        queue = [(combos[p].bit_length() - 1, p) for p in rows if p in pivots]
+        heapify(queue)
+        while queue:
+            j, p = heappop(queue)
+            v, m, q = reduce(pivots[p] & keep, combos[p], j)
+            if not v:
+                dependent[j] = m
+                continue
+            moved[q] = (v, m)
+            if q in pivots:  # a later column's pivot row: that pivot moves on too
+                heappush(queue, (combos[q].bit_length() - 1, q))
+        v, x, _ = reduce(b & keep, 0, self.inserted)
+        if v:
+            return None
+        for j in sorted(dependent, reverse=True):
+            if x >> j & 1:
+                x ^= dependent[j]
+        return x
 
 
 class BandedEchelon:
@@ -336,8 +392,8 @@ class ColumnSolve:
         self.x = 0
 
 
-def _echelon(columns: Iterable[int], ambient: int = 0) -> GF2Subspace:
-    space = GF2Subspace(ambient)
+def _echelon(columns: Iterable[int], ambient: int = 0, track: bool = False) -> GF2Subspace:
+    space = GF2Subspace(ambient, track)
     for c in columns:
         space.insert(c)
     return space
@@ -376,7 +432,8 @@ def kernel_basis(A: GF2Matrix) -> list[int]:
 
 
 def image_basis(A: GF2Matrix) -> GF2Subspace:
-    return _echelon(A.columns, A.rows)
+    """The tracked echelon of A's columns, inserted in index order (see ``solve_masked``)."""
+    return _echelon(A.columns, A.rows, track=True)
 
 
 def span_of(vectors: Iterable[int], ambient: int) -> GF2Subspace:

@@ -7,13 +7,13 @@ the union of witness supports over feasible centers; center-feasibility
 relaxes the diameter-D definition by at most a factor of two, which the
 Hausdorff comparisons absorb. A witness's diameter is computed only if read.
 
-A center is decided on its ball. Its infeasibility is read off residues
-modulo the cached echelon of im delta: alpha0 is representable inside the
-ball exactly when its residue lies in the span of the residues of the
-ball's simplices (see ``RelativeComplex.representative_within``), so the
-answer is the one a full solve would give, and only feasible centers pay
-for the witnessed solve. The detector hands its last mobility set to the
-stab comparison, so no center is solved twice at one D.
+A center is decided on its ball, by one masked solve on the tracked
+echelon of im delta that the complex factors once per degree (see
+``RelativeComplex.representative_within``): only the pivots on the ball's
+simplices are re-reduced, and the witness, or None, is the one a fresh
+solve over the masked coboundary columns would give. The detector hands
+its last mobility set to the stab comparison, so no center is solved twice
+at one D.
 
 Stabilizers are computed as traces: g enters when the transported cocycle
 alpha0 . g^{-1} is defined in-window and cohomologous to alpha0 via a

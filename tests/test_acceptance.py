@@ -110,33 +110,40 @@ def test_accept_2_coarse_separation(f2_ball_6):
 
 
 def test_accept_3_figure_classification(fig1_12, fig2_12):
-    """fig1 bottom essential / top non-essential; fig2 likewise, at R=12, S=4, scales (1,2)."""
-    scheds = _sched(12, (3, 4, 5), i=1, j=2)
-    probe = scheds[1]  # inner radius 4
+    """fig1 bottom essential / top non-essential; fig2 likewise, at R=12, S=4, scales (1,2).
+
+    The three-page book at R=10, scales (1,1), has all three pages essential:
+    the paper's hypothesis of three essential components of W.
+    """
+    book = grid_fixture("three_page_book", 10)
+    fixtures = {fix.name: fix for fix in (fig1_12, fig2_12, book)}
     results = {}
-    for fix, n in ((fig1_12, 1), (fig2_12, 2)):
-        for name in ("bottom", "top"):
+    for fix, scheds in ((fig1_12, _sched(12, (3, 4, 5), i=1, j=2)), (fig2_12, _sched(12, (3, 4, 5), i=1, j=2)),
+                        (book, _sched(10, (3, 4, 5), i=1, j=1))):
+        for name in fix.components:
             v = essential_probe(
                 fix.space,
                 fix.w,
                 fix.components[name],
-                n,
+                fix.analysis_dim,
                 scheds,
                 component_name=name,
-                probe_schedule=probe,
+                probe_schedule=scheds[1],  # inner radius 4
             )
             results[(fix.name, name)] = v
     assert results[("fig1_halfplane_flap", "bottom")].verdict == "essential"
     assert results[("fig1_halfplane_flap", "top")].verdict == "non-essential"
     assert results[("fig2_plane_fin", "bottom")].verdict == "essential"
     assert results[("fig2_plane_fin", "top")].verdict == "non-essential"
+    for name in ("fin", "north", "south"):
+        assert results[("three_page_book", name)].verdict == "essential"
     # witness replay: every death/survival fate re-verified by a direct
     # GF(2) membership computation on the recorded complexes
     from coarsetop.essential import paired_target_schedule
     from coarsetop.homology import annulus_mask, schedule_two_scale
 
     for (fixname, name), v in results.items():
-        fix = fig1_12 if fixname.startswith("fig1") else fig2_12
+        fix = fixtures[fixname]
         n = fix.analysis_dim
         sched = v.schedule
         w_img = schedule_two_scale(fix.space, n - 1, sched, within=fix.w)
@@ -149,7 +156,7 @@ def test_accept_3_figure_classification(fig1_12, fig2_12):
                 pushed |= 1 << target.index[n - 1][w_img.inner.simplices[n - 1][j]]
             feasible = fill_cycle(target, n - 1, pushed, want_witness=False)
             assert (feasible is None) == wit["survives_in_target"]
-    print("ACCEPT 3 PASS figures: fig1 bottom/top, fig2 bottom/top classified and replayed")
+    print("ACCEPT 3 PASS figures: fig1 bottom/top, fig2 bottom/top, three book pages classified and replayed")
 
 
 def test_accept_4_almost_essential():
@@ -184,9 +191,18 @@ def test_accept_5_mv_connecting_map(line_in_plane_8):
     )
     assert out["within_bound"]
     assert all(rep.exactness.values())
+    # on the three-page book, cut off the fin, the middle spot at H^2
+    # compares nonzero groups: H^2 of X, A, B, W is 2, 0, 1, 0
+    book = grid_fixture("three_page_book", 6)
+    pages = mv_assemble(book.space, book.w, book.components["fin"], r=2, A=1, cap=4)
+    P = pages.pieces
+    assert [R.cohomology_dim(2) for R in (P.X, P.A, P.B, P.W)] == [2, 0, 1, 0]
+    assert pages.dichotomy and all(pages.ses_ok.values())
+    assert "middle-H2" in pages.exactness and all(pages.exactness.values())
     print(
         "ACCEPT 5 PASS mv: delta~ nonzero, support radius "
-        f"{out['achieved_radius']} <= {out['bound']}, exactness {sorted(rep.exactness)}"
+        f"{out['achieved_radius']} <= {out['bound']}, exactness {sorted(rep.exactness)}; "
+        f"book exactness {sorted(pages.exactness)}"
     )
 
 

@@ -319,3 +319,53 @@ def test_a_solve_takes_its_columns_in_one_form():
         plain.feed([(0b1, 2)])
     # both finish in their own form
     assert banded.feed([(0b1, 2)]) == plain.feed([0b100]) == 0b11
+
+
+@st.composite
+def masked_systems(draw):
+    """Columns with planted dependencies, their tracked echelon, a row mask and b.
+
+    Masks are empty, every row, pivot rows only, or random; b is a sum of
+    columns off the mask (feasible) or any vector (often not).
+    """
+    rows = draw(st.integers(1, 10))
+    full = (1 << rows) - 1
+    columns: list[int] = []
+    for _ in range(draw(st.integers(0, 14))):
+        if columns and draw(st.booleans()):
+            c = 0
+            for i in draw(st.lists(st.integers(0, len(columns) - 1), max_size=4)):
+                c ^= columns[i]
+            c ^= draw(st.integers(0, full)) & draw(st.sampled_from([0, full]))
+        else:
+            c = draw(st.integers(0, full))
+        columns.append(c)
+    space = gf2.image_basis(GF2Matrix(rows, len(columns), columns))
+    kind = draw(st.sampled_from(["empty", "all", "pivots", "random"]))
+    if kind in ("empty", "all"):
+        masked = list(range(rows)) if kind == "all" else []
+    else:
+        pool = sorted(space.pivots) if kind == "pivots" else range(rows)
+        masked = sorted(draw(st.sets(st.sampled_from(pool)))) if pool else []
+    b = draw(st.integers(0, full))
+    if draw(st.booleans()):
+        b &= gf2.vector_from_indices(masked)
+        for t in gf2.bits(draw(st.integers(0, (1 << len(columns)) - 1))):
+            b ^= columns[t]
+    return columns, space, masked, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(masked_systems())
+@example(([0b110, 0b010, 0b011], gf2.image_basis(GF2Matrix(3, 3, [0b110, 0b010, 0b011])), [2], 0b011))
+@example(([0b110, 0b010, 0b011], gf2.image_basis(GF2Matrix(3, 3, [0b110, 0b010, 0b011])), [2], 0b010))
+def test_masked_solve_on_a_tracked_echelon_matches_the_masked_solve(system):
+    # the echelon of the unmasked columns answers the solve over the masked
+    # columns bit for bit: same feasibility, same combination of columns.
+    # In the examples, masking row 2 sends column 0 onto column 1's pivot
+    # row, so column 1 turns dependent under the mask
+    columns, space, masked, b = system
+    keep = ~gf2.vector_from_indices(masked)
+    before = (dict(space.pivots), dict(space.combos))
+    assert space.solve_masked(b, masked) == gf2.solve_columns([c & keep for c in columns], b & keep)
+    assert (space.pivots, space.combos) == before

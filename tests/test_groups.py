@@ -366,7 +366,18 @@ def test_fixture_catalog():
         "fig2_plane_fin",
         "line_in_plane",
         "plane_in_space",
+        "three_page_book",
     }
+
+
+def test_three_page_book_geometry():
+    fix = grid_fixture("three_page_book", 4)
+    X = fix.space
+    # the 9 x 9 plane and the 9 x 4 fin, clipped from the 9^3 box
+    assert X.n == 81 + 36 and sorted(X.labels[i] for i in fix.w.ids) == [(x, 0, 0) for x in range(-4, 5)]
+    pages = [fix.components[name] for name in ("fin", "north", "south")]
+    assert sum(map(len, pages)) + len(fix.w) == X.n
+    assert all(X.labels[i][1] == 0 for i in pages[0].ids)
 
 
 def test_fig1_geometry(fig1_12):

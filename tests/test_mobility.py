@@ -314,7 +314,7 @@ def test_transport_reads_only_the_support():
     assert a0.diameter == R.support_diameter(2, vec)
 
 
-# -- centres decided on the ball: residue test, ball-sized masks, one Mob per D ---------
+# -- centres decided on the ball: one tracked echelon, ball-sized masks, one Mob per D --
 
 
 def _edge_cut_f2_5():
@@ -339,21 +339,24 @@ def _row_ball(R, g, D):
 
 
 @pytest.mark.parametrize("setup", [_edge_cut_f2_5, _crossing_line_in_plane_8], ids=["f2-edge-cut", "line-crossing"])
-def test_full_solve_only_for_feasible_centers(monkeypatch, setup):
-    # infeasible centres are decided by the residue test alone; each feasible
-    # one costs exactly one witnessed solve, whose witness is the reference's
+def test_mobility_solves_on_the_one_coboundary_echelon(monkeypatch, setup):
+    # no centre runs a solve of its own: every witness comes from the echelon
+    # of delta^0, whose columns are inserted once for all centres and both D,
+    # and each witness is the reference's
     R, a0, collar = setup()
+    solves, inserts = [], []
+    insert = gf2.GF2Subspace.insert
+    monkeypatch.setattr(gf2, "solve_columns", lambda *a, **kw: solves.append(a))
+    monkeypatch.setattr(gf2, "ColumnSolve", lambda *a, **kw: solves.append(a))
+    monkeypatch.setattr(gf2.GF2Subspace, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+    results = [mobility_set(R, a0, D, collar=collar) for D in (1, 2)]
+    monkeypatch.undo()
+    assert solves == [] and inserts == R.delta(0).columns
     feasible = 0
-    for D in (1, 2):
-        calls = []
-        solve = gf2.solve_columns
-        monkeypatch.setattr(gf2, "solve_columns", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
-        res = mobility_set(R, a0, D, collar=collar)
-        monkeypatch.undo()
+    for D, res in zip((1, 2), results):
         centers = _collar_safe_centers(R, D, collar)
         assert len(res.feasible_centers) < len(centers)
-        assert len(calls) == len(res.feasible_centers)
-        feasible += len(calls)
+        feasible += len(res.feasible_centers)
         for g in centers:
             expected = compacted_representative_within(R, 1, a0.vec, _row_ball(R, g, D))
             got = res.witnesses.get(g)
