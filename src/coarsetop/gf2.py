@@ -441,17 +441,15 @@ def span_of(vectors: Iterable[int], ambient: int) -> GF2Subspace:
 
 
 def quotient_image_rank(
-    inner_cycles: Sequence[int],
     f_images: Sequence[int],
     outer_boundaries: Iterable[int],
     outer_dim: int,
 ) -> tuple[int, list[int]]:
-    """Rank of (span(f(cycles)) + B) / B and indices of representative cycles.
+    """Rank of (span(f_images) + B) / B and indices of representative images.
 
-    ``inner_cycles[t]`` and ``f_images[t]`` are aligned: the t-th inner cycle
-    and its image in the outer chain group. Returns (rank, reps) where reps
-    lists the positions t whose images form a basis of the image modulo the
-    outer boundary space.
+    ``f_images[t]`` is the image of the t-th inner cycle in the outer chain
+    group. Returns (rank, reps) where reps lists the positions t whose images
+    form a basis of the image modulo the outer boundary space.
     """
     space = span_of(outer_boundaries, outer_dim)
     reps: list[int] = []

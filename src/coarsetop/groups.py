@@ -12,8 +12,10 @@ the word metric agrees with the induced path metric of the ball subgraph
 and BFS backs all distance queries. Other balls, the lamplighter's, are a
 :class:`WordMetricBall`: the word metric is left-invariant, so a distance
 row is |g^-1 h| over the ball, computed when first asked for, and the
-scale-r neighbourhood of g is the translate g B_r(e). No distance table is
-built. Both metrics are exposed on the ball.
+points within r of a set S are the translates s B_r(e), which it hands to
+the one neighbourhood hook of :mod:`metric` (``_near``) while r is at most
+the radius. No distance table is built. Both metrics are exposed on the
+ball.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import MAX_VERTICES, BadSubgroupSpecError, WindowTooLargeError
@@ -264,34 +266,22 @@ class WordMetricBall(FiniteMetricSpace):
         g_inv = self.model.inv(self.elements[x])
         return array("i", [length(mul(g_inv, h)) for h in self.elements])
 
-    def _neighbours_at_scale(self, r: int) -> list[list[int]]:
-        # N_r(g) = g B_r(e) holds inside the window only while B_r(e) does,
-        # that is for r <= radius; beyond it the rows are scanned.
+    def _near(self, ids: list[int], r: float) -> dict[int, int]:
+        # d(x, S) <= r exactly when x = s·b with |b| <= r, and B_r(e) lies in
+        # the window while r <= radius; beyond it rows are scanned. Elements
+        # ascend in word length, so the first b to reach x is the nearest.
         if r > self.window_radius:
-            return super()._neighbours_at_scale(r)
-        mul, get = self.model.mul, self.index.get
-        prefix = self.elements[1 : bisect_right(self.radial, r)]
-        out = []
-        for g in self.elements:
-            ids = [get(mul(g, b)) for b in prefix]
-            out.append(sorted(i for i in ids if i is not None))
-        return out
-
-    def _field(self, ids: list[int], limit: Optional[int]) -> list[float]:
-        # d(x, S) <= limit exactly when x = s·b with |b| <= limit, and B_limit(e)
-        # lies in the window while limit <= radius; beyond it rows are read.
-        if limit is None or limit > self.window_radius:
-            return super()._field(ids, limit)
+            return super()._near(ids, r)
         mul, get, elements, radial = self.model.mul, self.index.get, self.elements, self.radial
-        prefix = range(bisect_right(radial, limit))
-        out = [inf] * self.n
-        for s in ids:
-            g = elements[s]
-            for b in prefix:
-                i = get(mul(g, elements[b]))
-                if i is not None and radial[b] < out[i]:
-                    out[i] = radial[b]
-        return out
+        sources = [elements[s] for s in ids]
+        near: dict[int, int] = {}
+        for b in range(bisect_right(radial, r)):
+            h = elements[b]
+            for g in sources:
+                i = get(mul(g, h))
+                if i is not None and i not in near:
+                    near[i] = radial[b]
+        return near
 
 
 @dataclass

@@ -121,7 +121,7 @@ def two_scale_image_along(f: ChainMap, k: int) -> TwoScaleImage:
         if outer.boundary_of_chain(k, img) != 0:
             raise NotAChainMapError("image of a cycle is not a cycle")
     rank, rep_positions = gf2.quotient_image_rank(
-        cycles, images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k)
+        images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k)
     )
     classes = [TwoScaleClass(k, cycles[t], None, True) for t in rep_positions]
     return TwoScaleImage(inner, outer, f, k, rank, classes)

@@ -2,21 +2,27 @@
 
 Every analysis in the package runs over a :class:`FiniteMetricSpace`: a
 finite window with integer point ids and an integer-valued distance. Two
-backings exist here: a unit-step graph (distances by BFS) and an explicit
-distance table, with which tests build arbitrary metrics. A subclass may
-instead compute rows itself by overriding ``_compute_row``,
-``_neighbours_at_scale`` and ``_field``; group balls that are not convex in
-their Cayley graph do so (``groups.WordMetricBall``). Distance rows are
-filled lazily per source, and this class alone validates scales and limits
-and caches rows and scale adjacencies.
+backings exist here: a unit-step graph and an explicit distance table, with
+which tests build arbitrary metrics. A subclass may instead compute rows
+itself by overriding ``_compute_row``; group balls that are not convex in
+their Cayley graph do so (``groups.WordMetricBall``).
+
+Every distance and connectivity query rests on one traversal and one hook.
+``flood`` is the one breadth-first search: hop counts from a set of
+sources, cut at a depth and optionally kept inside a set. ``_near(S, r)``
+maps each point within r of S to d(x, S); graph spaces flood, other spaces
+scan rows, and a subclass may answer it faster. ``dist_to_set``,
+``adjacency_at_scale``, graph rows and ``components`` derive from these
+two and are never overridden. This class alone validates scales and
+limits and caches rows and scale adjacencies; only ``dist_row`` stores a
+row.
 
 ``dist_to_set(S, limit)`` is the one distance-to-a-set query. With a limit
 r, every point at distance more than r from S reads inf and every other
-point its exact distance, so ``d[x] <= r`` tests x in N_r(S) exactly. Graph
-spaces stop their BFS at depth r; word-metric balls translate B_r(e) by
-each point of S while r is at most the window radius. Callers that compare
-with one fixed radius pass it; callers that need distances themselves
-(Hausdorff distances, spreads, shallow depths) pass no limit.
+point its exact distance, so ``d[x] <= r`` tests x in N_r(S) exactly; a
+graph flood stops at depth r. Callers that compare with one fixed radius
+pass it; callers that need distances themselves (Hausdorff distances,
+spreads, shallow depths) pass no limit.
 
 Values are immutable after construction; the per-source distance cache is
 an idempotent fill and safe to share between threads.
@@ -26,8 +32,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import EmptySubsetError
 
@@ -185,63 +190,44 @@ class FiniteMetricSpace:
         if self._table is not None:
             return self._table[x]
         row = array("i", [UNREACHABLE]) * self.n
-        row[x] = 0
-        dq = deque([x])
-        adj = self._adj
-        while dq:
-            u = dq.popleft()
-            du = row[u]
-            for w in adj[u]:
-                if row[w] == UNREACHABLE:
-                    row[w] = du + 1
-                    dq.append(w)
+        for y, d in flood(self._adj, [x]).items():
+            row[y] = d
         return row
+
+    def _near(self, ids: list[int], r: float) -> dict[int, int]:
+        """{x: d(x, S)} for the points within r of S; subclasses may override.
+
+        Without a graph the rows of S are scanned. A row is read from the
+        cache when it is there and is never stored, so ``dist_row`` alone
+        grows the cache.
+        """
+        if self._adj is not None:
+            return flood(self._adj, ids, r)
+        near: dict[int, int] = {}
+        for s in ids:
+            row = self._row_cache.get(s)
+            if row is None:
+                row = self._compute_row(s)
+            for x, d in enumerate(row):
+                if 0 <= d <= r and d < near.get(x, d + 1):
+                    near[x] = d
+        return near
 
     def dist(self, x: int, y: int) -> float:
         d = self.dist_row(x)[y]
         return math.inf if d == UNREACHABLE else d
 
     def dist_to_set(self, ids: Iterable[int], limit: Optional[int] = None) -> list[float]:
-        """d(x, S) for every x; with a limit, every d(x, S) > limit reads inf.
-
-        A caller that only tests d(x, S) <= r passes r: graph spaces then cut
-        their multi-source BFS at depth r, and word-metric balls compute no
-        row while r is at most the window radius.
-        """
+        """d(x, S) for every x; with a limit, every d(x, S) > limit reads inf."""
         ids = sorted(set(ids))
         if not ids:
             raise EmptySubsetError()
         if limit is not None and limit < 0:
             raise ValueError("limit must be >= 0")
-        return self._field(ids, limit)
-
-    def _field(self, ids: list[int], limit: Optional[int]) -> list[float]:
-        """Body of dist_to_set for sorted nonempty ids; subclasses may override."""
-        if self._adj is not None:
-            depth = self.n if limit is None else limit
-            out = [UNREACHABLE] * self.n
-            for s in ids:
-                out[s] = 0
-            dq = deque(ids)
-            while dq:
-                u = dq.popleft()
-                du = out[u]
-                if du == depth:
-                    continue
-                for w in self._adj[u]:
-                    if out[w] == UNREACHABLE:
-                        out[w] = du + 1
-                        dq.append(w)
-            return [math.inf if d == UNREACHABLE else d for d in out]
-        cap = math.inf if limit is None else limit
-        best = [math.inf] * self.n
-        for s in ids:
-            row = self.dist_row(s)
-            for x in range(self.n):
-                d = row[x]
-                if d != UNREACHABLE and d < best[x] and d <= cap:
-                    best[x] = d
-        return best
+        out = [math.inf] * self.n
+        for x, d in self._near(ids, math.inf if limit is None else limit).items():
+            out[x] = d
+        return out
 
     def adjacency_at_scale(self, r: int) -> list[list[int]]:
         """For each point, sorted points at distance in (0, r]; cached."""
@@ -249,65 +235,31 @@ class FiniteMetricSpace:
             raise ValueError("scale must be >= 0")
         cached = self._scale_adj_cache.get(r)
         if cached is None:
-            cached = self._scale_adj_cache[r] = self._neighbours_at_scale(r)
+            if self._adj is not None and r == 1:
+                cached = [sorted(set(a)) for a in self._adj]
+            else:
+                cached = []
+                for x in range(self.n):
+                    near = self._near([x], r)
+                    near.pop(x)
+                    cached.append(sorted(near))
+            self._scale_adj_cache[r] = cached
         return cached
-
-    def _neighbours_at_scale(self, r: int) -> list[list[int]]:
-        """Uncached body of adjacency_at_scale for a validated r >= 0.
-
-        Without a graph every row is scanned once; rows computed here are
-        not cached, so a scan leaves no n x n structure behind.
-        """
-        if self._adj is not None and r == 1:
-            return [sorted(set(a)) for a in self._adj]
-        out = []
-        if self._adj is not None:
-            for x in range(self.n):
-                found = {x: 0}
-                dq = deque([x])
-                while dq:
-                    u = dq.popleft()
-                    du = found[u]
-                    if du == r:
-                        continue
-                    for w in self._adj[u]:
-                        if w not in found:
-                            found[w] = du + 1
-                            dq.append(w)
-                found.pop(x)
-                out.append(sorted(found))
-            return out
-        for x in range(self.n):
-            row = self._row_cache.get(x)
-            if row is None:
-                row = self._compute_row(x)
-            out.append([y for y in range(self.n) if y != x and 0 <= row[y] <= r])
-        return out
 
     def components(self, mask: SubsetMask, scale: int) -> list[list[int]]:
         """Connected components of the scale-adjacency graph on a mask.
 
-        Depth-first flood fill from each unvisited id in ascending order, so
+        One flood fill from each unvisited id in ascending order, so
         components come ordered by their smallest id; each is sorted.
         """
         adj = self.adjacency_at_scale(scale)
-        ids = mask.ids
         seen: set[int] = set()
         out = []
         for v in mask.sorted_ids():
-            if v in seen:
-                continue
-            comp = [v]
-            seen.add(v)
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in ids and w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
+            if v not in seen:
+                comp = flood(adj, [v], within=mask.ids)
+                seen.update(comp)
+                out.append(sorted(comp))
         return out
 
     # -- masks and set operations ------------------------------------------------
@@ -338,6 +290,32 @@ class FiniteMetricSpace:
 # -- module-level operations ------------------------------------------------------
 
 
+def flood(
+    adj: Sequence[Sequence[int]],
+    sources: Iterable[int],
+    depth: Optional[float] = None,
+    within: Optional[Container[int]] = None,
+) -> dict[int, int]:
+    """Breadth-first hop counts from the sources over adj, cut at depth.
+
+    Points farther than depth are not reached; with ``within``, only points
+    of that set are entered. Every traversal of a space's points runs here.
+    """
+    found = dict.fromkeys(sources, 0)
+    frontier = list(found)
+    d = 0
+    while frontier and d != depth:
+        d += 1
+        reached = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in found and (within is None or w in within):
+                    found[w] = d
+                    reached.append(w)
+        frontier = reached
+    return found
+
+
 def neighborhood(X: FiniteMetricSpace, S: SubsetMask, r: int) -> SubsetMask:
     """{ x : d(x, S) <= r }; monotone in both r and S."""
     if len(S) == 0:
@@ -364,6 +342,7 @@ __all__ = [
     "UNREACHABLE",
     "SubsetMask",
     "FiniteMetricSpace",
+    "flood",
     "neighborhood",
     "hausdorff_distance",
 ]

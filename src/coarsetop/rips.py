@@ -301,21 +301,6 @@ class ChainMap:
             if gf2.popcount(f0.columns[j]) % 2 != 1:
                 raise NotAChainMapError("dimension-0 map is not augmentation preserving")
 
-    def achieved_displacement(self, k: int) -> int:
-        """max over k-simplices of the spread of the image support beyond the mapped vertices.
-
-        The simplex-identity map has displacement 0 under this convention.
-        """
-        spc = self.target.space
-        worst = 0
-        for j, s in enumerate(self.source.simplices[k]):
-            img = self.mats[k].columns[j]
-            rows = [spc.dist_row(self.vertex_map[v]) for v in s]
-            for t in gf2.bits(img):
-                for v in self.target.simplices[k][t]:
-                    worst = max(worst, min(row[v] for row in rows))
-        return worst
-
 
 def inclusion_chain_map(K: RipsComplex, L: RipsComplex) -> ChainMap:
     """Simplex-identity map of a subcomplex; displacement 0."""

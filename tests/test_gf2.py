@@ -146,9 +146,8 @@ def test_kernel_image_dimensions_hypothesis(seed, rows, cols):
 
 def test_quotient_image_rank_simple():
     # ambient dim 3; boundary space spanned by e0+e1; cycles e0+e1 (dies), e2 (survives)
-    cycles = [0b011, 0b100]
     images = [0b011, 0b100]
-    r, reps = gf2.quotient_image_rank(cycles, images, [0b011], 3)
+    r, reps = gf2.quotient_image_rank(images, [0b011], 3)
     assert r == 1
     assert reps == [1]
 

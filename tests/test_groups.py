@@ -1,5 +1,6 @@
 """Group models: normal forms, balls, traces, commensurability, fixtures."""
 
+import math
 import random
 
 import pytest
@@ -216,7 +217,14 @@ def test_word_metric_ball_matches_dense_definition(model, R):
     for r in range(2 * R + 2):
         expected = [[y for y in range(n) if y != x and dense[x][y] <= r] for x in range(n)]
         assert space.adjacency_at_scale(r) == expected, f"scale {r}"
-    assert not space._row_cache  # no scale left rows behind
+    # fields beyond the radius scan rows: unbounded and cut above R
+    rng = random.Random(R)
+    for S in ([0], [n - 1], rng.sample(range(n), 5)):
+        full = [min(dense[s][x] for s in S) for x in range(n)]
+        assert space.dist_to_set(S) == full
+        for limit in (R + 1, 2 * R - 1):
+            assert space.dist_to_set(S, limit) == [d if d <= limit else math.inf for d in full]
+    assert not space._row_cache  # no scale or field left rows behind
     for x in range(n):
         assert list(space.dist_row(x)) == dense[x]
 

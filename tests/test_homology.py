@@ -19,7 +19,7 @@ from coarsetop.homology import (
 from coarsetop.metric import FiniteMetricSpace
 from coarsetop.rips import build_rips
 
-from oracles import flood_fill_components
+from oracles import bfs_distances, flood_fill_components
 
 
 def zsched(R, S_values, i=1, j=1, collar=2):
@@ -170,11 +170,17 @@ def test_ends_f2_growing(f2_ball_6):
 
 
 def test_ends_components_match_flood_fill(z_ball_24):
+    # the annulus of Z splits into its two ends at every scale below the gap;
+    # the oracle's scale-s neighbours come from its own BFS over the Cayley graph
     X = z_ball_24.space
     mask = annulus_mask(X, 6)
-    adj = X.adjacency_at_scale(1)
-    comps = flood_fill_components(mask.sorted_ids(), lambda v: adj[v])
-    assert len(comps) == 2
+    for scale in (1, 2, 3):
+        near = [
+            [w for w, d in bfs_distances(X._adj, v).items() if 0 < d <= scale] for v in range(X.n)
+        ]
+        oracle = flood_fill_components(mask.sorted_ids(), near.__getitem__)
+        assert X.components(mask, scale) == [sorted(c) for c in oracle]
+        assert len(oracle) == 2
 
 
 def test_dim_estimates_match_ends(z_ball_24, z2_ball_16):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coarsetop.errors import EmptySubsetError
 from coarsetop.fixtures import grid_fixture
-from coarsetop.groups import FreeAbelian, Lamplighter, build_ball
+from coarsetop.groups import FreeAbelian, Lamplighter, WordMetricBall, build_ball
 from coarsetop.metric import (
     FiniteMetricSpace,
     SubsetMask,
@@ -18,7 +18,7 @@ from coarsetop.metric import (
     neighborhood,
 )
 
-from oracles import bfs_distances
+from oracles import bfs_distances, flood_fill_components
 
 
 def line_space(lo=-10, hi=10):
@@ -152,7 +152,8 @@ def _table_space():
     return FiniteMetricSpace.from_table(table, radial=[max(map(abs, p)) for p in pts], window_radius=3)
 
 
-@pytest.mark.parametrize(
+# one space of each backing: graph (a fixture and a convex ball), table, word metric
+BACKINGS = pytest.mark.parametrize(
     "make",
     [
         lambda: grid_fixture("fig1_halfplane_flap", 5).space,
@@ -162,6 +163,33 @@ def _table_space():
     ],
     ids=["grid-fixture", "convex-ball", "table", "lamplighter"],
 )
+
+
+def _dense_rows(X):
+    """Every distance by its definition, without the package's traversal or rows."""
+    if isinstance(X, WordMetricBall):
+        m = X.model
+        return [[m.length(m.mul(m.inv(g), h)) for h in X.elements] for g in X.elements]
+    if X._table is not None:
+        return [list(row) for row in X._table]
+    return [[bfs_distances(X._adj, s).get(t, math.inf) for t in range(X.n)] for s in range(X.n)]
+
+
+@BACKINGS
+def test_components_match_an_independent_flood_fill(make):
+    # same sets, ordered by smallest id, on random masks at scales 1-3
+    X = make()
+    dense = _dense_rows(X)
+    rng = random.Random(11)
+    for scale in (1, 2, 3):
+        near = [[w for w in range(X.n) if w != v and dense[v][w] <= scale] for v in range(X.n)]
+        for density in (0.2, 0.5, 0.8):
+            mask = X.mask(x for x in range(X.n) if rng.random() < density)
+            oracle = flood_fill_components(mask.sorted_ids(), near.__getitem__)
+            assert X.components(mask, scale) == [sorted(c) for c in oracle], (scale, density)
+
+
+@BACKINGS
 def test_bounded_field_is_the_full_field_cut_at_the_limit(make):
     # d(x, S) from the rows by definition; every entry above the limit reads inf
     X = make()

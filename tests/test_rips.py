@@ -178,7 +178,6 @@ def test_induced_chain_map_doubling(z_ball_12):
     f = {i: big.index[(2 * g[0],)] for i, g in enumerate(zline.elements)}
     cm = induced_chain_map(f, K, big.space, [1, 1])
     cm.validate()
-    assert cm.achieved_displacement(1) <= 2
     # every edge maps to the 2-step path between the doubled endpoints
     for j, (u, v) in enumerate(K.simplices[1]):
         img = cm.mats[1].columns[j]

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from coarsetop.cli import ANALYSES, CAPS, REQUIRED, run_scenario
 from coarsetop.errors import CoarseTopError
+from coarsetop.fixtures import list_fixtures
 
 GENERATORS = {"Z": "a", "Z^2": "b", "F_2": "a", "lamplighter": "t", "amalgam_z2_z_z2": "y"}
-FIXTURES = ("fig1_halfplane_flap", "fig2_plane_fin", "line_in_plane", "plane_in_space")
+FIXTURES = sorted(list_fixtures())
 UNKNOWN = "colar"
 
 small_ints = st.integers(-3, 4)
