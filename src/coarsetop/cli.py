@@ -210,6 +210,8 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
     out = {}
     worst = "ok"
     pd_reason, w_images = pd_precondition(ctx.space, ctx.w, n, scheds, ctx.max_simplices)  # one W for all
+    w_image = w_images.get(probe)
+    del w_images  # the probes read only the probe schedule's image; the others' complexes go now
     for name in params["components"]:
         C = ctx.component(name)
         if pd_reason:
@@ -217,7 +219,7 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
         else:
             v = essential_probe(
                 ctx.space, ctx.w, C, n, scheds, component_name=str(name),
-                skip_pd_check=True, probe_schedule=probe, w_image=w_images.get(probe),
+                skip_pd_check=True, probe_schedule=probe, w_image=w_image,
                 max_simplices=ctx.max_simplices,
             )
         classes = [
@@ -278,7 +280,10 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
         raise_on_bad(ctx.ball is not None, "edge-cut class requires a group ball")
         ball = ctx.ball
         edge = tuple(sorted((ball.index[ball.model.identity()], ball.index[ball.model.generators()[0][1]])))
-        vec = 1 << R.rel_pos[1][K.index[1][edge]]
+        j = K.index[1].get(edge)
+        raise_on_bad(j in R.rel_pos[1], f"edge-cut class: the edge {list(edge)} is absent at scale "
+                                         f"{params['scale']} or not relative at collar {collar}")
+        vec = 1 << R.rel_pos[1][j]
     alpha0 = Cocycle(R, n, vec)
     alpha0.validate()
     det = coarse_manifold_detector(R, n, alpha0, D_schedule, collar=collar)

@@ -20,6 +20,8 @@ ker δ^k. Every caller shares these objects, so they are read only.
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
 from typing import Optional
 
 from . import gf2
@@ -34,18 +36,20 @@ class RelativeComplex:
     def __init__(self, K: RipsComplex, interior: SubsetMask):
         self.K = K
         self.interior = interior
-        # relative = at least one interior vertex
-        self.rel: list[list[int]] = []
+        # relative = at least one interior vertex: the parent is relative or the last vertex is interior
+        self.rel: list[array] = []
         self.rel_pos: list[dict[int, int]] = []
         ids = interior.ids
+        flags = bytearray(1)  # the root, not relative
         for k in range(K.cap + 1):
-            keep = [j for j, s in enumerate(K.simplices[k]) if any(v in ids for v in s)]
+            flags = bytearray(flags[p] or v in ids for p, v in zip(K.parent[k], K.last[k]))
+            keep = array("i", compress(range(len(flags)), flags))
             self.rel.append(keep)
             self.rel_pos.append({j: t for t, j in enumerate(keep)})
         self._delta_cache: dict[int, GF2Matrix] = {}
         self._image_cache: dict[int, gf2.GF2Subspace] = {}
         self._cocycle_cache: dict[int, list[int]] = {}
-        self._by_first: dict[int, dict[int, list[int]]] = {}  # degree -> first vertex -> positions
+        self._positions: dict[RelativeComplex, list[array]] = {}  # ambient -> this complex's simplex positions in it
 
     def n_rel(self, k: int) -> int:
         return len(self.rel[k]) if 0 <= k <= self.K.cap else 0
@@ -103,8 +107,9 @@ class RelativeComplex:
     def cochain_from_edge_predicate(self, pred) -> int:
         """Degree-1 cochain from a predicate on vertex pairs (crossing cocycles)."""
         out = 0
+        edges = self.K.simplices[1]
         for t, j in enumerate(self.rel[1]):
-            u, v = self.K.simplices[1][j]
+            u, v = edges[j]
             if pred(u, v):
                 out |= 1 << t
         return out
@@ -117,8 +122,9 @@ class RelativeComplex:
         cocycle.
         """
         out = 0
+        triangles = self.K.simplices[2]
         for t, j in enumerate(self.rel[2]):
-            v0, v1, v2 = self.K.simplices[2][j]
+            v0, v1, v2 = triangles[j]
             if pred_a(v0, v1) and pred_b(v1, v2):
                 out |= 1 << t
         return out
@@ -126,16 +132,11 @@ class RelativeComplex:
     def simplex_positions_within(self, k: int, allowed: SubsetMask) -> list[int]:
         """Positions of the relative k-simplices with every vertex in the mask, ascending.
 
-        Simplices are looked up by their first vertex, indexed once per
-        degree, so the cost follows the mask's stars, not the whole complex.
+        Read off :meth:`RipsComplex.simplices_within`, so the cost follows
+        the mask's subtrees, not the whole complex.
         """
-        by_first = self._by_first.get(k)
-        if by_first is None:
-            by_first = self._by_first[k] = {}
-            for t, j in enumerate(self.rel[k]):
-                by_first.setdefault(self.K.simplices[k][j][0], []).append(t)
-        ids, simplices, rel = allowed.ids, self.K.simplices[k], self.rel[k]
-        return sorted(t for v in ids for t in by_first.get(v, ()) if ids.issuperset(simplices[rel[t]]))
+        pos = self.rel_pos[k]
+        return [pos[j] for j in self.K.simplices_within(k, allowed) if j in pos]
 
     def representative_within(self, k: int, vec: int, allowed: SubsetMask) -> Optional[int]:
         """vec + delta tau supported on relative k-simplices inside the mask, or None.
@@ -199,14 +200,17 @@ def restriction_matrix(src: RelativeComplex, dst: RelativeComplex, k: int) -> GF
     """C^k_rel(src) -> C^k_rel(dst) restricting along a subcomplex inclusion.
 
     dst's Rips complex must be a subcomplex of src's (same space ids); a
-    dst simplex absent from src's relative list restricts from zero.
+    dst simplex absent from src's relative list restricts from zero. dst's
+    simplex positions in src are walked once per pair and kept on dst.
     """
     cols = [0] * src.n_rel(k)
-    src_index = src.K.index[k]
+    in_src = dst._positions.get(src)
+    if in_src is None:
+        in_src = dst._positions[src] = dst.K.positions_in(src.K, dst.K.cap)
+    in_src = in_src[k]
     for t_dst, j_dst in enumerate(dst.rel[k]):
-        s = dst.K.simplices[k][j_dst]
-        j_src = src_index.get(s)
-        if j_src is None:
+        j_src = in_src[j_dst]
+        if j_src < 0:
             raise ValueError("destination simplex missing from source complex")
         t_src = src.rel_pos[k].get(j_src)
         if t_src is not None:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 # Defaults of caps.max_vertices (points of a ball or fixture, WindowTooLargeError)
 # and caps.max_simplices (simplices of a Rips complex, ComplexTooLargeError).
+# A Rips complex keeps at most 12 bytes per simplex (rips: three int32 array
+# items), so the simplex cap bounds one complex's storage at 60 MB.
 MAX_VERTICES = 200_000
 MAX_SIMPLICES = 5_000_000
 

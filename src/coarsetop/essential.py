@@ -22,7 +22,9 @@ each piece is eliminated once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import itertools
+from operator import add
+from typing import Iterator, Optional, Sequence
 
 from . import gf2
 from .cochains import RelativeComplex, extension_matrix, restriction_matrix
@@ -184,9 +186,10 @@ def essential_probe(
 def _push_cycle(src: RipsComplex, dst: RipsComplex, k: int, chain: int) -> int:
     """Reindex a chain of src into dst; src must be a subcomplex of dst."""
     out = 0
+    simplices, index = src.simplices[k], dst.index[k]
     for j in gf2.bits(chain):
-        s = src.simplices[k][j]
-        t = dst.index[k].get(s)
+        s = simplices[j]
+        t = index.get(s)
         if t is None:
             raise CoarseTopError("not-a-subcomplex", f"simplex {s} missing from target complex")
         out |= 1 << t
@@ -238,10 +241,15 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
             fill = gf2.vector_from_indices(kept[b] for b in gf2.bits(x))
             return {"survives": False, "fill": fill, "locality": f"N_{rho}(supp)"}
         solve.drop_witness()
-        skip = set(local_cols)
-        rest = (j for j in range(ncols) if j not in skip)
+        rest = _complement(local_cols, ncols)
     feasible = solve.feed(target.iter_banded_columns(k + 1, target.uncone(k + 1, rest)))
     return {"survives": feasible is None, "fill": None, "locality": "full/feasibility-only"}
+
+
+def _complement(ascending: Sequence[int], n: int) -> Iterator[int]:
+    """range(n) without the ascending indices given: the ranges between them, chained."""
+    starts = itertools.chain((0,), map(add, ascending, itertools.repeat(1)))
+    return itertools.chain.from_iterable(map(range, starts, itertools.chain(ascending, (n,))))
 
 
 # -- Mayer-Vietoris assembly -----------------------------------------------------------

@@ -1,18 +1,31 @@
 """Rips complexes with GF(2) boundary matrices, inclusions and cycle filling.
 
-Simplices are canonical sorted id-tuples; GF(2) coefficients remove all
-orientation bookkeeping. Chains in dimension k are int bitsets over the
-dimension-k simplex list.
+Simplices are sorted id-tuples; GF(2) coefficients remove all orientation
+bookkeeping. Chains in dimension k are int bitsets over the dimension-k
+simplex list.
 
-Cliques are grown one dimension at a time from the simplex list below.
-The children of s are s + (w,) for the forward neighbours w > s[-1] of its
-last vertex that are forward neighbours of every other vertex of s too.
-Parents come in lexicographic order and children in ascending w, so each
-list comes out sorted and ids and matrices are deterministic. The
-candidates follow from s and the forward-neighbour sets alone, so nothing
-is kept per simplex besides the simplex itself: a per-simplex candidate
-list would hold as many live containers as there are simplices, and the
-cyclic garbage collector would traverse them all on every full collection.
+A complex is stored as a simplex tree of flat int arrays (Boissonnat and
+Maria), not as tuples. Dimension k keeps, per k-simplex s in lexicographic
+order, its last vertex ``last[k][j]`` and the index ``parent[k][j]`` of its
+prefix s[:-1]; the children of a (k-1)-simplex p are the k-simplices
+``start[k][p]:start[k][p+1]``, ascending in their last vertex. The vertices
+hang off a root, node 0 of dimension -1. Each array item is 4 bytes, so a
+simplex costs at most 12 bytes: its last vertex, its parent and its own
+child offset, which the top dimension does not need. On fig2_plane_fin
+R=6 at scale 2 that is 9.4 bytes a simplex, where a tuple per simplex in a
+list plus a face dict took about 70. A face is found without being
+stored, as in Ripser: a chain of bisections, one per vertex, each inside
+the child range of the prefix found so far. Cold callers read
+``simplices[k]`` (index -> tuple) and ``index[k]`` (tuple -> index,
+``.get`` giving None when absent), read-only views that build and look up
+tuples on demand.
+
+Cliques are grown one dimension at a time, as in the simplex tree's
+expansion. The children of s = p + (a,) are s + (w,) for the later
+siblings p + (w,) of s with w a forward neighbour of a; for a vertex they
+are its forward neighbours. Parents come in lexicographic order and
+children in ascending w, so each dimension comes out sorted and ids and
+matrices are deterministic.
 
 The dimension cap defaults to n+1 for an analysis in dimension n, since no
 operation here needs higher simplices. fill_cycle solves the sparse GF(2)
@@ -35,20 +48,23 @@ targets two thirds to four fifths of the columns are coned.
 
 Boundary columns are built in one place, :meth:`RipsComplex.iter_banded_columns`,
 as banded pairs (bits, lo) standing for bits << lo, lo being the column's
-lowest row. A column spans only the rows between its facets, so the pair
-costs that span, not the top row. The membership solves (fills and the
-essential probe) feed the pairs to ``gf2.ColumnSolve``, whose echelon then
-stays banded; ``iter_boundary_columns`` and ``boundary`` shift them to
+lowest row: the parent index, since s[:-1] is the lexicographically
+smallest facet. A column spans only the rows between its facets, so the
+pair costs that span, not the top row. The membership solves (fills and
+the essential probe) feed the pairs to ``gf2.ColumnSolve``, whose echelon
+then stays banded; ``iter_boundary_columns`` and ``boundary`` shift them to
 plain ints for the GF2Matrix callers, and ``RelativeComplex.delta``
 transposes the relative ones into the coboundary δ.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, repeat
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf2
@@ -57,47 +73,79 @@ from .gf2 import GF2Matrix
 from .metric import FiniteMetricSpace, SubsetMask
 
 
-class SimplexIndex:
-    """simplex -> position, per dimension; each dimension's dict is built on first read.
+class SimplexView:
+    """The k-simplices as sorted vertex tuples, in index order; read only, built on demand."""
 
-    Indexed like the list of dicts it stands for. Most analyses read the
-    faces of one or two dimensions only, so the others are never built.
-    """
+    __slots__ = ("last", "parent", "k")
 
-    __slots__ = ("levels", "dicts")
+    def __init__(self, last: list[array], parent: list[array], k: int):
+        self.last, self.parent, self.k = last, parent, k
 
-    def __init__(self, levels: list[list[tuple[int, ...]]]):
-        self.levels = levels
-        self.dicts: list[Optional[dict[tuple[int, ...], int]]] = [None] * len(levels)
+    def __len__(self) -> int:
+        return len(self.last[self.k])
 
-    def __getitem__(self, k: int) -> dict[tuple[int, ...], int]:
-        d = self.dicts[k]
-        if d is None:
-            d = self.dicts[k] = {s: i for i, s in enumerate(self.levels[k])}
-        return d
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        out = [0] * (self.k + 1)
+        for e in range(self.k, -1, -1):
+            out[e] = self.last[e][j]
+            j = self.parent[e][j]
+        return tuple(out)  # an index past the end raises IndexError, which ends iteration
+
+
+class PositionView:
+    """Sorted vertex tuple -> index among the k-simplices; read only, a bisection per vertex."""
+
+    __slots__ = ("last", "start", "k")
+
+    def __init__(self, last: list[array], start: list[array], k: int):
+        self.last, self.start, self.k = last, start, k
+
+    def __len__(self) -> int:
+        return len(self.last[self.k])
+
+    def get(self, s: Sequence[int], default: Optional[int] = None) -> Optional[int]:
+        """The index of s, or ``default`` when s is no k-simplex (unsorted tuples are none)."""
+        if len(s) != self.k + 1:
+            return default
+        j = 0
+        for last, start, v in zip(self.last, self.start, s):
+            lo, hi = start[j], start[j + 1]
+            j = bisect_left(last, v, lo, hi)
+            if j == hi or last[j] != v:
+                return default
+        return j
+
+    def __getitem__(self, s: Sequence[int]) -> int:
+        j = self.get(s)
+        if j is None:
+            raise KeyError(s)
+        return j
 
 
 class RipsComplex:
-    """P_r on a vertex mask of a space, up to dimension cap m."""
+    """P_r on a vertex mask of a space, up to dimension cap m, as a simplex tree."""
 
     def __init__(self, space: FiniteMetricSpace, vertex_mask: SubsetMask, scale: int, cap: int,
-                 simplices: list[list[tuple[int, ...]]]):
+                 last: list[array], parent: list[array], start: list[array]):
         self.space = space
         self.vertex_mask = vertex_mask
         self.scale = scale
         self.cap = cap
-        self.simplices = simplices  # per dim, sorted lists of sorted id tuples
-        self.index = SimplexIndex(simplices)
+        self.last = last  # per dim: each simplex's last vertex, in index order
+        self.parent = parent  # per dim: each simplex's prefix index (the root, 0, for a vertex)
+        self.start = start  # per dim: children of node p are start[k][p]:start[k][p + 1]
+        self.simplices = [SimplexView(last, parent, k) for k in range(cap + 1)]
+        self.index = [PositionView(last, start, k) for k in range(cap + 1)]
         self._boundary_cache: dict[int, GF2Matrix] = {}
 
     # -- basic counts ---------------------------------------------------------
 
     def n_simplices(self, k: int) -> int:
-        return len(self.simplices[k]) if 0 <= k <= self.cap else 0
+        return len(self.last[k]) if 0 <= k <= self.cap else 0
 
     @property
     def vertices(self) -> list[int]:
-        return [s[0] for s in self.simplices[0]]
+        return list(self.last[0])
 
     # -- boundary matrices ----------------------------------------------------
 
@@ -123,25 +171,48 @@ class RipsComplex:
         """Columns of ∂_k, streamed as banded pairs (bits, lo): the column is bits << lo.
 
         ``among`` restricts the stream to those k-simplex indices, in order.
-        lo is the row of s[:-1], the facet without the last vertex, which is
-        the lexicographically smallest facet and so the column's lowest row;
-        bit 0 of bits is always set. This is the one place boundary columns
-        are built from face lookups.
+        lo is the parent, the row of s[:-1], which is the column's lowest
+        row; bit 0 of bits is always set. This is the one place boundary
+        columns are built from face lookups. The other facets of s are the
+        children w = s[-1] of the facets of s[:-1], each found by a
+        bisection inside a child range. Those ranges are found once per run
+        of siblings from the facets of the grandparent, which are looked up
+        once per run of the parent's siblings.
         """
-        simp = self.simplices[k]
-        chosen = simp if among is None else map(simp.__getitem__, among)
+        chosen = range(self.n_simplices(k)) if among is None else among
         if k == 0:
             for _ in chosen:
                 yield 1, 0
             return
-        faces = self.index[k - 1]
-        for s in chosen:
-            facets = combinations(s, k)  # s[:-1] comes first
-            lo = faces[next(facets)]
+        last_k, parent_k = self.last[k], self.parent[k]
+        last_f, parent_f, start_f = self.last[k - 1], self.parent[k - 1], self.start[k - 1]
+        last_g, start_g = self.last[k - 2], self.start[k - 2]  # unused for edges: the root has no facets
+        p_cur = q_cur = -1
+        for j in chosen:
+            p = parent_k[j]
+            if p != p_cur:
+                p_cur, q, w = p, parent_f[p], last_f[p]
+                if q != q_cur:
+                    q_cur, grand = q, self._facets(k - 2, q)
+                ranges = []
+                for g in grand:
+                    f = bisect_left(last_g, w, start_g[g], start_g[g + 1])
+                    ranges.append((start_f[f], start_f[f + 1]))
+                ranges.append((start_f[q], start_f[q + 1]))
+            w = last_k[j]
             col = 1
-            for face in facets:
-                col |= 1 << (faces[face] - lo)
-            yield col, lo
+            for lo, hi in ranges:
+                col |= 1 << (bisect_left(last_f, w, lo, hi) - p)
+            yield col, p
+
+    def _facets(self, e: int, a: int) -> list[int]:
+        """The facets of e-simplex a, s[:-1] last; a vertex's is the root, 0, and the root has none."""
+        if e < 0:
+            return []
+        q, w, last, start = self.parent[e][a], self.last[e][a], self.last[e - 1], self.start[e - 1]
+        out = [bisect_left(last, w, start[g], start[g + 1]) for g in self._facets(e - 1, q)]
+        out.append(q)
+        return out
 
     def iter_boundary_columns(self, k: int, among: Optional[Iterable[int]] = None) -> Iterator[int]:
         """Columns of ∂_k as plain ints, streamed (memory-light form for large complexes)."""
@@ -169,9 +240,39 @@ class RipsComplex:
             verts.update(self.simplices[k][j])
         return SubsetMask(self.space.n, verts)
 
-    def simplices_within(self, k: int, allowed: SubsetMask) -> list[int]:
-        """Indices of k-simplices all of whose vertices lie in the mask."""
-        return [j for j, s in enumerate(self.simplices[k]) if allowed.ids.issuperset(s)]
+    def simplices_within(self, k: int, allowed: SubsetMask) -> array:
+        """Indices of k-simplices all of whose vertices lie in the mask, ascending.
+
+        Walks down from the mask's vertices and keeps a child when its last
+        vertex is in the mask, so only the mask's subtrees are read.
+        """
+        ids, last0 = allowed.ids, self.last[0]
+        nodes = [bisect_left(last0, v) for v in sorted(ids & self.vertex_mask.ids)]
+        for e in range(1, k + 1):
+            last, start = self.last[e], self.start[e]
+            nodes = [c for p in nodes for c in range(start[p], start[p + 1]) if last[c] in ids]
+        return array("i", nodes)
+
+    def positions_in(self, L: "RipsComplex", top: int) -> list[array]:
+        """Per dimension 0..top (at most L's cap), L's index of each simplex here, -1 where L lacks it.
+
+        Walked level by level: a simplex's last vertex is bisected among the
+        children of its parent's position in L.
+        """
+        out, pos = [], array("i", [0])  # the roots correspond
+        for e in range(top + 1):
+            last_l, start_l, here = L.last[e], L.start[e], array("i")
+            for p, v in zip(self.parent[e], self.last[e]):
+                q = pos[p]
+                if q >= 0:
+                    lo, hi = start_l[q], start_l[q + 1]
+                    q = bisect_left(last_l, v, lo, hi)
+                    if q == hi or last_l[q] != v:
+                        q = -1
+                here.append(q)
+            out.append(here)
+            pos = here
+        return out
 
     def uncone(
         self, k: int, among: Optional[Iterable[int]] = None, apex: Optional[SubsetMask] = None
@@ -210,20 +311,26 @@ class RipsComplex:
                 heappush(memoized, x)
             return got
 
-        simp = self.simplices[k]
-        prefix, common = None, None
+        last_k, parent_k, last_f, parent_f = self.last[k], self.parent[k], self.last[k - 1], self.parent[k - 1]
+        grand = self.simplices[k - 2] if k > 1 else None
+        p_cur = q_cur = -1
+        base = None  # the apex vertices common to s[:-2], None for no constraint
         for j in chosen:
-            s = simp[j]
-            if s[:-1] != prefix:  # simplices sharing all but their last vertex come in a run
-                prefix = s[:-1]
-                while memoized and memoized[0] < s[0]:
-                    del below[heappop(memoized)]
-                common = lower(s[0])
-                for x in prefix[1:]:
-                    if not common:
-                        break
-                    common = common & lower(x)
-            if not common or common.isdisjoint(lower(s[-1])):
+            p = parent_k[j]
+            if p != p_cur:  # simplices sharing all but their last vertex come in a run
+                p_cur, q, x = p, parent_f[p], last_f[p]
+                if grand is None or q != q_cur:  # and their prefixes in longer runs
+                    q_cur, prefix = q, (x,) if grand is None else grand[q]
+                    while memoized and memoized[0] < prefix[0]:
+                        del below[heappop(memoized)]
+                    if grand is not None:
+                        base = lower(prefix[0])
+                        for y in prefix[1:]:
+                            if not base:
+                                break
+                            base = base & lower(y)
+                common = lower(x) if base is None else base and base & lower(x)
+            if not common or common.isdisjoint(lower(last_k[j])):
                 yield j
 
 
@@ -248,28 +355,33 @@ def build_rips(
     verts = V.sorted_ids()
     vset = V.ids
     adj = X.adjacency_at_scale(r) if r > 0 else [[] for _ in range(X.n)]
-    fwd = {v: [u for u in adj[v] if u in vset and u > v] for v in verts}
-    fwd_sets = {v: set(nb) for v, nb in fwd.items()}
     counts = {0: len(verts)}
-    simplices: list[list[tuple[int, ...]]] = [[(v,) for v in verts]]
+    last, parent, start = [array("i", verts)], [array("i", bytes(4 * len(verts)))], [array("i", (0, len(verts)))]
     if len(verts) > max_simplices:
         raise ComplexTooLargeError(counts, max_simplices)
     room = max_simplices - len(verts)
+    fwd: dict[int, set[int]] = {}  # vertex -> its forward neighbours, for the siblings' filter
     for k in range(1, m + 1):
-        out = []
-        for s in simplices[-1]:
-            cand = fwd[s[-1]]
-            for x in s[:-1]:
-                fx = fwd_sets[x]
-                cand = [w for w in cand if w in fx]
-            out.extend([s + (w,) for w in cand])
-            if len(out) > room:
+        last_p, parent_p, start_p = last[-1], parent[-1], start[-1]
+        kids, first = array("i"), array("i", [0])
+        for p, a in enumerate(last_p):
+            if k == 1:
+                row = adj[a]
+                kids.extend(filter(vset.__contains__, row[bisect_right(row, a):]))
+            else:
+                kids.extend(filter(fwd[a].__contains__, last_p[p + 1 : start_p[parent_p[p] + 1]]))
+            first.append(len(kids))
+            if len(kids) > room:
                 counts[k] = room + 1  # the simplices made when the cap was first passed
                 raise ComplexTooLargeError(counts, max_simplices)
-        counts[k] = len(out)
-        room -= len(out)
-        simplices.append(out)
-    return RipsComplex(X, V, r, m, simplices)
+        if k == 1 and m > 1:
+            fwd = {a: set(kids[first[p] : first[p + 1]]) for p, a in enumerate(last_p)}
+        counts[k] = len(kids)
+        room -= len(kids)
+        last.append(kids)
+        parent.append(array("i", chain.from_iterable(map(repeat, range(len(last_p)), map(sub, first[1:], first)))))
+        start.append(first)
+    return RipsComplex(X, V, r, m, last, parent, start)
 
 
 # -- chain maps ---------------------------------------------------------------
@@ -309,14 +421,10 @@ def inclusion_chain_map(K: RipsComplex, L: RipsComplex) -> ChainMap:
     if K.scale > L.scale or K.cap > L.cap:
         raise NotASubcomplexError("scale or cap exceeds target's")
     mats = []
-    for k in range(K.cap + 1):
-        cols = []
-        for s in K.simplices[k]:
-            t = L.index[k].get(s)
-            if t is None:
-                raise NotASubcomplexError(f"simplex {s} missing from target")
-            cols.append(1 << t)
-        mats.append(GF2Matrix(L.n_simplices(k), K.n_simplices(k), cols))
+    for k, pos in enumerate(K.positions_in(L, K.cap)):
+        if -1 in pos:
+            raise NotASubcomplexError(f"simplex {K.simplices[k][pos.index(-1)]} missing from target")
+        mats.append(GF2Matrix(L.n_simplices(k), K.n_simplices(k), [1 << t for t in pos]))
     return ChainMap(K, L, mats, {v: v for v in K.vertices}, [0] * (K.cap + 1))
 
 

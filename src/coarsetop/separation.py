@@ -380,16 +380,18 @@ def nbhd_containment_check(
 
 
 def simplex_dichotomy_check(K, W_A: SubsetMask, C: SubsetMask) -> bool:
-    """Every simplex lies in N_A(W) ∪ C or in N_A(W) ∪ (X \\ C), literally."""
+    """Every simplex lies in N_A(W) ∪ C or in N_A(W) ∪ (X \\ C), literally.
+
+    Counted per dimension by inclusion-exclusion over the simplices inside
+    each side and inside both.
+    """
     other = (K.space.full_mask() - C) | W_A
     first = C | W_A
-    for k in range(K.cap + 1):
-        for s in K.simplices[k]:
-            in_first = all(v in first.ids for v in s)
-            in_second = all(v in other.ids for v in s)
-            if not (in_first or in_second):
-                return False
-    return True
+    return all(
+        len(K.simplices_within(k, first)) + len(K.simplices_within(k, other))
+        - len(K.simplices_within(k, first & other)) == K.n_simplices(k)
+        for k in range(K.cap + 1)
+    )
 
 
 __all__ = [

@@ -210,3 +210,18 @@ def relative_coboundary_by_definition(K, interior_ids, k):
     """
     lo, hi = ([s for s in K.simplices[d] if interior_ids & set(s)] for d in (k, k + 1))
     return [sum(1 << b for b, up in enumerate(hi) if set(face) <= set(up)) for face in lo]
+
+
+def banded_columns_by_definition(levels, k):
+    """(bits, lo) per k-simplex of sorted tuple lists: lo is the row of s[:-1], bits every facet's row less lo."""
+    row = {s: i for i, s in enumerate(levels[k - 1])}
+    out = []
+    for s in levels[k]:
+        lo = row[s[:-1]]
+        out.append((sum(1 << (row[s[:d] + s[d + 1:]] - lo) for d in range(k + 1)), lo))
+    return out
+
+
+def within_by_definition(levels, k, ids):
+    """Positions of the k-simplices of sorted tuple lists whose vertices all lie in ids."""
+    return [j for j, s in enumerate(levels[k]) if ids.issuperset(s)]

@@ -456,11 +456,15 @@ def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
         {**FIG1, "analyses": [{"analysis": "almost-essential", "components": ["x"]}]},
         {**FIG1, "analyses": [{"analysis": "essential", "n": 1, "probe_index": 3,
                                "schedules": FIG1["analyses"][1]["schedules"]}]},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "F_2", "radius": 4},
+         "analyses": [{"analysis": "mobility", "class": "edge-cut", "scale": 0}]},
+        {**Z2_AXIS, "space": {"kind": "group", "family": "Z^2", "radius": 6},
+         "analyses": [{"analysis": "mobility", "class": "edge-cut", "scale": 0}]},
     ],
     ids=[
         "centers-outside", "mv-axis-above-dimension", "mv-axis-without-coordinates",
         "fundamental-class-on-a-line", "component-not-a-name", "fixture-component-not-a-name",
-        "probe-index-past-schedules",
+        "probe-index-past-schedules", "edge-cut-without-edges-f2", "edge-cut-without-edges-z2",
     ],
 )
 def test_space_dependent_checks_fail_their_analysis(tmp_path, payload):

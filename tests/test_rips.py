@@ -10,7 +10,7 @@ from coarsetop.groups import FreeAbelian, build_ball
 from coarsetop.metric import FiniteMetricSpace
 from coarsetop.rips import build_rips, fill_cycle, inclusion_chain_map, induced_chain_map
 
-from oracles import brute_force_simplices
+from oracles import banded_columns_by_definition, brute_force_simplices, within_by_definition
 
 
 def triangle_space():
@@ -42,18 +42,22 @@ def test_simplices_match_brute_force(z2_ball_10):
     K = build_rips(X, sub, 2, 2)
     oracle = brute_force_simplices(sub.sorted_ids(), X.dist, 2, 2)
     for k in range(3):
-        assert K.simplices[k] == sorted(oracle[k])
+        assert list(K.simplices[k]) == sorted(oracle[k])
 
 
-def test_simplex_index_built_per_dimension_on_first_read(z2_ball_10):
+def test_simplex_views_invert_each_other(z2_ball_10):
+    # index[k] finds exactly the tuples simplices[k] lists, at their positions
     X = z2_ball_10.space
     K = build_rips(X, X.mask_where(lambda p: abs(p[0]) <= 3 and abs(p[1]) <= 3), 2, 3)
-    assert K.index.dicts == [None] * 4
-    K.boundary(2)  # reads the edge index only
-    assert [d is not None for d in K.index.dicts] == [False, True, False, False]
     for k in range(K.cap + 1):
-        assert K.index[k] == {s: i for i, s in enumerate(K.simplices[k])}
-    assert K.index[-1] is K.index[K.cap]
+        listed = list(K.simplices[k])
+        assert len(K.index[k]) == len(K.simplices[k]) == len(listed) == K.n_simplices(k)
+        assert [K.index[k][s] for s in listed] == list(range(len(listed)))
+        assert [K.simplices[k][j] for j in range(len(listed))] == listed
+    edge = K.simplices[1][0]
+    assert K.index[1].get(edge[:1]) is None and K.index[1].get(edge[::-1]) is None
+    with pytest.raises(KeyError):
+        K.index[0][(X.n,)]
 
 
 def test_boundary_squares_to_zero(z2_ball_10, f2_ball_6):
@@ -282,7 +286,7 @@ def cone_cases(draw):
 
 def _two_phase_order(K, d, apex):
     """Local columns inside the apex, then the rest: the essential probe's feed."""
-    local = K.simplices_within(d, apex)
+    local = list(K.simplices_within(d, apex))
     inside = set(local)
     rest = [j for j in range(K.n_simplices(d)) if j not in inside]
     return local, rest, list(K.uncone(d, local, apex)), list(K.uncone(d, rest))
@@ -362,7 +366,7 @@ def test_uncone_skips_most_grid_columns():
 
 # -- clique growth, face lookups and the lazy cone test against their definitions ----
 
-from itertools import islice, zip_longest
+from itertools import combinations, islice, zip_longest
 
 from oracles import uncone_by_definition
 
@@ -408,16 +412,57 @@ def test_build_rips_matches_brute_force_at_every_cap(case):
     K = build_rips(X, V, r, m)
     oracle = brute_force_simplices(V.sorted_ids(), X.dist, r, m)
     for k in range(m + 1):
-        assert K.simplices[k] == oracle[k] == sorted(oracle[k])
+        assert list(K.simplices[k]) == oracle[k] == sorted(oracle[k])
     levels = [len(oracle[k]) for k in range(m + 1)]
     for cap in range(1, sum(levels) + 2):
         want = capped_counts(levels, cap)
         if want is None:
-            assert build_rips(X, V, r, m, max_simplices=cap).simplices == K.simplices
+            capped = build_rips(X, V, r, m, max_simplices=cap)
+            assert [list(capped.simplices[k]) for k in range(m + 1)] == [oracle[k] for k in range(m + 1)]
             continue
         with pytest.raises(ComplexTooLargeError) as err:
             build_rips(X, V, r, m, max_simplices=cap)
         assert err.value.counts == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_spaces(), st.randoms(use_true_random=False))
+def test_simplex_tree_matches_the_clique_oracle(case, rng):
+    # every read of the simplex tree against brute-force cliques: order,
+    # lookups (absent and unsorted tuples give None), banded columns whose lo
+    # is the prefix index, the cone test, masked walks, and the cap counts
+    # just below, at and just above each dimension's running total
+    X, V, r, m = case
+    K = build_rips(X, V, r, m)
+    oracle = brute_force_simplices(V.sorted_ids(), X.dist, r, m)
+    mask = X.mask(v for v in range(X.n) if rng.random() < 0.6)
+    for k in range(m + 1):
+        assert list(K.simplices[k]) == oracle[k] and len(K.simplices[k]) == len(oracle[k])
+        assert [K.simplices[k][j] for j in range(len(oracle[k]))] == oracle[k]
+        assert [K.index[k].get(s) for s in oracle[k]] == list(range(len(oracle[k])))
+        present = set(oracle[k])
+        assert all(K.index[k].get(c) is None for c in combinations(range(X.n), k + 1) if c not in present)
+        assert all(K.index[k].get(s[::-1]) is None for s in oracle[k] if k)
+        assert K.index[k].get(tuple(range(k + 2))) is None
+        assert list(K.simplices_within(k, mask)) == within_by_definition(oracle, k, mask.ids)
+        assert list(K.uncone(k)) == uncone_by_definition(K, k)
+        assert list(K.uncone(k, K.simplices_within(k, mask), mask)) == uncone_by_definition(
+            K, k, within_by_definition(oracle, k, mask.ids), mask
+        )
+        if k:
+            banded = banded_columns_by_definition(oracle, k)
+            assert list(K.iter_banded_columns(k)) == banded
+            assert [lo for _, lo in banded] == list(K.parent[k]) == [oracle[k - 1].index(s[:-1]) for s in oracle[k]]
+    levels = [len(oracle[k]) for k in range(m + 1)]
+    for k in range(m + 1):
+        for cap in {sum(levels[: k + 1]) + d for d in (-1, 0, 1)} - {-1}:
+            want = capped_counts(levels, cap)
+            if want is None:
+                assert build_rips(X, V, r, m, max_simplices=cap).n_simplices(m) == levels[m]
+                continue
+            with pytest.raises(ComplexTooLargeError) as err:
+                build_rips(X, V, r, m, max_simplices=cap)
+            assert err.value.counts == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -466,3 +511,28 @@ def test_lazy_uncone_matches_the_eager_definition(case, stop):
     assert list(islice(K.uncone(d), stop)) == uncone_by_definition(K, d)[:stop]
     shuffled = rng.sample(range(K.n_simplices(d)), K.n_simplices(d))
     assert list(K.uncone(d, shuffled, apex)) == uncone_by_definition(K, d, shuffled, apex)
+
+
+# -- storage: a simplex costs a few bytes of int arrays ------------------------------
+
+import tracemalloc
+
+from coarsetop.fixtures import grid_fixture
+
+
+def test_build_rips_keeps_a_few_bytes_per_simplex():
+    # traced around build_rips on fig2_plane_fin R=6 at scale 2, cap 2
+    # (72,275 simplices): the complex keeps about 9.4 bytes per simplex, where
+    # a tuple per simplex kept over 60; the build's transient peak, the
+    # forward-neighbour sets included, is about 39 where it was over 90
+    X = grid_fixture("fig2_plane_fin", 6).space
+    X.adjacency_at_scale(2)  # the metric's cache, not the complex's
+    tracemalloc.start()
+    try:
+        K = build_rips(X, X.full_mask(), 2, 2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = sum(K.n_simplices(k) for k in range(3))
+    assert n == 72_275
+    assert kept / n <= 16 and peak / n <= 48
