@@ -12,7 +12,8 @@ Cochains are int bitsets over the local index of relative simplices.
 
 Each degree k is factored once per complex and cached: δ^k, the transpose
 of the relative boundary streamed from :meth:`RipsComplex.iter_banded_columns`
-(no faces are enumerated here); the tracked echelon of the coboundaries
+(no faces are enumerated here: facet rows are read from the packed
+columns); the tracked echelon of the coboundaries
 im δ^{k-1}, which also answers every masked solve of
 :meth:`RelativeComplex.representative_within`; and a cocycle basis of
 ker δ^k. Every caller shares these objects, so they are read only.
@@ -58,22 +59,26 @@ class RelativeComplex:
         """delta^k : C^k_rel -> C^{k+1}_rel (rows = relative (k+1)-simplices).
 
         The transpose of the relative ∂_{k+1}, read column by column from
-        :meth:`RipsComplex.iter_banded_columns`; facets outside the relative
-        list drop out.
+        :meth:`RipsComplex.iter_banded_columns`: each facet row is lo or lo
+        plus one 32-bit field of the packed column, with no bit loop.
+        Facets outside the relative list drop out.
         """
         mat = self._delta_cache.get(k)
         if mat is not None:
             return mat
         cols = [0] * self.n_rel(k)
         pos_k = self.rel_pos[k]
-        for t_hi, (col, lo) in enumerate(self.K.iter_banded_columns(k + 1, self.rel[k + 1])):
+        field, mask = gf2.FIELD, gf2.FIELD_MASK
+        for t_hi, (packed, lo) in enumerate(self.K.iter_banded_columns(k + 1, self.rel[k + 1])):
             row = 1 << t_hi
-            while col:  # the k + 2 facets, top bit first
-                b = col.bit_length() - 1
-                t_lo = pos_k.get(lo + b)
+            t_lo = pos_k.get(lo)
+            if t_lo is not None:
+                cols[t_lo] |= row
+            while packed:  # the other k + 1 facets
+                t_lo = pos_k.get(lo + (packed & mask))
                 if t_lo is not None:
                     cols[t_lo] |= row
-                col ^= 1 << b
+                packed >>= field
         mat = self._delta_cache[k] = GF2Matrix(self.n_rel(k + 1), self.n_rel(k), cols)
         return mat
 

@@ -215,8 +215,9 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     fill are those of the unskipped solve. The path choice reads the
     unskipped column counts, so the reported locality does not move. The
     resume phase streams the cone test, which stops where the solve stops.
-    Both phases feed banded columns, so the echelon, the residue and the
-    combination masks are stored by their spans (see :mod:`coarsetop.gf2`).
+    Both phases feed packed columns, so the echelon keeps each column that
+    enters unreduced as its facet offsets, and reduced vectors, the residue
+    and the combination masks by their spans (see :mod:`coarsetop.gf2`).
     """
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:

@@ -9,18 +9,24 @@ used throughout the package. Streaming membership solves
 (:class:`ColumnSolve`) stop pulling columns once the right-hand side lies
 in their span and can be resumed with more columns.
 
-A ColumnSolve also takes banded columns, ``(bits, lo)`` pairs standing for
-``bits << lo`` with bit 0 of ``bits`` set, as Rips boundary columns come
-(``RipsComplex.iter_banded_columns``). It then keeps its whole echelon
-banded (:class:`BandedEchelon`): pivots are stored shifted down to their
-lowest set bit, and the residue and combination masks carry their own
-offsets, so a vector costs the span of its rows, not its top row (on the
-essential probe's targets, a few thousand rows against about twenty
-thousand). Values, pivot rows, stopping columns and witnesses are those of
-the plain solve. The first column fed picks the form, and a solve fed one
-form rejects the other. GF2Matrix callers (cochain coboundaries, kernel
-and image bases, ``span_of``) keep the plain loop: the offsets cost time
-on every step and pay only where vectors sit far above row 0.
+A ColumnSolve also takes banded columns as Rips boundary columns come
+(``RipsComplex.iter_banded_columns``): ``(packed, lo)`` pairs standing for
+the column with bit ``lo`` set and a bit at ``lo + f`` for each 32-bit
+field f of ``packed``, the largest offset in the lowest field, so the
+column's top row is ``lo + (packed & FIELD_MASK)`` (see :func:`unpack`). It
+then keeps its whole echelon banded (:class:`BandedEchelon`): a column that
+enters without a reduction step, the rule for boundary columns fed in index
+order (33,058 of the 33,481 columns of the largest fig2 R=10 essential
+solve), is stored as its packed facet offsets, and its band is built only
+when a reduction or the residue uses it. Reduced pivots are stored shifted down to their lowest set bit,
+and the residue and combination masks carry their own offsets, so a vector
+costs the span of its rows, not its top row (on the essential probe's
+targets, a few thousand rows against about twenty thousand). Values, pivot
+rows, stopping columns and witnesses are those of the plain solve. The
+first column fed picks the form, and a solve fed one form rejects the
+other. GF2Matrix callers (cochain coboundaries, kernel and image bases,
+``span_of``) keep the plain loop: the offsets cost time on every step and
+pay only where vectors sit far above row 0.
 
 A tracked echelon of columns inserted in order also answers the solve over
 the same columns with a set of rows masked to zero
@@ -37,6 +43,19 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+
+FIELD = 32  # bits per facet offset of a packed column
+FIELD_MASK = (1 << FIELD) - 1
+
+
+def unpack(packed: int) -> int:
+    """The band of a packed column: bit 0 and a bit at each field's offset."""
+    band = 1
+    while packed:
+        band |= 1 << (packed & FIELD_MASK)
+        packed >>= FIELD
+    return band
 
 
 def lowbit(x: int) -> int:
@@ -262,21 +281,24 @@ class GF2Subspace:
 
 
 class BandedEchelon:
-    """The echelon of a solve fed banded columns; every vector stored by its band.
+    """The echelon of a solve fed packed columns; every vector stored by its band or less.
 
     A banded vector ``(bits, off)`` stands for ``bits << off``. ``pivots``
-    maps each pivot row p to its basis vector shifted down to its lowest
-    set bit, so its offset is ``p + 1 - bits.bit_length()`` and needs no
-    storage. With tracking, ``combos`` maps p to the vector's combination
-    mask over the inserted column numbers as a ``(bits, off)`` pair. The
-    reduction is :meth:`GF2Subspace._reduce`'s, highest set bit first, on
-    shifted operands.
+    maps each pivot row p either to ``~packed`` (a negative int) for a
+    column that entered unreduced, kept as its packed facet offsets, or to
+    the reduced basis vector shifted down to its lowest set bit (a positive
+    odd int), whose offset is ``p + 1 - bits.bit_length()``. With tracking,
+    ``combos`` maps p to the vector's combination mask over the inserted
+    column numbers as a ``(bits, off)`` pair. The reduction is
+    :meth:`GF2Subspace._reduce`'s, highest set bit first, on shifted
+    operands; a packed pivot's band is built each time a step uses it and
+    never stored.
     """
 
     __slots__ = ("pivots", "combos", "inserted")
 
     def __init__(self, track: bool = False):
-        self.pivots: dict[int, int] = {}  # pivot row -> basis vector >> its lowest set bit
+        self.pivots: dict[int, int] = {}  # pivot row -> ~packed column, or basis vector >> its lowest set bit
         self.combos: Optional[dict[int, tuple[int, int]]] = {} if track else None
         self.inserted = 0
 
@@ -293,6 +315,8 @@ class BandedEchelon:
             u = pivots.get(p)
             if u is None:
                 return v, off, m, mo, p
+            if u < 0:
+                u = unpack(~u)
             d = p + 1 - u.bit_length() - off  # u's offset relative to v's
             if d >= 0:
                 v ^= u << d
@@ -309,14 +333,21 @@ class BandedEchelon:
                     mo = co
         return 0, 0, m, mo, -1
 
-    def extend(self, v: int, off: int) -> bool:
-        """Insert the next banded vector; True if it enlarged the space."""
+    def extend(self, packed: int, lo: int) -> bool:
+        """Insert the next packed column; True if it enlarged the space."""
         n = self.inserted
         self.inserted += 1
-        v, off, m, mo, p = self._reduce(v, off, 1, n)
+        pivots = self.pivots
+        p = lo + (packed & FIELD_MASK)
+        if p not in pivots:  # enters unreduced: stored as it came
+            pivots[p] = ~packed
+            if self.combos is not None:
+                self.combos[p] = (1, n)
+            return True
+        v, off, m, mo, p = self._reduce(unpack(packed), lo, 1, n)
         if v == 0:
             return False
-        self.pivots[p] = v >> ((v & -v).bit_length() - 1)
+        pivots[p] = v >> ((v & -v).bit_length() - 1)
         if self.combos is not None:
             shift = (m & -m).bit_length() - 1
             self.combos[p] = (m >> shift, mo + shift)
@@ -333,7 +364,7 @@ class ColumnSolve:
     the unique combination over the greedy-independent columns fed so far,
     as a tracked elimination of every column would give.
 
-    Columns are plain ints or banded ``(bits, lo)`` pairs (see the module
+    Columns are plain ints or packed ``(packed, lo)`` pairs (see the module
     docstring); the first column fed picks the echelon, and the residue
     ``rest << off`` and the combination ``x << xoff`` follow it.
     """
@@ -358,7 +389,7 @@ class ColumnSolve:
                     self.off = lowbit(self.rest)
                     self.rest >>= self.off
                 elif banded != isinstance(space, BandedEchelon):
-                    raise TypeError("a ColumnSolve takes its columns in one form, plain ints or (bits, lo) pairs")
+                    raise TypeError("a ColumnSolve takes its columns in one form, plain ints or (packed, lo) pairs")
                 columns = chain((first,), columns)
                 if banded:
                     self._feed_banded(columns)
@@ -415,7 +446,7 @@ def solve(A: GF2Matrix, b: int) -> Optional[int]:
 def solve_columns(columns: Iterable, b: int, want_witness: bool = True) -> Optional[int]:
     """Streaming solve over a column iterable, stopping once b is reached.
 
-    Columns are plain ints or banded ``(bits, lo)`` pairs, as for
+    Columns are plain ints or packed ``(packed, lo)`` pairs, as for
     :class:`ColumnSolve`.
 
     With want_witness=False only feasibility is decided (0 is returned for a
@@ -464,10 +495,13 @@ __all__ = [
     "GF2Subspace",
     "BandedEchelon",
     "ColumnSolve",
+    "FIELD",
+    "FIELD_MASK",
     "bits",
     "lowbit",
     "popcount",
     "vector_from_indices",
+    "unpack",
     "rank",
     "rank_of_columns",
     "solve",

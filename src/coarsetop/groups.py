@@ -368,6 +368,7 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
         space = FiniteMetricSpace(
             n, adjacency=adj, labels=elements, radial=radial, window_radius=radius, basepoint=0
         )
+        adj = space.adjacency_at_scale(1)  # the space's own lists, shared
     else:
         space = WordMetricBall(model, elements, index, radial, radius)
     return BallModel(model, radius, elements, index, space, adj)
@@ -390,7 +391,7 @@ def restrict_ball(ball: BallModel, r: int) -> BallModel:
     index = {g: i for i, g in enumerate(elements)}
     adj = [a[: bisect_left(a, n)] for a in ball.cayley_adjacency[:n]]
     space = FiniteMetricSpace(n, adjacency=adj, labels=elements, radial=radial[:n], window_radius=r, basepoint=0)
-    return BallModel(ball.model, r, elements, index, space, adj)
+    return BallModel(ball.model, r, elements, index, space, space.adjacency_at_scale(1))
 
 
 # -- subgroup traces ----------------------------------------------------------------

@@ -134,7 +134,8 @@ class FiniteMetricSpace:
         if (adjacency is not None) + (table is not None) + computed != 1:
             raise ValueError("exactly one of adjacency, table or a row computation must back the space")
         self.n = n
-        self._adj = [sorted(a) for a in adjacency] if adjacency is not None else None
+        # the one copy of the graph: sorted, without duplicates or the point itself
+        self._adj = [sorted(set(a).difference((x,))) for x, a in enumerate(adjacency)] if adjacency is not None else None
         self._table = [array("i", row) for row in table] if table is not None else None
         self.labels = list(labels) if labels is not None else None
         self.window_radius = window_radius
@@ -230,13 +231,16 @@ class FiniteMetricSpace:
         return out
 
     def adjacency_at_scale(self, r: int) -> list[list[int]]:
-        """For each point, sorted points at distance in (0, r]; cached."""
+        """For each point, sorted points at distance in (0, r]; cached, read only.
+
+        At r = 1 a graph space returns its own adjacency lists, not a copy.
+        """
         if r < 0:
             raise ValueError("scale must be >= 0")
         cached = self._scale_adj_cache.get(r)
         if cached is None:
             if self._adj is not None and r == 1:
-                cached = [sorted(set(a)) for a in self._adj]
+                cached = self._adj
             else:
                 cached = []
                 for x in range(self.n):

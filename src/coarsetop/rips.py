@@ -47,14 +47,17 @@ witnesses are exactly those of the unskipped elimination. On the fig1/fig2
 targets two thirds to four fifths of the columns are coned.
 
 Boundary columns are built in one place, :meth:`RipsComplex.iter_banded_columns`,
-as banded pairs (bits, lo) standing for bits << lo, lo being the column's
-lowest row: the parent index, since s[:-1] is the lexicographically
-smallest facet. A column spans only the rows between its facets, so the
-pair costs that span, not the top row. The membership solves (fills and
-the essential probe) feed the pairs to ``gf2.ColumnSolve``, whose echelon
-then stays banded; ``iter_boundary_columns`` and ``boundary`` shift them to
-plain ints for the GF2Matrix callers, and ``RelativeComplex.delta``
-transposes the relative ones into the coboundary δ.
+as packed pairs (packed, lo): lo is the column's lowest row, the parent
+index, since s[:-1] is the lexicographically smallest facet, and packed
+holds the row offset above lo of each other facet in a 32-bit field, the
+top facet in the lowest field (array('i') keeps every index below 2^31).
+A column costs a few machine words, not the span of its rows. The
+membership solves (fills and the essential probe) feed the pairs to
+``gf2.ColumnSolve``, whose echelon keeps the columns that enter unreduced
+in this form; ``iter_boundary_columns`` and ``boundary`` build plain ints
+from them for the GF2Matrix callers, and ``RelativeComplex.delta`` reads
+the facet rows from the fields to transpose the relative ones into the
+coboundary δ.
 """
 
 from __future__ import annotations
@@ -168,21 +171,23 @@ class RipsComplex:
     def iter_banded_columns(
         self, k: int, among: Optional[Iterable[int]] = None
     ) -> Iterator[tuple[int, int]]:
-        """Columns of ∂_k, streamed as banded pairs (bits, lo): the column is bits << lo.
+        """Columns of ∂_k, streamed as packed pairs (packed, lo) (see the module docstring).
 
         ``among`` restricts the stream to those k-simplex indices, in order.
         lo is the parent, the row of s[:-1], which is the column's lowest
-        row; bit 0 of bits is always set. This is the one place boundary
-        columns are built from face lookups. The other facets of s are the
-        children w = s[-1] of the facets of s[:-1], each found by a
-        bisection inside a child range. Those ranges are found once per run
-        of siblings from the facets of the grandparent, which are looked up
+        row; packed holds the other k facets' rows less lo, 32 bits each,
+        top facet first (a vertex's column is (0, 0), the augmentation
+        row). This is the one place boundary columns are built from face
+        lookups. The other facets of s are the children w = s[-1] of the
+        facets of s[:-1], each found by a bisection inside a child range,
+        in descending row order. Those ranges are found once per run of
+        siblings from the facets of the grandparent, which are looked up
         once per run of the parent's siblings.
         """
         chosen = range(self.n_simplices(k)) if among is None else among
         if k == 0:
             for _ in chosen:
-                yield 1, 0
+                yield 0, 0
             return
         last_k, parent_k = self.last[k], self.parent[k]
         last_f, parent_f, start_f = self.last[k - 1], self.parent[k - 1], self.start[k - 1]
@@ -197,13 +202,13 @@ class RipsComplex:
                 ranges = []
                 for g in grand:
                     f = bisect_left(last_g, w, start_g[g], start_g[g + 1])
-                    ranges.append((start_f[f], start_f[f + 1]))
-                ranges.append((start_f[q], start_f[q + 1]))
+                    ranges.append((start_f[f], start_f[f + 1], gf2.FIELD * len(ranges)))
+                ranges.append((start_f[q], start_f[q + 1], gf2.FIELD * len(ranges)))
             w = last_k[j]
-            col = 1
-            for lo, hi in ranges:
-                col |= 1 << (bisect_left(last_f, w, lo, hi) - p)
-            yield col, p
+            packed = 0
+            for lo, hi, shift in ranges:
+                packed |= (bisect_left(last_f, w, lo, hi) - p) << shift
+            yield packed, p
 
     def _facets(self, e: int, a: int) -> list[int]:
         """The facets of e-simplex a, s[:-1] last; a vertex's is the root, 0, and the root has none."""
@@ -216,7 +221,8 @@ class RipsComplex:
 
     def iter_boundary_columns(self, k: int, among: Optional[Iterable[int]] = None) -> Iterator[int]:
         """Columns of ∂_k as plain ints, streamed (memory-light form for large complexes)."""
-        return (col << lo for col, lo in self.iter_banded_columns(k, among))
+        unpack = gf2.unpack
+        return (unpack(packed) << lo for packed, lo in self.iter_banded_columns(k, among))
 
     def boundary_of_chain(self, k: int, chain: int) -> int:
         """∂_k applied to a chain bitset (k >= 1); k = 0 gives the augmentation."""
@@ -349,6 +355,13 @@ def build_rips(
     ComplexTooLargeError, checked once per parent; its counts give every
     whole dimension, and for the one that passed the cap the simplices up
     to the first beyond it.
+
+    The siblings' filter of a dimension k >= 2 tests the forward neighbours
+    of a parent's last vertex a as a set. Parents come in lexicographic
+    order and end above their first vertex, so the set is made when the
+    first parent ending at a comes and dropped once the sweep's first
+    vertex reaches a: the sets alive are those of a band of the vertex
+    order ahead of the sweep, not one per vertex.
     """
     if r < 0 or m < 0:
         raise ValueError("scale and cap must be >= 0")
@@ -360,22 +373,34 @@ def build_rips(
     if len(verts) > max_simplices:
         raise ComplexTooLargeError(counts, max_simplices)
     room = max_simplices - len(verts)
-    fwd: dict[int, set[int]] = {}  # vertex -> its forward neighbours, for the siblings' filter
     for k in range(1, m + 1):
         last_p, parent_p, start_p = last[-1], parent[-1], start[-1]
         kids, first = array("i"), array("i", [0])
+        if k > 1:
+            ends = start[1][1:]  # per vertex, the end of the parents that start at it
+            for e in range(2, k):
+                ends = [start[e][x] for x in ends]
+            edges, edge_start = last[1], start[1]
+            fwd: list[Optional[set[int]]] = [None] * X.n  # a -> its forward neighbours, while a parent may end at a
+            i, end = -1, 0
         for p, a in enumerate(last_p):
             if k == 1:
                 row = adj[a]
                 kids.extend(filter(vset.__contains__, row[bisect_right(row, a):]))
             else:
-                kids.extend(filter(fwd[a].__contains__, last_p[p + 1 : start_p[parent_p[p] + 1]]))
+                while p == end:  # the parents from here on start at verts[i] or above, so none ends at it
+                    i += 1
+                    end = ends[i]
+                    fwd[verts[i]] = None
+                nb = fwd[a]
+                if nb is None:
+                    j = bisect_left(verts, a)
+                    nb = fwd[a] = set(edges[edge_start[j] : edge_start[j + 1]])
+                kids.extend(filter(nb.__contains__, last_p[p + 1 : start_p[parent_p[p] + 1]]))
             first.append(len(kids))
             if len(kids) > room:
                 counts[k] = room + 1  # the simplices made when the cap was first passed
                 raise ComplexTooLargeError(counts, max_simplices)
-        if k == 1 and m > 1:
-            fwd = {a: set(kids[first[p] : first[p + 1]]) for p, a in enumerate(last_p)}
         counts[k] = len(kids)
         room -= len(kids)
         last.append(kids)
@@ -465,7 +490,7 @@ def fill_on_columns(
     Coned columns are skipped with ``allowed`` as the apex set: each is the
     sum of columns of simplices v∗f inside ``allowed`` fed before it, so the
     pivots and the fill are those of the solve over every simplex inside.
-    The columns are fed banded, so the solve's echelon is stored banded.
+    The columns are fed packed, so the solve's echelon is stored banded.
     Returns the fill as a chain over all (k+1)-simplices, 0 for a feasible
     feasibility-only solve, or None when z is no boundary of those columns.
     """

@@ -212,13 +212,66 @@ def relative_coboundary_by_definition(K, interior_ids, k):
     return [sum(1 << b for b, up in enumerate(hi) if set(face) <= set(up)) for face in lo]
 
 
+def pack_offsets(offsets):
+    """A packed column from its facet offsets above lo: 32-bit fields, the largest in the lowest."""
+    return sum(o << (32 * i) for i, o in enumerate(sorted(offsets, reverse=True)))
+
+
+def unpacked(packed, lo):
+    """The plain int of a packed column (packed, lo), read field by field."""
+    col = 1 << lo
+    while packed:
+        packed, offset = divmod(packed, 1 << 32)
+        col |= 1 << (lo + offset)
+    return col
+
+
+def built_pivots(space):
+    """Pivot row -> basis vector as a plain int, from a GF2Subspace or a banded echelon.
+
+    A banded echelon stores a column that entered unreduced as ~packed and a
+    reduced vector shifted down to its lowest set bit.
+    """
+    from coarsetop import gf2
+
+    if isinstance(space, gf2.GF2Subspace):
+        return dict(space.pivots)
+    out = {}
+    for p, u in space.pivots.items():
+        band = unpacked(~u, 0) if u < 0 else u
+        out[p] = band << (p + 1 - band.bit_length())
+    return out
+
+
+def two_feeds(b, columns, split, track, drop):
+    """A ColumnSolve fed columns[:split], optionally dropping its witness, then the rest.
+
+    Returns the solve and (first answer, second answer, stopping row, columns pulled).
+    """
+    from coarsetop import gf2
+
+    solve = gf2.ColumnSolve(b, track=track)
+    pulled = []
+
+    def stream(part):
+        for c in part:
+            pulled.append(c)
+            yield c
+
+    first = solve.feed(stream(columns[:split]))
+    if drop:
+        solve.drop_witness()
+    second = solve.feed(stream(columns[split:]))
+    return solve, (first, second, solve.row, len(pulled))
+
+
 def banded_columns_by_definition(levels, k):
-    """(bits, lo) per k-simplex of sorted tuple lists: lo is the row of s[:-1], bits every facet's row less lo."""
+    """(packed, lo) per k-simplex of sorted tuple lists: lo is the row of s[:-1], packed the other facets' rows less lo."""
     row = {s: i for i, s in enumerate(levels[k - 1])}
     out = []
     for s in levels[k]:
         lo = row[s[:-1]]
-        out.append((sum(1 << (row[s[:d] + s[d + 1:]] - lo) for d in range(k + 1)), lo))
+        out.append((pack_offsets(row[s[:d] + s[d + 1:]] - lo for d in range(k)), lo))
     return out
 
 

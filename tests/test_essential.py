@@ -21,6 +21,8 @@ from coarsetop.metric import neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.cochains import RelativeComplex
 
+from oracles import built_pivots, unpacked
+
 
 def fig_schedules(R=12):
     return [WindowSchedule(S=s, i=1, S_out=s - 2, j=2, R=R, collar=2) for s in (3, 4, 5)]
@@ -137,8 +139,9 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
     class RecordingSolve(gf2.ColumnSolve):
         def feed(self, columns):
             columns = list(columns)
-            fed.append((self, columns))
-            return super().feed(columns)
+            x = super().feed(columns)
+            fed.append((len(columns), built_pivots(self.space)))
+            return x
 
     def run():
         fed.clear()
@@ -147,14 +150,8 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
                 fix.space, fix.w, fix.components[component], 1, scheds, component,
                 skip_pd_check=True, max_witness_columns=max_witness_columns,
             )
-        # the probe feeds banded (bits, lo) columns; replay them as plain ints
-        echelons, pivots = {}, []
-        for solve, columns in fed:
-            space = echelons.setdefault(id(solve), gf2.GF2Subspace(0))
-            for c, lo in columns:
-                space.insert(c << lo)
-            pivots.append(dict(space.pivots))
-        return (v.verdict, v.witnesses, pivots), sum(len(c) for _, c in fed)
+        # the echelon after each feed, every pivot built as a plain int
+        return (v.verdict, v.witnesses, [pivots for _, pivots in fed]), sum(n for n, _ in fed)
 
     got, fed_kept = run()
     with mock.patch.object(RipsComplex, "uncone", every_column):
@@ -166,10 +163,11 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
 @pytest.mark.parametrize("max_witness_columns", [60_000, 500], ids=["full", "local-then-resume"])
 def test_essential_echelon_is_stored_banded(max_witness_columns):
     # A memory gate by counters, not timing, on fig1 R=10's small solves.
-    # Every pivot a solve stores is shifted down to its lowest set bit, so
-    # the bits stored are bounded by the pivots' spans, taken from a plain
-    # replay of the fed columns; plain ints would store every row from 0 to
-    # the pivot, more than twice as many bits here.
+    # The echelon built back to plain ints is a plain replay's. Columns that
+    # enter unreduced are kept as their packed facet offsets, reduced pivots
+    # shifted down to their lowest set bit, so the bits stored are a small
+    # fraction of the plain ints' (which store every row from 0 to the
+    # pivot) and of the bands' (every row of the pivot's span).
     from unittest import mock
 
     fix = grid_fixture("fig1_halfplane_flap", 10)
@@ -190,16 +188,19 @@ def test_essential_echelon_is_stored_banded(max_witness_columns):
     for solve, columns in pulled.items():
         replay = gf2.GF2Subspace(0)
         for c, lo in columns:
-            replay.insert(c << lo)
+            replay.insert(unpacked(c, lo))
         space = solve.space
-        assert isinstance(space, gf2.BandedEchelon) and space.pivots.keys() == replay.pivots.keys()
-        assert all(u & 1 for u in space.pivots.values())
+        assert isinstance(space, gf2.BandedEchelon) and built_pivots(space) == replay.pivots
         if space.combos is not None:
             assert all(m & 1 for m, _ in space.combos.values())
-        max_span = max(p - gf2.lowbit(q) for p, q in replay.pivots.items())
-        stored = sum(u.bit_length() for u in space.pivots.values())
-        assert stored <= (max_span + 1) * len(space.pivots)
-        assert 2 * stored <= sum(q.bit_length() for q in replay.pivots.values())
+        packed = [~u for u in space.pivots.values() if u < 0]
+        reduced = [u for u in space.pivots.values() if u > 0]
+        assert all(u & 1 for u in reduced)
+        assert 10 * len(reduced) <= len(packed)
+        stored = sum(u.bit_length() for u in packed + reduced)
+        spans = sum(p + 1 - gf2.lowbit(q) for p, q in replay.pivots.items())
+        assert 3 * stored <= spans  # bands alone store exactly the spans
+        assert 10 * stored <= sum(q.bit_length() for q in replay.pivots.values())
 
 
 def test_essential_monotone_under_enlargement(fig1_12):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from coarsetop import gf2
 from coarsetop.gf2 import GF2Matrix
 
-from oracles import dense_rank_gf2, dense_solve_gf2
+from oracles import built_pivots, dense_rank_gf2, dense_solve_gf2, pack_offsets, two_feeds, unpacked
 
 
 def random_matrix(rng, rows, cols, density=0.3):
@@ -251,73 +251,64 @@ def test_pivots_are_top_bits_and_reduce_is_linear(system, u, v):
 
 
 @st.composite
-def banded_systems(draw):
-    """Banded columns (bits with bit 0 set, lo) and b: a sum of some columns, maybe plus one row."""
-    columns = draw(st.lists(st.tuples(st.integers(0, 63).map(lambda c: 2 * c + 1), st.integers(0, 24)), max_size=12))
+def packed_systems(draw):
+    """Packed columns (packed, lo) with 0-3 distinct offsets, and b: a sum of some columns, maybe plus one row."""
+    offsets = st.lists(st.integers(1, 40), max_size=3, unique=True)
+    columns = draw(st.lists(st.tuples(offsets.map(pack_offsets), st.integers(0, 24)), max_size=12))
     chosen = draw(st.integers(0, (1 << len(columns)) - 1))
     b = 0
     for t, (c, lo) in enumerate(columns):
         if (chosen >> t) & 1:
-            b ^= c << lo
+            b ^= unpacked(c, lo)
     if draw(st.booleans()):
-        b ^= 1 << draw(st.integers(0, 31))
+        b ^= 1 << draw(st.integers(0, 70))
     return columns, b
 
 
-def _two_feeds(b, columns, split, track, drop):
-    """A solve fed columns[:split], optionally dropping its witness, then the rest."""
-    solve = gf2.ColumnSolve(b, track=track)
-    pulled = []
-
-    def stream(part):
-        for c in part:
-            pulled.append(c)
-            yield c
-
-    first = solve.feed(stream(columns[:split]))
-    if drop:
-        solve.drop_witness()
-    second = solve.feed(stream(columns[split:]))
-    return solve, (first, second, solve.row, len(pulled))
-
-
-def _unshifted(pivots):
-    return {p: u << (p + 1 - u.bit_length()) for p, u in pivots.items()}
-
-
 @settings(max_examples=150, deadline=None)
-@given(banded_systems(), st.integers(0, 12), st.booleans(), st.booleans())
-@example(([(0b11, 3), (0b1, 0), (0b101, 1)], 0b1011), 1, True, True)
+@given(packed_systems(), st.integers(0, 12), st.booleans(), st.booleans())
+@example(([(pack_offsets([1]), 3), (0, 0), (pack_offsets([2]), 1)], 0b1011), 1, True, True)
+@example(([(pack_offsets([2, 1]), 0), (pack_offsets([2]), 0), (pack_offsets([1]), 1)], 0b110), 3, False, False)
 def test_banded_solve_matches_plain_solve(system, split, track, drop):
-    # the same stream fed as plain ints and as (bits, lo) pairs: the same
+    # the same stream fed as plain ints and as (packed, lo) pairs: the same
     # solutions, residue row and columns pulled, and the same echelon once
-    # each stored pivot is shifted back up by its implied offset
+    # each stored pivot is built (packed columns unpacked, bands shifted up)
     columns, b = system
-    plain, plain_out = _two_feeds(b, [c << lo for c, lo in columns], split, track, drop)
-    banded, banded_out = _two_feeds(b, columns, split, track, drop)
+    plain, plain_out = two_feeds(b, [unpacked(c, lo) for c, lo in columns], split, track, drop)
+    banded, banded_out = two_feeds(b, columns, split, track, drop)
     assert banded_out == plain_out
     assert banded.rest << banded.off == plain.rest
     if banded_out[3]:
         assert isinstance(banded.space, gf2.BandedEchelon)
-    assert all(u & 1 for u in banded.space.pivots.values())
-    assert _unshifted(banded.space.pivots) == plain.space.pivots
+    assert all(u < 0 or u & 1 for u in banded.space.pivots.values())
+    assert built_pivots(banded.space) == plain.space.pivots
     if plain.space.combos is None:
         assert banded.space.combos is None
     else:
         assert {p: m << mo for p, (m, mo) in banded.space.combos.items()} == plain.space.combos
 
 
+def test_unpack_builds_the_band_of_a_packed_column():
+    assert gf2.unpack(0) == 1
+    assert gf2.unpack(pack_offsets([5, 2])) == 0b100101
+    packed = pack_offsets([1000, 7, 1])
+    assert gf2.unpack(packed) == unpacked(packed, 0) == 1 | 2 | 1 << 7 | 1 << 1000
+    # the top offset sits in the lowest field; an index below 2^31 fills no more than its field
+    assert pack_offsets([2**31 - 1, 3]) & gf2.FIELD_MASK == 2**31 - 1
+    assert pack_offsets([2**31 - 1, 3]) >> gf2.FIELD == 3
+
+
 def test_a_solve_takes_its_columns_in_one_form():
     banded = gf2.ColumnSolve(0b110)
-    assert banded.feed([(0b1, 1)]) is None
+    assert banded.feed([(0, 1)]) is None
     with pytest.raises(TypeError):
         banded.feed([0b100])
     plain = gf2.ColumnSolve(0b110)
     assert plain.feed([0b10]) is None
     with pytest.raises(TypeError):
-        plain.feed([(0b1, 2)])
+        plain.feed([(0, 2)])
     # both finish in their own form
-    assert banded.feed([(0b1, 2)]) == plain.feed([0b100]) == 0b11
+    assert banded.feed([(0, 2)]) == plain.feed([0b100]) == 0b11
 
 
 @st.composite

@@ -10,7 +10,14 @@ from coarsetop.groups import FreeAbelian, build_ball
 from coarsetop.metric import FiniteMetricSpace
 from coarsetop.rips import build_rips, fill_cycle, inclusion_chain_map, induced_chain_map
 
-from oracles import banded_columns_by_definition, brute_force_simplices, within_by_definition
+from oracles import (
+    banded_columns_by_definition,
+    brute_force_simplices,
+    built_pivots,
+    two_feeds,
+    unpacked,
+    within_by_definition,
+)
 
 
 def triangle_space():
@@ -319,7 +326,7 @@ def test_solve_over_kept_columns_matches_all_columns(case, kind):
         b = K.boundary_of_chain(d, rng.getrandbits(K.n_simplices(d)))
     if kind != "boundary" and rows:
         b ^= 1 << rng.randrange(rows)
-    cols = list(K.iter_boundary_columns(d))
+    cols = list(K.iter_banded_columns(d))
     local, rest, kept_local, kept_rest = _two_phase_order(K, d, apex)
     solves = []
     for phases in ((local, rest), (kept_local, kept_rest)):
@@ -328,8 +335,38 @@ def test_solve_over_kept_columns_matches_all_columns(case, kind):
         fill = None if x is None else gf2.vector_from_indices(phases[0][t] for t in gf2.bits(x))
         solve.drop_witness()
         feasible = solve.feed(cols[j] for j in phases[1]) is not None
-        solves.append((fill, feasible, solve.space.pivots))
+        solves.append((fill, feasible, built_pivots(solve.space)))
     assert solves[0] == solves[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_cases(), st.sampled_from(["sparse", "dense", "boundary"]), st.booleans(), st.booleans())
+def test_packed_columns_solve_as_their_plain_ints(case, kind, track, drop):
+    # the builder's packed columns and the same columns as plain ints, fed in
+    # the essential probe's two phases (inside the apex, then the rest), with
+    # or without tracking and with or without dropping the witness between:
+    # the same answers, stopping row, columns pulled, residue and built pivots
+    K, d, apex, rng = case
+    rows, n = K.n_simplices(d - 1), K.n_simplices(d)
+    b = 0
+    if kind == "boundary" and n:
+        b = K.boundary_of_chain(d, rng.getrandbits(n))
+    elif kind == "dense":
+        b = rng.getrandbits(rows)
+    elif rows:
+        b = 1 << rng.randrange(rows)
+    local, rest = _two_phase_order(K, d, apex)[:2]
+    packed = list(K.iter_banded_columns(d))
+    plain = list(K.iter_boundary_columns(d))
+    assert plain == [unpacked(c, lo) for c, lo in packed]
+    order = local + rest
+    got, got_out = two_feeds(b, [packed[j] for j in order], len(local), track, drop)
+    want, want_out = two_feeds(b, [plain[j] for j in order], len(local), track, drop)
+    assert got_out == want_out
+    assert got.rest << got.off == want.rest
+    assert built_pivots(got.space) == want.space.pivots
+    if want.space.combos is not None:
+        assert {p: m << mo for p, (m, mo) in got.space.combos.items()} == want.space.combos
 
 
 @settings(max_examples=30, deadline=None)
@@ -481,14 +518,18 @@ def test_boundary_columns_drop_one_vertex(case, rng):
 @settings(max_examples=40, deadline=None)
 @given(small_spaces(), st.randoms(use_true_random=False))
 def test_banded_columns_shift_to_the_boundary_columns(case, rng):
-    # (bits, lo): lo is the row of s[:-1], the column's lowest row, and
-    # bits << lo is the column iter_boundary_columns streams
+    # (packed, lo): lo is the row of s[:-1], the column's lowest row; packed
+    # holds the other facets' rows less lo, 32 bits each, descending from
+    # the lowest field; unpacked, they are the columns iter_boundary_columns
+    # streams
     X, V, r, _ = case
     K = build_rips(X, V, r, 3)
     for k in range(4):
         banded = list(K.iter_banded_columns(k))
-        assert [c << lo for c, lo in banded] == list(K.iter_boundary_columns(k))
-        assert all(c & 1 for c, _ in banded)
+        assert [unpacked(c, lo) for c, lo in banded] == list(K.iter_boundary_columns(k))
+        for c, lo in banded:
+            fields = [(c >> (32 * i)) & 0xFFFFFFFF for i in range(k + 1)]
+            assert fields[k] == 0 and all(a > b for a, b in zip(fields[:k], fields[1:k] + [0]))
         if k:
             assert [lo for _, lo in banded] == [K.index[k - 1][s[:-1]] for s in K.simplices[k]]
         among = rng.sample(range(len(banded)), rng.randint(0, len(banded)))
@@ -522,9 +563,10 @@ from coarsetop.fixtures import grid_fixture
 
 def test_build_rips_keeps_a_few_bytes_per_simplex():
     # traced around build_rips on fig2_plane_fin R=6 at scale 2, cap 2
-    # (72,275 simplices): the complex keeps about 9.4 bytes per simplex, where
-    # a tuple per simplex kept over 60; the build's transient peak, the
-    # forward-neighbour sets included, is about 39 where it was over 90
+    # (72,275 simplices): the complex keeps about 12 bytes per simplex, where
+    # a tuple per simplex kept over 60. The build's transient peak is about
+    # 14: the forward-neighbour sets live only ahead of the sweep, where one
+    # set per vertex for the whole build peaked at 41, and tuples over 90
     X = grid_fixture("fig2_plane_fin", 6).space
     X.adjacency_at_scale(2)  # the metric's cache, not the complex's
     tracemalloc.start()
@@ -535,4 +577,26 @@ def test_build_rips_keeps_a_few_bytes_per_simplex():
         tracemalloc.stop()
     n = sum(K.n_simplices(k) for k in range(3))
     assert n == 72_275
-    assert kept / n <= 16 and peak / n <= 48
+    assert kept / n <= 16
+    assert peak / n <= 20
+
+
+def test_packed_echelon_keeps_a_few_bytes_per_pivot():
+    # traced around an untracked solve over the kept triangle columns of
+    # fig2_plane_fin R=6 at scale 2 (17,253 columns, 17,247 pivots), its
+    # right-hand side one edge, which no boundary reaches, so every column
+    # is fed: the columns that enter unreduced stay packed, about 102 bytes
+    # a pivot with the dict; banded pivots took 275 here, and grow with the
+    # window (420 at R=8, where the packed form stays at 101)
+    X = grid_fixture("fig2_plane_fin", 6).space
+    K = build_rips(X, X.full_mask(), 2, 2)
+    kept = list(K.uncone(2))
+    tracemalloc.start()
+    try:
+        solve = gf2.ColumnSolve(1, track=False)
+        assert solve.feed(K.iter_banded_columns(2, kept)) is None
+        stored, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(solve.space.pivots) == 17_247
+    assert stored / len(solve.space.pivots) <= 128
