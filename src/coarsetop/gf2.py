@@ -14,11 +14,13 @@ A ColumnSolve also takes banded columns as Rips boundary columns come
 the column with bit ``lo`` set and a bit at ``lo + f`` for each 32-bit
 field f of ``packed``, the largest offset in the lowest field, so the
 column's top row is ``lo + (packed & FIELD_MASK)`` (see :func:`unpack`). It
-then keeps its whole echelon banded (:class:`BandedEchelon`): a column that
-enters without a reduction step, the rule for boundary columns fed in index
-order (33,058 of the 33,481 columns of the largest fig2 R=10 essential
-solve), is stored as its packed facet offsets, and its band is built only
-when a reduction or the residue uses it. Reduced pivots are stored shifted down to their lowest set bit,
+then keeps its whole echelon banded (:class:`BandedEchelon`). A column
+that enters without a reduction step, the rule for boundary columns fed in
+index order (33,058 of the 33,481 columns of the largest fig2 R=10
+essential solve), is stored as its facet offsets in flat int arrays
+indexed by its pivot row, a few machine words a pivot and no Python object,
+and its band is built only when a reduction or the residue uses it. The
+few reduced pivots stay in a dict, shifted down to their lowest set bit,
 and the residue and combination masks carry their own offsets, so a vector
 costs the span of its rows, not its top row (on the essential probe's
 targets, a few thousand rows against about twenty thousand). Values, pivot
@@ -40,6 +42,7 @@ independent eliminations may run in parallel.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -281,25 +284,37 @@ class GF2Subspace:
 
 
 class BandedEchelon:
-    """The echelon of a solve fed packed columns; every vector stored by its band or less.
+    """The echelon of a solve fed packed columns, in flat arrays indexed by pivot row.
 
-    A banded vector ``(bits, off)`` stands for ``bits << off``. ``pivots``
-    maps each pivot row p either to ``~packed`` (a negative int) for a
-    column that entered unreduced, kept as its packed facet offsets, or to
-    the reduced basis vector shifted down to its lowest set bit (a positive
-    odd int), whose offset is ``p + 1 - bits.bit_length()``. With tracking,
-    ``combos`` maps p to the vector's combination mask over the inserted
-    column numbers as a ``(bits, off)`` pair. The reduction is
-    :meth:`GF2Subspace._reduce`'s, highest set bit first, on shifted
-    operands; a packed pivot's band is built each time a step uses it and
-    never stored.
+    A column that enters without a reduction step is stored at its top row
+    p of ``array('i')`` columns: ``lows[p]`` is its lo, and
+    ``offsets[j][p]`` the offset above lo of field j + 1 of its packed form
+    (0: the column has fewer fields). Field 0 is ``p - lo`` and is not
+    stored; offsets are below 2^31 (see ``FIELD``), and a larger one raises
+    OverflowError. The arrays grow on demand: in length with the highest
+    row stored, in number with the widest column fed. ``lows[p]`` is -1
+    where row p has no pivot and -2 where it has a reduced one, kept in
+    ``reduced`` shifted down to its lowest set bit: a band ``bits`` that
+    stands for ``bits << (p + 1 - bits.bit_length())``. With tracking,
+    ``numbers[p]`` is the inserted number of the column stored at p, which
+    is that column's whole combination mask, and ``combos`` maps a reduced
+    pivot row to its mask over the inserted column numbers as a
+    ``(bits, off)`` pair. The reduction is :meth:`GF2Subspace._reduce`'s,
+    highest set bit first, on shifted operands; a stored column's band is
+    built each time a step uses it and never kept. On the 17,247 pivots of
+    an all-columns solve over fig2_plane_fin R=6's kept triangles this is
+    10 bytes a pivot untracked and 15 tracked, where a dict entry per
+    pivot took about 102 and 218.
     """
 
-    __slots__ = ("pivots", "combos", "inserted")
+    __slots__ = ("lows", "offsets", "numbers", "reduced", "combos", "inserted")
 
     def __init__(self, track: bool = False):
-        self.pivots: dict[int, int] = {}  # pivot row -> ~packed column, or basis vector >> its lowest set bit
-        self.combos: Optional[dict[int, tuple[int, int]]] = {} if track else None
+        self.lows = array("i")  # pivot row -> lo of the column stored there, -1 or -2
+        self.offsets: list[array] = []  # field j + 1 -> pivot row -> its facet offset, or 0
+        self.numbers: Optional[array] = array("i") if track else None  # pivot row -> stored column's number
+        self.reduced: dict[int, int] = {}  # pivot row -> reduced basis vector >> its lowest set bit
+        self.combos: Optional[dict[int, tuple[int, int]]] = {} if track else None  # reduced pivot row -> mask
         self.inserted = 0
 
     def _reduce(self, v: int, off: int, m: int, mo: int) -> tuple[int, int, int, int, int]:
@@ -309,22 +324,35 @@ class BandedEchelon:
         (v, off, m, mo, row), where row is the top row left, or -1 and v = 0
         when the vector lies in the span.
         """
-        pivots, combos = self.pivots, self.combos
+        lows, offsets, numbers, reduced, combos = self.lows, self.offsets, self.numbers, self.reduced, self.combos
+        size = len(lows)
         while v:
             p = off + v.bit_length() - 1
-            u = pivots.get(p)
-            if u is None:
+            lo = lows[p] if p < size else -1
+            if lo == -1:
                 return v, off, m, mo, p
-            if u < 0:
-                u = unpack(~u)
-            d = p + 1 - u.bit_length() - off  # u's offset relative to v's
+            if lo >= 0:  # a stored column: build its band
+                u = 1 | 1 << (p - lo)
+                for field in offsets:
+                    o = field[p]
+                    if not o:
+                        break
+                    u |= 1 << o
+                d = lo - off
+                if combos is not None:
+                    c, co = 1, numbers[p]
+            else:
+                u = reduced[p]
+                d = p + 1 - u.bit_length() - off
+                if combos is not None:
+                    c, co = combos[p]
+            # d is u's offset relative to v's
             if d >= 0:
                 v ^= u << d
             else:
                 v = (v << -d) ^ u
                 off += d
             if combos is not None:
-                c, co = combos[p]
                 d = co - mo
                 if d >= 0:
                     m ^= c << d
@@ -333,25 +361,49 @@ class BandedEchelon:
                     mo = co
         return 0, 0, m, mo, -1
 
-    def extend(self, packed: int, lo: int) -> bool:
-        """Insert the next packed column; True if it enlarged the space."""
+    def extend(self, packed: int, lo: int) -> int:
+        """Insert the next packed column; the row of the pivot it created, or -1 if none."""
         n = self.inserted
-        self.inserted += 1
-        pivots = self.pivots
+        self.inserted = n + 1
+        lows = self.lows
         p = lo + (packed & FIELD_MASK)
-        if p not in pivots:  # enters unreduced: stored as it came
-            pivots[p] = ~packed
-            if self.combos is not None:
-                self.combos[p] = (1, n)
-            return True
+        try:
+            free = lows[p] == -1
+        except IndexError:  # past the arrays' end: no pivot there yet
+            self._grow(p)
+            free = True
+        if free:  # enters unreduced: stored as it came
+            lows[p] = lo
+            packed >>= FIELD
+            for field in self.offsets:
+                field[p] = packed & FIELD_MASK
+                packed >>= FIELD
+            while packed:  # more fields than any column before
+                field = array("i", bytes(4 * len(lows)))
+                self.offsets.append(field)
+                field[p] = packed & FIELD_MASK
+                packed >>= FIELD
+            if self.numbers is not None:
+                self.numbers[p] = n
+            return p
         v, off, m, mo, p = self._reduce(unpack(packed), lo, 1, n)
         if v == 0:
-            return False
-        pivots[p] = v >> ((v & -v).bit_length() - 1)
+            return -1
+        lows[p] = -2
+        self.reduced[p] = v >> ((v & -v).bit_length() - 1)
         if self.combos is not None:
             shift = (m & -m).bit_length() - 1
             self.combos[p] = (m >> shift, mo + shift)
-        return True
+        return p
+
+    def _grow(self, p: int) -> None:
+        """Lengthen every row array past row p, by an eighth more for the rows still to come."""
+        k = p + 1 + (p >> 3) - len(self.lows)
+        self.lows.frombytes(b"\xff" * (4 * k))
+        for field in self.offsets:
+            field.frombytes(bytes(4 * k))
+        if self.numbers is not None:
+            self.numbers.frombytes(bytes(4 * k))
 
 
 class ColumnSolve:
@@ -408,10 +460,10 @@ class ColumnSolve:
         self.rest, self.x, self.row = rest, x, row
 
     def _feed_banded(self, columns: Iterator[tuple[int, int]]) -> None:
-        space, pivots = self.space, self.space.pivots
+        space = self.space
         rest, off, x, xoff, row = self.rest, self.off, self.x, self.xoff, self.row
         for c, lo in columns:
-            if space.extend(c, lo) and row in pivots:
+            if space.extend(c, lo) == row:
                 rest, off, x, xoff, row = space._reduce(rest, off, x, xoff)
                 if not rest:
                     break
@@ -420,6 +472,8 @@ class ColumnSolve:
     def drop_witness(self) -> None:
         """Stop tracking combinations; a feasible solve then returns 0."""
         self.space.combos = None
+        if isinstance(self.space, BandedEchelon):
+            self.space.numbers = None
         self.x = 0
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from operator import lt
 from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import EmptySubsetError
@@ -117,7 +118,9 @@ class FiniteMetricSpace:
     ``labels`` carry per-point annotations (lattice coordinates, group
     normal forms); ``radial`` is the distance from the window's basepoint in
     the defining model and drives collar logic; ``window_radius`` is the
-    radius the window was constructed at.
+    radius the window was constructed at. An adjacency list handed over
+    sorted, without duplicates and without its own point is kept as the
+    space's own, not copied, so the caller must not change it afterwards.
     """
 
     def __init__(
@@ -134,8 +137,12 @@ class FiniteMetricSpace:
         if (adjacency is not None) + (table is not None) + computed != 1:
             raise ValueError("exactly one of adjacency, table or a row computation must back the space")
         self.n = n
-        # the one copy of the graph: sorted, without duplicates or the point itself
-        self._adj = [sorted(set(a).difference((x,))) for x, a in enumerate(adjacency)] if adjacency is not None else None
+        # the one copy of the graph: sorted, without duplicates or the point
+        # itself; a list handed over in that form is kept, not copied
+        self._adj = None if adjacency is None else [
+            a if type(a) is list and x not in a and all(map(lt, a, a[1:])) else sorted(set(a).difference((x,)))
+            for x, a in enumerate(adjacency)
+        ]
         self._table = [array("i", row) for row in table] if table is not None else None
         self.labels = list(labels) if labels is not None else None
         self.window_radius = window_radius

@@ -226,20 +226,42 @@ def unpacked(packed, lo):
     return col
 
 
-def built_pivots(space):
-    """Pivot row -> basis vector as a plain int, from a GF2Subspace or a banded echelon.
+def stored_pivots(space):
+    """A banded echelon's pivots as it stores them: (row -> packed column, row -> reduced pair).
 
-    A banded echelon stores a column that entered unreduced as ~packed and a
-    reduced vector shifted down to its lowest set bit.
+    A column that entered unreduced sits at its top row p of flat arrays:
+    its lo (negative where p holds no such column), and each further facet
+    offset in the array of its field (0 for none); field 0 is p - lo. A
+    reduced pivot is a band shifted down to its lowest set bit, paired with
+    its combination mask (bits, off), or None when untracked.
+    """
+    packed = {}
+    for p, lo in enumerate(space.lows):
+        if lo >= 0:
+            fields = [p - lo] + [f[p] for f in space.offsets]
+            packed[p] = sum(o << (32 * i) for i, o in enumerate(fields))
+    combos = space.combos
+    reduced = {p: (u, None if combos is None else combos[p]) for p, u in space.reduced.items()}
+    return packed, reduced
+
+
+def echelon_entries(space):
+    """Pivot row -> (basis vector as a plain int, combination mask or None), from either echelon.
+
+    The mask is a plain int over the inserted column numbers, None when the
+    echelon keeps none. A banded echelon's stored column has the mask of
+    its own column number alone.
     """
     from coarsetop import gf2
 
     if isinstance(space, gf2.GF2Subspace):
-        return dict(space.pivots)
-    out = {}
-    for p, u in space.pivots.items():
-        band = unpacked(~u, 0) if u < 0 else u
-        out[p] = band << (p + 1 - band.bit_length())
+        combos = space.combos
+        return {p: (v, None if combos is None else combos[p]) for p, v in space.pivots.items()}
+    packed, reduced = stored_pivots(space)
+    numbers = None if space.combos is None else space.numbers
+    out = {p: (unpacked(c, space.lows[p]), None if numbers is None else 1 << numbers[p]) for p, c in packed.items()}
+    for p, (u, m) in reduced.items():
+        out[p] = (u << (p + 1 - u.bit_length()), None if m is None else m[0] << m[1])
     return out
 
 

@@ -21,7 +21,7 @@ from coarsetop.metric import neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.cochains import RelativeComplex
 
-from oracles import built_pivots, unpacked
+from oracles import echelon_entries, stored_pivots, unpacked
 
 
 def fig_schedules(R=12):
@@ -140,7 +140,7 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
         def feed(self, columns):
             columns = list(columns)
             x = super().feed(columns)
-            fed.append((len(columns), built_pivots(self.space)))
+            fed.append((len(columns), {p: v for p, (v, _) in echelon_entries(self.space).items()}))
             return x
 
     def run():
@@ -165,9 +165,11 @@ def test_essential_echelon_is_stored_banded(max_witness_columns):
     # A memory gate by counters, not timing, on fig1 R=10's small solves.
     # The echelon built back to plain ints is a plain replay's. Columns that
     # enter unreduced are kept as their packed facet offsets, reduced pivots
-    # shifted down to their lowest set bit, so the bits stored are a small
-    # fraction of the plain ints' (which store every row from 0 to the
-    # pivot) and of the bands' (every row of the pivot's span).
+    # shifted down to their lowest set bit, so the bits of these forms are a
+    # small fraction of the plain ints' (which store every row from 0 to the
+    # pivot) and of the bands' (every row of the pivot's span). The bytes
+    # the flat arrays of offsets take are gated by
+    # test_packed_echelon_keeps_a_few_bytes_per_pivot.
     from unittest import mock
 
     fix = grid_fixture("fig1_halfplane_flap", 10)
@@ -190,14 +192,12 @@ def test_essential_echelon_is_stored_banded(max_witness_columns):
         for c, lo in columns:
             replay.insert(unpacked(c, lo))
         space = solve.space
-        assert isinstance(space, gf2.BandedEchelon) and built_pivots(space) == replay.pivots
-        if space.combos is not None:
-            assert all(m & 1 for m, _ in space.combos.values())
-        packed = [~u for u in space.pivots.values() if u < 0]
-        reduced = [u for u in space.pivots.values() if u > 0]
-        assert all(u & 1 for u in reduced)
+        assert isinstance(space, gf2.BandedEchelon)
+        assert {p: v for p, (v, _) in echelon_entries(space).items()} == replay.pivots
+        packed, reduced = stored_pivots(space)
+        assert all(u & 1 and (m is None or m[0] & 1) for u, m in reduced.values())
         assert 10 * len(reduced) <= len(packed)
-        stored = sum(u.bit_length() for u in packed + reduced)
+        stored = sum(u.bit_length() for u in packed.values()) + sum(u.bit_length() for u, _ in reduced.values())
         spans = sum(p + 1 - gf2.lowbit(q) for p, q in replay.pivots.items())
         assert 3 * stored <= spans  # bands alone store exactly the spans
         assert 10 * stored <= sum(q.bit_length() for q in replay.pivots.values())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from coarsetop import gf2
 from coarsetop.gf2 import GF2Matrix
 
-from oracles import built_pivots, dense_rank_gf2, dense_solve_gf2, pack_offsets, two_feeds, unpacked
+from oracles import dense_rank_gf2, dense_solve_gf2, echelon_entries, pack_offsets, stored_pivots, two_feeds, unpacked
 
 
 def random_matrix(rng, rows, cols, density=0.3):
@@ -252,8 +252,12 @@ def test_pivots_are_top_bits_and_reduce_is_linear(system, u, v):
 
 @st.composite
 def packed_systems(draw):
-    """Packed columns (packed, lo) with 0-3 distinct offsets, and b: a sum of some columns, maybe plus one row."""
-    offsets = st.lists(st.integers(1, 40), max_size=3, unique=True)
+    """Packed columns (packed, lo) with 0-5 distinct offsets, and b: a sum of some columns, maybe plus one row.
+
+    Columns of one stream come in mixed widths: fewer fields than a
+    triangle's, a tetrahedron's, or more.
+    """
+    offsets = st.lists(st.integers(1, 40), max_size=5, unique=True)
     columns = draw(st.lists(st.tuples(offsets.map(pack_offsets), st.integers(0, 24)), max_size=12))
     chosen = draw(st.integers(0, (1 << len(columns)) - 1))
     b = 0
@@ -269,10 +273,16 @@ def packed_systems(draw):
 @given(packed_systems(), st.integers(0, 12), st.booleans(), st.booleans())
 @example(([(pack_offsets([1]), 3), (0, 0), (pack_offsets([2]), 1)], 0b1011), 1, True, True)
 @example(([(pack_offsets([2, 1]), 0), (pack_offsets([2]), 0), (pack_offsets([1]), 1)], 0b110), 3, False, False)
+@example(
+    ([(pack_offsets([5, 3, 1]), 0), (pack_offsets([5]), 0), (pack_offsets([2]), 1), (pack_offsets([9, 8, 6, 4, 2]), 3)],
+     0b1101010000011),
+    2, True, False,
+)
 def test_banded_solve_matches_plain_solve(system, split, track, drop):
     # the same stream fed as plain ints and as (packed, lo) pairs: the same
-    # solutions, residue row and columns pulled, and the same echelon once
-    # each stored pivot is built (packed columns unpacked, bands shifted up)
+    # solutions, residue row and columns pulled, and the same echelon and
+    # combination masks once each stored pivot is built (stored columns
+    # unpacked, reduced bands shifted up)
     columns, b = system
     plain, plain_out = two_feeds(b, [unpacked(c, lo) for c, lo in columns], split, track, drop)
     banded, banded_out = two_feeds(b, columns, split, track, drop)
@@ -280,12 +290,9 @@ def test_banded_solve_matches_plain_solve(system, split, track, drop):
     assert banded.rest << banded.off == plain.rest
     if banded_out[3]:
         assert isinstance(banded.space, gf2.BandedEchelon)
-    assert all(u < 0 or u & 1 for u in banded.space.pivots.values())
-    assert built_pivots(banded.space) == plain.space.pivots
-    if plain.space.combos is None:
-        assert banded.space.combos is None
-    else:
-        assert {p: m << mo for p, (m, mo) in banded.space.combos.items()} == plain.space.combos
+        _, reduced = stored_pivots(banded.space)
+        assert all(u & 1 and (m is None or m[0] & 1) for u, m in reduced.values())
+    assert echelon_entries(banded.space) == echelon_entries(plain.space)
 
 
 def test_unpack_builds_the_band_of_a_packed_column():

@@ -47,6 +47,19 @@ def test_scale_adjacency_rejects_negative_scale():
         X.adjacency_at_scale(-1)
 
 
+def test_adjacency_lists_already_normal_are_kept_as_handed_over():
+    # sorted, without duplicates and without the point itself: kept as the
+    # very list; unsorted, duplicated, self-looped or not a list: normalised
+    handed = [[1, 2], [2, 0], [0, 1, 1, 3], [2, 3, 4], (3,)]
+    X = FiniteMetricSpace(5, adjacency=handed)
+    adj = X.adjacency_at_scale(1)
+    assert adj == [[1, 2], [0, 2], [0, 1, 3], [2, 4], [3]]
+    assert adj[0] is handed[0]
+    assert all(adj[x] is not handed[x] for x in range(1, 5))
+    assert handed == [[1, 2], [2, 0], [0, 1, 1, 3], [2, 3, 4], (3,)]
+    assert [X.dist(0, y) for y in range(5)] == [0, 1, 1, 2, 3]
+
+
 def test_neighborhood_r0_is_identity():
     X = line_space()
     S = X.mask([3, 7, 11])

@@ -13,7 +13,7 @@ from coarsetop.rips import build_rips, fill_cycle, inclusion_chain_map, induced_
 from oracles import (
     banded_columns_by_definition,
     brute_force_simplices,
-    built_pivots,
+    echelon_entries,
     two_feeds,
     unpacked,
     within_by_definition,
@@ -335,7 +335,7 @@ def test_solve_over_kept_columns_matches_all_columns(case, kind):
         fill = None if x is None else gf2.vector_from_indices(phases[0][t] for t in gf2.bits(x))
         solve.drop_witness()
         feasible = solve.feed(cols[j] for j in phases[1]) is not None
-        solves.append((fill, feasible, built_pivots(solve.space)))
+        solves.append((fill, feasible, {p: v for p, (v, _) in echelon_entries(solve.space).items()}))
     assert solves[0] == solves[1]
 
 
@@ -345,7 +345,8 @@ def test_packed_columns_solve_as_their_plain_ints(case, kind, track, drop):
     # the builder's packed columns and the same columns as plain ints, fed in
     # the essential probe's two phases (inside the apex, then the rest), with
     # or without tracking and with or without dropping the witness between:
-    # the same answers, stopping row, columns pulled, residue and built pivots
+    # the same answers, stopping row, columns pulled, residue, built pivots
+    # and combination masks
     K, d, apex, rng = case
     rows, n = K.n_simplices(d - 1), K.n_simplices(d)
     b = 0
@@ -364,9 +365,7 @@ def test_packed_columns_solve_as_their_plain_ints(case, kind, track, drop):
     want, want_out = two_feeds(b, [plain[j] for j in order], len(local), track, drop)
     assert got_out == want_out
     assert got.rest << got.off == want.rest
-    assert built_pivots(got.space) == want.space.pivots
-    if want.space.combos is not None:
-        assert {p: m << mo for p, (m, mo) in got.space.combos.items()} == want.space.combos
+    assert echelon_entries(got.space) == echelon_entries(want.space)
 
 
 @settings(max_examples=30, deadline=None)
@@ -581,22 +580,36 @@ def test_build_rips_keeps_a_few_bytes_per_simplex():
     assert peak / n <= 20
 
 
-def test_packed_echelon_keeps_a_few_bytes_per_pivot():
-    # traced around an untracked solve over the kept triangle columns of
-    # fig2_plane_fin R=6 at scale 2 (17,253 columns, 17,247 pivots), its
-    # right-hand side one edge, which no boundary reaches, so every column
-    # is fed: the columns that enter unreduced stay packed, about 102 bytes
-    # a pivot with the dict; banded pivots took 275 here, and grow with the
-    # window (420 at R=8, where the packed form stays at 101)
+def _bytes_per_pivot(track):
+    """Traced bytes a pivot of a solve over fig2_plane_fin R=6's kept triangle columns at scale 2.
+
+    17,253 columns, 17,247 pivots; the right-hand side is one edge, which
+    no boundary reaches, so every column is fed.
+    """
     X = grid_fixture("fig2_plane_fin", 6).space
     K = build_rips(X, X.full_mask(), 2, 2)
     kept = list(K.uncone(2))
     tracemalloc.start()
     try:
-        solve = gf2.ColumnSolve(1, track=False)
+        solve = gf2.ColumnSolve(1, track=track)
         assert solve.feed(K.iter_banded_columns(2, kept)) is None
         stored, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(solve.space.pivots) == 17_247
-    assert stored / len(solve.space.pivots) <= 128
+    pivots = len(echelon_entries(solve.space))
+    assert pivots == 17_247
+    return stored / pivots
+
+
+def test_packed_echelon_keeps_a_few_bytes_per_pivot():
+    # the columns that enter unreduced sit in int arrays indexed by pivot
+    # row: about 10 bytes a pivot, where a dict entry of the packed int
+    # took 102 and banded pivots 275
+    assert _bytes_per_pivot(track=False) <= 32
+
+
+def test_tracked_packed_echelon_keeps_a_few_bytes_per_pivot():
+    # with combination masks a stored column adds its inserted number to
+    # one more int array: about 15 bytes a pivot, where a dict entry with a
+    # (1, n) combination tuple took 218
+    assert _bytes_per_pivot(track=True) <= 40
