@@ -107,9 +107,9 @@ class ScenarioContext:
         return SubsetMask(self.space.n, [self.space.basepoint or 0])  # "point"
 
     def words(self, words: list) -> list:
-        """The group elements of ``invariance_generators`` words; none on a fixture."""
+        """The group elements of ``invariance_generators`` words, which only group spaces have."""
         try:
-            return [self.ball.model.parse_word(word) for word in words] if self.ball else []
+            return [self.ball.model.parse_word(word) for word in words]
         except BadSubgroupSpecError as err:  # an unknown name in the scenario, as for W
             raise CoarseTopError("scenario-invalid", f"invariance_generators: {err}") from err
 
@@ -171,7 +171,7 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
     r, A, collar = params["r"], params["A"], params["collar"]
     windows, gens = params["windows"], ctx.words(params["invariance_generators"])
     rows = []  # (ball-or-None, w, component set) per window, masks aligned
-    if windows and ctx.ball is not None:
+    if windows:  # group spaces only, like generators: every window is a ball
         subgroup_w = ctx.w_spec is not None and ctx.w_spec.get("kind") == "subgroup"
         raise_on_bad(subgroup_w, "windowed separation needs a subgroup w to rebuild per radius")
         for R in windows:
@@ -186,7 +186,7 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
     else:
         rows.append((ctx.ball, ctx.w, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
     inv_counts = None
-    if gens:  # words are read on group spaces only, whose windows are all balls
+    if gens:
         inv_counts = [invariant_components(ball, w, gens, cs)[1] for ball, w, cs in rows]
     sets = [cs for _, _, cs in rows]
     rep = coarse_n_separation(sets, inv_counts)
@@ -218,9 +218,7 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
             v = EssentialVerdict(str(name), "inconclusive", None, reason=pd_reason)
         else:
             v = essential_probe(
-                ctx.space, ctx.w, C, n, scheds, component_name=str(name),
-                skip_pd_check=True, probe_schedule=probe, w_image=w_image,
-                max_simplices=ctx.max_simplices,
+                ctx.space, ctx.w, C, n, probe, w_image, str(name), max_simplices=ctx.max_simplices
             )
         classes = [
             {"survives": w["survives_in_target"], "locality": w["fill_locality"],
@@ -535,9 +533,11 @@ def validate_analyses(scenario: dict) -> None:
 
     The scenario's shape, its space, caps and w blocks and a positive radius
     are checked first, then each block against its analysis's parameter
-    table. Block failures are anchored to the offending block index. What
-    needs the built space (component names, acyclicity centres, axes) and
-    cap violations are runtime events and abort only their own analysis.
+    table; on a fixture space a block may not give the parameters read per
+    group ball (``windows``, ``invariance_generators``). Block failures are
+    anchored to the offending block index. What needs the built space
+    (component names, acyclicity centres, axes) and cap violations are
+    runtime events and abort only their own analysis.
     """
     raise_on_bad(isinstance(scenario, dict), "a scenario must be a JSON object")
     raise_on_bad(scenario.get("schema") == SCHEMA_VERSION, "unsupported schema version")
@@ -565,6 +565,8 @@ def validate_analyses(scenario: dict) -> None:
         name = block.get("analysis")
         raise_on_bad(isinstance(name, str) and name in ANALYSES, f"{where}: unknown analysis {name!r}")
         check_params(ANALYSES[name].params, {k: v for k, v in block.items() if k != "analysis"}, f"{where} {name}")
+        per_ball = sorted(block.keys() & {"windows", "invariance_generators"})
+        raise_on_bad(kind == "group" or not per_ball, f"{where} {name}: {per_ball} need a group space")
         if ANALYSES[name].needs_w and w is None:
             raise_on_bad(kind == "fixture", f"{where}: {name} needs a W; give a 'w' block or use a fixture space")
 

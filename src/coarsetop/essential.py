@@ -6,7 +6,9 @@ H_{n-1} of W-annuli into annuli of C ∪ W at a coarser paired schedule and
 asking whether they die there. Death of every surviving class reads
 "essential", a surviving image reads "non-essential", and a probe with no
 class to push is inconclusive. The paired schedule doubles the Rips scale
-and halves the excision radius.
+and halves the excision radius. W passes the PD gate first
+(:func:`pd_precondition`), once for all its components; the probe pushes
+the classes of the image that the gate produced at the probe schedule.
 
 The Mayer-Vietoris assembly works on collar-relative cochain complexes of
 the pieces N_A(W), N_A(W) ∪ C, N_A(W) ∪ (X\\C) and X at one Rips scale,
@@ -21,6 +23,7 @@ each piece is eliminated once.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 import itertools
 from operator import add
@@ -30,13 +33,7 @@ from . import gf2
 from .cochains import RelativeComplex, extension_matrix, restriction_matrix
 from .errors import MAX_SIMPLICES, CoarseTopError, NotACycleError, WindowTooSmallError
 from .gf2 import GF2Matrix
-from .homology import (
-    TwoScaleImage,
-    WindowSchedule,
-    annulus_mask,
-    pd_signature_check,
-    schedule_two_scale,
-)
+from .homology import TwoScaleImage, WindowSchedule, annulus_mask, pd_signature_check
 from .metric import FiniteMetricSpace, SubsetMask, neighborhood
 from .rips import RipsComplex, build_rips, fill_cycle
 from .separation import is_coarse_complementary, simplex_dichotomy_check
@@ -49,7 +46,6 @@ from .separation import is_coarse_complementary, simplex_dichotomy_check
 class AlmostEssentialReport:
     A: int
     B: Optional[int]  # smallest working B, None when none in the grid works
-    tested: list[int]
     verdict: str  # "B=<n>" | "fails-at-window"
     window_radius: int
 
@@ -60,23 +56,22 @@ def almost_essential_probe(
     C: SubsetMask,
     A: int,
     B_grid: Sequence[int],
-    collar: int = 2,
 ) -> AlmostEssentialReport:
     """Smallest B in the grid with W (off the collar) inside N_B(C \\ N_A(W))."""
     if not is_coarse_complementary(X, W, C, 1, A):
         raise CoarseTopError("not-complementary", "C is not (1, A)-complementary to W")
     nA = neighborhood(X, W, A)
     core = C - nA
-    interior = X.interior_mask(collar)
+    interior = X.interior_mask(2)
     targets = (W & interior).sorted_ids()
     if not targets or len(core) == 0:
-        return AlmostEssentialReport(A, None, list(B_grid), "fails-at-window", X.window_radius or -1)
+        return AlmostEssentialReport(A, None, "fails-at-window", X.window_radius or -1)
     d = X.dist_to_set(core.ids, max([0, *B_grid]))  # a need beyond every B reads inf
     need = max(d[w] for w in targets)
     for B in sorted(B_grid):
         if need <= B:
-            return AlmostEssentialReport(A, B, list(B_grid), f"B={B}", X.window_radius or -1)
-    return AlmostEssentialReport(A, None, list(B_grid), "fails-at-window", X.window_radius or -1)
+            return AlmostEssentialReport(A, B, f"B={B}", X.window_radius or -1)
+    return AlmostEssentialReport(A, None, "fails-at-window", X.window_radius or -1)
 
 
 # -- essential probe ----------------------------------------------------------------
@@ -109,7 +104,8 @@ def pd_precondition(
     """Why W fails the PD signature check in dimension n ("" when it passes).
 
     When it passes, the check's own two-scale images of H~_{n-1}(W-annuli)
-    come with it, per schedule: they are the images a probe pushes.
+    come with it, per schedule: :func:`essential_probe` pushes the one at
+    its probe schedule.
     """
     try:
         pd = pd_signature_check(X, n, schedules, within=W, max_simplices=max_simplices)
@@ -125,37 +121,20 @@ def essential_probe(
     W: SubsetMask,
     C: SubsetMask,
     n: int,
-    schedules: Sequence[WindowSchedule],
+    sched: WindowSchedule,
+    w_image: TwoScaleImage,
     component_name: str = "C",
-    skip_pd_check: bool = False,
     max_witness_columns: int = 60_000,
-    probe_schedule: Optional[WindowSchedule] = None,
-    w_image: Optional[TwoScaleImage] = None,
     max_simplices: int = MAX_SIMPLICES,
 ) -> EssentialVerdict:
     """Probe one complementary component for essentiality in dimension n.
 
-    The schedule family drives the PD precondition on W (see
-    :func:`pd_precondition`); the class push happens at ``probe_schedule``
-    (default: the last of the family). A caller probing several components
-    of one W checks it once, passes ``skip_pd_check``, and hands over the
-    check's image at the probe schedule as ``w_image``. Every complex it
+    ``w_image`` is the two-scale image of H~_{n-1}(W-annuli) at the probe
+    schedule ``sched`` that the PD gate produced (:func:`pd_precondition`),
+    so W has passed the gate; the probe pushes its classes. Every complex it
     builds is capped at ``max_simplices``.
     """
-    sched = probe_schedule if probe_schedule is not None else schedules[-1]
-    if not skip_pd_check:
-        reason, images = pd_precondition(X, W, n, schedules, max_simplices)
-        if reason:
-            return EssentialVerdict(component_name, "inconclusive", None, reason=reason)
-        w_image = images.get(sched)
-    try:
-        sched.validate()
-        w_img = w_image if w_image is not None else schedule_two_scale(
-            X, n - 1, sched, within=W, max_simplices=max_simplices
-        )
-    except WindowTooSmallError as err:
-        return EssentialVerdict(component_name, "inconclusive", None, reason=str(err))
-    if w_img.rank == 0:
+    if w_image.rank == 0:
         return EssentialVerdict(
             component_name, "inconclusive", sched, reason="no surviving W-class to push"
         )
@@ -166,8 +145,8 @@ def essential_probe(
     target = build_rips(X, target_mask, scale, n, max_simplices=max_simplices)
     witnesses = []
     any_survives = False
-    for cls in w_img.classes:
-        chain = _push_cycle(w_img.inner, target, n - 1, cls.representative)
+    for cls in w_image.classes:
+        chain = _push_cycle(w_image.inner, target, n - 1, cls.representative)
         fate = _death_or_survival(target, n - 1, chain, max_witness_columns)
         witnesses.append(
             {
@@ -236,7 +215,7 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     solve = gf2.ColumnSolve(z, track=witnessed)
     rest = None
     if witnessed:
-        kept = list(target.uncone(k + 1, local_cols, local_vertices))
+        kept = array("i", target.uncone(k + 1, local_cols, local_vertices))
         x = solve.feed(target.iter_banded_columns(k + 1, kept))
         if x is not None:
             fill = gf2.vector_from_indices(kept[b] for b in gf2.bits(x))
@@ -301,7 +280,6 @@ class MVReport:
     collar: int
     dichotomy: bool
     ses_ok: dict[int, bool]
-    connecting: list[dict]
     exactness: dict[str, bool]
     pieces: MVPieces = field(repr=False, default=None)
 
@@ -313,17 +291,14 @@ def mv_assemble(
     r: int,
     A: int,
     cap: int,
-    w_classes: Sequence[tuple[int, int]] = (),
     collar: int = 2,
-    check_exactness_upto: Optional[int] = None,
     max_simplices: int = MAX_SIMPLICES,
 ) -> MVReport:
-    """Assemble the three-piece short exact sequence and the connecting map.
+    """Assemble the three-piece short exact sequence and check its exactness.
 
-    ``w_classes`` lists (degree, cochain bitset over the W piece's relative
-    simplices); each must be a relative cocycle. The report carries, per
-    class, the snake representative on X, its support, and whether it is
-    nonzero in the collar-relative cohomology proxy.
+    The report checks short exactness columnwise in degrees 0..cap and
+    exactness at both spots in degrees below cap - 1. Its pieces give the
+    connecting map of a W-class: :func:`connecting_entry`.
     """
     if not is_coarse_complementary(X, W, C1, r, A):
         raise CoarseTopError("not-complementary", "C1 is not (r, A)-complementary to W")
@@ -351,13 +326,11 @@ def mv_assemble(
         rank_q, rank_p = gf2.rank_of_columns(q.columns), gf2.rank_of_columns(p.columns)
         pq_zero = not any(map(p.matvec, q.columns))
         ses_ok[k] = bool(rank_q == q.cols and rank_p == p.rows and pq_zero and rank_q + rank_p == p.cols)
-    connecting = [connecting_entry(pieces, deg, sigma) for deg, sigma in w_classes]
     exactness = {}
-    upto = check_exactness_upto if check_exactness_upto is not None else cap - 1
-    for k in range(0, max(0, upto)):
+    for k in range(cap - 1):
         exactness[f"middle-H{k}"] = _exact_at_middle(pieces, k)
         exactness[f"w-H{k}"] = _exact_at_w(pieces, k)
-    return MVReport(r, A, collar, dichotomy, ses_ok, connecting, exactness, pieces)
+    return MVReport(r, A, collar, dichotomy, ses_ok, exactness, pieces)
 
 
 def connecting_entry(pieces: MVPieces, deg: int, sigma: int) -> dict:

@@ -114,9 +114,6 @@ class GF2Matrix:
     def identity(cls, n: int) -> "GF2Matrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    def to_rows(self) -> list[list[int]]:
-        return [[(self.columns[j] >> i) & 1 for j in range(self.cols)] for i in range(self.rows)]
-
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.rows
         for j, c in enumerate(self.columns):
@@ -135,9 +132,6 @@ class GF2Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         return GF2Matrix(self.rows, other.cols, [self.matvec(c) for c in other.columns])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.columns)
 
     def __eq__(self, other) -> bool:
         return (

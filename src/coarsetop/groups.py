@@ -33,7 +33,6 @@ from .metric import FiniteMetricSpace, SubsetMask
 class GroupModel:
     """Base class; subclasses provide normal forms and word length."""
 
-    family: str = "abstract"
     convex_balls: bool = False
 
     def identity(self):
@@ -86,7 +85,6 @@ class FreeAbelian(GroupModel):
 
     def __init__(self, n: int):
         self.n = n
-        self.family = f"Z^{n}"
 
     def identity(self):
         return (0,) * self.n
@@ -124,7 +122,6 @@ class FreeGroup(GroupModel):
 
     def __init__(self, k: int):
         self.k = k
-        self.family = f"F_{k}"
 
     def identity(self):
         return ()
@@ -168,7 +165,6 @@ class Amalgam(GroupModel):
     the free part <x, z>, factor 1 the axis <y>.
     """
 
-    family = "Z2*_Z*Z2"
     convex_balls = True
     _free = FreeGroup(2)
 
@@ -213,7 +209,6 @@ class Lamplighter(GroupModel):
     ending at the cursor.
     """
 
-    family = "lamplighter"
     convex_balls = False
 
     def identity(self):

@@ -256,8 +256,6 @@ class AcyclicityEntry:
 @dataclass
 class AcyclicityProfile:
     entries: list[AcyclicityEntry]
-    lambda_max: int
-    mu_max: int
 
     def failures(self) -> list[AcyclicityEntry]:
         return [e for e in self.entries if e.failed]
@@ -321,7 +319,7 @@ def uniform_acyclicity_probe(
                     entries.append(
                         AcyclicityEntry(x, k, i, r, *(found or (None, None)), failed=found is None)
                     )
-    return AcyclicityProfile(entries, lambda_max, mu_max)
+    return AcyclicityProfile(entries)
 
 
 # -- PD signature -------------------------------------------------------------------

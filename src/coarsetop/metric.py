@@ -170,21 +170,6 @@ class FiniteMetricSpace:
     def from_table(cls, table, **kw) -> "FiniteMetricSpace":
         return cls(len(table), table=table, **kw)
 
-    @classmethod
-    def line(cls, lo: int, hi: int) -> "FiniteMetricSpace":
-        """Integer segment [lo, hi] with the path metric; labels are the integers."""
-        pts = list(range(lo, hi + 1))
-        idx = {v: i for i, v in enumerate(pts)}
-        edges = [(idx[v], idx[v + 1]) for v in pts[:-1]]
-        base = idx.get(0)
-        return cls.from_graph(
-            len(pts),
-            edges,
-            labels=pts,
-            window_radius=max(abs(lo), abs(hi)),
-            basepoint=base,
-        )
-
     # -- distances -------------------------------------------------------------
 
     def dist_row(self, x: int) -> array:

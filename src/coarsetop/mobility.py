@@ -5,7 +5,7 @@ representative cocycle supported inside N_D(g): witness = alpha0 + delta
 beta with beta ranging over collar-relative cochains. The mobility set is
 the union of witness supports over feasible centers; center-feasibility
 relaxes the diameter-D definition by at most a factor of two, which the
-Hausdorff comparisons absorb. A witness's diameter is computed only if read.
+Hausdorff comparisons absorb.
 
 A center is decided on its ball, by one masked solve on the tracked
 echelon of im delta that the complex factors once per degree (see
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf2
@@ -36,10 +35,7 @@ from .metric import SubsetMask, hausdorff_distance
 
 @dataclass
 class Cocycle:
-    """A GF(2) cochain with collar-relative cocycle condition, support and diameter.
-
-    The diameter, a distance row per support vertex, is computed on first read.
-    """
+    """A GF(2) cochain with collar-relative cocycle condition and support."""
 
     complex: RelativeComplex
     k: int
@@ -49,10 +45,6 @@ class Cocycle:
     def __post_init__(self):
         if self.support is None:
             self.support = self.complex.support_vertices(self.k, self.vec)
-
-    @cached_property
-    def diameter(self) -> float:
-        return self.complex.support_diameter(self.k, self.vec)
 
     def validate(self) -> None:
         if not self.complex.is_cocycle(self.k, self.vec):
@@ -172,15 +164,12 @@ def transport_cocycle(
     return Cocycle(R, alpha.k, out)
 
 
-def stab_trace(
-    ball: BallModel, R: RelativeComplex, alpha0: Cocycle, candidates: Optional[Sequence[int]] = None
-) -> tuple[SubsetMask, list[int]]:
+def stab_trace(ball: BallModel, R: RelativeComplex, alpha0: Cocycle) -> tuple[SubsetMask, list[int]]:
     """{ g : alpha0 . g^{-1} defined and cohomologous to alpha0 }, plus undetermined ids."""
     X = ball.space
-    ids = candidates if candidates is not None else range(len(ball.elements))
     members = []
     undetermined = []
-    for gid in sorted(ids):
+    for gid in range(len(ball.elements)):
         g = ball.elements[gid]
         moved = transport_cocycle(ball, R, alpha0, g)
         if moved is None:

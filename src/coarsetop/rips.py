@@ -233,13 +233,6 @@ class RipsComplex:
             out ^= col
         return out
 
-    def chain_from_simplices(self, k: int, simplex_list: Iterable[Sequence[int]]) -> int:
-        out = 0
-        idx = self.index[k]
-        for s in simplex_list:
-            out ^= 1 << idx[tuple(sorted(s))]
-        return out
-
     def chain_support_vertices(self, k: int, chain: int) -> SubsetMask:
         verts: set[int] = set()
         for j in gf2.bits(chain):
@@ -419,7 +412,6 @@ class ChainMap:
     source: RipsComplex
     target: RipsComplex
     mats: list[GF2Matrix]
-    vertex_map: dict[int, int]  # space id -> space id
     displacement: list[int] = field(default_factory=list)
 
     def apply(self, k: int, chain: int) -> int:
@@ -450,7 +442,7 @@ def inclusion_chain_map(K: RipsComplex, L: RipsComplex) -> ChainMap:
         if -1 in pos:
             raise NotASubcomplexError(f"simplex {K.simplices[k][pos.index(-1)]} missing from target")
         mats.append(GF2Matrix(L.n_simplices(k), K.n_simplices(k), [1 << t for t in pos]))
-    return ChainMap(K, L, mats, {v: v for v in K.vertices}, [0] * (K.cap + 1))
+    return ChainMap(K, L, mats, [0] * (K.cap + 1))
 
 
 def fill_cycle(
@@ -583,7 +575,7 @@ def induced_chain_map(
         mats.append(GF2Matrix(final.n_simplices(k), K.n_simplices(k), cols))
         disp.append(worst)
         prev_disp = worst
-    cm = ChainMap(K, final, mats, dict(f), disp)
+    cm = ChainMap(K, final, mats, disp)
     cm.validate()
     return cm
 

@@ -68,15 +68,6 @@ class CoarseComponentSet:
     def shallow_components(self) -> list[CoarseComponent]:
         return [c for c in self.components if not c.deep]
 
-    def partition_ok(self) -> bool:
-        """The component masks partition X \\ N_A(W) exactly."""
-        seen: set[int] = set()
-        for c in self.components:
-            if seen & c.mask.ids:
-                return False
-            seen |= c.mask.ids
-        return seen == (self.space.full_mask() - self.nA).ids
-
 
 def complement_components(
     X: FiniteMetricSpace,
@@ -364,19 +355,7 @@ def shallow_bound_check(
             "note": "exceeds-window"}
 
 
-# -- literal containment checks (used by tests and the MV dichotomy gate) -------------
-
-
-def nbhd_containment_check(
-    X: FiniteMetricSpace, W: SubsetMask, C: SubsetMask, r: int, A: int, R_values: Sequence[int]
-) -> bool:
-    """N_R(C) inside C ∪ N_{A+R}(W) for every tested R."""
-    for R in R_values:
-        nC = neighborhood(X, C, R)
-        allowed = C | neighborhood(X, W, A + R)
-        if not nC.issubset(allowed):
-            return False
-    return True
+# -- the MV dichotomy gate -------------------------------------------------------------
 
 
 def simplex_dichotomy_check(K, W_A: SubsetMask, C: SubsetMask) -> bool:
@@ -407,6 +386,5 @@ __all__ = [
     "stabilizer_trace",
     "almost_invariant_extract",
     "shallow_bound_check",
-    "nbhd_containment_check",
     "simplex_dichotomy_check",
 ]

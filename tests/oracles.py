@@ -300,3 +300,65 @@ def banded_columns_by_definition(levels, k):
 def within_by_definition(levels, k, ids):
     """Positions of the k-simplices of sorted tuple lists whose vertices all lie in ids."""
     return [j for j, s in enumerate(levels[k]) if ids.issuperset(s)]
+
+
+# -- test-only helpers over the package's own objects ---------------------------------
+
+
+def gated_probe(X, W, C, n, schedules, name="C", probe=-1, **kwargs):
+    """The essential probe of C as ``coarsetop run`` makes it.
+
+    W passes the PD gate over the schedules, and the probe at
+    ``schedules[probe]`` pushes the image that the gate produced there. A W
+    that fails the gate reads inconclusive with the gate's reason.
+    """
+    from coarsetop.essential import EssentialVerdict, essential_probe, pd_precondition
+
+    reason, images = pd_precondition(X, W, n, schedules)
+    if reason:
+        return EssentialVerdict(name, "inconclusive", None, reason=reason)
+    sched = schedules[probe]
+    return essential_probe(X, W, C, n, sched, images[sched], name, **kwargs)
+
+
+def to_rows(M):
+    """A GF2Matrix as a dense list of 0/1 rows."""
+    return [[(M.columns[j] >> i) & 1 for j in range(M.cols)] for i in range(M.rows)]
+
+
+def chain_from_simplices(K, k, simplex_list):
+    """The k-chain of a Rips complex that sums the given simplices, each a vertex list in any order."""
+    out = 0
+    for s in simplex_list:
+        out ^= 1 << K.index[k][tuple(sorted(s))]
+    return out
+
+
+def line(lo, hi):
+    """The integer segment [lo, hi] with the path metric; labels are the integers, 0 the basepoint."""
+    from coarsetop.metric import FiniteMetricSpace
+
+    pts = list(range(lo, hi + 1))
+    edges = [(i, i + 1) for i in range(len(pts) - 1)]
+    base = -lo if lo <= 0 <= hi else None
+    return FiniteMetricSpace.from_graph(len(pts), edges, labels=pts, window_radius=max(abs(lo), abs(hi)), basepoint=base)
+
+
+def partition_ok(cs):
+    """The component masks of a CoarseComponentSet partition X \\ N_A(W) exactly."""
+    seen = set()
+    for c in cs.components:
+        if seen & c.mask.ids:
+            return False
+        seen |= c.mask.ids
+    return seen == (cs.space.full_mask() - cs.nA).ids
+
+
+def nbhd_containment_check(X, W, C, r, A, R_values):
+    """N_R(C) inside C ∪ N_{A+R}(W) for every tested R."""
+    from coarsetop.metric import neighborhood
+
+    for R in R_values:
+        if not neighborhood(X, C, R).issubset(C | neighborhood(X, W, A + R)):
+            return False
+    return True

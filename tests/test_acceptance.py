@@ -14,7 +14,7 @@ from coarsetop.cli import run_scenario
 from coarsetop.cochains import RelativeComplex
 from coarsetop.essential import (
     almost_essential_probe,
-    essential_probe,
+    connecting_entry,
     localized_boundary_support,
     mv_assemble,
     two_sided_representability,
@@ -37,7 +37,7 @@ from coarsetop.mobility import (
 from coarsetop.rips import build_rips, fill_cycle
 from coarsetop.separation import complement_components
 
-from oracles import dense_rank_gf2, dense_solve_gf2, flood_fill_components
+from oracles import dense_rank_gf2, dense_solve_gf2, flood_fill_components, gated_probe
 
 
 def _sched(R, S_values, i=1, j=1, collar=2):
@@ -121,14 +121,14 @@ def test_accept_3_figure_classification(fig1_12, fig2_12):
     for fix, scheds in ((fig1_12, _sched(12, (3, 4, 5), i=1, j=2)), (fig2_12, _sched(12, (3, 4, 5), i=1, j=2)),
                         (book, _sched(10, (3, 4, 5), i=1, j=1))):
         for name in fix.components:
-            v = essential_probe(
+            v = gated_probe(
                 fix.space,
                 fix.w,
                 fix.components[name],
                 fix.analysis_dim,
                 scheds,
-                component_name=name,
-                probe_schedule=scheds[1],  # inner radius 4
+                name,
+                probe=1,  # inner radius 4
             )
             results[(fix.name, name)] = v
     assert results[("fig1_halfplane_flap", "bottom")].verdict == "essential"
@@ -177,18 +177,14 @@ def test_accept_5_mv_connecting_map(line_in_plane_8):
     """delta~ of the point class: nonzero, localized, exact at computed spots."""
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
-    RW = base.pieces.W
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
-    rep = mv_assemble(
-        X, fix.w, fix.components["upper"], r=2, A=1, cap=3, w_classes=[(1, sigma)]
-    )
+    c = connecting_entry(rep.pieces, 1, sigma)
     assert rep.dichotomy
     assert all(rep.ses_ok.values())
-    assert rep.connecting[0]["nonzero_in_proxy"]
-    out = localized_boundary_support(
-        rep.pieces, 1, rep.connecting[0]["output"], RW.support_vertices(1, sigma)
-    )
+    assert c["nonzero_in_proxy"]
+    out = localized_boundary_support(rep.pieces, 1, c["output"], RW.support_vertices(1, sigma))
     assert out["within_bound"]
     assert all(rep.exactness.values())
     # on the three-page book, cut off the fin, the middle spot at H^2

@@ -38,6 +38,8 @@ Z2_AXIS = {
 
 Z2_POINT = {"schema": 1, "space": {"kind": "group", "family": "Z^2", "radius": 5}, "w": {"kind": "point"}}
 
+LINE_IN_PLANE = {"schema": 1, "space": {"kind": "fixture", "name": "line_in_plane", "radius": 8}}
+
 
 def test_fig1_scenario_runs(tmp_path):
     p = write_scenario(tmp_path, "fig1", FIG1)
@@ -252,12 +254,12 @@ def test_essential_checks_w_signature_once(monkeypatch, n):
     assert calls == [n]  # one W, two components
     comps = report["results"][0]["components"]
     assert sorted(comps) == ["bottom", "top"]
-    if n == 2:  # W is a line: every component is inconclusive for the per-probe reason
+    if n == 2:  # W is a line: every component is inconclusive for the gate's reason
         fix = grid_fixture("fig1_halfplane_flap", 10)
         scheds = [WindowSchedule(S, i, S_out, j, 10, collar) for S, i, S_out, j, collar in block["schedules"]]
-        own = essential.essential_probe(fix.space, fix.w, fix.components["top"], n, scheds)
-        assert own.verdict == "inconclusive" and own.reason.startswith("W fails the PD")
-        assert all(c["verdict"] == "inconclusive" and c["reason"] == own.reason for c in comps.values())
+        reason, _ = essential.pd_precondition(fix.space, fix.w, n, scheds)
+        assert reason.startswith("W fails the PD")
+        assert all(c["verdict"] == "inconclusive" and c["reason"] == reason for c in comps.values())
 
 
 def test_essential_builds_each_complex_once(monkeypatch):
@@ -397,6 +399,8 @@ def test_bad_scenario_file(tmp_path):
          "w": {"kind": "subgroup", "spec": {"factor": "x"}}},
         {**Z2_POINT, "w": {"kind": "subgroup", "spec": {"generators": "ab"}}},
         {**Z2_AXIS, "analyses": [{"analysis": "separate", "invariance_generators": ["q"]}]},
+        {**LINE_IN_PLANE, "analyses": [{"analysis": "separate", "windows": [4, 6, 8]}]},
+        {**LINE_IN_PLANE, "analyses": [{"analysis": "separate", "invariance_generators": ["a"]}]},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
@@ -414,7 +418,7 @@ def test_bad_scenario_file(tmp_path):
         "parameter-of-another-analysis", "space-kind-not-string", "analysis-name-not-string",
         "components-empty", "unknown-fixture", "w-unknown-generator", "cyclic-not-word", "sublattice-not-object",
         "sublattice-k-zero", "sublattice-axis-out-of-range", "factor-not-int", "generators-string",
-        "invariance-generator-unknown",
+        "invariance-generator-unknown", "windows-on-a-fixture", "generators-on-a-fixture",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
@@ -438,6 +442,8 @@ def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
     #   wrong type was a traceback, and "generators": "ab" silently read the
     #   string as the list ["a", "b"]; an unknown invariance_generators name
     #   ended separate as bad-subgroup-spec after its components were built
+    # - ignored: windows and invariance_generators on a fixture space gave
+    #   one row at the fixture's radius and no invariant count, with exit 0
     p = write_scenario(tmp_path, "malformed", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     assert "scenario-invalid" in capsys.readouterr().err

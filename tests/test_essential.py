@@ -7,11 +7,13 @@ from coarsetop.errors import CoarseTopError
 from coarsetop.essential import (
     _push_cycle,
     almost_essential_probe,
+    connecting_entry,
     connecting_map,
     essential_probe,
     localized_boundary_support,
     mv_assemble,
     paired_target_schedule,
+    pd_precondition,
     two_sided_representability,
 )
 from coarsetop.fixtures import crossing_cochain, grid_fixture
@@ -21,7 +23,7 @@ from coarsetop.metric import neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.cochains import RelativeComplex
 
-from oracles import echelon_entries, stored_pivots, unpacked
+from oracles import echelon_entries, gated_probe, stored_pivots, unpacked
 
 
 def fig_schedules(R=12):
@@ -61,8 +63,8 @@ def test_almost_essential_constant_across_windows():
 
 def test_essential_fig1(fig1_12):
     fix = fig1_12
-    vb = essential_probe(fix.space, fix.w, fix.components["bottom"], 1, fig_schedules(), "bottom")
-    vt = essential_probe(fix.space, fix.w, fix.components["top"], 1, fig_schedules(), "top")
+    vb = gated_probe(fix.space, fix.w, fix.components["bottom"], 1, fig_schedules(), "bottom")
+    vt = gated_probe(fix.space, fix.w, fix.components["top"], 1, fig_schedules(), "top")
     assert vb.verdict == "essential"
     assert vt.verdict == "non-essential"
     assert all(not w["survives_in_target"] for w in vb.witnesses)
@@ -84,10 +86,7 @@ def test_essential_fill_paths_agree(max_witness_columns, path):
     scale, excise = paired_target_schedule(sched)
     for name, verdict in (("bottom", "essential"), ("top", "non-essential")):
         C = fix.components[name]
-        v = essential_probe(
-            fix.space, fix.w, C, 1, [sched], name,
-            skip_pd_check=True, max_witness_columns=max_witness_columns,
-        )
+        v = essential_probe(fix.space, fix.w, C, 1, sched, w_img, name, max_witness_columns=max_witness_columns)
         assert v.verdict == verdict
         # the probe's target complex and pushed cycles, rebuilt to check the fills
         target = build_rips(fix.space, annulus_mask(fix.space, excise, None, within=C | fix.w), scale, 1)
@@ -108,8 +107,8 @@ def test_essential_resumes_after_failed_local_solve():
     # on the other 732 edges and must reach the verdict of the full solve
     fix = grid_fixture("fig1_halfplane_flap", 10)
     C = fix.components["bottom"]
-    capped = essential_probe(fix.space, fix.w, C, 1, fig_schedules(10), "bottom", max_witness_columns=500)
-    default = essential_probe(fix.space, fix.w, C, 1, fig_schedules(10), "bottom")
+    capped = gated_probe(fix.space, fix.w, C, 1, fig_schedules(10), "bottom", max_witness_columns=500)
+    default = gated_probe(fix.space, fix.w, C, 1, fig_schedules(10), "bottom")
     assert capped.verdict == default.verdict == "essential"
     assert len(capped.witnesses) > 0
     assert [w["fill_locality"] for w in capped.witnesses] == ["full/feasibility-only"] * len(capped.witnesses)
@@ -133,7 +132,7 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
     from oracles import every_column
 
     fix = grid_fixture("fig1_halfplane_flap", 10)
-    scheds = fig_schedules(10) if schedule is None else [WindowSchedule(*schedule, R=10, collar=2)]
+    sched = fig_schedules(10)[-1] if schedule is None else WindowSchedule(*schedule, R=10, collar=2)
     fed = []
 
     class RecordingSolve(gf2.ColumnSolve):
@@ -145,10 +144,11 @@ def test_death_or_survival_matches_unskipped_solve(component, schedule, max_witn
 
     def run():
         fed.clear()
+        w_img = schedule_two_scale(fix.space, 0, sched, within=fix.w)
         with mock.patch.object(gf2, "ColumnSolve", RecordingSolve):
             v = essential_probe(
-                fix.space, fix.w, fix.components[component], 1, scheds, component,
-                skip_pd_check=True, max_witness_columns=max_witness_columns,
+                fix.space, fix.w, fix.components[component], 1, sched, w_img, component,
+                max_witness_columns=max_witness_columns,
             )
         # the echelon after each feed, every pivot built as a plain int
         return (v.verdict, v.witnesses, [pivots for _, pivots in fed]), sum(n for n, _ in fed)
@@ -173,6 +173,8 @@ def test_essential_echelon_is_stored_banded(max_witness_columns):
     from unittest import mock
 
     fix = grid_fixture("fig1_halfplane_flap", 10)
+    sched = fig_schedules(10)[-1]
+    w_img = schedule_two_scale(fix.space, 0, sched, within=fix.w)
     pulled = {}  # solve -> the columns it pulled, over all its feeds
 
     class RecordingSolve(gf2.ColumnSolve):
@@ -183,8 +185,7 @@ def test_essential_echelon_is_stored_banded(max_witness_columns):
     with mock.patch.object(gf2, "ColumnSolve", RecordingSolve):
         for name in ("bottom", "top"):
             essential_probe(
-                fix.space, fix.w, fix.components[name], 1, fig_schedules(10), name,
-                skip_pd_check=True, max_witness_columns=max_witness_columns,
+                fix.space, fix.w, fix.components[name], 1, sched, w_img, name, max_witness_columns=max_witness_columns
             )
     assert len(pulled) == 2
     for solve, columns in pulled.items():
@@ -208,7 +209,7 @@ def test_essential_monotone_under_enlargement(fig1_12):
     # essential or inconclusive, never non-essential
     fix = fig1_12
     bigger = fix.components["bottom"] | fix.components["top"]
-    v = essential_probe(fix.space, fix.w, bigger, 1, fig_schedules(), "both")
+    v = gated_probe(fix.space, fix.w, bigger, 1, fig_schedules(), "both")
     assert v.verdict in ("essential", "inconclusive")
 
 
@@ -218,7 +219,7 @@ def test_essential_component_is_deep(fig1_12):
 
     fix = fig1_12
     cs = complement_components(fix.space, fix.w, 1, 0)
-    vb = essential_probe(fix.space, fix.w, fix.components["bottom"], 1, fig_schedules(), "bottom")
+    vb = gated_probe(fix.space, fix.w, fix.components["bottom"], 1, fig_schedules(), "bottom")
     assert vb.verdict == "essential"
     deep_masks = [c.mask for c in cs.deep_components()]
     assert any(fix.components["bottom"] == m for m in deep_masks)
@@ -230,9 +231,7 @@ def test_plane_in_space_half_spaces_essential():
     fix = grid_fixture("plane_in_space", 9)
     scheds = [WindowSchedule(S=s, i=1, S_out=s - 2, j=2, R=9, collar=2) for s in (3, 4, 5)]
     for name in ("upper", "lower"):
-        v = essential_probe(
-            fix.space, fix.w, fix.components[name], 2, scheds, name, probe_schedule=scheds[1]
-        )
+        v = gated_probe(fix.space, fix.w, fix.components[name], 2, scheds, name, probe=1)
         assert v.verdict == "essential"
 
 
@@ -253,21 +252,33 @@ def test_amalgam_edge_axis_components_all_essential():
         WindowSchedule(S=s, i=1, S_out=max(0, s - 1), j=1, R=6, collar=1) for s in (1, 2, 3)
     ]
     for t, comp in enumerate(deep):
-        v = essential_probe(ball.space, yaxis, comp.mask, 1, scheds, str(t))
+        v = gated_probe(ball.space, yaxis, comp.mask, 1, scheds, str(t))
         assert v.verdict == "essential"
 
 
 def test_essential_inconclusive_when_pd_fails(f2_ball_6):
-    # W = <a> in F2 is a line, but the ambient tree kills nothing; the
-    # precondition gate must fire before any verdict
+    # W = <a> in F2 is a line, a coarse PD(1) space, so it fails the PD gate
+    # at n = 2; the gate must fire before any verdict, on the path that
+    # ``coarsetop run`` takes, for every requested component
+    from coarsetop.cli import run_scenario
+
+    rows = [[s, 1, s - 1, 1, 1] for s in (1, 2, 3)]
+    scenario = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "F_2", "radius": 6},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+        "analyses": [{"analysis": "essential", "n": 2, "schedules": rows, "components": ["0", "1", "2"]}],
+    }
+    report, code = run_scenario(scenario)
+    assert code == 2
     ball = f2_ball_6
     axis = subgroup_trace(ball, {"cyclic": "a"})
-    bsub = ball.space.mask_where(lambda g: bool(g) and g[0] == 2)
-    scheds = [WindowSchedule(S=s, i=1, S_out=s - 1, j=1, R=6, collar=1) for s in (1, 2, 3)]
-    v = essential_probe(ball.space, axis, bsub, 1, scheds, "b-side")
-    assert v.verdict in ("inconclusive", "non-essential")
-    if v.verdict == "inconclusive":
-        assert v.reason
+    scheds = [WindowSchedule(*row[:4], R=6, collar=row[4]) for row in rows]
+    reason, images = pd_precondition(ball.space, axis, 2, scheds)
+    assert reason.startswith("W fails the PD signature check") and not images
+    comps = report["results"][0]["components"]
+    assert sorted(comps) == ["0", "1", "2"]
+    assert all(c == {"verdict": "inconclusive", "reason": reason, "classes": []} for c in comps.values())
 
 
 def test_mv_ses_and_exactness(line_in_plane_8):
@@ -289,11 +300,10 @@ def test_mv_requires_complementary(line_in_plane_8):
 def test_mv_connecting_map_nonzero(line_in_plane_8):
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
-    RW = base.pieces.W
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
-    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, w_classes=[(1, sigma)])
-    c = rep.connecting[0]
+    c = connecting_entry(rep.pieces, 1, sigma)
     assert c["nonzero_in_proxy"]
     # localized support within the schedule-derived radius
     out = localized_boundary_support(rep.pieces, 1, c["output"], RW.support_vertices(1, sigma))
@@ -314,13 +324,12 @@ def test_mv_builds_extension_matrices_once_per_degree(line_in_plane_8, monkeypat
         return extension(src, dst, deg)
 
     monkeypatch.setattr(essential, "extension_matrix", counting_extension)
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
-    sigma = base.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
-    built.clear()
-    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, w_classes=[(1, sigma)])
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    sigma = rep.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
+    c = connecting_entry(rep.pieces, 1, sigma)
     degrees = {0, 1}  # the W-exactness checks in degrees 0 and 1, the class in degree 1
     assert len(built) == len(set(built)) <= 2 * len(degrees)
-    assert all(rep.exactness.values()) and rep.connecting[0]["nonzero_in_proxy"]
+    assert all(rep.exactness.values()) and c["nonzero_in_proxy"]
     for deg in degrees:  # further snakes reuse the matrices
         connecting_map(rep.pieces, deg, 0)
     assert len(built) <= 2 * len(degrees)
@@ -334,11 +343,9 @@ def test_mv_degenerate_full_component(line_in_plane_8):
     # C1 = X gives B = N_A(W); the connecting map vanishes on all classes
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, X.full_mask(), r=2, A=1, cap=3)
-    RW = base.pieces.W
-    sigma = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
-    rep = mv_assemble(X, fix.w, X.full_mask(), r=2, A=1, cap=3, w_classes=[(1, sigma)])
-    c = rep.connecting[0]
+    rep = mv_assemble(X, fix.w, X.full_mask(), r=2, A=1, cap=3)
+    sigma = rep.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
+    c = connecting_entry(rep.pieces, 1, sigma)
     assert not c["nonzero_in_proxy"]
 
 

@@ -19,7 +19,7 @@ from coarsetop.homology import (
 from coarsetop.metric import FiniteMetricSpace
 from coarsetop.rips import build_rips
 
-from oracles import bfs_distances, flood_fill_components
+from oracles import bfs_distances, flood_fill_components, to_rows
 
 
 def zsched(R, S_values, i=1, j=1, collar=2):
@@ -47,8 +47,8 @@ def test_reduced_homology_matches_dense_oracle():
             if K.n_simplices(k) == 0:
                 continue
             rank, reps = reduced_homology(K, k)
-            dk = K.boundary(k).to_rows()
-            dk1 = K.boundary(k + 1).to_rows() if K.n_simplices(k + 1) else None
+            dk = to_rows(K.boundary(k))
+            dk1 = to_rows(K.boundary(k + 1)) if K.n_simplices(k + 1) else None
             ker_dim = K.n_simplices(k) - dense_rank_gf2(dk)
             im_dim = dense_rank_gf2(dk1) if dk1 else 0
             assert rank == ker_dim - im_dim

@@ -18,11 +18,11 @@ from coarsetop.metric import (
     neighborhood,
 )
 
-from oracles import bfs_distances, flood_fill_components
+from oracles import bfs_distances, flood_fill_components, line
 
 
 def line_space(lo=-10, hi=10):
-    return FiniteMetricSpace.line(lo, hi)
+    return line(lo, hi)
 
 
 def random_graph_space(rng, n, p=0.25):

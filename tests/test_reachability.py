@@ -1,0 +1,118 @@
+"""Every definition in src/coarsetop is reachable from what a scenario runs.
+
+An AST name scan: a module-level function or class, or a method, is reached
+when reached code reads its name, as a name or as an attribute. The scan
+starts from the module-level code of every module (``coarsetop.cli``'s
+analysis table and ``main``, the console entry point), from every dunder
+method, and from these roots:
+
+- the helpers that acceptance criteria call directly
+- ``FiniteMetricSpace.from_table`` and ``.dist``, which tests build and
+  read spaces with
+- the names that the benchmark's tracer wraps (``BOUNDARIES``) or must leave
+  unwrapped (``NEVER_WRAPPED``), read from ``perfbench/spans.py``
+
+Names match by spelling alone, so the scan over-approximates: a method is
+reached when any reached code reads an attribute of that name. A definition
+it does not reach is dead code, or a test helper that belongs in
+``tests/oracles.py``. When the benchmark stops naming a function, this test
+flags it for deletion.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coarsetop"
+
+ACCEPTANCE_HELPERS = (
+    "cochains:RelativeComplex.cohomology_dim",  # criterion 5
+    "essential:two_sided_representability",  # criterion 6
+    "essential:side_representability",
+    "mobility:mobset_replay",  # criterion 7
+    "gf2:GF2Matrix.from_rows",  # criterion 9
+    "gf2:rank",
+    "homology:AcyclicityProfile.uniform_bounds",  # criterion 10
+)
+TEST_SPACE_METHODS = ("metric:FiniteMetricSpace.from_table", "metric:FiniteMetricSpace.dist")
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up as the file runs
+    spec.loader.exec_module(module)
+    return module
+
+
+def roots() -> set[str]:
+    """The scan's roots as "module:name" or "module:Class.method"."""
+    spans = _spans()
+    wrapped = {f"{layer}:{target}" for layer, targets in spans.BOUNDARIES.items() for target in targets}
+    return {*ACCEPTANCE_HELPERS, *TEST_SPACE_METHODS, *wrapped, *spans.NEVER_WRAPPED}
+
+
+def _read(nodes) -> set[str]:
+    """The names that the code reads: every Name and every attribute name."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
+    """(definitions, reached) of the modules' sources, from the roots ``start``."""
+    reads: dict[str, set[str]] = {}  # definition -> the names its code reads
+    names: set[str] = set()  # the names that reached code reads
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads[f"{module}:{node.name}"] = _read([node])
+            elif isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                rest = [n for n in node.body if n not in methods]
+                reads[f"{module}:{node.name}"] = _read([*node.bases, *node.decorator_list, *rest])
+                for method in methods:
+                    reads[f"{module}:{node.name}.{method.name}"] = _read([method])
+            else:
+                names |= _read([node])
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for key, read in reads.items():
+            leaf = key.rpartition(".")[2].rpartition(":")[2]
+            dunder = leaf.startswith("__") and leaf.endswith("__")
+            if key not in reached and (key in start or dunder or leaf in names):
+                reached.add(key)
+                names |= read
+                grew = True
+    return set(reads), reached
+
+
+def _sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_definition_is_reached():
+    start = roots()
+    defined, reached = scan(_sources(), start)
+    assert start <= defined, f"roots that name no definition: {sorted(start - defined)}"
+    unreached = sorted(defined - reached)
+    assert not unreached, f"no scenario reaches {unreached}: delete them, or move test helpers to tests/oracles.py"
+
+
+def test_the_scan_flags_an_unreferenced_definition():
+    sources = _sources()
+    sources["gf2"] += "\n\ndef orphan():\n    return rank\n"
+    sources["metric"] += "\n\nclass Orphan:\n    def rank_all(self):\n        return 0\n"
+    defined, reached = scan(sources, roots())
+    assert defined - reached == {"gf2:orphan", "metric:Orphan", "metric:Orphan.rank_all"}

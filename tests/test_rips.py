@@ -13,7 +13,9 @@ from coarsetop.rips import build_rips, fill_cycle, inclusion_chain_map, induced_
 from oracles import (
     banded_columns_by_definition,
     brute_force_simplices,
+    chain_from_simplices,
     echelon_entries,
+    line,
     two_feeds,
     unpacked,
     within_by_definition,
@@ -32,7 +34,7 @@ def test_three_point_triangle():
 
 
 def test_line_path_graph():
-    X = FiniteMetricSpace.line(0, 4)
+    X = line(0, 4)
     K = build_rips(X, X.full_mask(), 1, 1)
     assert K.n_simplices(0) == 5
     assert K.n_simplices(1) == 4
@@ -71,9 +73,9 @@ def test_boundary_squares_to_zero(z2_ball_10, f2_ball_6):
     for space, r, m in ((z2_ball_10.space, 2, 3), (f2_ball_6.space, 2, 2)):
         K = build_rips(space, space.full_mask(), r, m)
         for k in range(2, m + 1):
-            assert K.boundary(k - 1).matmul(K.boundary(k)).is_zero()
+            assert not any(K.boundary(k - 1).matmul(K.boundary(k)).columns)
         # augmentation: eps boundary_1 = 0
-        assert K.boundary(0).matmul(K.boundary(1)).is_zero()
+        assert not any(K.boundary(0).matmul(K.boundary(1)).columns)
 
 
 def test_complex_too_large():
@@ -92,13 +94,13 @@ def test_fill_cycle_unit_square(z2_ball_10):
     ball = z2_ball_10
     ids = [ball.index[p] for p in [(0, 0), (1, 0), (1, 1), (0, 1)]]
     K1 = build_rips(X, X.full_mask(), 1, 2)
-    square = K1.chain_from_simplices(
-        1, [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[3]), (ids[0], ids[3])]
+    square = chain_from_simplices(
+        K1, 1, [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[3]), (ids[0], ids[3])]
     )
     assert fill_cycle(K1, 1, square) is None  # no 2-simplices at scale 1
     K2 = build_rips(X, X.full_mask(), 2, 2)
-    square2 = K2.chain_from_simplices(
-        1, [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[3]), (ids[0], ids[3])]
+    square2 = chain_from_simplices(
+        K2, 1, [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[3]), (ids[0], ids[3])]
     )
     w = fill_cycle(K2, 2 - 1, square2)
     assert w is not None
@@ -123,7 +125,7 @@ def test_fill_zero_cycle_path(z_ball_12):
     X = z_ball_12.space
     K = build_rips(X, X.full_mask(), 1, 1)
     a, b = z_ball_12.index[(-4,)], z_ball_12.index[(7,)]
-    z = K.chain_from_simplices(0, [(a,), (b,)])
+    z = chain_from_simplices(K, 0, [(a,), (b,)])
     w = fill_cycle(K, 0, z)
     assert w is not None and K.boundary_of_chain(1, w) == z
     # odd augmentation rejected
@@ -140,13 +142,13 @@ def test_fill_monotone_in_locality_and_scale(z2_ball_10):
     edges = [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[3]), (ids[0], ids[3])]
     center = ids[0]
     K2 = build_rips(X, X.full_mask(), 2, 2)
-    sq2 = K2.chain_from_simplices(1, edges)
+    sq2 = chain_from_simplices(K2, 1, edges)
     small = fill_cycle(K2, 1, sq2, locality=(center, 2))
     large = fill_cycle(K2, 1, sq2, locality=(center, 5))
     assert small is not None and large is not None
     assert K2.boundary_of_chain(2, small) == sq2
     K3 = build_rips(X, X.full_mask(), 3, 2)
-    sq3 = K3.chain_from_simplices(1, edges)
+    sq3 = chain_from_simplices(K3, 1, edges)
     again = fill_cycle(K3, 1, sq3, locality=(center, 2))
     assert again is not None and K3.boundary_of_chain(2, again) == sq3
 
@@ -220,7 +222,7 @@ def test_boundary_squared_zero_random_graphs(seed, n, r):
     K = build_rips(X, X.full_mask(), r, 3)
     for k in range(1, 4):
         if K.n_simplices(k):
-            assert K.boundary(k - 1).matmul(K.boundary(k)).is_zero()
+            assert not any(K.boundary(k - 1).matmul(K.boundary(k)).columns)
 
 
 @settings(max_examples=20, deadline=None)

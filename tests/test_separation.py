@@ -13,13 +13,12 @@ from coarsetop.separation import (
     complement_components,
     invariant_components,
     is_coarse_complementary,
-    nbhd_containment_check,
     shallow_bound_check,
     simplex_dichotomy_check,
     stabilizer_trace,
 )
 
-from oracles import flood_fill_components
+from oracles import flood_fill_components, nbhd_containment_check, partition_ok
 
 
 def first_non_a(word):
@@ -64,7 +63,7 @@ def test_components_axis_in_plane(z2_ball_12):
     axis = X.mask_where(lambda p: p[1] == 0)
     cs = complement_components(X, axis, 1, 2)
     assert len(cs.deep_components()) == 2
-    assert cs.partition_ok()
+    assert partition_ok(cs)
     # brute-force flood fill cross-check
     off = (X.full_mask() - neighborhood(X, axis, 2)).sorted_ids()
     adj = X.adjacency_at_scale(1)
@@ -282,7 +281,7 @@ def test_deep_and_shallow_labels_match_the_full_field(family, R, spec, monkeypat
     for r, A, collar in ((1, 0, 2), (1, 1, 2), (2, 1, 1), (1, 2, 0), (1, 1, R)):
         cs = complement_components(X, W, r, A, collar=collar)
         assert cs.nA == X.mask(x for x in range(X.n) if full[x] <= A)
-        assert cs.partition_ok()
+        assert partition_ok(cs)
         for c in cs.components:
             touches = any(X.radial[u] > R - collar for u in c.mask.ids)
             assert c.touches_collar == touches
