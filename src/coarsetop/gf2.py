@@ -1,22 +1,28 @@
-"""Sparse bit-packed GF(2) linear algebra.
+"""Sparse bit-packed GF(2) linear algebra, in two elimination forms.
 
 Matrices store columns as Python ints (bit i of column j = entry (i, j)).
 Elimination picks pivots at the highest nonzero row of each column (found
-by ``bit_length``, O(1), where the lowest set bit costs O(size)), and one
-reduction loop (:meth:`GF2Subspace._reduce`) serves rank, solve,
-kernel/image bases, ``span_of`` and the two-scale homology image ranks
-used throughout the package. Streaming membership solves
-(:class:`ColumnSolve`) stop pulling columns once the right-hand side lies
-in their span and can be resumed with more columns.
+by ``bit_length``, O(1), where the lowest set bit costs O(size)).
 
-A ColumnSolve also takes banded columns as Rips boundary columns come
+The plain form, :class:`GF2Subspace` and its reduction loop
+(:meth:`GF2Subspace._reduce`), serves the GF2Matrix work: rank, ``solve``,
+kernel and image bases, ``span_of``, the two-scale homology image ranks
+and the cochain coboundaries. A tracked echelon of columns inserted in
+order also answers the solve over the same columns with a set of rows
+masked to zero (:meth:`GF2Subspace.solve_masked`): it re-reduces only the
+pivots the mask touches, so a family of masked solves shares one
+elimination.
+
+The banded form, :class:`BandedEchelon`, serves the streaming membership
+solves over Rips boundary columns (:class:`ColumnSolve`), which stop
+pulling columns once the right-hand side lies in their span and can be
+resumed with more columns. Columns come as the builder makes them
 (``RipsComplex.iter_banded_columns``): ``(packed, lo)`` pairs standing for
 the column with bit ``lo`` set and a bit at ``lo + f`` for each 32-bit
 field f of ``packed``, the largest offset in the lowest field, so the
-column's top row is ``lo + (packed & FIELD_MASK)`` (see :func:`unpack`). It
-then keeps its whole echelon banded (:class:`BandedEchelon`). A column
-that enters without a reduction step, the rule for boundary columns fed in
-index order (33,058 of the 33,481 columns of the largest fig2 R=10
+column's top row is ``lo + (packed & FIELD_MASK)`` (see :func:`unpack`). A
+column that enters without a reduction step, the rule for boundary columns
+fed in index order (33,058 of the 33,481 columns of the largest fig2 R=10
 essential solve), is stored as its facet offsets in flat int arrays
 indexed by its pivot row, a few machine words a pivot and no Python object,
 and its band is built only when a reduction or the residue uses it. The
@@ -24,16 +30,8 @@ few reduced pivots stay in a dict, shifted down to their lowest set bit,
 and the residue and combination masks carry their own offsets, so a vector
 costs the span of its rows, not its top row (on the essential probe's
 targets, a few thousand rows against about twenty thousand). Values, pivot
-rows, stopping columns and witnesses are those of the plain solve. The
-first column fed picks the form, and a solve fed one form rejects the
-other. GF2Matrix callers (cochain coboundaries, kernel and image bases,
-``span_of``) keep the plain loop: the offsets cost time on every step and
-pay only where vectors sit far above row 0.
-
-A tracked echelon of columns inserted in order also answers the solve over
-the same columns with a set of rows masked to zero
-(:meth:`GF2Subspace.solve_masked`): it re-reduces only the pivots the mask
-touches, so a family of masked solves shares one elimination.
+rows, stopping columns and witnesses are those of the plain form fed the
+same columns as ints.
 
 Matrices are immutable after construction. A GF2Subspace, BandedEchelon
 or ColumnSolve is filled by the one elimination that owns it, so
@@ -44,8 +42,7 @@ from __future__ import annotations
 
 from array import array
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 FIELD = 32  # bits per facet offset of a packed column
@@ -109,10 +106,6 @@ class GF2Matrix:
                 if e & 1:
                     cols[j] |= 1 << i
         return cls(nr, nc, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
 
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.rows
@@ -227,16 +220,17 @@ class GF2Subspace:
         return self.insert(v) is None
 
     def solve_masked(self, b: int, rows: Sequence[int]) -> Optional[int]:
-        """What ``solve_columns([c & ~M for c in cols], b & ~M)`` returns, M the mask of ``rows``.
+        """The solution over the columns masked to ``c & ~M`` of b & ~M, or None; M the mask of ``rows``.
 
-        The space is the tracked echelon of ``cols`` inserted in order, read
-        only. The top bit of ``combos[p]`` is the column that created pivot
-        p, and a pivot off M keeps its row under the mask. So only the pivots
-        on M, and any later pivot whose row a re-reduced vector lands on, are
-        re-reduced in column order against the masked pivots of earlier
-        columns. One that vanishes marks its column dependent, and its
-        combination replaces that column in the solution of b & ~M: the
-        unique one over the columns the masked greedy solve keeps.
+        The space is the tracked echelon of the columns inserted in order,
+        read only. The top bit of ``combos[p]`` is the column that created
+        pivot p, and a pivot off M keeps its row under the mask. So only the
+        pivots on M, and any later pivot whose row a re-reduced vector lands
+        on, are re-reduced in column order against the masked pivots of
+        earlier columns. One that vanishes marks its column dependent, and
+        its combination replaces that column in the solution of b & ~M: the
+        unique one over the columns that a tracked elimination of the masked
+        columns in order keeps independent.
         """
         pivots, combos = self.pivots, self.combos
         keep = ~vector_from_indices(rows)
@@ -401,73 +395,43 @@ class BandedEchelon:
 
 
 class ColumnSolve:
-    """A solve of A x = b that pulls columns of A only while it must.
+    """A solve of A x = b over packed columns that pulls them only while it must.
 
     b is reduced first and its residue kept. After each inserted column the
     residue's reduction continues only if that column created the pivot at
     the residue's top row, and no column is pulled once the residue is 0.
     :meth:`feed` may be called again with further columns; the solution is
     the unique combination over the greedy-independent columns fed so far,
-    as a tracked elimination of every column would give.
-
-    Columns are plain ints or packed ``(packed, lo)`` pairs (see the module
-    docstring); the first column fed picks the echelon, and the residue
-    ``rest << off`` and the combination ``x << xoff`` follow it.
+    as a tracked elimination of every column would give. The echelon is a
+    :class:`BandedEchelon`, and the residue ``rest << off`` and the
+    combination ``x << xoff`` carry their own offsets.
     """
 
     __slots__ = ("space", "rest", "off", "x", "xoff", "row")
 
     def __init__(self, b: int, track: bool = True):
-        self.space: Union[GF2Subspace, BandedEchelon] = GF2Subspace(0, track)
-        self.rest, self.x, self.row = self.space._reduce(b, 0, False)
-        self.off = self.xoff = 0
+        self.space = BandedEchelon(track)
+        self.off = lowbit(b) if b else 0
+        self.rest = b >> self.off
+        self.x = self.xoff = 0
+        self.row = b.bit_length() - 1  # no pivot yet: b's top row stops the reduction
 
-    def feed(self, columns: Iterable) -> Optional[int]:
-        """Insert columns until b lies in their span; the solution, or None."""
+    def feed(self, columns: Iterable[tuple[int, int]]) -> Optional[int]:
+        """Insert ``(packed, lo)`` columns until b lies in their span; the solution, or None."""
         if self.rest:
-            columns = iter(columns)
-            first = next(columns, None)
-            if first is not None:
-                banded = type(first) is tuple
-                space = self.space
-                if banded and not isinstance(space, BandedEchelon) and not space.inserted:
-                    self.space = BandedEchelon(space.combos is not None)
-                    self.off = lowbit(self.rest)
-                    self.rest >>= self.off
-                elif banded != isinstance(space, BandedEchelon):
-                    raise TypeError("a ColumnSolve takes its columns in one form, plain ints or (packed, lo) pairs")
-                columns = chain((first,), columns)
-                if banded:
-                    self._feed_banded(columns)
-                else:
-                    self._feed_plain(columns)
+            space = self.space
+            rest, off, x, xoff, row = self.rest, self.off, self.x, self.xoff, self.row
+            for c, lo in columns:
+                if space.extend(c, lo) == row:
+                    rest, off, x, xoff, row = space._reduce(rest, off, x, xoff)
+                    if not rest:
+                        break
+            self.rest, self.off, self.x, self.xoff, self.row = rest, off, x, xoff, row
         return None if self.rest else self.x << self.xoff
-
-    def _feed_plain(self, columns: Iterator[int]) -> None:
-        space, pivots = self.space, self.space.pivots
-        rest, x, row = self.rest, self.x, self.row
-        for c in columns:
-            if space.insert(c) is None and row in pivots:
-                rest, x, row = space._reduce(rest, x, False)
-                if not rest:
-                    break
-        self.rest, self.x, self.row = rest, x, row
-
-    def _feed_banded(self, columns: Iterator[tuple[int, int]]) -> None:
-        space = self.space
-        rest, off, x, xoff, row = self.rest, self.off, self.x, self.xoff, self.row
-        for c, lo in columns:
-            if space.extend(c, lo) == row:
-                rest, off, x, xoff, row = space._reduce(rest, off, x, xoff)
-                if not rest:
-                    break
-        self.rest, self.off, self.x, self.xoff, self.row = rest, off, x, xoff, row
 
     def drop_witness(self) -> None:
         """Stop tracking combinations; a feasible solve then returns 0."""
-        self.space.combos = None
-        if isinstance(self.space, BandedEchelon):
-            self.space.numbers = None
+        self.space.combos = self.space.numbers = None
         self.x = 0
 
 
@@ -487,15 +451,15 @@ def rank_of_columns(columns: Iterable[int]) -> int:
 
 
 def solve(A: GF2Matrix, b: int) -> Optional[int]:
-    """One solution x (bitmask over columns) of A x = b, or None if inconsistent."""
-    return solve_columns(A.columns, b, want_witness=True)
+    """The solution x (bitmask over columns) of A x = b over the greedy-independent columns, or None.
+
+    Read off the tracked echelon of A's columns (:func:`image_basis`).
+    """
+    return image_basis(A).solve_masked(b, ())
 
 
-def solve_columns(columns: Iterable, b: int, want_witness: bool = True) -> Optional[int]:
-    """Streaming solve over a column iterable, stopping once b is reached.
-
-    Columns are plain ints or packed ``(packed, lo)`` pairs, as for
-    :class:`ColumnSolve`.
+def solve_columns(columns: Iterable[tuple[int, int]], b: int, want_witness: bool = True) -> Optional[int]:
+    """Streaming solve over ``(packed, lo)`` columns, stopping once b is reached (see :class:`ColumnSolve`).
 
     With want_witness=False only feasibility is decided (0 is returned for a
     feasible system), which avoids storing combination masks for very large

@@ -77,8 +77,6 @@ class TwoScaleClass:
 
     k: int
     representative: int  # cycle bitset over inner k-simplices
-    schedule: Optional[WindowSchedule]  # set by schedule_two_scale
-    survives: bool
 
 
 @dataclass
@@ -123,7 +121,7 @@ def two_scale_image_along(f: ChainMap, k: int) -> TwoScaleImage:
     rank, rep_positions = gf2.quotient_image_rank(
         images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k)
     )
-    classes = [TwoScaleClass(k, cycles[t], None, True) for t in rep_positions]
+    classes = [TwoScaleClass(k, cycles[t]) for t in rep_positions]
     return TwoScaleImage(inner, outer, f, k, rank, classes)
 
 
@@ -168,10 +166,7 @@ def schedule_two_scale(
         raise WindowTooSmallError("empty annulus at this schedule")
     inner = build_rips(X, inner_mask, sched.i, k + 1, max_simplices=max_simplices)
     outer = build_rips(X, outer_mask, sched.j, k + 1, max_simplices=max_simplices)
-    out = two_scale_image(inner, outer, k)
-    for c in out.classes:
-        c.schedule = sched
-    return out
+    return two_scale_image(inner, outer, k)
 
 
 @dataclass

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, repeat
 from operator import sub
@@ -412,7 +412,6 @@ class ChainMap:
     source: RipsComplex
     target: RipsComplex
     mats: list[GF2Matrix]
-    displacement: list[int] = field(default_factory=list)
 
     def apply(self, k: int, chain: int) -> int:
         return self.mats[k].matvec(chain)
@@ -432,7 +431,7 @@ class ChainMap:
 
 
 def inclusion_chain_map(K: RipsComplex, L: RipsComplex) -> ChainMap:
-    """Simplex-identity map of a subcomplex; displacement 0."""
+    """Simplex-identity map of a subcomplex."""
     if not K.vertex_mask.issubset(L.vertex_mask):
         raise NotASubcomplexError("vertex mask not contained in target's")
     if K.scale > L.scale or K.cap > L.cap:
@@ -442,7 +441,7 @@ def inclusion_chain_map(K: RipsComplex, L: RipsComplex) -> ChainMap:
         if -1 in pos:
             raise NotASubcomplexError(f"simplex {K.simplices[k][pos.index(-1)]} missing from target")
         mats.append(GF2Matrix(L.n_simplices(k), K.n_simplices(k), [1 << t for t in pos]))
-    return ChainMap(K, L, mats, [0] * (K.cap + 1))
+    return ChainMap(K, L, mats)
 
 
 def fill_cycle(
@@ -520,11 +519,9 @@ def induced_chain_map(
     targets = {r: build_rips(Y, mask, r, K.cap) for r in sorted(set(schedule))}
     final = targets[schedule[K.cap]]
     mats: list[GF2Matrix] = []
-    disp: list[int] = []
     # dimension 0: relabel
     cols0 = [1 << final.index[0][(f[s[0]],)] for s in K.simplices[0]]
     mats.append(GF2Matrix(final.n_simplices(0), K.n_simplices(0), cols0))
-    disp.append(0)
     prev_disp = 0
     for k in range(1, K.cap + 1):
         r_k = schedule[k]
@@ -541,7 +538,7 @@ def induced_chain_map(
                     bnd ^= 1 << tgt.index[k - 1][final.simplices[k - 1][t]]
             center = f[s[0]]
             # when the image vertex set itself spans a target simplex, the
-            # simplicial value is the canonical fill (displacement 0 for
+            # simplicial value is the canonical fill (always so for
             # inclusions and relabelings)
             image = tuple(sorted({f[v] for v in s}))
             w = None
@@ -573,9 +570,8 @@ def induced_chain_map(
                 worst = max(worst, max(min(rw[v] for rw in rows) for v in tup))
             cols.append(col)
         mats.append(GF2Matrix(final.n_simplices(k), K.n_simplices(k), cols))
-        disp.append(worst)
         prev_disp = worst
-    cm = ChainMap(K, final, mats, disp)
+    cm = ChainMap(K, final, mats)
     cm.validate()
     return cm
 

@@ -131,10 +131,57 @@ def amalgam_mul_reference(g, h):
     return (tuple(word), (g[1][0] + h[1][0],))
 
 
+def tracked_full_solve(columns, b):
+    """The plain reference solve of A x = b over plain int columns: x, or None.
+
+    A tracked ``GF2Subspace`` insert of every column, then of b. When b is
+    dependent, its combination less its own bit is the unique solution over
+    the columns that enter independent in order: the witness every solve of
+    the package returns, whether it stops early or masks rows.
+    """
+    from coarsetop import gf2
+
+    space = gf2.GF2Subspace(0, track=True)
+    for c in columns:
+        space.insert(c)
+    m = space.insert(b)
+    return None if m is None else m ^ (1 << len(columns))
+
+
+def reference_feeds(b, columns, split, track, drop):
+    """What ``two_feeds`` gives for the plain int columns, read off the plain reference.
+
+    Returns ((first answer, second answer, stopping row, columns pulled),
+    residue, echelon entries). The solve pulls columns until b lies in
+    their span. Its echelon is the plain one of the columns pulled, with
+    masks while it tracks, and its residue is b reduced against that
+    echelon, top bit first, down to the first row without a pivot, which
+    is the stopping row (-1 once b is reached).
+    """
+    from coarsetop import gf2
+
+    space = gf2.GF2Subspace(0, track=track and not drop)
+    pulled = 0
+    while pulled < len(columns) and not space.contains(b):
+        space.insert(columns[pulled])
+        pulled += 1
+    rest = b
+    while rest and rest.bit_length() - 1 in space.pivots:
+        rest ^= space.pivots[rest.bit_length() - 1]
+
+    def answer(x, witnessed):
+        return x if x is None or witnessed else 0
+
+    first = answer(tracked_full_solve(columns[:split], b), track)
+    second = answer(tracked_full_solve(columns, b), track and not drop)
+    return (first, second, rest.bit_length() - 1, pulled), rest, echelon_entries(space)
+
+
 def compacted_representative_within(R, k, vec, allowed):
     """The restricted coboundary solve with outside rows renumbered bit by bit.
 
-    Unlike the oracles above this one reuses the package's solve on purpose:
+    Unlike the oracles above this one reuses the package's elimination on
+    purpose, through the plain reference solve (:func:`tracked_full_solve`):
     it is the reference for ``RelativeComplex.representative_within``, which
     masks the rows instead of renumbering them and must return the very
     same cochain, not merely some representative. The simplices inside the
@@ -155,7 +202,7 @@ def compacted_representative_within(R, k, vec, allowed):
         return out
 
     delta = R.delta(k - 1)
-    tau = gf2.solve_columns([outside_part(c) for c in delta.columns], outside_part(vec))
+    tau = tracked_full_solve([outside_part(c) for c in delta.columns], outside_part(vec))
     return None if tau is None else vec ^ delta.matvec(tau)
 
 
@@ -250,7 +297,7 @@ def echelon_entries(space):
 
     The mask is a plain int over the inserted column numbers, None when the
     echelon keeps none. A banded echelon's stored column has the mask of
-    its own column number alone.
+    its own column number alone, while it keeps the numbers.
     """
     from coarsetop import gf2
 
@@ -258,7 +305,7 @@ def echelon_entries(space):
         combos = space.combos
         return {p: (v, None if combos is None else combos[p]) for p, v in space.pivots.items()}
     packed, reduced = stored_pivots(space)
-    numbers = None if space.combos is None else space.numbers
+    numbers = space.numbers
     out = {p: (unpacked(c, space.lows[p]), None if numbers is None else 1 << numbers[p]) for p, c in packed.items()}
     for p, (u, m) in reduced.items():
         out[p] = (u << (p + 1 - u.bit_length()), None if m is None else m[0] << m[1])
@@ -266,7 +313,7 @@ def echelon_entries(space):
 
 
 def two_feeds(b, columns, split, track, drop):
-    """A ColumnSolve fed columns[:split], optionally dropping its witness, then the rest.
+    """A ColumnSolve fed the packed columns[:split], optionally dropping its witness, then the rest.
 
     Returns the solve and (first answer, second answer, stopping row, columns pulled).
     """

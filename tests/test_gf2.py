@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 from coarsetop import gf2
 from coarsetop.gf2 import GF2Matrix
 
-from oracles import dense_rank_gf2, dense_solve_gf2, echelon_entries, pack_offsets, stored_pivots, two_feeds, unpacked
+from oracles import (
+    dense_rank_gf2,
+    dense_solve_gf2,
+    echelon_entries,
+    pack_offsets,
+    reference_feeds,
+    stored_pivots,
+    tracked_full_solve,
+    two_feeds,
+    unpacked,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.3):
@@ -17,8 +27,12 @@ def random_matrix(rng, rows, cols, density=0.3):
     return entries, GF2Matrix.from_rows(entries)
 
 
+def identity(n):
+    return GF2Matrix(n, n, [1 << i for i in range(n)])
+
+
 def test_rank_identity():
-    assert gf2.rank(GF2Matrix.identity(3)) == 3
+    assert gf2.rank(identity(3)) == 3
 
 
 def test_solve_zero_rhs_trivially_consistent():
@@ -53,16 +67,6 @@ def test_solve_matches_dense():
         else:
             assert dense is not None
             assert A.matvec(x) == b
-
-
-def test_solve_witnessless_agrees_on_feasibility():
-    rng = random.Random(6)
-    for _ in range(40):
-        entries, A = random_matrix(rng, 20, 12)
-        b = gf2.vector_from_indices(i for i in range(20) if rng.random() < 0.3)
-        w = gf2.solve_columns(A.columns, b, want_witness=True)
-        f = gf2.solve_columns(A.columns, b, want_witness=False)
-        assert (w is None) == (f is None)
 
 
 def test_kernel_basis_annihilates_and_has_right_dimension():
@@ -162,8 +166,8 @@ def test_matmul_and_transpose_consistency():
 
 
 def test_shape_mismatch_raises():
-    A = GF2Matrix.identity(3)
-    B = GF2Matrix.identity(4)
+    A = identity(3)
+    B = identity(4)
     with pytest.raises(ValueError):
         A.matmul(B)
 
@@ -179,61 +183,6 @@ small_systems = st.integers(1, 9).flatmap(
 
 def _dense(columns, rows):
     return [[(c >> i) & 1 for c in columns] for i in range(rows)]
-
-
-def _tracked_full_solve(columns, b):
-    """Eliminate every column with tracking, then b as one more vector."""
-    space = gf2.GF2Subspace(0, track=True)
-    for c in columns:
-        space.insert(c)
-    m = space.insert(b)
-    return None if m is None else m ^ (1 << len(columns))
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_systems, st.integers(0, 12))
-@example(([0b10, 0b01], 0b11, 2), 1)
-def test_early_exit_and_resumed_solves_match_dense(system, split):
-    columns, b, rows = system
-    split %= len(columns) + 1
-    rhs = [(b >> i) & 1 for i in range(rows)]
-    feasible = dense_solve_gf2(_dense(columns, rows), rhs) is not None if columns else b == 0
-    for want_witness in (True, False):
-        x = gf2.solve_columns(iter(columns), b, want_witness=want_witness)
-        assert (x is not None) == feasible
-    # the fallback of the essential probe: drop the witness after a failed prefix
-    resumed = gf2.ColumnSolve(b)
-    if resumed.feed(iter(columns[:split])) is None:
-        resumed.drop_witness()
-        assert resumed.feed(iter(columns[split:])) == (0 if feasible else None)
-    else:
-        assert feasible
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_systems, st.integers(0, 12))
-def test_witnessed_early_exit_matches_tracked_full_elimination(system, split):
-    columns, b, _ = system
-    split %= len(columns) + 1
-    x = gf2.solve_columns(iter(columns), b, want_witness=True)
-    assert x == _tracked_full_solve(columns, b)
-    if x is not None:
-        assert gf2.GF2Matrix(0, len(columns), columns).matvec(x) == b
-    # a solve fed in two parts gives the same witness
-    resumed = gf2.ColumnSolve(b)
-    resumed.feed(iter(columns[:split]))
-    assert resumed.feed(iter(columns[split:])) == x
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_systems)
-def test_early_exit_pulls_no_column_after_reaching_b(system):
-    columns, b, _ = system
-    pulled = []
-    x = gf2.solve_columns((pulled.append(c) or c for c in columns), b)
-    if x is not None:
-        # the last column pulled is the one that completed the witness
-        assert x.bit_length() == len(pulled)
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,6 +218,75 @@ def packed_systems(draw):
     return columns, b
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_systems)
+@example(([0, 0b11, 0b01, 0b10], 0b10, 2))
+def test_solve_returns_the_reference_witness(system):
+    # the very witness of the plain reference, zero columns, b = 0 and
+    # infeasible b included; in the example column 3 alone also sums to b,
+    # but it enters dependent, so the witness is columns 1 and 2
+    columns, b, rows = system
+    assert gf2.solve(GF2Matrix(rows, len(columns), columns), b) == tracked_full_solve(columns, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_systems())
+def test_solve_witnessless_agrees_on_feasibility(system):
+    columns, b = system
+    w = gf2.solve_columns(columns, b, want_witness=True)
+    f = gf2.solve_columns(columns, b, want_witness=False)
+    assert (w is None) == (f is None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_systems(), st.integers(0, 12))
+@example(([(0, 1), (0, 0)], 0b11), 1)
+def test_early_exit_and_resumed_solves_match_dense(system, split):
+    columns, b = system
+    split %= len(columns) + 1
+    plain = [unpacked(c, lo) for c, lo in columns]
+    rows = max([b, *plain]).bit_length()
+    rhs = [(b >> i) & 1 for i in range(rows)]
+    feasible = dense_solve_gf2(_dense(plain, rows), rhs) is not None if columns else b == 0
+    for want_witness in (True, False):
+        x = gf2.solve_columns(iter(columns), b, want_witness=want_witness)
+        assert (x is not None) == feasible
+    # the fallback of the essential probe: drop the witness after a failed prefix
+    resumed = gf2.ColumnSolve(b)
+    if resumed.feed(iter(columns[:split])) is None:
+        resumed.drop_witness()
+        assert resumed.feed(iter(columns[split:])) == (0 if feasible else None)
+    else:
+        assert feasible
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_systems(), st.integers(0, 12))
+def test_witnessed_early_exit_matches_tracked_full_elimination(system, split):
+    columns, b = system
+    split %= len(columns) + 1
+    plain = [unpacked(c, lo) for c, lo in columns]
+    x = gf2.solve_columns(iter(columns), b, want_witness=True)
+    assert x == tracked_full_solve(plain, b)
+    if x is not None:
+        assert gf2.GF2Matrix(0, len(plain), plain).matvec(x) == b
+    # a solve fed in two parts gives the same witness
+    resumed = gf2.ColumnSolve(b)
+    resumed.feed(iter(columns[:split]))
+    assert resumed.feed(iter(columns[split:])) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_systems())
+def test_early_exit_pulls_no_column_after_reaching_b(system):
+    columns, b = system
+    pulled = []
+    x = gf2.solve_columns((pulled.append(c) or c for c in columns), b)
+    if x is not None:
+        # the last column pulled is the one that completed the witness
+        assert x.bit_length() == len(pulled)
+
+
 @settings(max_examples=150, deadline=None)
 @given(packed_systems(), st.integers(0, 12), st.booleans(), st.booleans())
 @example(([(pack_offsets([1]), 3), (0, 0), (pack_offsets([2]), 1)], 0b1011), 1, True, True)
@@ -279,20 +297,19 @@ def packed_systems(draw):
     2, True, False,
 )
 def test_banded_solve_matches_plain_solve(system, split, track, drop):
-    # the same stream fed as plain ints and as (packed, lo) pairs: the same
-    # solutions, residue row and columns pulled, and the same echelon and
-    # combination masks once each stored pivot is built (stored columns
-    # unpacked, reduced bands shifted up)
+    # the stream fed as (packed, lo) pairs to a ColumnSolve and as plain
+    # ints to the plain reference: the same solutions, residue row and
+    # columns pulled, and the same echelon and combination masks once each
+    # stored pivot is built (stored columns unpacked, reduced bands shifted
+    # up)
     columns, b = system
-    plain, plain_out = two_feeds(b, [unpacked(c, lo) for c, lo in columns], split, track, drop)
     banded, banded_out = two_feeds(b, columns, split, track, drop)
-    assert banded_out == plain_out
-    assert banded.rest << banded.off == plain.rest
-    if banded_out[3]:
-        assert isinstance(banded.space, gf2.BandedEchelon)
-        _, reduced = stored_pivots(banded.space)
-        assert all(u & 1 and (m is None or m[0] & 1) for u, m in reduced.values())
-    assert echelon_entries(banded.space) == echelon_entries(plain.space)
+    want_out, want_rest, want_entries = reference_feeds(b, [unpacked(c, lo) for c, lo in columns], split, track, drop)
+    assert banded_out == want_out
+    assert banded.rest << banded.off == want_rest
+    _, reduced = stored_pivots(banded.space)
+    assert all(u & 1 and (m is None or m[0] & 1) for u, m in reduced.values())
+    assert echelon_entries(banded.space) == want_entries
 
 
 def test_unpack_builds_the_band_of_a_packed_column():
@@ -306,16 +323,9 @@ def test_unpack_builds_the_band_of_a_packed_column():
 
 
 def test_a_solve_takes_its_columns_in_one_form():
-    banded = gf2.ColumnSolve(0b110)
-    assert banded.feed([(0, 1)]) is None
+    # (packed, lo) pairs only: a plain int column does not unpack
     with pytest.raises(TypeError):
-        banded.feed([0b100])
-    plain = gf2.ColumnSolve(0b110)
-    assert plain.feed([0b10]) is None
-    with pytest.raises(TypeError):
-        plain.feed([(0, 2)])
-    # both finish in their own form
-    assert banded.feed([(0, 2)]) == plain.feed([0b100]) == 0b11
+        gf2.ColumnSolve(0b110).feed([0b100])
 
 
 @st.composite
@@ -364,5 +374,5 @@ def test_masked_solve_on_a_tracked_echelon_matches_the_masked_solve(system):
     columns, space, masked, b = system
     keep = ~gf2.vector_from_indices(masked)
     before = (dict(space.pivots), dict(space.combos))
-    assert space.solve_masked(b, masked) == gf2.solve_columns([c & keep for c in columns], b & keep)
+    assert space.solve_masked(b, masked) == tracked_full_solve([c & keep for c in columns], b & keep)
     assert (space.pivots, space.combos) == before

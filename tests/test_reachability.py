@@ -13,7 +13,11 @@ method, and from these roots:
   unwrapped (``NEVER_WRAPPED``), read from ``perfbench/spans.py``
 
 Names match by spelling alone, so the scan over-approximates: a method is
-reached when any reached code reads an attribute of that name. A definition
+reached when any reached code reads an attribute of that name. A classmethod
+is the exception, reached only by a qualified read: ``Class.name`` (also as
+``module.Class.name``), or ``cls.name`` inside its own class. So
+``model.identity()`` on a group model reaches no ``identity`` classmethod of
+a matrix class. A definition
 it does not reach is dead code, or a test helper that belongs in
 ``tests/oracles.py``. When the benchmark stops naming a function, this test
 flags it for deletion.
@@ -56,8 +60,13 @@ def roots() -> set[str]:
     return {*ACCEPTANCE_HELPERS, *TEST_SPACE_METHODS, *wrapped, *spans.NEVER_WRAPPED}
 
 
-def _read(nodes) -> set[str]:
-    """The names that the code reads: every Name and every attribute name."""
+def _read(nodes, owner: str = "") -> set[str]:
+    """The names that the code reads: every Name and every attribute name.
+
+    An attribute of a name or of an attribute is read qualified as well, as
+    "Base.attr"; in the code of class ``owner``, ``cls.attr`` reads as
+    "owner.attr".
+    """
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
@@ -65,13 +74,24 @@ def _read(nodes) -> set[str]:
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 out.add(sub.attr)
+                base = sub.value
+                qual = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                if qual == "cls" and owner:
+                    qual = owner
+                if qual:
+                    out.add(f"{qual}.{sub.attr}")
     return out
+
+
+def _is_classmethod(method) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in method.decorator_list)
 
 
 def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
     """(definitions, reached) of the modules' sources, from the roots ``start``."""
     reads: dict[str, set[str]] = {}  # definition -> the names its code reads
     names: set[str] = set()  # the names that reached code reads
+    classmethods: set[str] = set()  # reached only by a qualified read
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -79,9 +99,12 @@ def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
             elif isinstance(node, ast.ClassDef):
                 methods = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
                 rest = [n for n in node.body if n not in methods]
-                reads[f"{module}:{node.name}"] = _read([*node.bases, *node.decorator_list, *rest])
+                reads[f"{module}:{node.name}"] = _read([*node.bases, *node.decorator_list, *rest], node.name)
                 for method in methods:
-                    reads[f"{module}:{node.name}.{method.name}"] = _read([method])
+                    key = f"{module}:{node.name}.{method.name}"
+                    reads[key] = _read([method], node.name)
+                    if _is_classmethod(method):
+                        classmethods.add(key)
             else:
                 names |= _read([node])
     reached: set[str] = set()
@@ -89,9 +112,11 @@ def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
     while grew:
         grew = False
         for key, read in reads.items():
-            leaf = key.rpartition(".")[2].rpartition(":")[2]
+            qualified = key.partition(":")[2]
+            leaf = qualified.rpartition(".")[2]
             dunder = leaf.startswith("__") and leaf.endswith("__")
-            if key not in reached and (key in start or dunder or leaf in names):
+            wanted = qualified if key in classmethods else leaf
+            if key not in reached and (key in start or dunder or wanted in names):
                 reached.add(key)
                 names |= read
                 grew = True
@@ -116,3 +141,23 @@ def test_the_scan_flags_an_unreferenced_definition():
     sources["metric"] += "\n\nclass Orphan:\n    def rank_all(self):\n        return 0\n"
     defined, reached = scan(sources, roots())
     assert defined - reached == {"gf2:orphan", "metric:Orphan", "metric:Orphan.rank_all"}
+
+
+def test_a_classmethod_is_reached_only_by_a_qualified_read():
+    # groups' reached code reads model.identity(), which reaches no
+    # classmethod named identity. Nothing reads Square, so Square.identity
+    # is flagged, and so is Square.unit, read only by Square.identity
+    # through cls. Cube.identity is read qualified and reaches Cube.unit
+    # through cls
+    sources = _sources()
+    sources["gf2"] += (
+        "\n\nclass Square:\n"
+        "    @classmethod\n    def identity(cls, n):\n        return cls.unit(n)\n\n"
+        "    @classmethod\n    def unit(cls, n):\n        return n\n"
+        "\n\nclass Cube:\n"
+        "    @classmethod\n    def identity(cls, n):\n        return cls.unit(n)\n\n"
+        "    @classmethod\n    def unit(cls, n):\n        return n\n"
+        "\n\nCUBE = Cube.identity(1)\n"
+    )
+    defined, reached = scan(sources, roots())
+    assert defined - reached == {"gf2:Square", "gf2:Square.identity", "gf2:Square.unit"}
