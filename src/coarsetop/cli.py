@@ -309,8 +309,8 @@ def run_acyclicity(ctx: ScenarioContext, params: dict) -> dict:
     elif isinstance(centers_spec, dict):
         radial, R = ctx.space.radial, ctx.space.window_radius or 0
         safe = [v for v in range(ctx.space.n) if radial is not None and radial[v] + mu_max <= R]
-        count = min(centers_spec["sample"], len(safe))
-        centers = sorted(random.Random(ctx.seed).sample(safe, count)) if safe else [ctx.space.basepoint or 0]
+        raise_on_bad(bool(safe), f"no centre to sample lies mu_max = {mu_max} inside the radius-{R} window")
+        centers = sorted(random.Random(ctx.seed).sample(safe, min(centers_spec["sample"], len(safe))))
     else:
         centers = centers_spec
         raise_on_bad(max(centers, default=0) < ctx.space.n, f"centers {centers} outside the {ctx.space.n} points")
@@ -415,7 +415,7 @@ def _is_schedules(value) -> bool:
 def _is_centers(value) -> bool:
     return (
         value == "basepoint" or _is_int_list(value, 0, nonempty=True)
-        or isinstance(value, dict) and value.keys() == {"sample"} and _is_int(value["sample"], 0)
+        or isinstance(value, dict) and value.keys() == {"sample"} and _is_int(value["sample"], 1)
     )
 
 
@@ -512,7 +512,7 @@ ANALYSES = {
         {"k_max": integer(0, 1), "i_values": integers(0, [1]), "r_values": integers(0, [1, 2, 3]),
          "lambda_max": integer(0, 3),
          "mu_max": integer(0, Derived("max(r_values) + 3", lambda ctx, p: max(p["r_values"]) + 3)),
-         "centers": Param(_is_centers, '"basepoint", {"sample": integer >= 0} or a nonempty list of point ids',
+         "centers": Param(_is_centers, '"basepoint", {"sample": integer >= 1} or a nonempty list of point ids',
                           "basepoint")},
     ),
     "pd-signature": Analysis(

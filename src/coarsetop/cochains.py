@@ -13,10 +13,11 @@ Cochains are int bitsets over the local index of relative simplices.
 Each degree k is factored once per complex and cached: δ^k, the transpose
 of the relative boundary streamed from :meth:`RipsComplex.iter_banded_columns`
 (no faces are enumerated here: facet rows are read from the packed
-columns); the tracked echelon of the coboundaries
-im δ^{k-1}, which also answers every masked solve of
-:meth:`RelativeComplex.representative_within`; and a cocycle basis of
-ker δ^k. Every caller shares these objects, so they are read only.
+columns); the tracked echelon of the coboundaries im δ^{k-1}, which also
+answers every solve against them (the masked ones of
+:meth:`RelativeComplex.representative_within`, the unmasked one of
+:meth:`RelativeComplex.class_is_zero`); and a cocycle basis of ker δ^k.
+Every caller shares these objects, so they are read only.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ class RelativeComplex:
         """im delta^{k-1} inside degree k, echelonised once per degree; read only.
 
         The echelon is tracked, its columns inserted in index order, so it
-        also answers the masked solves of :meth:`representative_within`.
+        also answers the solves of :meth:`representative_within` and
+        :meth:`class_is_zero`.
         """
         space = self._image_cache.get(k)
         if space is None:
@@ -187,15 +189,13 @@ class RelativeComplex:
         """Whether vec is a relative coboundary, decided without a witness.
 
         One reduction against im delta^{k-1}, echelonised once per degree; it
-        agrees with ``class_is_zero(k, vec) is not None``, which solves afresh.
+        agrees with ``class_is_zero(k, vec) is not None``.
         """
         return self.coboundary_space(k).contains(vec)
 
     def class_is_zero(self, k: int, vec: int) -> Optional[int]:
-        """A relative cochain beta with delta beta = vec, or None."""
-        if k == 0:
-            return 0 if vec == 0 else None
-        return gf2.solve(self.delta(k - 1), vec)
+        """A relative cochain beta with delta beta = vec, or None: the unmasked solve on im delta^{k-1}."""
+        return self.coboundary_space(k).solve_masked(vec, ())
 
     def cohomology_dim(self, k: int) -> int:
         return len(self.cocycle_basis(k)) - self.coboundary_space(k).dim

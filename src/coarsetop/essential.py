@@ -164,14 +164,11 @@ def essential_probe(
 
 def _push_cycle(src: RipsComplex, dst: RipsComplex, k: int, chain: int) -> int:
     """Reindex a chain of src into dst; src must be a subcomplex of dst."""
-    out = 0
-    simplices, index = src.simplices[k], dst.index[k]
+    out, pos = 0, src.positions_in(dst, k)[k]
     for j in gf2.bits(chain):
-        s = simplices[j]
-        t = index.get(s)
-        if t is None:
-            raise CoarseTopError("not-a-subcomplex", f"simplex {s} missing from target complex")
-        out |= 1 << t
+        if pos[j] < 0:
+            raise CoarseTopError("not-a-subcomplex", f"simplex {src.simplices[k][j]} missing from target complex")
+        out |= 1 << pos[j]
     return out
 
 
@@ -334,22 +331,16 @@ def mv_assemble(
 
 
 def connecting_entry(pieces: MVPieces, deg: int, sigma: int) -> dict:
-    """The connecting map on one W-class: snake output, support, and nonzero test.
+    """The connecting map on one W-class: snake output and nonzero test.
 
     sigma is a cochain over the W piece's relative simplices and must be a
-    relative cocycle of degree ``deg``.
+    relative cocycle of degree ``deg``. The output's support is
+    :func:`localized_boundary_support`'s.
     """
-    RX = pieces.X
     if not pieces.W.is_cocycle(deg, sigma):
         raise CoarseTopError("not-a-cocycle", "supplied W-class is not a relative cocycle")
     omega = connecting_map(pieces, deg, sigma)
-    return {
-        "degree": deg,
-        "input": sigma,
-        "output": omega,
-        "nonzero_in_proxy": not RX.is_coboundary(deg + 1, omega),
-        "support": RX.support_vertices(deg + 1, omega),
-    }
+    return {"output": omega, "nonzero_in_proxy": not pieces.X.is_coboundary(deg + 1, omega)}
 
 
 def connecting_map(pieces: MVPieces, deg: int, sigma: int) -> int:
@@ -418,29 +409,22 @@ def localized_boundary_support(
     omega: int,
     input_support: SubsetMask,
 ) -> dict:
-    """Support of the snake representative, with the schedule-derived radius check.
+    """How far the snake representative's support reaches from the input's, against its bound.
 
     ``omega`` is the connecting-map output delta~[sigma] of a degree-``deg``
     W-class sigma supported on ``input_support``. The snake (extend,
     coboundary, extend) moves support by at most one simplex diameter, so
     omega must live within R = (deg + 2) * r of the input support. The
-    achieved radius is reported exactly.
+    achieved radius (0 for an empty support) is reported exactly.
     """
     RX = pieces.X
     supp = RX.support_vertices(deg + 1, omega)
-    r = RX.K.scale
-    bound = (deg + 2) * r
-    if len(supp) == 0:
-        return {"omega": omega, "support": supp, "achieved_radius": 0, "bound": bound, "within_bound": True}
-    d = RX.K.space.dist_to_set(input_support.ids)
-    achieved = max(d[v] for v in supp.ids)
-    return {
-        "omega": omega,
-        "support": supp,
-        "achieved_radius": achieved,
-        "bound": bound,
-        "within_bound": achieved <= bound,
-    }
+    bound = (deg + 2) * RX.K.scale
+    achieved = 0
+    if len(supp):
+        d = RX.K.space.dist_to_set(input_support.ids)
+        achieved = max(d[v] for v in supp.ids)
+    return {"achieved_radius": achieved, "bound": bound, "within_bound": achieved <= bound}
 
 
 # -- two-sided representability --------------------------------------------------------

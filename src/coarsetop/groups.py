@@ -408,32 +408,17 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
     """Mask of ball elements lying in the specified subgroup.
 
     Spec forms:
-      {"cyclic": word-or-nf}            powers of one element (a Z^n element may be a list)
+      {"cyclic": word-or-nf}            the generators BFS over one element (a Z^n element may be a list)
       {"factor": i}                     the free part (0) or the axis (1) of the amalgam
       {"sublattice": {"k": 2, "coords": [0]}}   k Z^m inside Z^n (k >= 1, axes below n)
       {"generators": [words-or-nfs]}    in-window BFS over the listed generators
-    Any other value raises BadSubgroupSpecError.
+    Any other value raises BadSubgroupSpecError. Stepping by g and g^-1 in
+    the window, the BFS reaches g's powers up to the first outside it.
     """
     model = ball.model
     if not isinstance(spec, dict) or len(spec) != 1:
         raise BadSubgroupSpecError(f"spec must be a single-key dict, got {spec!r}")
     kind, value = next(iter(spec.items()))
-    if kind == "cyclic":
-        g = _element(model, value, kind)
-        if g == model.identity():
-            raise BadSubgroupSpecError("cyclic generator is the identity")
-        ids = set()
-        for step in (g, model.inv(g)):
-            cur = model.identity()
-            visited = set()
-            while cur not in visited:
-                visited.add(cur)
-                i = ball.index.get(cur)
-                if i is None:
-                    break
-                ids.add(i)
-                cur = model.mul(cur, step)
-        return SubsetMask(len(ball.elements), ids)
     if kind == "factor":
         if not isinstance(model, Amalgam):
             raise BadSubgroupSpecError("factor spec requires the amalgam model")
@@ -459,28 +444,30 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
                 (g[j] % k == 0) if j in coords else (g[j] == 0) for j in range(model.n)
             )
         return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if member(g)))
-    if kind == "generators":
+    if kind == "cyclic":
+        gens = [_element(model, value, kind)]
+        if gens[0] == model.identity():
+            raise BadSubgroupSpecError("cyclic generator is the identity")
+    elif kind == "generators":
         if not isinstance(value, list):
             raise BadSubgroupSpecError(f"generators expects a list of words or normal forms, got {value!r}")
         gens = [_element(model, w, kind) for w in value]
-        steps = []
-        for g in gens:
-            steps.append(g)
-            steps.append(model.inv(g))
-        seen = {ball.index[model.identity()]}
-        frontier = [model.identity()]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in steps:
-                    h = model.mul(g, s)
-                    i = ball.index.get(h)
-                    if i is not None and i not in seen:
-                        seen.add(i)
-                        nxt.append(h)
-            frontier = nxt
-        return SubsetMask(len(ball.elements), seen)
-    raise BadSubgroupSpecError(f"unknown spec kind {kind!r}")
+    else:
+        raise BadSubgroupSpecError(f"unknown spec kind {kind!r}")
+    steps = [s for g in gens for s in (g, model.inv(g))]
+    seen = {ball.index[model.identity()]}
+    frontier = [model.identity()]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in steps:
+                h = model.mul(g, s)
+                i = ball.index.get(h)
+                if i is not None and i not in seen:
+                    seen.add(i)
+                    nxt.append(h)
+        frontier = nxt
+    return SubsetMask(len(ball.elements), seen)
 
 
 @dataclass

@@ -263,9 +263,6 @@ class FiniteMetricSpace:
     def full_mask(self) -> SubsetMask:
         return SubsetMask.full(self.n)
 
-    def mask(self, ids: Iterable[int]) -> SubsetMask:
-        return SubsetMask(self.n, ids)
-
     def mask_where(self, pred: Callable) -> SubsetMask:
         """Mask of points whose label satisfies pred."""
         if self.labels is None:

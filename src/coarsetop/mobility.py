@@ -262,7 +262,7 @@ def coarse_manifold_detector(
     """True at D when the window off the collar lies in N_D(Mob([alpha0], D)).
 
     Requires a nonzero degree-n proxy class to probe; the verdict trend is
-    reported across the D schedule.
+    reported across the D schedule, which must be nonempty.
     """
     if alpha0.k != n:
         raise ValueError("class degree must equal n")
@@ -271,7 +271,6 @@ def coarse_manifold_detector(
     X = R.K.space
     interior = X.interior_mask(collar) & R.K.vertex_mask
     covered = []
-    res = None
     for D in D_schedule:
         res = mobility_set(R, alpha0, D, collar=collar)
         # a feasible center lies within D of its witness support, so the
@@ -283,12 +282,7 @@ def coarse_manifold_detector(
             continue
         d = X.dist_to_set(probe.ids, D)
         covered.append(all(d[v] <= D for v in interior.ids))
-    if all(covered):
-        verdict = "true"
-    elif not any(covered):
-        verdict = "false"
-    else:
-        verdict = "true" if covered[-1] else "inconclusive"
+    verdict = "true" if covered[-1] else "inconclusive" if any(covered) else "false"
     return ManifoldDetectorReport(n, list(D_schedule), covered, verdict, res)
 
 

@@ -454,38 +454,25 @@ def fill_cycle(
     """A (k+1)-chain w with ∂w = z, or None ("no-fill").
 
     z must be a reduced k-cycle (augmentation included for k = 0). With a
-    locality (center id, radius), only (k+1)-simplices whose vertices lie in
-    N_radius(center) enter the solve.
+    locality (center id, radius), only the (k+1)-simplices inside
+    N_radius(center) enter the solve. Coned columns are skipped with that
+    ball (the vertex mask without a locality) as the apex set: each is the
+    sum of columns of simplices v∗f inside it fed before it, so the pivots
+    and the fill are those of the solve over every simplex inside. The
+    columns are fed packed, so the solve's echelon is stored banded.
+    Returns the fill as a chain over all (k+1)-simplices, 0 for a feasible
+    feasibility-only solve, or None when z is no boundary of those columns.
     """
     if k + 1 > L.cap:
         raise ValueError("complex cap too low to fill at this dimension")
     if L.boundary_of_chain(k, z) != 0:
         raise NotACycleError()
-    if locality is None:
-        return fill_on_columns(L, k, z, None, want_witness)
-    center, radius = locality
-    row = L.space.dist_row(center)
-    allowed = SubsetMask(L.space.n, (v for v in L.vertex_mask.ids if 0 <= row[v] <= radius))
-    return fill_on_columns(L, k, z, allowed, want_witness)
-
-
-def fill_on_columns(
-    L: RipsComplex,
-    k: int,
-    z: int,
-    allowed: Optional[SubsetMask],
-    want_witness: bool = True,
-) -> Optional[int]:
-    """Solve ∂w = z using only the (k+1)-simplices inside ``allowed`` (all when None).
-
-    Coned columns are skipped with ``allowed`` as the apex set: each is the
-    sum of columns of simplices v∗f inside ``allowed`` fed before it, so the
-    pivots and the fill are those of the solve over every simplex inside.
-    The columns are fed packed, so the solve's echelon is stored banded.
-    Returns the fill as a chain over all (k+1)-simplices, 0 for a feasible
-    feasibility-only solve, or None when z is no boundary of those columns.
-    """
-    among = None if allowed is None else L.simplices_within(k + 1, allowed)
+    allowed = among = None
+    if locality is not None:
+        center, radius = locality
+        row = L.space.dist_row(center)
+        allowed = SubsetMask(L.space.n, (v for v in L.vertex_mask.ids if 0 <= row[v] <= radius))
+        among = L.simplices_within(k + 1, allowed)
     cols_idx = list(L.uncone(k + 1, among, allowed))
     x = gf2.solve_columns(L.iter_banded_columns(k + 1, cols_idx), z, want_witness=want_witness)
     if x is None or not want_witness:
@@ -582,6 +569,5 @@ __all__ = [
     "ChainMap",
     "inclusion_chain_map",
     "fill_cycle",
-    "fill_on_columns",
     "induced_chain_map",
 ]

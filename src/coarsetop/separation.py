@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CoarseTopError, EmptySubsetError
 from .groups import BallModel, trend_verdict
@@ -84,20 +84,31 @@ def complement_components(
     """
     if len(W) == 0:
         raise EmptySubsetError("W must be nonempty")
+    nA, depth = _separation(X, W, A, collar)
+    comps = [CoarseComponent(SubsetMask(X.n, comp), *depth(comp)) for comp in X.components(~nA, r)]
+    return CoarseComponentSet(X, W, r, A, collar, nA, comps)
+
+
+def _separation(
+    X: FiniteMetricSpace, W: SubsetMask, A: int, collar: int
+) -> tuple[SubsetMask, Callable[[Iterable[int]], tuple[bool, bool]]]:
+    """N_A(W), and the depth of a set of points off it: (touches the collar, deep).
+
+    It touches the collar when a point reaches past R - collar (never without
+    a window radius and a radial function), and is deep when it touches and
+    a point also escapes N_{A+collar}(W). Both read one field cut at A + collar.
+    """
     if A < 0:
         raise ValueError("A must be >= 0")
-    dW = X.dist_to_set(W.ids, A + collar)
-    nA = SubsetMask(X.n, (x for x in range(X.n) if dW[x] <= A))
-    off = X.full_mask() - nA
-    rad = X.radial
-    R = X.window_radius
-    cut = (R - collar) if (R is not None and rad is not None) else None
-    comps: list[CoarseComponent] = []
-    for comp in X.components(off, r):
-        touches = bool(cut is not None and any(rad[u] > cut for u in comp))
-        deep = touches and any(dW[u] > A + collar for u in comp)
-        comps.append(CoarseComponent(SubsetMask(X.n, comp), touches, deep))
-    return CoarseComponentSet(X, W, r, A, collar, nA, comps)
+    d = X.dist_to_set(W.ids, A + collar)
+    rad, R = X.radial, X.window_radius
+    cut = R - collar if R is not None and rad is not None else None
+
+    def depth(points: Iterable[int]) -> tuple[bool, bool]:
+        touches = cut is not None and any(rad[u] > cut for u in points)
+        return touches, touches and any(d[u] > A + collar for u in points)
+
+    return SubsetMask(X.n, (x for x in range(X.n) if d[x] <= A)), depth
 
 
 # -- separation reports --------------------------------------------------------------
@@ -274,10 +285,7 @@ def almost_invariant_extract(
     """
     X = ball.space
     model = ball.model
-    if A < 0:
-        raise ValueError("A must be >= 0")
-    dH = X.dist_to_set(H.ids, A + collar)  # N_A(H) and the depth test (iii)
-    nA = SubsetMask(X.n, (x for x in range(X.n) if dH[x] <= A))
+    nA, depth = _separation(X, H, A, collar)  # N_A(H) and the depth test (iii)
     h_elems = [ball.elements[i] for i in H.sorted_ids()]
     allowed = C.ids | nA.ids
     mul, get = model.mul, ball.index.get
@@ -316,13 +324,7 @@ def almost_invariant_extract(
     agree = (xhat ^ C) - nA
     agree_ok = len(agree & interior) == 0
     # (iii) both sides deep
-    comp = ~xhat
-    rad = X.radial
-    cut = (X.window_radius or 0) - collar
-    def deep(mask: SubsetMask) -> bool:
-        pts = (mask - nA).ids
-        return any(rad[v] > cut for v in pts) and any(dH[v] > A + collar for v in pts)
-    proper = deep(xhat) and deep(comp)
+    proper = depth((xhat - nA).ids)[1] and depth((~xhat - nA).ids)[1]
     report = {
         "right_invariant_where_defined": right_ok,
         "agrees_with_C_off_NA": agree_ok,

@@ -409,3 +409,55 @@ def nbhd_containment_check(X, W, C, r, A, R_values):
         if not neighborhood(X, C, R).issubset(C | neighborhood(X, W, A + R)):
             return False
     return True
+
+
+def cyclic_trace_by_powers(ball, g):
+    """The ball ids of g's powers, walked each way from the identity to the first outside the window.
+
+    The walk ``subgroup_trace`` once took for a cyclic spec; a repeat (g of
+    finite order) also ends it.
+    """
+    from coarsetop.metric import SubsetMask
+
+    model, ids = ball.model, set()
+    for step in (g, model.inv(g)):
+        cur, visited = model.identity(), set()
+        while cur not in visited:
+            visited.add(cur)
+            i = ball.index.get(cur)
+            if i is None:
+                break
+            ids.add(i)
+            cur = model.mul(cur, step)
+    return SubsetMask(len(ball.elements), ids)
+
+
+def push_by_tuples(src, dst, k, chain):
+    """A k-chain of src reindexed into dst by looking each simplex's tuple up in dst.
+
+    The reindex ``essential._push_cycle`` once did, with its error for a
+    simplex that dst lacks.
+    """
+    from coarsetop import gf2
+    from coarsetop.errors import CoarseTopError
+
+    out = 0
+    for j in gf2.bits(chain):
+        s = src.simplices[k][j]
+        t = dst.index[k].get(s)
+        if t is None:
+            raise CoarseTopError("not-a-subcomplex", f"simplex {s} missing from target complex")
+        out |= 1 << t
+    return out
+
+
+def class_is_zero_afresh(R, k, vec):
+    """beta with delta beta = vec by a fresh elimination of delta^{k-1}, or None; 0 or None at k = 0.
+
+    What ``RelativeComplex.class_is_zero`` once computed on every call.
+    """
+    from coarsetop import gf2
+
+    if k == 0:
+        return 0 if vec == 0 else None
+    return gf2.solve(R.delta(k - 1), vec)

@@ -401,6 +401,8 @@ def test_bad_scenario_file(tmp_path):
         {**Z2_AXIS, "analyses": [{"analysis": "separate", "invariance_generators": ["q"]}]},
         {**LINE_IN_PLANE, "analyses": [{"analysis": "separate", "windows": [4, 6, 8]}]},
         {**LINE_IN_PLANE, "analyses": [{"analysis": "separate", "invariance_generators": ["a"]}]},
+        {**Z2_POINT, "space": {**Z2_POINT["space"], "radius": 12},
+         "analyses": [{"analysis": "acyclicity", "centers": {"sample": 0}}]},
     ],
     ids=[
         "no-space", "top-level-list", "radius-not-int", "radius-negative", "r-not-integral",
@@ -418,7 +420,7 @@ def test_bad_scenario_file(tmp_path):
         "parameter-of-another-analysis", "space-kind-not-string", "analysis-name-not-string",
         "components-empty", "unknown-fixture", "w-unknown-generator", "cyclic-not-word", "sublattice-not-object",
         "sublattice-k-zero", "sublattice-axis-out-of-range", "factor-not-int", "generators-string",
-        "invariance-generator-unknown", "windows-on-a-fixture", "generators-on-a-fixture",
+        "invariance-generator-unknown", "windows-on-a-fixture", "generators-on-a-fixture", "centers-sample-zero",
     ],
 )
 def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
@@ -428,9 +430,9 @@ def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
     #   last schedule) ran to an inconclusive verdict; B_max = -1 reported an
     #   empty B grid with exit 0; a scale-0 schedule row and an empty row list
     #   ran ends to inconclusive; an auto collar of -2 and auto scales [0, 0]
-    #   reported ok; empty acyclicity centers or i_values reported ok with no
-    #   entries, and empty essential components with none; "colar" ran
-    #   with collar 2, an unknown cap name was ignored, and
+    #   reported ok; empty acyclicity centers or i_values, and a sample of 0
+    #   centers, reported ok with no entries, and empty essential components
+    #   with none; "colar" ran with collar 2, an unknown cap name was ignored, and
     #   "stab_comparison": "no" and "export_class": 1 read as true
     # - later errors: r = -1 on separate and mv, A = -3 on almost-essential
     #   and an unknown mobility class were runtime error entries, and
@@ -466,16 +468,20 @@ def test_malformed_scenario_is_invalid(tmp_path, capsys, payload):
          "analyses": [{"analysis": "mobility", "class": "edge-cut", "scale": 0}]},
         {**Z2_AXIS, "space": {"kind": "group", "family": "Z^2", "radius": 6},
          "analyses": [{"analysis": "mobility", "class": "edge-cut", "scale": 0}]},
+        {**Z2_POINT, "analyses": [{"analysis": "acyclicity", "centers": {"sample": 3}}]},
     ],
     ids=[
         "centers-outside", "mv-axis-above-dimension", "mv-axis-without-coordinates",
         "fundamental-class-on-a-line", "component-not-a-name", "fixture-component-not-a-name",
         "probe-index-past-schedules", "edge-cut-without-edges-f2", "edge-cut-without-edges-z2",
+        "centers-sample-none-collar-safe",
     ],
 )
 def test_space_dependent_checks_fail_their_analysis(tmp_path, payload):
-    # each once ended in a traceback; these need the built space, so they end
-    # their own analysis as an error entry
+    # these need the built space, so they end their own analysis as an error
+    # entry. Each once ended in a traceback, except the last: with no centre
+    # whose N_mu ball fits the window, sampling fell back to the basepoint,
+    # whose ball the window clips, and reported ok
     p = write_scenario(tmp_path, "spacecheck", payload)
     assert main(["run", str(p), "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "spacecheck.report.json").read_text())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsetop.cochains import RelativeComplex
-from coarsetop.metric import FiniteMetricSpace
+from coarsetop.metric import FiniteMetricSpace, SubsetMask
 from coarsetop.rips import build_rips
 
 from oracles import dense_rank_gf2, relative_coboundary_by_definition, to_rows
@@ -19,8 +19,8 @@ def relative_cases(draw):
     n = draw(st.integers(1, 10))
     p = draw(st.sampled_from([0.3, 0.6, 0.9]))
     X = FiniteMetricSpace.from_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
-    V = X.mask(v for v in range(n) if rng.random() < 0.8)
-    interior = X.mask(v for v in range(n) if rng.random() < 0.6)
+    V = SubsetMask(X.n, (v for v in range(n) if rng.random() < 0.8))
+    interior = SubsetMask(X.n, (v for v in range(n) if rng.random() < 0.6))
     return build_rips(X, V, draw(st.integers(1, 2)), draw(st.integers(1, 3))), interior
 
 

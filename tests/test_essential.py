@@ -1,5 +1,7 @@
 """Essential probes, the MV assembly, connecting map, representability."""
 
+import random
+
 import pytest
 
 import coarsetop.gf2 as gf2
@@ -23,7 +25,7 @@ from coarsetop.metric import neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.cochains import RelativeComplex
 
-from oracles import echelon_entries, gated_probe, stored_pivots, unpacked
+from oracles import echelon_entries, gated_probe, push_by_tuples, stored_pivots, unpacked
 
 
 def fig_schedules(R=12):
@@ -98,6 +100,31 @@ def test_essential_fill_paths_agree(max_witness_columns, path):
         if name == "bottom":
             assert [w["fill_locality"] for w in v.witnesses] == [path] * len(v.witnesses)
             assert all(w["fill"] for w in v.witnesses) == (path != "full/feasibility-only")
+
+
+def test_push_reindexes_as_tuple_lookups():
+    # the W image of fig1 at R=10 pushed into the bottom probe's target: on
+    # random chains the walk of simplex positions gives the tuple-by-tuple
+    # reindex, and a chain off the target the same error
+    fix = grid_fixture("fig1_halfplane_flap", 10)
+    sched = WindowSchedule(S=4, i=2, S_out=2, j=2, R=10, collar=2)
+    inner = schedule_two_scale(fix.space, 0, sched, within=fix.w).inner
+    scale, excise = paired_target_schedule(sched)
+    mask = annulus_mask(fix.space, excise, None, within=fix.components["bottom"] | fix.w)
+    target = build_rips(fix.space, mask, scale, 1)
+    rng = random.Random(3)
+    for k in range(min(inner.cap, target.cap) + 1):
+        inside = [j for j, t in enumerate(inner.positions_in(target, k)[k]) if t >= 0]
+        for _ in range(20):
+            chain = gf2.vector_from_indices(j for j in inside if rng.random() < 0.3)
+            assert _push_cycle(inner, target, k, chain) == push_by_tuples(inner, target, k, chain)
+    for k in range(target.cap + 1):
+        chain = rng.getrandbits(target.n_simplices(k))
+        with pytest.raises(CoarseTopError) as got:
+            _push_cycle(target, inner, k, chain)
+        with pytest.raises(CoarseTopError) as expected:
+            push_by_tuples(target, inner, k, chain)
+        assert got.value.code == "not-a-subcomplex" and str(got.value) == str(expected.value)
 
 
 def test_essential_resumes_after_failed_local_solve():

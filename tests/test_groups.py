@@ -19,7 +19,7 @@ from coarsetop.groups import (
     restrict_ball,
     subgroup_trace,
 )
-from oracles import amalgam_mul_reference, bfs_distances
+from oracles import amalgam_mul_reference, bfs_distances, cyclic_trace_by_powers
 
 
 def test_ball_sizes_trivial():
@@ -282,6 +282,28 @@ def test_subgroup_traces(z2_ball_10, f2_ball_6):
     a_axis = subgroup_trace(f2, {"cyclic": "a"})
     assert len(a_axis) == 13
     assert all(all(x == 1 for x in f2.elements[i]) or all(x == -1 for x in f2.elements[i]) for i in a_axis.ids)
+
+
+@pytest.mark.parametrize(
+    "model, R, words",
+    [
+        (FreeAbelian(1), 8, ["a", "a^2", "a^-3"]),
+        (FreeAbelian(2), 6, ["a", "b^2", "a b", "a^2 b^-1"]),
+        (FreeGroup(2), 5, ["a", "b^-2", "a b", "a b a^-1"]),
+        (amalgam_z2_z_z2(), 5, ["x", "y", "z", "x y", "y^2 z"]),
+        (Lamplighter(), 6, ["t", "s", "t s", "s t^2"]),
+    ],
+    ids=["Z", "Z^2", "F_2", "amalgam", "lamplighter"],
+)
+def test_cyclic_trace_is_the_power_walk(model, R, words):
+    # the generators BFS over one element reaches exactly the powers that a
+    # walk each way from the identity visits, at every radius, the torsion
+    # lamp s (s^2 = e) included
+    for r in range(1, R + 1):
+        ball = build_ball(model, r)
+        for word in words:
+            expected = cyclic_trace_by_powers(ball, model.parse_word(word))
+            assert subgroup_trace(ball, {"cyclic": word}) == expected, (r, word)
 
 
 def test_subgroup_trace_factor():

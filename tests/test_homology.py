@@ -16,7 +16,7 @@ from coarsetop.homology import (
     two_scale_image,
     uniform_acyclicity_probe,
 )
-from coarsetop.metric import FiniteMetricSpace
+from coarsetop.metric import FiniteMetricSpace, SubsetMask
 from coarsetop.rips import build_rips
 
 from oracles import bfs_distances, flood_fill_components, to_rows
@@ -115,7 +115,7 @@ def test_two_scale_identity_is_full_rank(z2_ball_12):
 
 def test_two_scale_two_points_die_in_connected_window(z_ball_12):
     X = z_ball_12.space
-    two = X.mask([z_ball_12.index[(-6,)], z_ball_12.index[(6,)]])
+    two = SubsetMask(X.n, [z_ball_12.index[(-6,)], z_ball_12.index[(6,)]])
     inner = build_rips(X, two, 1, 1)
     outer = build_rips(X, X.full_mask(), 1, 1)
     img = two_scale_image(inner, outer, 0)

@@ -62,7 +62,7 @@ def test_adjacency_lists_already_normal_are_kept_as_handed_over():
 
 def test_neighborhood_r0_is_identity():
     X = line_space()
-    S = X.mask([3, 7, 11])
+    S = SubsetMask(X.n, [3, 7, 11])
     assert neighborhood(X, S, 0) == S
 
 
@@ -81,7 +81,7 @@ def test_neighborhood_empty_errors():
 
 def test_neighborhood_monotone_and_composition():
     X = line_space()
-    S = X.mask([2, 5])
+    S = SubsetMask(X.n, [2, 5])
     n1 = neighborhood(X, S, 1)
     n2 = neighborhood(X, S, 3)
     assert n1.issubset(n2)
@@ -112,7 +112,7 @@ def test_hausdorff_pseudometric_properties():
     masks = []
     for _ in range(4):
         ids = [i for i in range(X.n) if rng.random() < 0.4] or [0]
-        masks.append(X.mask(ids))
+        masks.append(SubsetMask(X.n, ids))
     for A, B in itertools.permutations(masks, 2):
         assert hausdorff_distance(X, A, B) == hausdorff_distance(X, B, A)
     for A, B, C in itertools.permutations(masks, 3):
@@ -197,7 +197,7 @@ def test_components_match_an_independent_flood_fill(make):
     for scale in (1, 2, 3):
         near = [[w for w in range(X.n) if w != v and dense[v][w] <= scale] for v in range(X.n)]
         for density in (0.2, 0.5, 0.8):
-            mask = X.mask(x for x in range(X.n) if rng.random() < density)
+            mask = SubsetMask(X.n, (x for x in range(X.n) if rng.random() < density))
             oracle = flood_fill_components(mask.sorted_ids(), near.__getitem__)
             assert X.components(mask, scale) == [sorted(c) for c in oracle], (scale, density)
 

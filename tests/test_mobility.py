@@ -2,12 +2,13 @@
 
 import dataclasses
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compacted_representative_within, table_transport
+from oracles import class_is_zero_afresh, compacted_representative_within, table_transport
 
 from coarsetop import gf2
 from coarsetop import mobility as mobility_mod
@@ -105,8 +106,8 @@ def test_witness_soundness_replayed(z2_setup):
     for g, w in sorted(res.witnesses.items())[:10]:
         w.validate()
         assert R.class_is_zero(a0.k, w.vec ^ a0.vec) is not None
-        ballmask = R.K.space.mask(
-            v for v in range(R.K.space.n) if R.K.space.dist(g, v) <= res.D
+        ballmask = SubsetMask(
+            R.K.space.n, (v for v in range(R.K.space.n) if R.K.space.dist(g, v) <= res.D)
         )
         assert w.support.issubset(ballmask)
         assert R.support_diameter(w.k, w.vec) <= 2 * res.D
@@ -121,8 +122,9 @@ def test_f2_cut_infeasible_far_away(f2_setup):
 def test_f2_mob_stays_near_edge(f2_setup):
     ball, R, a0 = f2_setup
     res = mobility_set(R, a0, 2, collar=1)
-    edge_nbhd = ball.space.mask(
-        v for v in range(ball.space.n) if min(ball.space.dist(v, ball.index[()]), ball.space.dist(v, ball.index[(1,)])) <= 3
+    edge_nbhd = SubsetMask(
+        ball.space.n,
+        (v for v in range(ball.space.n) if min(ball.space.dist(v, ball.index[()]), ball.space.dist(v, ball.index[(1,)])) <= 3),
     )
     assert res.mob_mask.issubset(edge_nbhd)
 
@@ -154,9 +156,7 @@ def test_right_action_support_identity(z_setup):
     for g in ((3,), (-5,)):
         moved = transport_cocycle(ball, R, a0, g)
         assert moved is not None
-        assert moved.support == ball.space.mask(
-            ball.act_left(g, v) for v in a0.support.ids
-        )
+        assert moved.support == SubsetMask(ball.space.n, (ball.act_left(g, v) for v in a0.support.ids))
 
 
 def test_right_action_mobility_translates(f2_setup):
@@ -182,6 +182,28 @@ def test_detector_z2(z2_setup):
     _, R, a0 = z2_setup
     det = coarse_manifold_detector(R, 2, a0, [3])
     assert det.verdict == "true"
+
+
+@pytest.mark.parametrize(
+    "pattern, verdict",
+    [([True, True, True], "true"), ([False, False, False], "false"),
+     ([False, True, True], "true"), ([True, True, False], "inconclusive")],
+)
+def test_detector_verdict_reads_the_covered_trend(z_setup, monkeypatch, pattern, verdict):
+    # each D covers the window or not as the mobility set says: the verdict
+    # is "true" when the last D covers, "false" when none does, else
+    # inconclusive
+    _, R, a0 = z_setup
+    X = R.K.space
+    covers = dict(zip([1, 2, 3], pattern))
+
+    def fixed_mobility(R, alpha0, D, collar=2):
+        mask = X.full_mask() if covers[D] else SubsetMask.empty(X.n)
+        return mobility_mod.MobilityResult(alpha0.k, D, mask, mask)
+
+    monkeypatch.setattr(mobility_mod, "mobility_set", fixed_mobility)
+    det = coarse_manifold_detector(R, 1, a0, [1, 2, 3])
+    assert det.covered == pattern and det.verdict == verdict
 
 
 def test_z2_fundamental_feasible_everywhere(z2_setup):
@@ -250,6 +272,24 @@ def cochain_queries(draw):
     return R, k, vec, SubsetMask(X.n, ids)
 
 
+def test_class_is_zero_is_the_fresh_solve():
+    # at k = 0, for vec = 0, for a coboundary, and for vecs off the
+    # coboundaries: a random one and a coboundary with its first bit flipped
+    R = _small_complex("Z^2", 4)
+    rng = random.Random(5)
+    infeasible = 0
+    for k in range(R.K.cap + 1):
+        vecs = [0, rng.getrandbits(R.n_rel(k)) | 1]
+        if k:
+            cob = R.coboundary(k - 1, rng.getrandbits(R.n_rel(k - 1)))
+            vecs += [cob, cob ^ 1]
+        for vec in vecs:
+            got = R.class_is_zero(k, vec)
+            assert got == class_is_zero_afresh(R, k, vec), (k, vec)
+            infeasible += got is None
+    assert R.class_is_zero(0, 0) == 0 and infeasible >= 1 + R.K.cap
+
+
 @settings(max_examples=80, deadline=None)
 @given(cochain_queries())
 def test_masked_solve_and_coboundary_test_match_references(query):
@@ -257,8 +297,10 @@ def test_masked_solve_and_coboundary_test_match_references(query):
     # the first-vertex index finds exactly the simplices a scan finds
     scan = [t for t, j in enumerate(R.rel[k]) if allowed.ids.issuperset(R.K.simplices[k][j])]
     assert R.simplex_positions_within(k, allowed) == scan
-    # the cached echelon answers exactly what the witnessed solve answers
+    # the cached echelon answers exactly what the witnessed solve answers,
+    # and that solve gives the witness of a fresh elimination of delta^{k-1}
     assert R.is_coboundary(k, vec) == (R.class_is_zero(k, vec) is not None)
+    assert R.class_is_zero(k, vec) == class_is_zero_afresh(R, k, vec)
     if k == 0:
         return
     # masking rows returns the very cochain the row-compacting solve returned
@@ -400,7 +442,7 @@ def _table_z2_4():
 def test_ball_from_scale_adjacency_matches_distance_rows(space):
     X = space()
     drop = set(range(0, X.n, 7)) - {X.basepoint}  # a vertex mask short of the space
-    K = build_rips(X, X.mask(v for v in range(X.n) if v not in drop), 1, 2)
+    K = build_rips(X, SubsetMask(X.n, (v for v in range(X.n) if v not in drop)), 1, 2)
     R = RelativeComplex(K, X.interior_mask(1))
     near = next(t for t, j in enumerate(R.rel[1]) if X.basepoint in K.simplices[1][j])
     collar_ids = X.collar_mask(1).ids

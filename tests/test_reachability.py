@@ -13,11 +13,14 @@ method, and from these roots:
   unwrapped (``NEVER_WRAPPED``), read from ``perfbench/spans.py``
 
 Names match by spelling alone, so the scan over-approximates: a method is
-reached when any reached code reads an attribute of that name. A classmethod
-is the exception, reached only by a qualified read: ``Class.name`` (also as
-``module.Class.name``), or ``cls.name`` inside its own class. So
-``model.identity()`` on a group model reaches no ``identity`` classmethod of
-a matrix class. A definition
+reached when any reached code reads an attribute of that name. Two kinds of
+method are the exception. A classmethod is reached only by a qualified read:
+``Class.name`` (also as ``module.Class.name``), or ``cls.name`` inside its
+own class. So ``model.identity()`` on a group model reaches no ``identity``
+classmethod of a matrix class. A method whose name is also a field of a
+class (an annotated class attribute, as in a dataclass, or a ``self.name``
+assignment) is reached only by a call ``x.name(...)`` or a qualified read, so
+reads of ``CoarseComponent.mask`` reach no ``mask`` method. A definition
 it does not reach is dead code, or a test helper that belongs in
 ``tests/oracles.py``. When the benchmark stops naming a function, this test
 flags it for deletion.
@@ -65,11 +68,13 @@ def _read(nodes, owner: str = "") -> set[str]:
 
     An attribute of a name or of an attribute is read qualified as well, as
     "Base.attr"; in the code of class ``owner``, ``cls.attr`` reads as
-    "owner.attr".
+    "owner.attr". An attribute that is called is read as "attr()" as well.
     """
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                out.add(f"{sub.func.attr}()")
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
@@ -87,11 +92,22 @@ def _is_classmethod(method) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in method.decorator_list)
 
 
+def _fields(cls) -> set[str]:
+    """The field names of a class: annotated class attributes and ``self.name`` assignments."""
+    out = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+    for sub in ast.walk(cls):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                out.add(sub.attr)
+    return out
+
+
 def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
     """(definitions, reached) of the modules' sources, from the roots ``start``."""
     reads: dict[str, set[str]] = {}  # definition -> the names its code reads
     names: set[str] = set()  # the names that reached code reads
     classmethods: set[str] = set()  # reached only by a qualified read
+    fields: set[str] = set()  # a method of such a name is reached only by a call or a qualified read
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -100,6 +116,7 @@ def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
                 methods = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
                 rest = [n for n in node.body if n not in methods]
                 reads[f"{module}:{node.name}"] = _read([*node.bases, *node.decorator_list, *rest], node.name)
+                fields |= _fields(node)
                 for method in methods:
                     key = f"{module}:{node.name}.{method.name}"
                     reads[key] = _read([method], node.name)
@@ -115,8 +132,13 @@ def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
             qualified = key.partition(":")[2]
             leaf = qualified.rpartition(".")[2]
             dunder = leaf.startswith("__") and leaf.endswith("__")
-            wanted = qualified if key in classmethods else leaf
-            if key not in reached and (key in start or dunder or wanted in names):
+            if key in classmethods:
+                wanted = {qualified}
+            elif "." in qualified and leaf in fields:
+                wanted = {qualified, f"{leaf}()"}
+            else:
+                wanted = {leaf}
+            if key not in reached and (key in start or dunder or not wanted.isdisjoint(names)):
                 reached.add(key)
                 names |= read
                 grew = True
@@ -161,3 +183,17 @@ def test_a_classmethod_is_reached_only_by_a_qualified_read():
     )
     defined, reached = scan(sources, roots())
     assert defined - reached == {"gf2:Square", "gf2:Square.identity", "gf2:Square.unit"}
+
+
+def test_a_method_named_like_a_field_is_reached_only_by_a_call():
+    # reached code reads the field CoarseComponent.mask, c.mask, but calls
+    # no mask(...), so a FiniteMetricSpace.mask method is flagged; a call
+    # X.mask(...) in reached code reaches it
+    sources = _sources()
+    method = "    def mask(self, ids):\n        return SubsetMask(self.n, ids)\n\n    def full_mask(self)"
+    sources["metric"] = sources["metric"].replace("    def full_mask(self)", method, 1)
+    defined, reached = scan(sources, roots())
+    assert defined - reached == {"metric:FiniteMetricSpace.mask"}
+    sources["metric"] += "\n\nMASK_OF = lambda X: X.mask([0])\n"
+    defined, reached = scan(sources, roots())
+    assert defined == reached

@@ -7,7 +7,7 @@ import pytest
 import coarsetop.gf2 as gf2
 from coarsetop.errors import ComplexTooLargeError, NotACycleError, NotASubcomplexError
 from coarsetop.groups import FreeAbelian, build_ball
-from coarsetop.metric import FiniteMetricSpace
+from coarsetop.metric import FiniteMetricSpace, SubsetMask
 from coarsetop.rips import build_rips, fill_cycle, inclusion_chain_map, induced_chain_map
 
 from oracles import (
@@ -148,6 +148,11 @@ def test_fill_monotone_in_locality_and_scale(z2_ball_10):
     large = fill_cycle(K2, 1, sq2, locality=(center, 5))
     assert small is not None and large is not None
     assert K2.boundary_of_chain(2, small) == sq2
+    # only the simplices inside N_radius(center) enter: the local fill lies
+    # there, and N_1 misses the corner (1, 1), so nothing fills inside it
+    near = {v for v, d in enumerate(X.dist_row(center)) if 0 <= d <= 2}
+    assert all(near.issuperset(K2.simplices[2][t]) for t in gf2.bits(small))
+    assert fill_cycle(K2, 1, sq2, locality=(center, 1)) is None
     K3 = build_rips(X, X.full_mask(), 3, 2)
     sq3 = chain_from_simplices(K3, 1, edges)
     again = fill_cycle(K3, 1, sq3, locality=(center, 2))
@@ -286,11 +291,11 @@ def cone_cases(draw):
         X = FiniteMetricSpace.from_graph(n, edges + [(i, i + 1) for i in range(n - 1)])
     else:
         X = _grid(2, 4) if kind == "Z2" else _grid(3, 2)
-    region = X.mask(v for v in range(X.n) if v == 0 or rng.random() < 0.85)
+    region = SubsetMask(X.n, (v for v in range(X.n) if v == 0 or rng.random() < 0.85))
     d = draw(st.integers(1, 3))
     K = build_rips(X, region, draw(st.integers(1, 3)), d)
     keep = draw(st.sampled_from([0.3, 0.6, 1.0]))
-    apex = X.mask(v for v in range(X.n) if rng.random() < keep)  # may leave the region
+    apex = SubsetMask(X.n, (v for v in range(X.n) if rng.random() < keep))  # may leave the region
     return K, d, apex, rng
 
 
@@ -378,7 +383,7 @@ def test_fills_and_images_match_the_unskipped_computation(case, radius):
     K, d, apex, rng = case
     k = d - 1
     X = K.space
-    inner = build_rips(X, X.mask(v for v in K.vertex_mask.ids if v in apex.ids), max(1, K.scale - 1), d)
+    inner = build_rips(X, SubsetMask(X.n, (v for v in K.vertex_mask.ids if v in apex.ids)), max(1, K.scale - 1), d)
     zs = [K.boundary_of_chain(d, rng.getrandbits(K.n_simplices(d))) for _ in range(2)]
     center = rng.choice(K.vertices)
 
@@ -424,7 +429,7 @@ def small_spaces(draw):
             for b in range(a + 1, n):
                 table[a][b] = table[b][a] = rng.randint(1, 5)
         X = FiniteMetricSpace.from_table(table)
-    V = X.mask(v for v in range(n) if rng.random() < 0.8)
+    V = SubsetMask(X.n, (v for v in range(n) if rng.random() < 0.8))
     return X, V, draw(st.integers(0, 3)), draw(st.integers(0, 3))
 
 
@@ -475,7 +480,7 @@ def test_simplex_tree_matches_the_clique_oracle(case, rng):
     X, V, r, m = case
     K = build_rips(X, V, r, m)
     oracle = brute_force_simplices(V.sorted_ids(), X.dist, r, m)
-    mask = X.mask(v for v in range(X.n) if rng.random() < 0.6)
+    mask = SubsetMask(X.n, (v for v in range(X.n) if rng.random() < 0.6))
     for k in range(m + 1):
         assert list(K.simplices[k]) == oracle[k] and len(K.simplices[k]) == len(oracle[k])
         assert [K.simplices[k][j] for j in range(len(oracle[k]))] == oracle[k]

@@ -280,7 +280,7 @@ def test_deep_and_shallow_labels_match_the_full_field(family, R, spec, monkeypat
     extracted = []
     for r, A, collar in ((1, 0, 2), (1, 1, 2), (2, 1, 1), (1, 2, 0), (1, 1, R)):
         cs = complement_components(X, W, r, A, collar=collar)
-        assert cs.nA == X.mask(x for x in range(X.n) if full[x] <= A)
+        assert cs.nA == SubsetMask(X.n, (x for x in range(X.n) if full[x] <= A))
         assert partition_ok(cs)
         for c in cs.components:
             touches = any(X.radial[u] > R - collar for u in c.mask.ids)
