@@ -170,7 +170,7 @@ def run_ends(ctx: ScenarioContext, params: dict) -> dict:
 def run_separate(ctx: ScenarioContext, params: dict) -> dict:
     r, A, collar = params["r"], params["A"], params["collar"]
     windows, gens = params["windows"], ctx.words(params["invariance_generators"])
-    rows = []  # (ball-or-None, w, component set) per window, masks aligned
+    rows = []  # (ball-or-None, component set) per window
     if windows:  # group spaces only, like generators: every window is a ball
         subgroup_w = ctx.w_spec is not None and ctx.w_spec.get("kind") == "subgroup"
         raise_on_bad(subgroup_w, "windowed separation needs a subgroup w to rebuild per radius")
@@ -182,13 +182,13 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
             else:
                 ball = build_ball(ctx.ball.model, R, max_vertices=ctx.max_vertices)
             w = ctx.w if ball is ctx.ball else subgroup_trace(ball, ctx.w_spec["spec"])
-            rows.append((ball, w, complement_components(ball.space, w, r, A, collar=collar)))
+            rows.append((ball, complement_components(ball.space, w, r, A, collar=collar)))
     else:
-        rows.append((ctx.ball, ctx.w, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
+        rows.append((ctx.ball, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
     inv_counts = None
     if gens:
-        inv_counts = [invariant_components(ball, w, gens, cs)[1] for ball, w, cs in rows]
-    sets = [cs for _, _, cs in rows]
+        inv_counts = [invariant_components(ball, gens, cs)[1] for ball, cs in rows]
+    sets = [cs for _, cs in rows]
     rep = coarse_n_separation(sets, inv_counts)
     last = sets[-1]
     return {
@@ -222,7 +222,7 @@ def run_essential(ctx: ScenarioContext, params: dict) -> dict:
             )
         classes = [
             {"survives": w["survives_in_target"], "locality": w["fill_locality"],
-             "fill_size": int(w.get("fill") or 0).bit_count()}
+             "fill_size": (w["fill"] or 0).bit_count()}
             for w in v.witnesses
         ]
         out[str(name)] = {"verdict": v.verdict, "reason": v.reason, "classes": classes}

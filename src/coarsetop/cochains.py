@@ -37,7 +37,6 @@ class RelativeComplex:
 
     def __init__(self, K: RipsComplex, interior: SubsetMask):
         self.K = K
-        self.interior = interior
         # relative = at least one interior vertex: the parent is relative or the last vertex is interior
         self.rel: list[array] = []
         self.rel_pos: list[dict[int, int]] = []
@@ -62,13 +61,14 @@ class RelativeComplex:
         The transpose of the relative ∂_{k+1}, read column by column from
         :meth:`RipsComplex.iter_banded_columns`: each facet row is lo or lo
         plus one 32-bit field of the packed column, with no bit loop.
-        Facets outside the relative list drop out.
+        Facets outside the relative list drop out. C^{-1}_rel is 0, so
+        delta^{-1} is the n_rel(0) x 0 matrix.
         """
         mat = self._delta_cache.get(k)
         if mat is not None:
             return mat
         cols = [0] * self.n_rel(k)
-        pos_k = self.rel_pos[k]
+        pos_k = self.rel_pos[k] if k >= 0 else {}
         field, mask = gf2.FIELD, gf2.FIELD_MASK
         for t_hi, (packed, lo) in enumerate(self.K.iter_banded_columns(k + 1, self.rel[k + 1])):
             row = 1 << t_hi
@@ -181,8 +181,7 @@ class RelativeComplex:
         """
         space = self._image_cache.get(k)
         if space is None:
-            space = gf2.image_basis(self.delta(k - 1)) if k else gf2.GF2Subspace(self.n_rel(0), track=True)
-            self._image_cache[k] = space
+            space = self._image_cache[k] = gf2.image_basis(self.delta(k - 1))
         return space
 
     def is_coboundary(self, k: int, vec: int) -> bool:

@@ -29,7 +29,6 @@ class EmptySubsetError(CoarseTopError):
 
 class WindowTooLargeError(CoarseTopError):
     def __init__(self, estimate: int, cap: int):
-        self.estimate = estimate
         self.cap = cap
         super().__init__("window-too-large", f"estimated {estimate} vertices exceeds cap {cap}")
 
@@ -63,7 +62,6 @@ class NotAChainMapError(CoarseTopError):
 
 class ScheduleExhaustedError(CoarseTopError):
     def __init__(self, simplex):
-        self.simplex = simplex
         super().__init__("schedule-exhausted", f"cannot fill boundary image of simplex {simplex}")
 
 

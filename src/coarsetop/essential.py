@@ -26,7 +26,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 import itertools
-from operator import add
+from functools import reduce
+from operator import add, xor
 from typing import Iterator, Optional, Sequence
 
 from . import gf2
@@ -58,9 +59,9 @@ def almost_essential_probe(
     B_grid: Sequence[int],
 ) -> AlmostEssentialReport:
     """Smallest B in the grid with W (off the collar) inside N_B(C \\ N_A(W))."""
-    if not is_coarse_complementary(X, W, C, 1, A):
-        raise CoarseTopError("not-complementary", "C is not (1, A)-complementary to W")
     nA = neighborhood(X, W, A)
+    if not is_coarse_complementary(X, nA, C, 1):
+        raise CoarseTopError("not-complementary", "C is not (1, A)-complementary to W")
     core = C - nA
     interior = X.interior_mask(2)
     targets = (W & interior).sorted_ids()
@@ -143,22 +144,11 @@ def essential_probe(
     if len(target_mask) == 0:
         return EssentialVerdict(component_name, "inconclusive", sched, reason="empty target annulus")
     target = build_rips(X, target_mask, scale, n, max_simplices=max_simplices)
-    witnesses = []
-    any_survives = False
-    for cls in w_image.classes:
-        chain = _push_cycle(w_image.inner, target, n - 1, cls.representative)
-        fate = _death_or_survival(target, n - 1, chain, max_witness_columns)
-        witnesses.append(
-            {
-                "class_dim": n - 1,
-                "survives_in_target": fate["survives"],
-                "fill": fate.get("fill"),
-                "fill_locality": fate.get("locality"),
-            }
-        )
-        if fate["survives"]:
-            any_survives = True
-    verdict = "non-essential" if any_survives else "essential"
+    witnesses = [
+        _death_or_survival(target, n - 1, _push_cycle(w_image.inner, target, n - 1, z), max_witness_columns)
+        for z in w_image.classes
+    ]
+    verdict = "non-essential" if any(w["survives_in_target"] for w in witnesses) else "essential"
     return EssentialVerdict(component_name, verdict, sched, witnesses=witnesses)
 
 
@@ -174,6 +164,9 @@ def _push_cycle(src: RipsComplex, dst: RipsComplex, k: int, chain: int) -> int:
 
 def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns: int) -> dict:
     """Decide z ∈ im ∂_{k+1}(target); extract a fill chain when affordable.
+
+    Returns the class's witness: ``survives_in_target``, the ``fill`` chain
+    (None when z survives or no fill was kept) and its ``fill_locality``.
 
     Small systems run witnessed directly. Large ones start one streaming
     solve on the columns near the cycle support, witnessed for a compact
@@ -198,7 +191,7 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:
         fill = fill_cycle(target, k, z, want_witness=True)
-        return {"survives": fill is None, "fill": fill, "locality": "full"}
+        return {"survives_in_target": fill is None, "fill": fill, "fill_locality": "full"}
     if target.boundary_of_chain(k, z) != 0:
         raise NotACycleError()
     supp = target.chain_support_vertices(k, z)
@@ -216,11 +209,11 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
         x = solve.feed(target.iter_banded_columns(k + 1, kept))
         if x is not None:
             fill = gf2.vector_from_indices(kept[b] for b in gf2.bits(x))
-            return {"survives": False, "fill": fill, "locality": f"N_{rho}(supp)"}
+            return {"survives_in_target": False, "fill": fill, "fill_locality": f"N_{rho}(supp)"}
         solve.drop_witness()
         rest = _complement(local_cols, ncols)
     feasible = solve.feed(target.iter_banded_columns(k + 1, target.uncone(k + 1, rest)))
-    return {"survives": feasible is None, "fill": None, "locality": "full/feasibility-only"}
+    return {"survives_in_target": feasible is None, "fill": None, "fill_locality": "full/feasibility-only"}
 
 
 def _complement(ascending: Sequence[int], n: int) -> Iterator[int]:
@@ -297,9 +290,9 @@ def mv_assemble(
     exactness at both spots in degrees below cap - 1. Its pieces give the
     connecting map of a W-class: :func:`connecting_entry`.
     """
-    if not is_coarse_complementary(X, W, C1, r, A):
-        raise CoarseTopError("not-complementary", "C1 is not (r, A)-complementary to W")
     nA = neighborhood(X, W, A)
+    if not is_coarse_complementary(X, nA, C1, r):
+        raise CoarseTopError("not-complementary", "C1 is not (r, A)-complementary to W")
     C2 = (X.full_mask() - C1) | nA
     C1p = C1 | nA
     interior = X.interior_mask(collar)
@@ -354,38 +347,37 @@ def connecting_map(pieces: MVPieces, deg: int, sigma: int) -> int:
     return omega
 
 
-def _span_equal(span_a: list[int], span_b: list[int], ambient: int) -> bool:
-    sa = gf2.span_of(span_a, ambient)
-    sb = gf2.span_of(span_b, ambient)
+def _span_equal(span_a: list[int], span_b: list[int]) -> bool:
+    sa = gf2.span_of(span_a)
+    sb = gf2.span_of(span_b)
     if sa.dim != sb.dim:
         return False
     return all(sb.contains(v) for v in span_a)
 
 
-def _exact_at(image, cocycles, g, target: gf2.GF2Subspace, bounds, ambient: int) -> bool:
+def _exact_at(image, cocycles, g, target: gf2.GF2Subspace, bounds) -> bool:
     """span(image) + B = {z in span(cocycles) : g(z) in target} + B, with B = span(bounds).
 
     g must be linear. The kernel side comes from one elimination: the
-    combinations of the cocycles whose g-images reduce to 0 against target.
+    combinations of the cocycles whose g-images reduce to 0 against target
+    are the ones a tracked echelon of those images returns for its
+    dependent insertions.
     """
-    reduced = [target.reduce(g(z)) for z in cocycles]
-    combos = gf2.kernel_basis(GF2Matrix(target.ambient, len(reduced), reduced))
-    as_matrix = GF2Matrix(ambient, len(cocycles), cocycles)
-    kernel = [as_matrix.matvec(m) for m in combos]
-    return _span_equal([*image, *bounds], [*kernel, *bounds], ambient)
+    space = gf2.GF2Subspace(track=True)
+    combos = [m for m in (space.insert(target.reduce(g(z))) for z in cocycles) if m is not None]
+    kernel = [reduce(xor, (cocycles[t] for t in gf2.bits(m))) for m in combos]
+    return _span_equal([*image, *bounds], [*kernel, *bounds])
 
 
 def _exact_at_middle(pieces: MVPieces, k: int) -> bool:
     """im q* = ker p* at H^k(A) ⊕ H^k(B)."""
     RX, RA, RB = pieces.X, pieces.A, pieces.B
-    bounds = pieces.direct_sum(k, RA.delta(k - 1).columns, RB.delta(k - 1).columns) if k else []
     return _exact_at(
         [pieces.q[k].matvec(z) for z in RX.cocycle_basis(k)],
         pieces.direct_sum(k, RA.cocycle_basis(k), RB.cocycle_basis(k)),
         pieces.p[k].matvec,
         pieces.W.coboundary_space(k),
-        bounds,
-        RA.n_rel(k) + RB.n_rel(k),
+        pieces.direct_sum(k, RA.delta(k - 1).columns, RB.delta(k - 1).columns),
     )
 
 
@@ -398,8 +390,7 @@ def _exact_at_w(pieces: MVPieces, k: int) -> bool:
         RW.cocycle_basis(k),
         lambda z: connecting_map(pieces, k, z),
         pieces.X.coboundary_space(k + 1),
-        RW.delta(k - 1).columns if k else [],
-        RW.n_rel(k),
+        RW.delta(k - 1).columns,
     )
 
 

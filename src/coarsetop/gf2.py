@@ -150,10 +150,9 @@ class GF2Subspace:
     streams light.
     """
 
-    __slots__ = ("ambient", "pivots", "combos", "inserted")
+    __slots__ = ("pivots", "combos", "inserted")
 
-    def __init__(self, ambient: int, track: bool = False):
-        self.ambient = ambient
+    def __init__(self, *, track: bool = False):
         self.pivots: dict[int, int] = {}  # pivot row -> basis vector
         self.combos: Optional[dict[int, int]] = {} if track else None  # pivot row -> combination
         self.inserted = 0
@@ -435,8 +434,8 @@ class ColumnSolve:
         self.x = 0
 
 
-def _echelon(columns: Iterable[int], ambient: int = 0, track: bool = False) -> GF2Subspace:
-    space = GF2Subspace(ambient, track)
+def _echelon(columns: Iterable[int], track: bool = False) -> GF2Subspace:
+    space = GF2Subspace(track=track)
     for c in columns:
         space.insert(c)
     return space
@@ -470,31 +469,27 @@ def solve_columns(columns: Iterable[tuple[int, int]], b: int, want_witness: bool
 
 def kernel_basis(A: GF2Matrix) -> list[int]:
     """Basis (bitmasks over columns) of the null space of A."""
-    space = GF2Subspace(A.rows, track=True)
+    space = GF2Subspace(track=True)
     return [m for m in map(space.insert, A.columns) if m is not None]
 
 
 def image_basis(A: GF2Matrix) -> GF2Subspace:
     """The tracked echelon of A's columns, inserted in index order (see ``solve_masked``)."""
-    return _echelon(A.columns, A.rows, track=True)
+    return _echelon(A.columns, track=True)
 
 
-def span_of(vectors: Iterable[int], ambient: int) -> GF2Subspace:
-    return _echelon(vectors, ambient)
+def span_of(vectors: Iterable[int]) -> GF2Subspace:
+    return _echelon(vectors)
 
 
-def quotient_image_rank(
-    f_images: Sequence[int],
-    outer_boundaries: Iterable[int],
-    outer_dim: int,
-) -> tuple[int, list[int]]:
+def quotient_image_rank(f_images: Sequence[int], outer_boundaries: Iterable[int]) -> tuple[int, list[int]]:
     """Rank of (span(f_images) + B) / B and indices of representative images.
 
     ``f_images[t]`` is the image of the t-th inner cycle in the outer chain
     group. Returns (rank, reps) where reps lists the positions t whose images
     form a basis of the image modulo the outer boundary space.
     """
-    space = span_of(outer_boundaries, outer_dim)
+    space = span_of(outer_boundaries)
     reps: list[int] = []
     for t, img in enumerate(f_images):
         if space.extend(img):

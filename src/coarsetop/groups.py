@@ -166,7 +166,6 @@ class Amalgam(GroupModel):
     """
 
     convex_balls = True
-    _free = FreeGroup(2)
 
     def identity(self):
         return ((), (0,))
@@ -194,8 +193,8 @@ class Amalgam(GroupModel):
         return ((len(g[0]), g[0]), g[1])
 
     def ball_size_estimate(self, radius):
-        # crude upper bound: the free ball times the axis segment
-        return self._free.ball_size_estimate(radius) * (2 * radius + 1)
+        # exact: s(L) free words of length L (s(0) = 1, s(L) = 4·3^(L-1)), each with 2(R - L) + 1 powers of y
+        return sum((4 * 3 ** (L - 1) if L else 1) * (2 * (radius - L) + 1) for L in range(radius + 1))
 
 
 amalgam_z2_z_z2 = Amalgam  # the family name scenarios use

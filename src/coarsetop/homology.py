@@ -72,21 +72,13 @@ def default_schedules(R: int, collar: int = 2, scales: tuple[int, int] = (1, 1),
 
 
 @dataclass
-class TwoScaleClass:
-    """A homology class at the inner scale with its fate at the outer scale."""
-
-    k: int
-    representative: int  # cycle bitset over inner k-simplices
-
-
-@dataclass
 class TwoScaleImage:
     inner: RipsComplex
     outer: RipsComplex
     inclusion: ChainMap
     k: int
     rank: int
-    classes: list[TwoScaleClass]
+    classes: list[int]  # inner k-cycles whose images form a basis of the image
 
 
 def reduced_homology(K: RipsComplex, k: int) -> tuple[int, list[int]]:
@@ -98,7 +90,7 @@ def reduced_homology(K: RipsComplex, k: int) -> tuple[int, list[int]]:
     if k + 1 > K.cap:
         raise ValueError("dimension cap too low: need k+1 simplices for boundaries")
     cycles = gf2.kernel_basis(K.boundary(k))
-    space = gf2.span_of(K.iter_boundary_columns(k + 1, K.uncone(k + 1)), K.n_simplices(k))
+    space = gf2.span_of(K.iter_boundary_columns(k + 1, K.uncone(k + 1)))
     reps = [z for z in cycles if space.extend(z)]
     return len(reps), reps
 
@@ -118,18 +110,15 @@ def two_scale_image_along(f: ChainMap, k: int) -> TwoScaleImage:
     for img, z in zip(images, cycles):
         if outer.boundary_of_chain(k, img) != 0:
             raise NotAChainMapError("image of a cycle is not a cycle")
-    rank, rep_positions = gf2.quotient_image_rank(
-        images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k)
-    )
-    classes = [TwoScaleClass(k, cycles[t]) for t in rep_positions]
-    return TwoScaleImage(inner, outer, f, k, rank, classes)
+    rank, rep_positions = gf2.quotient_image_rank(images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)))
+    return TwoScaleImage(inner, outer, f, k, rank, [cycles[t] for t in rep_positions])
 
 
 def class_survives(image: TwoScaleImage, z_inner: int) -> bool:
     """Direct membership test: is the image of this inner cycle a boundary outside."""
     img = image.inclusion.apply(image.k, z_inner)
     outer, k = image.outer, image.k
-    space = gf2.span_of(outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)), outer.n_simplices(k))
+    space = gf2.span_of(outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)))
     return not space.contains(img)
 
 
@@ -352,7 +341,6 @@ def pd_signature_check(
 __all__ = [
     "WindowSchedule",
     "default_schedules",
-    "TwoScaleClass",
     "TwoScaleImage",
     "reduced_homology",
     "two_scale_image",

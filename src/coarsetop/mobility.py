@@ -91,7 +91,6 @@ def local_representability(
 
 @dataclass
 class MobilityResult:
-    class_dim: int
     D: int
     feasible_centers: SubsetMask
     mob_mask: SubsetMask
@@ -120,9 +119,7 @@ def mobility_set(
             feasible.append(g)
             witnesses[g] = w
             mob.update(w.support.ids)
-    return MobilityResult(
-        alpha0.k, D, SubsetMask(X.n, feasible), SubsetMask(X.n, mob), witnesses
-    )
+    return MobilityResult(D, SubsetMask(X.n, feasible), SubsetMask(X.n, mob), witnesses)
 
 
 def _collar_safe_centers(R: RelativeComplex, D: int, collar: int) -> list[int]:
@@ -210,9 +207,7 @@ def stab_mob_comparison(
     return res
 
 
-def mobset_replay(
-    ball: BallModel, R: RelativeComplex, alpha0: Cocycle, result: MobilityResult
-) -> dict:
+def mobset_replay(ball: BallModel, result: MobilityResult) -> dict:
     """Replay the two inclusions behind the stab/mob comparison at this window.
 
     R* is the largest spread of any found witness beyond the stab-trace
@@ -246,7 +241,6 @@ def mobset_replay(
 @dataclass
 class ManifoldDetectorReport:
     n: int
-    D_schedule: list[int]
     covered: list[bool]
     verdict: str  # "true" | "false" | "inconclusive"
     result: Optional[MobilityResult] = field(default=None, repr=False)  # Mob at the last D
@@ -283,7 +277,7 @@ def coarse_manifold_detector(
         d = X.dist_to_set(probe.ids, D)
         covered.append(all(d[v] <= D for v in interior.ids))
     verdict = "true" if covered[-1] else "inconclusive" if any(covered) else "false"
-    return ManifoldDetectorReport(n, list(D_schedule), covered, verdict, res)
+    return ManifoldDetectorReport(n, covered, verdict, res)
 
 
 __all__ = [

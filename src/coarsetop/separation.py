@@ -29,13 +29,10 @@ def coarse_boundary(X: FiniteMetricSpace, C: SubsetMask, r: int) -> SubsetMask:
     return SubsetMask(X.n, (x for x in range(X.n) if x not in C.ids and d[x] <= r))
 
 
-def is_coarse_complementary(
-    X: FiniteMetricSpace, W: SubsetMask, C: SubsetMask, r: int, A: int
-) -> bool:
-    """Literal containment check boundary_r(C \\ N_A(W)) inside N_A(W)."""
-    if r < 1 or A < 0:
-        raise ValueError("need r >= 1 and A >= 0")
-    nA = neighborhood(X, W, A)
+def is_coarse_complementary(X: FiniteMetricSpace, nA: SubsetMask, C: SubsetMask, r: int) -> bool:
+    """Literal containment check boundary_r(C \\ N_A(W)) inside N_A(W), given N_A(W) as ``nA``."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     core = C - nA
     if len(core) == 0:
         return True  # vacuously complementary
@@ -157,7 +154,6 @@ def coarse_n_separation(
 
 def invariant_components(
     ball: BallModel,
-    H: SubsetMask,
     generators: Sequence,
     components: CoarseComponentSet,
 ) -> tuple[list[str], Optional[int]]:

@@ -141,7 +141,7 @@ def tracked_full_solve(columns, b):
     """
     from coarsetop import gf2
 
-    space = gf2.GF2Subspace(0, track=True)
+    space = gf2.GF2Subspace(track=True)
     for c in columns:
         space.insert(c)
     m = space.insert(b)
@@ -160,7 +160,7 @@ def reference_feeds(b, columns, split, track, drop):
     """
     from coarsetop import gf2
 
-    space = gf2.GF2Subspace(0, track=track and not drop)
+    space = gf2.GF2Subspace(track=track and not drop)
     pulled = 0
     while pulled < len(columns) and not space.contains(b):
         space.insert(columns[pulled])

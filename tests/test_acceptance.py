@@ -150,9 +150,9 @@ def test_accept_3_figure_classification(fig1_12, fig2_12):
         scale, excise = paired_target_schedule(sched)
         tmask = annulus_mask(fix.space, excise, None, within=(fix.components[name] | fix.w))
         target = build_rips(fix.space, tmask, scale, n)
-        for cls, wit in zip(w_img.classes, v.witnesses):
+        for z, wit in zip(w_img.classes, v.witnesses):
             pushed = 0
-            for j in gf2.bits(cls.representative):
+            for j in gf2.bits(z):
                 pushed |= 1 << target.index[n - 1][w_img.inner.simplices[n - 1][j]]
             feasible = fill_cycle(target, n - 1, pushed, want_witness=False)
             assert (feasible is None) == wit["survives_in_target"]
@@ -266,7 +266,7 @@ def test_accept_7_mobility(z_ball_12, z2_ball_10, f2_ball_6):
     det_f = coarse_manifold_detector(Rf, 1, cut, [1, 2], collar=1)
     assert det_f.verdict == "false"
     res = stab_mob_comparison(ball, Rf, cut, 2, collar=1)
-    rep = mobset_replay(ball, Rf, cut, res)
+    rep = mobset_replay(ball, res)
     assert rep["valid"] and rep["orbit_inside_mob"]
     assert res.stab_mob_hausdorff is not None
     assert rep["bound_holds"]  # d_Haus <= replayed R*, both inclusions exact

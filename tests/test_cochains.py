@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsetop.cochains import RelativeComplex
+from coarsetop.groups import FreeAbelian, build_ball
 from coarsetop.metric import FiniteMetricSpace, SubsetMask
 from coarsetop.rips import build_rips
 
@@ -50,3 +51,20 @@ def test_cohomology_dim_reads_the_cached_bases(case):
         bdim = dense_rank_gf2(to_rows(R.delta(k - 1))) if k else 0
         assert len(basis) == zdim
         assert R.cohomology_dim(k) == zdim - bdim
+
+
+def test_degree_minus_one_is_the_zero_group():
+    # C^{-1}_rel = 0: delta^{-1} is the n_rel(0) x 0 matrix and im delta^{-1} = 0,
+    # so a degree-0 cochain is its only representative: kept when the mask
+    # holds its support, else None
+    X = build_ball(FreeAbelian(2), 4).space
+    R = RelativeComplex(build_rips(X, X.full_mask(), 2, 2), X.interior_mask(2))
+    d = R.delta(-1)
+    assert (d.rows, d.cols, d.columns) == (R.n_rel(0), 0, [])
+    assert R.coboundary_space(0).dim == 0
+    allowed = X.mask_where(lambda g: g[0] >= 0)
+    inside = sum(1 << t for t in R.simplex_positions_within(0, allowed))
+    full = (1 << R.n_rel(0)) - 1
+    assert 0 < inside < full
+    for vec in (0, inside, inside & -inside, full, random.Random(0).getrandbits(R.n_rel(0))):
+        assert R.representative_within(0, vec, allowed) == (vec if vec & ~inside == 0 else None)

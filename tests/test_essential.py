@@ -93,9 +93,9 @@ def test_essential_fill_paths_agree(max_witness_columns, path):
         # the probe's target complex and pushed cycles, rebuilt to check the fills
         target = build_rips(fix.space, annulus_mask(fix.space, excise, None, within=C | fix.w), scale, 1)
         assert len(v.witnesses) == len(w_img.classes) > 0
-        for cls, w in zip(w_img.classes, v.witnesses):
+        for cycle, w in zip(w_img.classes, v.witnesses):
             if w["fill"] is not None:
-                z = _push_cycle(w_img.inner, target, 0, cls.representative)
+                z = _push_cycle(w_img.inner, target, 0, cycle)
                 assert target.boundary_of_chain(1, w["fill"]) == z
         if name == "bottom":
             assert [w["fill_locality"] for w in v.witnesses] == [path] * len(v.witnesses)
@@ -216,7 +216,7 @@ def test_essential_echelon_is_stored_banded(max_witness_columns):
             )
     assert len(pulled) == 2
     for solve, columns in pulled.items():
-        replay = gf2.GF2Subspace(0)
+        replay = gf2.GF2Subspace()
         for c, lo in columns:
             replay.insert(unpacked(c, lo))
         space = solve.space
@@ -428,24 +428,25 @@ def test_exactness_checker_detects_breakage(line_in_plane_8, monkeypatch):
 def test_span_comparator_detects_difference(line_in_plane_8):
     from coarsetop.essential import _span_equal
 
-    assert _span_equal([0b01], [0b10], 2) is False
-    assert _span_equal([0b01, 0b10], [0b11, 0b01], 2) is True
+    assert _span_equal([0b01], [0b10]) is False
+    assert _span_equal([0b01, 0b10], [0b11, 0b01]) is True
 
 
 def test_exactness_helper_detects_a_missed_kernel_class():
     # g keeps coordinate 0 and the target is {0}, so the kernel side is span(e1)
     from coarsetop.essential import _exact_at
 
-    cocycles, g, target = [0b01, 0b10], (lambda z: z & 1), gf2.GF2Subspace(1)
-    assert _exact_at([], cocycles, g, target, [], 2) is False
-    assert _exact_at([0b01], cocycles, g, target, [], 2) is False
-    assert _exact_at([0b11], cocycles, g, target, [], 2) is False
-    assert _exact_at([0b10], cocycles, g, target, [], 2) is True
-    assert _exact_at([], cocycles, g, target, [0b10], 2) is True  # a coboundary fills the class
+    cocycles, g, target = [0b01, 0b10], (lambda z: z & 1), gf2.GF2Subspace()
+    assert _exact_at([], cocycles, g, target, []) is False
+    assert _exact_at([0b01], cocycles, g, target, []) is False
+    assert _exact_at([0b11], cocycles, g, target, []) is False
+    assert _exact_at([0b10], cocycles, g, target, []) is True
+    assert _exact_at([], cocycles, g, target, [0b10]) is True  # a coboundary fills the class
 
 
 def test_mv_eliminates_each_cocycle_basis_once(line_in_plane_8, monkeypatch):
-    # four pieces' cocycle bases in degrees 0 and 1, plus one kernel per exactness spot
+    # four pieces' cocycle bases in degrees 0 and 1; each exactness spot's
+    # kernel side is read off its own tracked echelon
     fix = line_in_plane_8
     seen = []
     kernel_basis = gf2.kernel_basis
@@ -457,11 +458,34 @@ def test_mv_eliminates_each_cocycle_basis_once(line_in_plane_8, monkeypatch):
     monkeypatch.setattr(gf2, "kernel_basis", counting_kernel_basis)
     rep = mv_assemble(fix.space, fix.w, fix.components["upper"], r=2, A=1, cap=3)
     assert len(rep.exactness) == 4 and all(rep.exactness.values())
-    assert len(seen) <= 12
+    assert len(seen) <= 8
     P = rep.pieces
     for piece in (P.X, P.A, P.B, P.W):
         for k in range(3):
             assert sum(A is piece.delta(k) for A in seen) <= 1
+
+
+def test_one_flood_from_w_per_probe(line_in_plane_8, monkeypatch):
+    # each probe builds N_A(W) once and hands it to the complementarity
+    # check, so it floods from W once
+    from coarsetop.metric import FiniteMetricSpace
+
+    fix = line_in_plane_8
+    X, W, C = fix.space, fix.w, fix.components["upper"]
+    sources = []
+    dist_to_set = FiniteMetricSpace.dist_to_set
+
+    def recording(self, ids, limit=None):
+        ids = sorted(set(ids))
+        sources.append(ids)
+        return dist_to_set(self, ids, limit)
+
+    monkeypatch.setattr(FiniteMetricSpace, "dist_to_set", recording)
+    assert almost_essential_probe(X, W, C, 1, range(4)).verdict == "B=2"
+    assert sources.count(W.sorted_ids()) == 1 < len(sources)
+    sources.clear()
+    mv_assemble(X, W, C, r=2, A=1, cap=2)
+    assert sources.count(W.sorted_ids()) == 1
 
 
 def test_two_sided_fundamental_class(line_in_plane_8):

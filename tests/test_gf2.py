@@ -148,10 +148,17 @@ def test_kernel_image_dimensions_hypothesis(seed, rows, cols):
         assert A.matvec(v) == 0
 
 
+def test_tracking_is_keyword_only():
+    # a subspace has no dimension argument: a positional one fails instead of turning tracking on
+    with pytest.raises(TypeError):
+        gf2.GF2Subspace(5)
+    assert gf2.GF2Subspace().combos is None and gf2.GF2Subspace(track=True).combos == {}
+
+
 def test_quotient_image_rank_simple():
-    # ambient dim 3; boundary space spanned by e0+e1; cycles e0+e1 (dies), e2 (survives)
+    # boundary space spanned by e0+e1; cycles e0+e1 (dies), e2 (survives)
     images = [0b011, 0b100]
-    r, reps = gf2.quotient_image_rank(images, [0b011], 3)
+    r, reps = gf2.quotient_image_rank(images, [0b011])
     assert r == 1
     assert reps == [1]
 
@@ -189,7 +196,7 @@ def _dense(columns, rows):
 @given(small_systems, st.integers(0, 511), st.integers(0, 511))
 def test_pivots_are_top_bits_and_reduce_is_linear(system, u, v):
     columns, _, rows = system
-    space = gf2.span_of(columns, rows)
+    space = gf2.span_of(columns)
     for p, vec in space.pivots.items():
         assert vec.bit_length() - 1 == p
     u &= (1 << rows) - 1

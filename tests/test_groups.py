@@ -43,6 +43,14 @@ def test_free_sphere_sizes():
         assert sphere == 2 * 2 * (2 * 2 - 1) ** (r - 1)
 
 
+def test_amalgam_size_estimate_is_exact():
+    # the vertex cap compares the exact ball size: R = 8's 26,225 points fit under 30,000
+    model = amalgam_z2_z_z2()
+    for R in range(1, 8):
+        assert model.ball_size_estimate(R) == len(build_ball(model, R).elements)
+    assert len(build_ball(model, 8, max_vertices=30_000).elements) == model.ball_size_estimate(8) == 26_225
+
+
 def test_window_cap():
     with pytest.raises(WindowTooLargeError):
         build_ball(FreeGroup(2), 10, max_vertices=100)

@@ -132,8 +132,7 @@ def test_two_scale_annulus_vs_ball(z2_ball_12):
     img_live = two_scale_image(inner, bigger_ann, 1)
     assert img_dead.rank == 0
     assert img_live.rank == 1
-    rep = img_live.classes[0]
-    assert class_survives(img_live, rep.representative)
+    assert class_survives(img_live, img_live.classes[0])
 
 
 def test_two_scale_rank_antitone_in_outer_growth(z2_ball_12):
@@ -222,8 +221,8 @@ def test_every_survivor_has_verified_representative(z2_ball_16):
     sched = WindowSchedule(S=4, i=2, S_out=2, j=2, R=16, collar=2)
     img = schedule_two_scale(z2_ball_16.space, 1, sched)
     assert img.rank == len(img.classes)
-    for cls in img.classes:
-        assert class_survives(img, cls.representative)
+    for z in img.classes:
+        assert class_survives(img, z)
 
 
 def test_acyclicity_z_line(z_ball_24):

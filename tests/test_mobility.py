@@ -145,7 +145,7 @@ def test_stab_trace_f2_near_identity(f2_setup):
     res = stab_mob_comparison(ball, R, a0, 2, collar=1)
     assert len(res.stab_orbit) <= 4
     assert res.stab_mob_hausdorff is not None and res.stab_mob_hausdorff <= 3
-    rep = mobset_replay(ball, R, a0, res)
+    rep = mobset_replay(ball, res)
     assert rep["valid"] and rep["orbit_inside_mob"]
     assert res.stab_mob_hausdorff <= max(rep["R_star"], 0) or rep["bound_holds"]
 
@@ -199,7 +199,7 @@ def test_detector_verdict_reads_the_covered_trend(z_setup, monkeypatch, pattern,
 
     def fixed_mobility(R, alpha0, D, collar=2):
         mask = X.full_mask() if covers[D] else SubsetMask.empty(X.n)
-        return mobility_mod.MobilityResult(alpha0.k, D, mask, mask)
+        return mobility_mod.MobilityResult(D, mask, mask)
 
     monkeypatch.setattr(mobility_mod, "mobility_set", fixed_mobility)
     det = coarse_manifold_detector(R, 1, a0, [1, 2, 3])

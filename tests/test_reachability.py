@@ -24,17 +24,35 @@ reads of ``CoarseComponent.mask`` reach no ``mask`` method. A definition
 it does not reach is dead code, or a test helper that belongs in
 ``tests/oracles.py``. When the benchmark stops naming a function, this test
 flags it for deletion.
+
+Two more scans look inside the definitions, at the data they carry:
+
+- a field (a class-body annotation, a ``__slots__`` entry or a ``self.name``
+  assignment) is read when code in ``src/`` or ``tests/`` reads an attribute
+  of its name, or names it to ``getattr``. The fields of the classes in
+  ``SERIALISED``, which the CLI writes into reports with ``vars()``, count
+  as read. This module's own attribute reads are of AST nodes and do not
+  count.
+- a parameter of a ``def`` is read when its body reads the name. ``self``
+  and ``cls`` are exempt, and so is every method that a subclass overrides:
+  its parameters are the interface's (``GroupModel``'s), not its own. A
+  lambda is exempt too, as a callback whose caller fixes its signature.
+
+Both match names by spelling, so they over-approximate reads as the
+reachability scan does.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib.util
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsetop"
+TESTS = ROOT / "tests"
 
 ACCEPTANCE_HELPERS = (
     "cochains:RelativeComplex.cohomology_dim",  # criterion 5
@@ -46,6 +64,7 @@ ACCEPTANCE_HELPERS = (
     "homology:AcyclicityProfile.uniform_bounds",  # criterion 10
 )
 TEST_SPACE_METHODS = ("metric:FiniteMetricSpace.from_table", "metric:FiniteMetricSpace.dist")
+SERIALISED = ("homology:WindowSchedule", "separation:WindowSeparation")  # cli's vars(s) and vars(w)
 
 
 def _spans():
@@ -109,7 +128,7 @@ def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
     classmethods: set[str] = set()  # reached only by a qualified read
     fields: set[str] = set()  # a method of such a name is reached only by a call or a qualified read
     for module, text in sources.items():
-        for node in ast.parse(text).body:
+        for node in _tree(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 reads[f"{module}:{node.name}"] = _read([node])
             elif isinstance(node, ast.ClassDef):
@@ -145,8 +164,99 @@ def scan(sources: dict[str, str], start: set[str]) -> tuple[set[str], set[str]]:
     return set(reads), reached
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(text: str) -> ast.Module:
+    """The parsed module, shared by the scans and read only."""
+    return ast.parse(text)
+
+
 def _sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _attribute_reads(trees) -> set[str]:
+    """The attribute names the code reads: loaded attributes and ``getattr(x, "name")``."""
+    out = set()
+    for tree in trees:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", "") == "getattr" and len(sub.args) > 1:
+                name = sub.args[1]
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    out.add(name.value)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _test_reads() -> frozenset[str]:
+    paths = sorted(p for p in TESTS.glob("*.py") if p.name != Path(__file__).name)
+    return frozenset(_attribute_reads(_tree(p.read_text()) for p in paths))
+
+
+def _classes(sources: dict[str, str]):
+    """(module, class node) of every top-level class."""
+    for module, text in sources.items():
+        for node in _tree(text).body:
+            if isinstance(node, ast.ClassDef):
+                yield module, node
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """The fields, as "module:Class.name", that no code in src/ or tests/ reads."""
+    reads = _attribute_reads(_tree(text) for text in sources.values()) | _test_reads()
+    out = []
+    for module, cls in _classes(sources):
+        if f"{module}:{cls.name}" in SERIALISED:
+            continue
+        names = set()
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__slots__" for t in node.targets):
+                names |= {e.value for e in node.value.elts}
+        for sub in ast.walk(cls):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                    names.add(sub.attr)
+        out += [f"{module}:{cls.name}.{name}" for name in names - reads]
+    return sorted(out)
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """The parameters, as "module:function(name)", that their function's body never reads."""
+    classes = {cls.name: cls for _, cls in _classes(sources)}
+    methods = {name: {n.name for n in cls.body if isinstance(n, ast.FunctionDef)} for name, cls in classes.items()}
+
+    def ancestors(name: str) -> list[str]:
+        bases = [b.id for b in classes[name].bases if isinstance(b, ast.Name) and b.id in classes]
+        return [a for b in bases for a in (b, *ancestors(b))]
+
+    overridden = {(base, m) for name in classes for base in ancestors(name) for m in methods[name] & methods[base]}
+    out = []
+
+    def visit(node, prefix: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+                if owner and names[:1] in (["self"], ["cls"]):
+                    names = names[1:]
+                if (owner, child.name) not in overridden:
+                    read = {
+                        n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    }
+                    out.extend(f"{prefix}{child.name}({name})" for name in names if name not in read)
+                visit(child, f"{prefix}{child.name}.", "")
+            else:
+                visit(child, prefix, owner)
+
+    for module, text in sources.items():
+        visit(_tree(text), f"{module}:", "")
+    return out
 
 
 def test_every_definition_is_reached():
@@ -197,3 +307,30 @@ def test_a_method_named_like_a_field_is_reached_only_by_a_call():
     sources["metric"] += "\n\nMASK_OF = lambda X: X.mask([0])\n"
     defined, reached = scan(sources, roots())
     assert defined == reached
+
+
+def test_every_field_is_read():
+    sources = _sources()
+    assert set(SERIALISED) <= {f"{module}:{cls.name}" for module, cls in _classes(sources)}
+    unread = unread_fields(sources)
+    assert not unread, f"fields that nothing reads: {unread}: delete them"
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters(_sources())
+    assert not unread, f"parameters that their function never reads: {unread}: delete them"
+
+
+def test_the_scans_flag_an_unread_field_and_parameter():
+    # the dimension that GF2Subspace and span_of once carried for no reader;
+    # a field of a class written out by vars() counts as read
+    sources = _sources()
+    for module, old, new in [
+        ("gf2", '__slots__ = ("pivots",', '__slots__ = ("ambient", "pivots",'),
+        ("gf2", "def span_of(vectors: Iterable[int])", "def span_of(vectors: Iterable[int], ambient: int)"),
+        ("separation", "    e_lower: Optional[int]\n", "    e_lower: Optional[int]\n    e_upper: int\n"),
+    ]:
+        assert sources[module].count(old) == 1
+        sources[module] = sources[module].replace(old, new)
+    assert unread_fields(sources) == ["gf2:GF2Subspace.ambient"]
+    assert unread_parameters(sources) == ["gf2:span_of(ambient)"]

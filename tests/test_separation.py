@@ -50,12 +50,12 @@ def test_is_coarse_complementary_examples(z_ball_12, z2_ball_10):
     origin = Xl.mask_where(lambda g: g[0] == 0)
     pos = Xl.mask_where(lambda g: g[0] >= 1)
     evens = Xl.mask_where(lambda g: g[0] % 2 == 0)
-    assert is_coarse_complementary(Xl, origin, pos, 1, 0)
-    assert not is_coarse_complementary(Xl, origin, evens, 1, 0)
+    assert is_coarse_complementary(Xl, neighborhood(Xl, origin, 0), pos, 1)
+    assert not is_coarse_complementary(Xl, neighborhood(Xl, origin, 0), evens, 1)
     Xp = z2_ball_10.space
     axis = Xp.mask_where(lambda p: p[1] == 0)
     upper = Xp.mask_where(lambda p: p[1] >= 1)
-    assert is_coarse_complementary(Xp, axis, upper, 1, 0)
+    assert is_coarse_complementary(Xp, neighborhood(Xp, axis, 0), upper, 1)
 
 
 def test_components_axis_in_plane(z2_ball_12):
@@ -141,7 +141,7 @@ def test_invariant_components_plane(z2_ball_12):
     ball = z2_ball_12
     axis = subgroup_trace(ball, {"cyclic": (1, 0)})
     cs = complement_components(ball.space, axis, 1, 0)
-    verdicts, e = invariant_components(ball, axis, [(1, 0)], cs)
+    verdicts, e = invariant_components(ball, [(1, 0)], cs)
     assert all(v == "invariant" for v in verdicts)
     assert e == 2
 
@@ -150,7 +150,7 @@ def test_invariant_components_tree(f2_ball_6):
     ball = f2_ball_6
     axis = subgroup_trace(ball, {"cyclic": "a"})
     cs = complement_components(ball.space, axis, 1, 0, collar=1)
-    verdicts, e = invariant_components(ball, axis, [(1,)], cs)
+    verdicts, e = invariant_components(ball, [(1,)], cs)
     assert "not" in verdicts  # single subtrees shift along the axis
     assert e == 2  # the two letter-sides are the H-invariant unions
 
@@ -167,7 +167,7 @@ def test_amalgam_edge_axis_four_separates():
     cs = complement_components(ball.space, yaxis, 1, 0, collar=1)
     assert len(cs.deep_components()) == 4
     gens = dict(model.generators())
-    verdicts, e = invariant_components(ball, yaxis, [gens["y"]], cs)
+    verdicts, e = invariant_components(ball, [gens["y"]], cs)
     assert all(v == "invariant" for v in verdicts)
     assert e == 4
 
