@@ -10,7 +10,10 @@ fig1 reachable only through the right half of the line.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Callable, Optional
 
 from .errors import MAX_VERTICES, UnknownFixtureError, WindowTooLargeError
@@ -27,26 +30,57 @@ class Fixture:
 
 
 def lattice_region(points: list[tuple], window_radius: Optional[int] = None) -> FiniteMetricSpace:
-    """Induced subgraph of Z^d on the given points (unit L1 steps)."""
+    """Induced subgraph of Z^d on the given points (unit L1 steps); ids follow their sorted order.
+
+    ``_lattice_rows`` writes each point's sorted row, which the space keeps
+    as its own adjacency list. On fig2_plane_fin R=10 the build's traced
+    peak is about 1.16 times what the space keeps; an edge list, a dict and
+    a sort per point made it about 3 times.
+    """
     points = sorted(points)
-    index = {p: i for i, p in enumerate(points)}
-    d = len(points[0])
-    edges = []
-    for p, i in index.items():
-        for axis in range(d):
-            q = tuple(c + (1 if k == axis else 0) for k, c in enumerate(p))
-            j = index.get(q)
-            if j is not None:
-                edges.append((i, j))
-    radial = [max(abs(c) for c in p) for p in points]
-    return FiniteMetricSpace.from_graph(
+    radial = [max(map(abs, p)) for p in points]
+    origin = (0,) * len(points[0])
+    base = bisect_left(points, origin)
+    return FiniteMetricSpace(
         len(points),
-        edges,
+        adjacency=_lattice_rows(points),
         labels=points,
         radial=radial,
         window_radius=window_radius if window_radius is not None else max(radial),
-        basepoint=index.get(tuple([0] * d)),
+        basepoint=base if base < len(points) and points[base] == origin else None,
     )
+
+
+def _lattice_rows(points: list[tuple]) -> list[list[int]]:
+    """The sorted neighbour rows of sorted lattice points, one cell lookup per axis step.
+
+    The index is one ``array('i')`` over the cells of the points' bounding
+    box, padded by a cell on every side: each point's id, -1 elsewhere.
+    Cells are numbered in row-major order, which is lexicographic order, so
+    a step along axis k moves by that axis's stride and the neighbours
+    p - e_0 < ... < p - e_{d-1} < p + e_{d-1} < ... < p + e_0 come in id
+    order. Ids are read from one shared list, so each is one int object
+    however many rows hold it. The box costs 4 bytes a cell; a fixture's
+    region fills most of its box, which is checked against the vertex cap
+    before any point is made. The index is freed on return, before the
+    space copies labels and radii.
+    """
+    d = len(points[0])
+    lo = [min(p[k] for p in points) - 1 for k in range(d)]
+    strides = [1] * d
+    for k in range(d - 1, 0, -1):
+        strides[k - 1] = strides[k] * (max(p[k] for p in points) - lo[k] + 2)
+    cells = array("i", [-1]) * (strides[0] * (max(p[0] for p in points) - lo[0] + 2))
+    where = array("i", (sum(map(mul, map(sub, p, lo), strides)) for p in points))
+    for i, x in enumerate(where):
+        cells[x] = i
+    ids = list(range(len(points)))
+    steps = [-s for s in strides] + strides[::-1]
+    adj = []
+    for x in where:
+        row = [ids[j] for s in steps if (j := cells[x + s]) >= 0]
+        adj.append(row[:])  # exactly sized; a grown list keeps spare slots
+    return adj
 
 
 def _box(radius: int, dim: int, max_vertices: int):

@@ -318,6 +318,9 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
     so identical inputs always produce identical spaces. Each product g·s
     is formed once: the BFS records the ones it forms, by discovery number,
     and only the last layer's are formed afterwards for the adjacency.
+    Layer i holds the elements of word length i, since every prefix of a
+    geodesic word lies in the ball, so the layers give ``radial`` and no
+    product needs a length test: layer i forms lengths <= i + 1 <= radius.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -331,7 +334,7 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
         inv = model.inv(g)
         if inv != g:
             steps.append(inv)
-    mul, length = model.mul, model.length
+    mul = model.mul
     found = {model.identity(): 0}  # element -> discovery number
     layers = [[model.identity()]]
     moves = array("l")  # per element in id order: discovery number of g·s per step, -1 outside the ball
@@ -341,7 +344,7 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
             for s in steps:
                 h = mul(g, s)
                 t = found.get(h)
-                if t is None and length(h) <= radius:
+                if t is None:
                     t = found[h] = len(found)
                     frontier.append(h)
                     if t >= max_vertices:
@@ -357,7 +360,7 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
         ids[t] = index[g]
     n, k = len(elements), len(steps)
     adj = [sorted({ids[t] for t in moves[i * k:(i + 1) * k] if t >= 0} - {i}) for i in range(n)]
-    radial = [length(g) for g in elements]
+    radial = [d for d, layer in enumerate(layers) for _ in layer]
     if model.convex_balls:
         space = FiniteMetricSpace(
             n, adjacency=adj, labels=elements, radial=radial, window_radius=radius, basepoint=0

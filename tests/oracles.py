@@ -381,14 +381,40 @@ def chain_from_simplices(K, k, simplex_list):
     return out
 
 
-def line(lo, hi):
-    """The integer segment [lo, hi] with the path metric; labels are the integers, 0 the basepoint."""
+def from_graph(n, edges, **kw):
+    """The space on ids 0..n-1 with the path metric of an undirected edge list; kw go to the space."""
     from coarsetop.metric import FiniteMetricSpace
 
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return FiniteMetricSpace(n, adjacency=adj, **kw)
+
+
+def lattice_region_by_edges(points):
+    """The induced subgraph of Z^d on the points, ids in sorted order, from an edge list of unit steps.
+
+    The build ``fixtures.lattice_region`` once made before it wrote each
+    point's row directly.
+    """
+    points = sorted(points)
+    index = {p: i for i, p in enumerate(points)}
+    edges = []
+    for p, i in index.items():
+        for axis in range(len(p)):
+            j = index.get(tuple(c + (k == axis) for k, c in enumerate(p)))
+            if j is not None:
+                edges.append((i, j))
+    return from_graph(len(points), edges, labels=points)
+
+
+def line(lo, hi):
+    """The integer segment [lo, hi] with the path metric; labels are the integers, 0 the basepoint."""
     pts = list(range(lo, hi + 1))
     edges = [(i, i + 1) for i in range(len(pts) - 1)]
     base = -lo if lo <= 0 <= hi else None
-    return FiniteMetricSpace.from_graph(len(pts), edges, labels=pts, window_radius=max(abs(lo), abs(hi)), basepoint=base)
+    return from_graph(len(pts), edges, labels=pts, window_radius=max(abs(lo), abs(hi)), basepoint=base)
 
 
 def partition_ok(cs):

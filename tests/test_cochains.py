@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from coarsetop.cochains import RelativeComplex
 from coarsetop.groups import FreeAbelian, build_ball
-from coarsetop.metric import FiniteMetricSpace, SubsetMask
+from coarsetop.metric import SubsetMask
 from coarsetop.rips import build_rips
 
-from oracles import dense_rank_gf2, relative_coboundary_by_definition, to_rows
+from oracles import dense_rank_gf2, from_graph, relative_coboundary_by_definition, to_rows
 
 
 @st.composite
@@ -19,7 +19,7 @@ def relative_cases(draw):
     rng = random.Random(draw(st.integers(0, 10**6)))
     n = draw(st.integers(1, 10))
     p = draw(st.sampled_from([0.3, 0.6, 0.9]))
-    X = FiniteMetricSpace.from_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+    X = from_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
     V = SubsetMask(X.n, (v for v in range(n) if rng.random() < 0.8))
     interior = SubsetMask(X.n, (v for v in range(n) if rng.random() < 0.6))
     return build_rips(X, V, draw(st.integers(1, 2)), draw(st.integers(1, 3))), interior

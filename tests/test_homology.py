@@ -19,7 +19,7 @@ from coarsetop.homology import (
 from coarsetop.metric import FiniteMetricSpace, SubsetMask
 from coarsetop.rips import build_rips
 
-from oracles import bfs_distances, flood_fill_components, to_rows
+from oracles import bfs_distances, flood_fill_components, from_graph, to_rows
 
 
 def zsched(R, S_values, i=1, j=1, collar=2):
@@ -32,7 +32,7 @@ def random_graph_complex(seed, n=10, r=2, cap=3):
     rng = _random.Random(seed)
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
     edges += [(i, i + 1) for i in range(n - 1)]
-    X = FiniteMetricSpace.from_graph(n, edges)
+    X = from_graph(n, edges)
     return build_rips(X, X.full_mask(), r, cap)
 
 
@@ -73,7 +73,7 @@ def test_euler_characteristic_consistency():
 def test_circle_has_one_loop():
     n = 12
     edges = [(i, (i + 1) % n) for i in range(n)]
-    X = FiniteMetricSpace.from_graph(n, edges)
+    X = from_graph(n, edges)
     K = build_rips(X, X.full_mask(), 1, 2)
     assert reduced_homology(K, 0)[0] == 0
     assert reduced_homology(K, 1)[0] == 1

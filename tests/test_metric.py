@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsetop.errors import EmptySubsetError
-from coarsetop.fixtures import grid_fixture
+from coarsetop.fixtures import grid_fixture, lattice_region
 from coarsetop.groups import FreeAbelian, Lamplighter, WordMetricBall, build_ball
 from coarsetop.metric import (
     FiniteMetricSpace,
@@ -18,7 +18,7 @@ from coarsetop.metric import (
     neighborhood,
 )
 
-from oracles import bfs_distances, flood_fill_components, line
+from oracles import bfs_distances, flood_fill_components, from_graph, lattice_region_by_edges, line
 
 
 def line_space(lo=-10, hi=10):
@@ -29,7 +29,7 @@ def random_graph_space(rng, n, p=0.25):
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     # spanning path keeps it connected
     edges += [(i, i + 1) for i in range(n - 1)]
-    return FiniteMetricSpace.from_graph(n, edges, basepoint=0, window_radius=n)
+    return from_graph(n, edges, basepoint=0, window_radius=n)
 
 
 def test_neighborhood_on_line():
@@ -42,7 +42,8 @@ def test_neighborhood_on_line():
 def test_scale_adjacency_rejects_negative_scale():
     # the BFS stops at distance r, which a negative r never reaches
     X = line_space()
-    assert X.adjacency_at_scale(0) == [[] for _ in range(X.n)]
+    adj = X.adjacency_at_scale(0)
+    assert [list(adj[x]) for x in range(X.n)] == [[] for _ in range(X.n)]
     with pytest.raises(ValueError):
         X.adjacency_at_scale(-1)
 
@@ -58,6 +59,20 @@ def test_adjacency_lists_already_normal_are_kept_as_handed_over():
     assert all(adj[x] is not handed[x] for x in range(1, 5))
     assert handed == [[1, 2], [2, 0], [0, 1, 1, 3], [2, 3, 4], (3,)]
     assert [X.dist(0, y) for y in range(5)] == [0, 1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_region_rows_match_the_edge_list_build(d):
+    # rows written in lexicographic step order are the sorted rows of the
+    # induced subgraph, on regions with holes and in any order
+    rng = random.Random(d)
+    box = list(itertools.product(range(-2, 3), repeat=d))
+    for _ in range(5):
+        region = rng.sample(box, rng.randrange(1, len(box) + 1))
+        X, ref = lattice_region(region), lattice_region_by_edges(region)
+        assert X.labels == ref.labels
+        assert X.adjacency_at_scale(1) == ref.adjacency_at_scale(1)
+        assert X.basepoint == (ref.labels.index((0,) * d) if (0,) * d in region else None)
 
 
 def test_neighborhood_r0_is_identity():
@@ -135,7 +150,7 @@ def test_distance_matches_bfs_oracle():
     n = 15
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
     edges += [(i, i + 1) for i in range(n - 1)]
-    X = FiniteMetricSpace.from_graph(n, edges)
+    X = from_graph(n, edges)
     adj = {i: set() for i in range(n)}
     for a, b in edges:
         adj[a].add(b)

@@ -15,6 +15,7 @@ from oracles import (
     brute_force_simplices,
     chain_from_simplices,
     echelon_entries,
+    from_graph,
     line,
     reference_feeds,
     two_feeds,
@@ -224,7 +225,7 @@ def test_boundary_squared_zero_random_graphs(seed, n, r):
     rng = random.Random(seed)
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
     edges += [(i, i + 1) for i in range(n - 1)]
-    X = FiniteMetricSpace.from_graph(n, edges)
+    X = from_graph(n, edges)
     K = build_rips(X, X.full_mask(), r, 3)
     for k in range(1, 4):
         if K.n_simplices(k):
@@ -238,7 +239,7 @@ def test_fill_soundness_random_graphs(seed):
     n = 9
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45]
     edges += [(i, i + 1) for i in range(n - 1)]
-    X = FiniteMetricSpace.from_graph(n, edges)
+    X = from_graph(n, edges)
     K = build_rips(X, X.full_mask(), 2, 2)
     if not K.n_simplices(2):
         return
@@ -288,7 +289,7 @@ def cone_cases(draw):
     if kind == "graph":
         n = draw(st.integers(6, 10))
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35]
-        X = FiniteMetricSpace.from_graph(n, edges + [(i, i + 1) for i in range(n - 1)])
+        X = from_graph(n, edges + [(i, i + 1) for i in range(n - 1)])
     else:
         X = _grid(2, 4) if kind == "Z2" else _grid(3, 2)
     region = SubsetMask(X.n, (v for v in range(X.n) if v == 0 or rng.random() < 0.85))
@@ -422,7 +423,7 @@ def small_spaces(draw):
     rng = random.Random(draw(st.integers(0, 10**6)))
     n = draw(st.integers(1, 12))
     if draw(st.booleans()):
-        X = FiniteMetricSpace.from_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3])
+        X = from_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3])
     else:
         table = [[0] * n for _ in range(n)]
         for a in range(n):
@@ -566,7 +567,7 @@ def test_lazy_uncone_matches_the_eager_definition(case, stop):
 
 import tracemalloc
 
-from coarsetop.fixtures import grid_fixture
+from coarsetop.fixtures import grid_fixture, lattice_region
 
 
 def test_build_rips_keeps_a_few_bytes_per_simplex():
@@ -622,3 +623,54 @@ def test_tracked_packed_echelon_keeps_a_few_bytes_per_pivot():
     # one more int array: about 15 bytes a pivot, where a dict entry with a
     # (1, n) combination tuple took 218
     assert _bytes_per_pivot(track=True) <= 40
+
+
+def test_scale_adjacency_keeps_about_four_bytes_a_neighbour():
+    # fig2_plane_fin R=6 at scale 2: 38,314 neighbour entries over 1,911
+    # points. One array of neighbours plus per-point offsets keeps about
+    # 4.4 bytes an entry, offsets and the arrays' spare room included,
+    # where a list of ints per point kept 11.4
+    X = grid_fixture("fig2_plane_fin", 6).space
+    tracemalloc.start()
+    try:
+        adj = X.adjacency_at_scale(2)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(adj[x]) for x in range(X.n))
+    assert entries == 38_314
+    assert kept / entries <= 4.5
+
+
+def test_simplices_within_peaks_near_its_result():
+    # the triangles of fig2_plane_fin R=6 at scale 2 with every vertex at
+    # z >= 0: each level grows in an array('i'), so the traced peak is the
+    # result, the level before it and the arrays' spare room, about 1.4
+    # times the result; lists of ints peaked at about 14 times. The
+    # constant covers the sorted vertex ids of the mask
+    X = grid_fixture("fig2_plane_fin", 6).space
+    K = build_rips(X, X.full_mask(), 2, 2)
+    mask = X.mask_where(lambda p: p[2] >= 0)
+    tracemalloc.start()
+    try:
+        within = K.simplices_within(2, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(within) == 20_282
+    assert peak <= 1.5 * within.itemsize * len(within) + 64 * 1024
+
+
+def test_lattice_region_peaks_near_what_it_keeps():
+    # fig2_plane_fin R=6 from its 1,911 sorted points: rows written
+    # directly through a box index peak about 1.16 times what the space
+    # keeps; an edge list, appended rows and an index dict peaked at 2.07
+    points = grid_fixture("fig2_plane_fin", 6).space.labels
+    tracemalloc.start()
+    try:
+        X = lattice_region(points, 6)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.n == 1_911
+    assert peak <= 1.25 * kept
