@@ -14,8 +14,12 @@ and BFS backs all distance queries. Other balls, the lamplighter's, are a
 row is |g^-1 h| over the ball, computed when first asked for, and the
 points within r of a set S are the translates s B_r(e), which it hands to
 the one neighbourhood hook of :mod:`metric` (``_near``) while r is at most
-the radius. No distance table is built. Both metrics are exposed on the
-ball.
+the radius; its scale-1 rows are the Cayley graph's. No distance table is
+built. Both metrics are exposed on the ball.
+
+A ball keeps its BFS's move table, the multiplier table of the generator
+steps (Epstein et al., *Word Processing in Groups*, 1992), and its action
+tables read ids from it instead of forming and hashing normal forms.
 """
 
 from __future__ import annotations
@@ -176,7 +180,9 @@ class Amalgam(GroupModel):
     def mul(self, g, h):
         u, (a,) = g
         v, (b,) = h
-        n, m = len(u), 0  # m letters of u's tail cancel against v's head
+        if not u or not v or u[-1] != -v[0]:  # nothing cancels: every y-step, most BFS steps
+            return (u + v, (a + b,))
+        n, m = len(u), 1  # m letters of u's tail cancel against v's head
         top = min(n, len(v))
         while m < top and u[n - 1 - m] == -v[m]:
             m += 1
@@ -244,16 +250,21 @@ class WordMetricBall(FiniteMetricSpace):
     """A group ball with the global word metric, for balls that are not convex.
 
     ``elements`` are normal forms in (word length, sort key) order with the
-    identity first, and ``index`` inverts them.
+    identity first, and ``index`` inverts them. The scale-1 rows are the
+    Cayley adjacency, taken as handed over: |x^-1 y| = 1 exactly when
+    y = x·s for a step s, so they cost no product.
     """
 
-    def __init__(self, model: GroupModel, elements: list, index: dict, radial: list, radius: int):
+    def __init__(
+        self, model: GroupModel, elements: list, index: dict, radial: list, radius: int, cayley_adjacency: list
+    ):
         self.model = model
         self.elements = elements
         self.index = index
         super().__init__(
             len(elements), labels=elements, radial=radial, window_radius=radius, basepoint=0
         )
+        self._scale_adj_cache[1] = cayley_adjacency
 
     def _compute_row(self, x: int) -> array:
         mul, length = self.model.mul, self.model.length
@@ -280,7 +291,12 @@ class WordMetricBall(FiniteMetricSpace):
 
 @dataclass
 class BallModel:
-    """All elements of word length <= radius, with both metrics and a partial action."""
+    """All elements of word length <= radius, with both metrics and a partial action.
+
+    The last three fields are the BFS's, over k steps, shared by every ball
+    cut out of this one. The BFS numbers elements as it first forms them,
+    layer by layer, so B_r holds exactly the discovery numbers below |B_r|.
+    """
 
     model: GroupModel
     radius: int
@@ -288,6 +304,9 @@ class BallModel:
     index: dict
     space: FiniteMetricSpace
     cayley_adjacency: list[list[int]]
+    moves: array  # per id x, k entries: the discovery number of x·s per step s, -1 outside the built ball
+    ids: list  # discovery number -> id; a list, whose int objects the rows and tables share
+    origin: array  # per id x > 0: the position p·k + s in moves of the move that first reached x, |p| = |x| - 1
 
     def act_left(self, g, x: int) -> Optional[int]:
         """Id of g * elements[x], or None when the product leaves the window."""
@@ -297,7 +316,27 @@ class BallModel:
         return self.index.get(self.model.mul(self.elements[x], g))
 
     def action_table(self, g) -> list[Optional[int]]:
-        return [self.act_left(g, x) for x in range(len(self.elements))]
+        """``[act_left(g, x) for x in ids]``, read off the move table where it can be.
+
+        Filled in id order by a recurrence over ``origin``: if x = p·s with p
+        one layer shorter, then g·x = (g·p)·s, whose discovery number the
+        table holds in row g·p. Only where g·p leaves the window is g·x formed
+        as a product (``act_left``), so the table is exact for any g. A
+        generator step keeps |g·p| <= |p| + 1 <= radius and forms no product.
+        """
+        n, moves, ids, origin = len(self.elements), self.moves, self.ids, self.origin
+        k = len(moves) // len(ids)  # the arrays may be a larger ball's
+        table = [self.index.get(g)]
+        append = table.append
+        for x, pos in enumerate(origin[1:n], 1):
+            p = pos // k
+            gp = table[p]
+            if gp is None:
+                append(self.act_left(g, x))
+            else:
+                t = moves[pos + (gp - p) * k]  # pos = p·k + s, so this is (g·p)·s
+                append(ids[t] if 0 <= t < n else None)
+        return table
 
     def induced_space(self) -> FiniteMetricSpace:
         """The ball with the path metric of its own Cayley subgraph."""
@@ -317,7 +356,9 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
     Element ids are assigned in (word length, normal-form sort key) order,
     so identical inputs always produce identical spaces. Each product g·s
     is formed once: the BFS records the ones it forms, by discovery number,
-    and only the last layer's are formed afterwards for the adjacency.
+    and only the last layer's are formed afterwards for the adjacency. The
+    ball keeps that move table, with the move that first reached each
+    element, for its action tables.
     Layer i holds the elements of word length i, since every prefix of a
     geodesic word lies in the ball, so the layers give ``radial`` and no
     product needs a length test: layer i forms lengths <= i + 1 <= radius.
@@ -336,8 +377,9 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
             steps.append(inv)
     mul = model.mul
     found = {model.identity(): 0}  # element -> discovery number
+    reached = array("i", [-1])  # discovery number -> position in moves of the move that found it
     layers = [[model.identity()]]
-    moves = array("l")  # per element in id order: discovery number of g·s per step, -1 outside the ball
+    moves = array("i")
     for _ in range(radius):
         frontier = []
         for g in layers[-1]:  # the layers before come in id order, so g's moves land at its id
@@ -346,20 +388,23 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
                 t = found.get(h)
                 if t is None:
                     t = found[h] = len(found)
+                    reached.append(len(moves))
                     frontier.append(h)
                     if t >= max_vertices:
                         raise WindowTooLargeError(t + 1, max_vertices)
-                moves.append(-1 if t is None else t)
+                moves.append(t)
         layers.append(sorted(frontier, key=model.sortkey))
     for g in layers[-1]:
         moves.extend(found.get(mul(g, s), -1) for s in steps)
     elements = [g for layer in layers for g in layer]
     index = {g: i for i, g in enumerate(elements)}
-    ids = [0] * len(elements)  # discovery number -> id
-    for g, t in found.items():
-        ids[t] = index[g]
+    ids = [index[g] for g in found]  # found iterates in discovery order
     n, k = len(elements), len(steps)
-    adj = [sorted({ids[t] for t in moves[i * k:(i + 1) * k] if t >= 0} - {i}) for i in range(n)]
+    origin = array("i", bytes(4 * n))
+    for t, x in enumerate(ids):
+        origin[x] = reached[t]
+    # the steps are distinct and none is the identity, so a row has no repeat and not its own point
+    adj = [sorted([ids[t] for t in moves[i * k:(i + 1) * k] if t >= 0]) for i in range(n)]
     radial = [d for d, layer in enumerate(layers) for _ in layer]
     if model.convex_balls:
         space = FiniteMetricSpace(
@@ -367,8 +412,8 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
         )
         adj = space.adjacency_at_scale(1)  # the space's own lists, shared
     else:
-        space = WordMetricBall(model, elements, index, radial, radius)
-    return BallModel(model, radius, elements, index, space, adj)
+        space = WordMetricBall(model, elements, index, radial, radius, adj)
+    return BallModel(model, radius, elements, index, space, adj, moves, ids, origin)
 
 
 def restrict_ball(ball: BallModel, r: int) -> BallModel:
@@ -376,7 +421,9 @@ def restrict_ball(ball: BallModel, r: int) -> BallModel:
 
     Ids are in (word length, sort key) order, so B_r is the prefix of the
     elements up to length r, and each Cayley adjacency list is cut at its
-    size; the result equals ``build_ball(ball.model, r)``.
+    size; the result equals ``build_ball(ball.model, r)``. The BFS
+    discovered B_r before anything longer, so the move table, ``ids`` and
+    ``origin`` are shared uncut: a discovery number >= |B_r| is outside.
     """
     if not ball.model.convex_balls or not 1 <= r <= ball.radius:
         raise ValueError(f"cannot restrict a radius-{ball.radius} ball to radius {r}")
@@ -388,7 +435,9 @@ def restrict_ball(ball: BallModel, r: int) -> BallModel:
     index = {g: i for i, g in enumerate(elements)}
     adj = [a[: bisect_left(a, n)] for a in ball.cayley_adjacency[:n]]
     space = FiniteMetricSpace(n, adjacency=adj, labels=elements, radial=radial[:n], window_radius=r, basepoint=0)
-    return BallModel(ball.model, r, elements, index, space, space.adjacency_at_scale(1))
+    return BallModel(
+        ball.model, r, elements, index, space, space.adjacency_at_scale(1), ball.moves, ball.ids, ball.origin
+    )
 
 
 # -- subgroup traces ----------------------------------------------------------------

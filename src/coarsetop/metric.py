@@ -15,13 +15,14 @@ scan rows, and a subclass may answer it faster. ``dist_to_set``,
 ``adjacency_at_scale``, graph rows and ``components`` derive from these
 two and are never overridden. This class alone validates scales and
 limits and caches rows and scale adjacencies; only ``dist_row`` stores a
-row.
+row, and a subclass may only seed the scale-1 entry.
 
 A scale adjacency is read one way at every scale: ``adj[x]`` gives the sorted
 ids at distance in (0, r] from x. A graph space's scale 1 is its own
 adjacency lists, ``_adj``, one Python list per point, because every flood
 over the graph reads them: the same flood over array rows ran 2.5 to 3.3
-times slower on the fig2 R=10 and amalgam R=7 graphs. Every other scale is
+times slower on the fig2 R=10 and amalgam R=7 graphs; ``groups.WordMetricBall``
+seeds its scale 1 with its Cayley graph's lists. Every other scale is
 computed once and stored flat as :class:`FlatRows`, one ``array('i')`` of
 all rows end to end plus per-point offsets. On fig2 R=10 at scale 2 that
 is 4.4 bytes a neighbour, offsets included, where a list per point took
@@ -142,7 +143,8 @@ class FiniteMetricSpace:
     the defining model and drives collar logic; ``window_radius`` is the
     radius the window was constructed at. An adjacency list handed over
     sorted, without duplicates and without its own point is kept as the
-    space's own, not copied, so the caller must not change it afterwards.
+    space's own, not copied, and so are ``labels`` and ``radial`` handed
+    over as lists, so the caller must not change them afterwards.
     """
 
     def __init__(
@@ -166,13 +168,13 @@ class FiniteMetricSpace:
             for x, a in enumerate(adjacency)
         ]
         self._table = [array("i", row) for row in table] if table is not None else None
-        self.labels = list(labels) if labels is not None else None
+        self.labels = labels if labels is None or type(labels) is list else list(labels)
         self.window_radius = window_radius
         self.basepoint = basepoint
         self._row_cache: dict[int, array] = {}
         self._scale_adj_cache: dict[int, Sequence[Sequence[int]]] = {}
         if radial is not None:
-            self.radial = list(radial)
+            self.radial = radial if type(radial) is list else list(radial)
         elif basepoint is not None:
             self.radial = [d if d != UNREACHABLE else 10**9 for d in self.dist_row(basepoint)]
         else:

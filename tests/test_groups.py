@@ -2,11 +2,13 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsetop.cli import main
 from coarsetop.errors import BadSubgroupSpecError, WindowTooLargeError
 from coarsetop.fixtures import grid_fixture, list_fixtures
 from coarsetop.groups import (
@@ -20,6 +22,14 @@ from coarsetop.groups import (
     subgroup_trace,
 )
 from oracles import amalgam_mul_reference, bfs_distances, cyclic_trace_by_powers
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
+
+
+def _steps(model):
+    """The generators and their inverses, each once."""
+    gens = [g for _, g in model.generators()]
+    return gens + [model.inv(g) for g in gens if model.inv(g) != g]
 
 
 def test_ball_sizes_trivial():
@@ -141,6 +151,30 @@ def test_partial_action_isometry(z2_ball_10):
                 assert ball.space.dist(ix, iy) == ball.space.dist(x, y)
 
 
+@pytest.mark.parametrize(
+    "model,R",
+    [(FreeAbelian(2), 6), (FreeAbelian(3), 4), (FreeGroup(2), 4), (amalgam_z2_z_z2(), 4), (Lamplighter(), 5)],
+    ids=["Z2-6", "Z3-4", "F2-4", "amalgam-4", "lamplighter-5"],
+)
+def test_action_tables_are_exact(model, R):
+    # read off the move table or formed as products where g·p leaves the
+    # window, every table is the product definition: on the full ball and on
+    # every cut, for generator steps and for words of up to 2R + 2 letters,
+    # whose images leave the window and come back
+    big = build_ball(model, R)
+    steps = _steps(model)
+    rng, words = random.Random(R), []
+    for _ in range(12):
+        g = model.identity()
+        for _ in range(rng.randint(1, 2 * R + 2)):
+            g = model.mul(g, rng.choice(steps))
+        words.append(g)
+    balls = [restrict_ball(big, r) for r in range(1, R + 1)] if model.convex_balls else [big]
+    for ball in balls:
+        for g in steps + words:
+            assert ball.action_table(g) == [ball.act_left(g, x) for x in range(len(ball.elements))], (ball.radius, g)
+
+
 def test_amalgam_model_basics():
     model = amalgam_z2_z_z2()
     gens = dict(model.generators())
@@ -185,6 +219,7 @@ def test_amalgam_length_is_cayley_distance():
 def test_restricted_ball_equals_built_ball(model, R, radii):
     big = build_ball(model, R)
     assert restrict_ball(big, R) is big
+    rng = random.Random(R)
     for r in radii:
         cut, fresh = restrict_ball(big, r), build_ball(model, r)
         assert cut.radius == r and cut.space.window_radius == r
@@ -195,6 +230,9 @@ def test_restricted_ball_equals_built_ball(model, R, radii):
         for scale in (1, 3):
             a, b = cut.space.adjacency_at_scale(scale), fresh.space.adjacency_at_scale(scale)
             assert [list(a[x]) for x in range(fresh.space.n)] == [list(b[x]) for x in range(fresh.space.n)]
+        # the cut shares the big ball's move table; its tables are the fresh ball's
+        for g in _steps(model) + rng.sample(big.elements, 5):
+            assert cut.action_table(g) == fresh.action_table(g), (r, g)
 
 
 def test_restriction_needs_a_convex_family():
@@ -239,6 +277,10 @@ def test_word_metric_ball_matches_dense_definition(model, R):
     assert not space._row_cache  # no scale or field left rows behind
     for x in range(n):
         assert list(space.dist_row(x)) == dense[x]
+    # scale 1 is the Cayley graph: the points at distance exactly 1
+    adj = space.adjacency_at_scale(1)
+    for x in range(n):
+        assert set(adj[x]) == {y for y, d in enumerate(space.dist_row(x)) if d == 1}
 
 
 def test_word_metric_ball_length_calls_linear():
@@ -280,6 +322,51 @@ def test_build_ball_forms_each_product_once(family, args, R):
     for i, g in enumerate(ball.elements):
         near = {ball.index.get(model.mul(g, s)) for s in steps} - {None, i}
         assert ball.cayley_adjacency[i] == sorted(near)
+
+
+@pytest.mark.parametrize(
+    "family,args,R",
+    [(amalgam_z2_z_z2, (), 5), (Lamplighter, (), 5), (FreeGroup, (2,), 4), (FreeAbelian, (3,), 4)],
+    ids=["amalgam-5", "lamplighter-5", "F2-4", "Z3-4"],
+)
+def test_generator_action_tables_form_no_product(family, args, R):
+    # |g·p| <= |p| + 1 <= r for a step g, so each row is read off the move table
+    class Counting(family):
+        calls = 0
+
+        def mul(self, g, h):
+            Counting.calls += 1
+            return super().mul(g, h)
+
+    model = Counting(*args)
+    big = build_ball(model, R)
+    balls = [big, restrict_ball(big, R - 2)] if model.convex_balls else [big]
+    Counting.calls = 0
+    for ball in balls:
+        for g in _steps(model):
+            assert None not in ball.action_table(g)[: ball.space.radial.index(ball.radius)]
+    assert Counting.calls == 0
+
+
+@pytest.mark.parametrize(
+    "scenario,family,products",
+    [("amalgam_R7", amalgam_z2_z_z2, 96_304), ("lamplighter_R10", Lamplighter, 4_624)],
+)
+def test_group_ball_scenarios_form_a_fixed_number_of_products(tmp_path, monkeypatch, scenario, family, products):
+    # a work counter on the benchmark's group-ball scenarios: the BFS's
+    # products, the almost-invariant extract's and a few trace steps; no
+    # action table by a generator and no scale-1 row forms one
+    calls = 0
+    mul = family.mul
+
+    def counting(self, g, h):
+        nonlocal calls
+        calls += 1
+        return mul(self, g, h)
+
+    monkeypatch.setattr(family, "mul", counting)
+    assert main(["run", str(SCENARIOS / "group-balls" / f"{scenario}.json"), "--out", str(tmp_path)]) == 0
+    assert calls == products
 
 
 def test_subgroup_traces(z2_ball_10, f2_ball_6):
