@@ -54,6 +54,7 @@ from .metric import SubsetMask
 from .mobility import Cocycle, coarse_manifold_detector, stab_mob_comparison
 from .rips import build_rips
 from .separation import (
+    CoarseComponentSet,
     complement_components,
     coarse_n_separation,
     almost_invariant_extract,
@@ -89,7 +90,7 @@ class ScenarioContext:
             self.fixture = grid_fixture(spec["name"], spec["radius"], max_vertices=self.max_vertices)
             self.space = self.fixture.space
         self.w = self._resolve_w(scenario.get("w"))
-        self._deep: dict[tuple[int, int, int], list] = {}  # (r, A, collar) -> deep components
+        self._components: dict[tuple[int, int, int], CoarseComponentSet] = {}  # (r, A, collar) -> W's components
 
     def _resolve_w(self, wspec):
         if wspec is None:
@@ -113,14 +114,18 @@ class ScenarioContext:
         except BadSubgroupSpecError as err:  # an unknown name in the scenario, as for W
             raise CoarseTopError("scenario-invalid", f"invariance_generators: {err}") from err
 
+    def components(self, r: int, A: int, collar: int) -> CoarseComponentSet:
+        """W's complementary components in the scenario's space, computed once per (r, A, collar)."""
+        key = (r, A, collar)
+        if key not in self._components:
+            self._components[key] = complement_components(self.space, self.w, r, A, collar=collar)
+        return self._components[key]
+
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
             return self.fixture.components[name]
         raise_on_bad(str(name).isdecimal(), f"unknown component {name!r}")
-        key = (r, A, collar)
-        if key not in self._deep:
-            self._deep[key] = complement_components(self.space, self.w, r, A, collar=collar).deep_components()
-        deep = self._deep[key]
+        deep = self.components(r, A, collar).deep_components()
         idx = int(name)
         raise_on_bad(0 <= idx < len(deep), f"component index {idx} out of range ({len(deep)} deep)")
         return deep[idx].mask
@@ -175,16 +180,17 @@ def run_separate(ctx: ScenarioContext, params: dict) -> dict:
         subgroup_w = ctx.w_spec is not None and ctx.w_spec.get("kind") == "subgroup"
         raise_on_bad(subgroup_w, "windowed separation needs a subgroup w to rebuild per radius")
         for R in windows:
-            if R == ctx.ball.radius:
-                ball = ctx.ball
-            elif R < ctx.ball.radius and ctx.ball.model.convex_balls:  # a prefix of the scenario's ball
+            if R == ctx.ball.radius:  # the scenario's own components
+                rows.append((ctx.ball, ctx.components(r, A, collar)))
+                continue
+            if R < ctx.ball.radius and ctx.ball.model.convex_balls:  # a prefix of the scenario's ball
                 ball = restrict_ball(ctx.ball, R)
             else:
                 ball = build_ball(ctx.ball.model, R, max_vertices=ctx.max_vertices)
-            w = ctx.w if ball is ctx.ball else subgroup_trace(ball, ctx.w_spec["spec"])
+            w = subgroup_trace(ball, ctx.w_spec["spec"])
             rows.append((ball, complement_components(ball.space, w, r, A, collar=collar)))
     else:
-        rows.append((ctx.ball, complement_components(ctx.space, ctx.w, r, A, collar=collar)))
+        rows.append((ctx.ball, ctx.components(r, A, collar)))
     inv_counts = None
     if gens:
         inv_counts = [invariant_components(ball, gens, cs)[1] for ball, cs in rows]

@@ -45,9 +45,7 @@ from .separation import is_coarse_complementary, simplex_dichotomy_check
 
 @dataclass
 class AlmostEssentialReport:
-    A: int
-    B: Optional[int]  # smallest working B, None when none in the grid works
-    verdict: str  # "B=<n>" | "fails-at-window"
+    verdict: str  # "B=<n>" with the smallest working B, or "fails-at-window" when none in the grid works
     window_radius: int
 
 
@@ -66,13 +64,13 @@ def almost_essential_probe(
     interior = X.interior_mask(2)
     targets = (W & interior).sorted_ids()
     if not targets or len(core) == 0:
-        return AlmostEssentialReport(A, None, "fails-at-window", X.window_radius or -1)
+        return AlmostEssentialReport("fails-at-window", X.window_radius or -1)
     d = X.dist_to_set(core.ids, max([0, *B_grid]))  # a need beyond every B reads inf
     need = max(d[w] for w in targets)
     for B in sorted(B_grid):
         if need <= B:
-            return AlmostEssentialReport(A, B, f"B={B}", X.window_radius or -1)
-    return AlmostEssentialReport(A, None, "fails-at-window", X.window_radius or -1)
+            return AlmostEssentialReport(f"B={B}", X.window_radius or -1)
+    return AlmostEssentialReport("fails-at-window", X.window_radius or -1)
 
 
 # -- essential probe ----------------------------------------------------------------
@@ -265,9 +263,6 @@ class MVPieces:
 
 @dataclass
 class MVReport:
-    r: int
-    A: int
-    collar: int
     dichotomy: bool
     ses_ok: dict[int, bool]
     exactness: dict[str, bool]
@@ -320,7 +315,7 @@ def mv_assemble(
     for k in range(cap - 1):
         exactness[f"middle-H{k}"] = _exact_at_middle(pieces, k)
         exactness[f"w-H{k}"] = _exact_at_w(pieces, k)
-    return MVReport(r, A, collar, dichotomy, ses_ok, exactness, pieces)
+    return MVReport(dichotomy, ses_ok, exactness, pieces)
 
 
 def connecting_entry(pieces: MVPieces, deg: int, sigma: int) -> dict:

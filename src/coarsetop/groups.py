@@ -19,7 +19,12 @@ built. Both metrics are exposed on the ball.
 
 A ball keeps its BFS's move table, the multiplier table of the generator
 steps (Epstein et al., *Word Processing in Groups*, 1992), and its action
-tables read ids from it instead of forming and hashing normal forms.
+tables and right steps read ids from it instead of forming and hashing
+normal forms. Every family's relators have even length, so each step
+changes word length by exactly one and no two elements of one BFS layer
+are adjacent. The in-ball moves of the last layer then all lead one layer
+down, and the BFS fills them by transposing the moves of the layer below
+instead of forming their products.
 """
 
 from __future__ import annotations
@@ -35,7 +40,11 @@ from .metric import FiniteMetricSpace, SubsetMask
 
 
 class GroupModel:
-    """Base class; subclasses provide normal forms and word length."""
+    """Base class; subclasses provide normal forms and word length.
+
+    Every relator of a family must have even length: then no step joins two
+    elements of one word length, which ``build_ball``'s last layer relies on.
+    """
 
     convex_balls: bool = False
 
@@ -293,9 +302,9 @@ class WordMetricBall(FiniteMetricSpace):
 class BallModel:
     """All elements of word length <= radius, with both metrics and a partial action.
 
-    The last three fields are the BFS's, over k steps, shared by every ball
-    cut out of this one. The BFS numbers elements as it first forms them,
-    layer by layer, so B_r holds exactly the discovery numbers below |B_r|.
+    The last four fields are the BFS's, shared by every ball cut out of
+    this one. The BFS numbers elements as it first forms them, layer by
+    layer, so B_r holds exactly the discovery numbers below |B_r|.
     """
 
     model: GroupModel
@@ -307,12 +316,17 @@ class BallModel:
     moves: array  # per id x, k entries: the discovery number of x·s per step s, -1 outside the built ball
     ids: list  # discovery number -> id; a list, whose int objects the rows and tables share
     origin: array  # per id x > 0: the position p·k + s in moves of the move that first reached x, |p| = |x| - 1
+    steps: list  # the k generator steps, in the order of each element's moves
 
     def act_left(self, g, x: int) -> Optional[int]:
         """Id of g * elements[x], or None when the product leaves the window."""
         return self.index.get(self.model.mul(g, self.elements[x]))
 
     def act_right(self, x: int, g) -> Optional[int]:
+        """Id of elements[x] * g, or None outside the window; a step g is read off the move table."""
+        if g in self.steps:
+            t = self.moves[x * len(self.steps) + self.steps.index(g)]
+            return self.ids[t] if 0 <= t < len(self.elements) else None
         return self.index.get(self.model.mul(self.elements[x], g))
 
     def action_table(self, g) -> list[Optional[int]]:
@@ -324,8 +338,7 @@ class BallModel:
         as a product (``act_left``), so the table is exact for any g. A
         generator step keeps |g·p| <= |p| + 1 <= radius and forms no product.
         """
-        n, moves, ids, origin = len(self.elements), self.moves, self.ids, self.origin
-        k = len(moves) // len(ids)  # the arrays may be a larger ball's
+        n, moves, ids, origin, k = len(self.elements), self.moves, self.ids, self.origin, len(self.steps)
         table = [self.index.get(g)]
         append = table.append
         for x, pos in enumerate(origin[1:n], 1):
@@ -355,10 +368,13 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
 
     Element ids are assigned in (word length, normal-form sort key) order,
     so identical inputs always produce identical spaces. Each product g·s
-    is formed once: the BFS records the ones it forms, by discovery number,
-    and only the last layer's are formed afterwards for the adjacency. The
-    ball keeps that move table, with the move that first reached each
-    element, for its action tables.
+    is formed at most once: the BFS records the ones it forms, by discovery
+    number, and the ball keeps that move table, with the move that first
+    reached each element, for its action tables. The last layer R
+    discovers nothing, and its moves are not formed but transposed: the
+    relators have even length, so x·s in the ball has length R - 1, x·s = p
+    exactly when p·s^-1 = x for p in layer R - 1, and each such move of p
+    sets x's entry for s; every other entry of x is outside.
     Layer i holds the elements of word length i, since every prefix of a
     geodesic word lies in the ball, so the layers give ``radial`` and no
     product needs a length test: layer i forms lengths <= i + 1 <= radius.
@@ -394,12 +410,19 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
                         raise WindowTooLargeError(t + 1, max_vertices)
                 moves.append(t)
         layers.append(sorted(frontier, key=model.sortkey))
-    for g in layers[-1]:
-        moves.extend(found.get(mul(g, s), -1) for s in steps)
     elements = [g for layer in layers for g in layer]
     index = {g: i for i, g in enumerate(elements)}
     ids = [index[g] for g in found]  # found iterates in discovery order
     n, k = len(elements), len(steps)
+    inner = n - len(layers[-1])  # |B_{R-1}|, also the first discovery number of layer R
+    back = [steps.index(model.inv(s)) for s in steps]
+    moves.extend(array("i", [-1]) * (len(layers[-1]) * k))
+    for p, g in enumerate(layers[-2], inner - len(layers[-2])):
+        d = found[g]
+        for s in range(k):
+            t = moves[p * k + s]
+            if t >= inner:
+                moves[ids[t] * k + back[s]] = d
     origin = array("i", bytes(4 * n))
     for t, x in enumerate(ids):
         origin[x] = reached[t]
@@ -413,7 +436,16 @@ def build_ball(model: GroupModel, radius: int, max_vertices: int = MAX_VERTICES)
         adj = space.adjacency_at_scale(1)  # the space's own lists, shared
     else:
         space = WordMetricBall(model, elements, index, radial, radius, adj)
-    return BallModel(model, radius, elements, index, space, adj, moves, ids, origin)
+    return BallModel(model, radius, elements, index, space, adj, moves, ids, origin, steps)
+
+
+def invert_table(table: list) -> list[Optional[int]]:
+    """g^-1's action table from g's: g^-1·z = x exactly when g·x = z and both lie in the window."""
+    inverse = [None] * len(table)
+    for x, z in enumerate(table):
+        if z is not None:
+            inverse[z] = x
+    return inverse
 
 
 def restrict_ball(ball: BallModel, r: int) -> BallModel:
@@ -422,8 +454,9 @@ def restrict_ball(ball: BallModel, r: int) -> BallModel:
     Ids are in (word length, sort key) order, so B_r is the prefix of the
     elements up to length r, and each Cayley adjacency list is cut at its
     size; the result equals ``build_ball(ball.model, r)``. The BFS
-    discovered B_r before anything longer, so the move table, ``ids`` and
-    ``origin`` are shared uncut: a discovery number >= |B_r| is outside.
+    discovered B_r before anything longer, so the move table, ``ids``,
+    ``origin`` and the steps are shared uncut: a discovery number >= |B_r|
+    is outside.
     """
     if not ball.model.convex_balls or not 1 <= r <= ball.radius:
         raise ValueError(f"cannot restrict a radius-{ball.radius} ball to radius {r}")
@@ -435,9 +468,8 @@ def restrict_ball(ball: BallModel, r: int) -> BallModel:
     index = {g: i for i, g in enumerate(elements)}
     adj = [a[: bisect_left(a, n)] for a in ball.cayley_adjacency[:n]]
     space = FiniteMetricSpace(n, adjacency=adj, labels=elements, radial=radial[:n], window_radius=r, basepoint=0)
-    return BallModel(
-        ball.model, r, elements, index, space, space.adjacency_at_scale(1), ball.moves, ball.ids, ball.origin
-    )
+    adj = space.adjacency_at_scale(1)  # the space's own lists, shared
+    return BallModel(ball.model, r, elements, index, space, adj, ball.moves, ball.ids, ball.origin, ball.steps)
 
 
 # -- subgroup traces ----------------------------------------------------------------
@@ -581,6 +613,7 @@ __all__ = [
     "WordMetricBall",
     "BallModel",
     "build_ball",
+    "invert_table",
     "restrict_ball",
     "subgroup_trace",
     "CommensurabilityReport",

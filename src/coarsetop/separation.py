@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CoarseTopError, EmptySubsetError
-from .groups import BallModel, trend_verdict
+from .groups import BallModel, invert_table, trend_verdict
 from .metric import FiniteMetricSpace, SubsetMask, hausdorff_distance, neighborhood
 
 
@@ -52,10 +52,6 @@ class CoarseComponentSet:
     """Components of the r-adjacency graph off N_A(W), with depth labels."""
 
     space: FiniteMetricSpace
-    w: SubsetMask
-    r: int
-    A: int
-    collar: int
     nA: SubsetMask
     components: list[CoarseComponent]
 
@@ -83,7 +79,7 @@ def complement_components(
         raise EmptySubsetError("W must be nonempty")
     nA, depth = _separation(X, W, A, collar)
     comps = [CoarseComponent(SubsetMask(X.n, comp), *depth(comp)) for comp in X.components(~nA, r)]
-    return CoarseComponentSet(X, W, r, A, collar, nA, comps)
+    return CoarseComponentSet(X, nA, comps)
 
 
 def _separation(
@@ -162,13 +158,13 @@ def invariant_components(
     Verdicts are "invariant", "not", or "undetermined-at-window" when the
     partial action never lands inside the window. The e-side count groups
     components into orbits of the partial action; each deep orbit union is
-    an H-invariant complementary set.
+    an H-invariant complementary set. Each generator's table is built
+    once and g^-1's is its inverse partial permutation (``invert_table``).
     """
-    steps = []
+    tables = []
     for g in generators:
-        steps.append(g)
-        steps.append(ball.model.inv(g))
-    tables = [ball.action_table(g) for g in steps]
+        table = ball.action_table(g)
+        tables += [table, invert_table(table)]
     verdicts = []
     n = len(components.components)
     parent = list(range(n))
@@ -240,7 +236,7 @@ def stabilizer_trace(
     for h_id in H.sorted_ids():
         h = ball.elements[h_id]
         table = ball.action_table(h)
-        inv_table = ball.action_table(ball.model.inv(h))
+        inv_table = invert_table(table)
         ok = True
         for v in core:
             for tb in (table, inv_table):

@@ -184,6 +184,38 @@ def test_windowed_separation_reuses_scenario_ball(monkeypatch):
     assert sorted(radii) == [4, 5, 6]
 
 
+def test_scenario_computes_each_component_set_once(monkeypatch):
+    # separate and almost-invariant's component share the scenario's set at
+    # (r, A, collar) = (1, 0, 2): its own-radius window and its windowless
+    # row read it; only the smaller windows compute their own
+    import coarsetop.cli as cli
+
+    radii = []
+    complement_components = cli.complement_components
+
+    def counting(X, W, r, A, collar=2):
+        radii.append(X.window_radius)
+        return complement_components(X, W, r, A, collar=collar)
+
+    monkeypatch.setattr(cli, "complement_components", counting)
+    extract = {"analysis": "almost-invariant"}
+    amalgam = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "amalgam_z2_z_z2", "radius": 7},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "y"}},
+        "analyses": [{"analysis": "separate", "windows": [5, 6, 7], "invariance_generators": ["y"]}, extract],
+    }
+    report, code = run_scenario(amalgam)
+    assert code == 0 and sorted(radii) == [5, 6, 7]
+    radii.clear()
+    alone, _ = run_scenario({**amalgam, "analyses": [extract]})
+    assert radii == [7] and alone["results"][0] == report["results"][1]
+    radii.clear()
+    plane = {**Z2_AXIS, "analyses": [{"analysis": "separate", "invariance_generators": ["a"]}, extract]}
+    _, code = run_scenario(plane)
+    assert code == 0 and radii == [10]
+
+
 Z2_CAPPED = {
     "schema": 1,
     "space": {"kind": "group", "family": "Z^2", "radius": 8},

@@ -18,6 +18,7 @@ from coarsetop.groups import (
     amalgam_z2_z_z2,
     build_ball,
     commensurability_probe,
+    invert_table,
     restrict_ball,
     subgroup_trace,
 )
@@ -30,6 +31,16 @@ def _steps(model):
     """The generators and their inverses, each once."""
     gens = [g for _, g in model.generators()]
     return gens + [model.inv(g) for g in gens if model.inv(g) != g]
+
+
+def _assert_moves_are_products(ball):
+    """Each move table entry of the ball is the id of x·s, or outside it."""
+    model, n, k = ball.model, len(ball.elements), len(ball.steps)
+    assert k == len(_steps(model)) and all(s in ball.steps for s in _steps(model))
+    for x, g in enumerate(ball.elements):
+        for j, s in enumerate(ball.steps):
+            t = ball.moves[x * k + j]
+            assert (ball.ids[t] if 0 <= t < n else None) == ball.index.get(model.mul(g, s)), (x, s)
 
 
 def test_ball_sizes_trivial():
@@ -160,7 +171,8 @@ def test_action_tables_are_exact(model, R):
     # read off the move table or formed as products where g·p leaves the
     # window, every table is the product definition: on the full ball and on
     # every cut, for generator steps and for words of up to 2R + 2 letters,
-    # whose images leave the window and come back
+    # whose images leave the window and come back. So are the inverted
+    # tables and the right steps read off the moves
     big = build_ball(model, R)
     steps = _steps(model)
     rng, words = random.Random(R), []
@@ -171,8 +183,14 @@ def test_action_tables_are_exact(model, R):
         words.append(g)
     balls = [restrict_ball(big, r) for r in range(1, R + 1)] if model.convex_balls else [big]
     for ball in balls:
+        n = len(ball.elements)
         for g in steps + words:
-            assert ball.action_table(g) == [ball.act_left(g, x) for x in range(len(ball.elements))], (ball.radius, g)
+            table = ball.action_table(g)
+            assert table == [ball.act_left(g, x) for x in range(n)], (ball.radius, g)
+            assert invert_table(table) == ball.action_table(model.inv(g)), (ball.radius, g)
+        for s in steps:
+            right = [ball.index.get(model.mul(g, s)) for g in ball.elements]
+            assert [ball.act_right(x, s) for x in range(n)] == right, (ball.radius, s)
 
 
 def test_amalgam_model_basics():
@@ -301,8 +319,9 @@ def test_word_metric_ball_length_calls_linear():
     ids=["amalgam-5", "lamplighter-4", "F2-4", "Z2-6"],
 )
 def test_build_ball_forms_each_product_once(family, args, R):
-    # one mul per element and step: the BFS's products are reused for the
-    # Cayley adjacency; ids and adjacency are those of their definitions
+    # at most one mul per element and step: the BFS's products are reused
+    # for the Cayley adjacency, and the last layer, whose moves are
+    # transposed, forms none; ids, moves and adjacency are those of their definitions
     class Counting(family):
         calls = 0
 
@@ -315,13 +334,33 @@ def test_build_ball_forms_each_product_once(family, args, R):
     steps = [g for _, g in model.generators()]
     steps += [model.inv(g) for g in steps if model.inv(g) != g]
     n = len(ball.elements)
-    assert Counting.calls == n * len(steps)
+    assert Counting.calls == (n - ball.space.radial.count(R)) * len(steps)
+    _assert_moves_are_products(ball)
     key = lambda g: (model.length(g), model.sortkey(g))  # noqa: E731
     assert ball.elements == sorted(ball.elements, key=key) and len(ball.index) == n
     assert all(ball.index[g] == i for i, g in enumerate(ball.elements))
     for i, g in enumerate(ball.elements):
         near = {ball.index.get(model.mul(g, s)) for s in steps} - {None, i}
         assert ball.cayley_adjacency[i] == sorted(near)
+
+
+@pytest.mark.parametrize(
+    "model,R",
+    [(FreeAbelian(2), 4), (FreeAbelian(3), 3), (FreeGroup(2), 3), (amalgam_z2_z_z2(), 3), (Lamplighter(), 4)],
+    ids=["Z2-4", "Z3-3", "F2-3", "amalgam-3", "lamplighter-4"],
+)
+def test_bipartite_families_have_no_edge_inside_a_layer(model, R):
+    # what makes the last layer's transposed moves exact: in B_{R+1} no two
+    # elements of one word length differ by a step, checked pair by pair
+    steps = _steps(model)
+    layers = {}
+    for g in build_ball(model, R + 1).elements:
+        layers.setdefault(model.length(g), []).append(g)
+    assert sorted(layers) == list(range(R + 2))
+    for layer in layers.values():
+        for g in layer:
+            g_inv = model.inv(g)
+            assert not any(model.mul(g_inv, h) in steps for h in layer), g
 
 
 @pytest.mark.parametrize(
@@ -350,12 +389,13 @@ def test_generator_action_tables_form_no_product(family, args, R):
 
 @pytest.mark.parametrize(
     "scenario,family,products",
-    [("amalgam_R7", amalgam_z2_z_z2, 96_304), ("lamplighter_R10", Lamplighter, 4_624)],
+    [("amalgam_R7", amalgam_z2_z_z2, 56_936), ("lamplighter_R10", Lamplighter, 2_803)],
 )
 def test_group_ball_scenarios_form_a_fixed_number_of_products(tmp_path, monkeypatch, scenario, family, products):
     # a work counter on the benchmark's group-ball scenarios: the BFS's
-    # products, the almost-invariant extract's and a few trace steps; no
-    # action table by a generator and no scale-1 row forms one
+    # products below the last layer, the almost-invariant extract's g·h and
+    # a few trace steps; no action table by a generator, no right step and
+    # no scale-1 row forms one
     calls = 0
     mul = family.mul
 
