@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import fixtures as fixtures_mod
 from .cochains import RelativeComplex
@@ -70,7 +70,15 @@ def raise_on_bad(cond: bool, message: str) -> None:
 
 
 class ScenarioContext:
-    """Space, W and component masks resolved once per scenario."""
+    """Space, W and component masks resolved once per scenario.
+
+    W's component sets are kept per (r, A, collar). One slot keeps the last
+    whole-space relative complex built, with the degrees its readers have
+    factored, so mobility and mv at one (scale, cap, collar) build and
+    factor it once. Another key empties the slot before its build, so at
+    most one such complex outlives its analysis; a build that raises leaves
+    the slot empty.
+    """
 
     def __init__(self, scenario: dict, seed: int = 0):
         caps = with_defaults(CAPS, scenario.get("caps", {}), self)
@@ -91,6 +99,7 @@ class ScenarioContext:
             self.space = self.fixture.space
         self.w = self._resolve_w(scenario.get("w"))
         self._components: dict[tuple[int, int, int], CoarseComponentSet] = {}  # (r, A, collar) -> W's components
+        self._whole: Optional[tuple[tuple[int, int, int], RelativeComplex]] = None  # ((scale, cap, collar), complex)
 
     def _resolve_w(self, wspec):
         if wspec is None:
@@ -120,6 +129,15 @@ class ScenarioContext:
         if key not in self._components:
             self._components[key] = complement_components(self.space, self.w, r, A, collar=collar)
         return self._components[key]
+
+    def whole_complex(self, scale: int, cap: int, collar: int) -> RelativeComplex:
+        """P_scale of the whole space to dimension cap, rel the collar: the slot's, or built into it."""
+        key = (scale, cap, collar)
+        if self._whole is None or self._whole[0] != key:
+            self._whole = None  # the old complex goes before the new one is built
+            K = build_rips(self.space, self.space.full_mask(), scale, cap, max_simplices=self.max_simplices)
+            self._whole = (key, RelativeComplex(K, self.space.interior_mask(collar)))
+        return self._whole[1]
 
     def component(self, name, r: int = 1, A: int = 0, collar: int = 2) -> SubsetMask:
         if self.fixture and isinstance(name, str) and name in self.fixture.components:
@@ -252,7 +270,8 @@ def run_mv(ctx: ScenarioContext, params: dict) -> dict:
     r, A, cap, collar = params["r"], params["A"], params["cap"], params["collar"]
     cross = crossing(ctx, params["axis"])
     C1 = ctx.component(params["component"], r=r, A=A, collar=collar)
-    rep = mv_assemble(ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar, max_simplices=ctx.max_simplices)
+    rep = mv_assemble(ctx.space, ctx.w, C1, r=r, A=A, cap=cap, collar=collar, max_simplices=ctx.max_simplices,
+                      x_piece=lambda: ctx.whole_complex(r, cap, collar))
     RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(cross)
     c = connecting_entry(rep.pieces, 1, sigma)
@@ -274,8 +293,7 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
     kind, collar, D_schedule = params["class"], params["collar"], params["D_schedule"]
     n = 2 if kind == "fundamental" else 1
     axes = [] if kind == "edge-cut" else [crossing(ctx, axis) for axis in range(n)]
-    K = build_rips(ctx.space, ctx.space.full_mask(), params["scale"], n + 1, max_simplices=ctx.max_simplices)
-    R = RelativeComplex(K, ctx.space.interior_mask(collar))
+    R = ctx.whole_complex(params["scale"], n + 1, collar)
     if kind == "crossing":
         vec = R.cochain_from_edge_predicate(*axes)
     elif kind == "fundamental":
@@ -284,7 +302,7 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
         raise_on_bad(ctx.ball is not None, "edge-cut class requires a group ball")
         ball = ctx.ball
         edge = tuple(sorted((ball.index[ball.model.identity()], ball.index[ball.model.generators()[0][1]])))
-        j = K.index[1].get(edge)
+        j = R.K.index[1].get(edge)
         raise_on_bad(j in R.rel_pos[1], f"edge-cut class: the edge {list(edge)} is absent at scale "
                                          f"{params['scale']} or not relative at collar {collar}")
         vec = 1 << R.rel_pos[1][j]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import itertools
 from functools import reduce
 from operator import add, xor
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import gf2
 from .cochains import RelativeComplex, extension_matrix, restriction_matrix
@@ -278,12 +278,19 @@ def mv_assemble(
     cap: int,
     collar: int = 2,
     max_simplices: int = MAX_SIMPLICES,
+    x_piece: Optional[Callable[[], RelativeComplex]] = None,
 ) -> MVReport:
     """Assemble the three-piece short exact sequence and check its exactness.
 
     The report checks short exactness columnwise in degrees 0..cap and
     exactness at both spots in degrees below cap - 1. Its pieces give the
     connecting map of a W-class: :func:`connecting_entry`.
+
+    ``x_piece`` returns the X piece, P_r(X) to dimension cap rel the
+    collar, for a caller that shares it with other analyses; it is called
+    once C1 has passed the complementarity test, where the piece would be
+    built. Without it the piece is built here, and its factored degrees
+    are this assembly's own.
     """
     nA = neighborhood(X, W, A)
     if not is_coarse_complementary(X, nA, C1, r):
@@ -291,14 +298,16 @@ def mv_assemble(
     C2 = (X.full_mask() - C1) | nA
     C1p = C1 | nA
     interior = X.interior_mask(collar)
-    KX = build_rips(X, X.full_mask(), r, cap, max_simplices=max_simplices)
-    dichotomy = simplex_dichotomy_check(KX, nA, C1)
+    if x_piece is None:
+        RX = RelativeComplex(build_rips(X, X.full_mask(), r, cap, max_simplices=max_simplices), interior)
+    else:
+        RX = x_piece()
+    dichotomy = simplex_dichotomy_check(RX.K, nA, C1)
     if not dichotomy:
         raise CoarseTopError("dichotomy-failed", "a simplex straddles both sides; raise A")
     KA = build_rips(X, C1p, r, cap, max_simplices=max_simplices)
     KB = build_rips(X, C2, r, cap, max_simplices=max_simplices)
     KW = build_rips(X, nA, r, cap, max_simplices=max_simplices)
-    RX = RelativeComplex(KX, interior)
     RA = RelativeComplex(KA, interior & C1p)
     RB = RelativeComplex(KB, interior & C2)
     RW = RelativeComplex(KW, interior & nA)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import gf2
-from .errors import MAX_SIMPLICES, NotAChainMapError, WindowTooSmallError
+from .errors import MAX_SIMPLICES, CoarseTopError, NotAChainMapError, WindowTooSmallError
 from .groups import trend_verdict
 from .metric import FiniteMetricSpace, SubsetMask
 from .rips import ChainMap, RipsComplex, build_rips, inclusion_chain_map
@@ -140,22 +140,39 @@ def annulus_mask(X: FiniteMetricSpace, lo: int, hi: Optional[int] = None, within
     return m & within if within is not None else m
 
 
+def schedule_inclusion(
+    X: FiniteMetricSpace,
+    sched: WindowSchedule,
+    cap: int,
+    within: Optional[SubsetMask] = None,
+    max_simplices: int = MAX_SIMPLICES,
+) -> ChainMap:
+    """The inclusion of the schedule's inner complement annulus into its outer one, both built to dimension cap."""
+    sched.validate()
+    inner_mask = annulus_mask(X, sched.S, sched.R - sched.collar, within)
+    outer_mask = annulus_mask(X, sched.S_out, None, within)
+    if len(inner_mask) == 0 or len(outer_mask) == 0:
+        raise WindowTooSmallError("empty annulus at this schedule")
+    inner = build_rips(X, inner_mask, sched.i, cap, max_simplices=max_simplices)
+    outer = build_rips(X, outer_mask, sched.j, cap, max_simplices=max_simplices)
+    return inclusion_chain_map(inner, outer)
+
+
 def schedule_two_scale(
     X: FiniteMetricSpace,
     k: int,
     sched: WindowSchedule,
     within: Optional[SubsetMask] = None,
     max_simplices: int = MAX_SIMPLICES,
+    inclusion: Optional[ChainMap] = None,
 ) -> TwoScaleImage:
-    """The two-scale image of H~_k between the schedule's complement annuli, built under the cap."""
-    sched.validate()
-    inner_mask = annulus_mask(X, sched.S, sched.R - sched.collar, within)
-    outer_mask = annulus_mask(X, sched.S_out, None, within)
-    if len(inner_mask) == 0 or len(outer_mask) == 0:
-        raise WindowTooSmallError("empty annulus at this schedule")
-    inner = build_rips(X, inner_mask, sched.i, k + 1, max_simplices=max_simplices)
-    outer = build_rips(X, outer_mask, sched.j, k + 1, max_simplices=max_simplices)
-    return two_scale_image(inner, outer, k)
+    """The two-scale image of H~_k between the schedule's complement annuli, built under the cap.
+
+    ``inclusion`` is the schedule's :func:`schedule_inclusion` built to
+    dimension k + 1 or higher; without it, one to k + 1 is built here.
+    """
+    f = inclusion or schedule_inclusion(X, sched, k + 1, within, max_simplices)
+    return two_scale_image_along(f, k)
 
 
 @dataclass
@@ -206,18 +223,21 @@ def coarse_cohomology_dim_estimate(
     schedules: Sequence[WindowSchedule],
     within: Optional[SubsetMask] = None,
     max_simplices: int = MAX_SIMPLICES,
+    inclusions: Optional[Sequence[ChainMap]] = None,
 ) -> DimEstimateReport:
     """dim H^k proxy via surviving H~_{k-1} of complement annuli.
 
     k = 0 is 0 by definition and rejected here; k >= 1 computes the
-    two-scale image rank of reduced H_{k-1} per schedule.
+    two-scale image rank of reduced H_{k-1} per schedule, read off
+    ``inclusions`` (one per schedule, built to dimension k or higher) when
+    given.
     """
     if k < 1:
         raise ValueError("degree 0 coarse cohomology is 0 by definition; require k >= 1")
     ranks = []
     images = []
-    for sched in schedules:
-        img = schedule_two_scale(X, k - 1, sched, within=within, max_simplices=max_simplices)
+    for sched, f in zip(schedules, inclusions or [None] * len(schedules)):
+        img = schedule_two_scale(X, k - 1, sched, within=within, max_simplices=max_simplices, inclusion=f)
         ranks.append(img.rank)
         images.append(img)
     return DimEstimateReport(k, list(schedules), ranks, _trend_value(ranks), images)
@@ -324,12 +344,23 @@ def pd_signature_check(
     within: Optional[SubsetMask] = None,
     max_simplices: int = MAX_SIMPLICES,
 ) -> PDSignatureReport:
-    """Check the coarse cohomology proxy pattern (0, ..., 0, 1) in degrees 1..n."""
+    """Check the coarse cohomology proxy pattern (0, ..., 0, 1) in degrees 1..n.
+
+    Each schedule's inner and outer complexes are built once, to dimension
+    n, and every degree reads its image off them. When one of those builds
+    fails, the degrees build their own complexes to dimension k, as one
+    degree at a time always did, so the failure raised is the one met first
+    in that order.
+    """
+    try:
+        inclusions = [schedule_inclusion(X, sched, n, within, max_simplices) for sched in schedules]
+    except CoarseTopError:
+        inclusions = None
     verdicts: dict[int, object] = {}
     ok = True
     images: list[TwoScaleImage] = []
     for k in range(1, n + 1):
-        rep = coarse_cohomology_dim_estimate(X, k, schedules, within=within, max_simplices=max_simplices)
+        rep = coarse_cohomology_dim_estimate(X, k, schedules, within, max_simplices, inclusions)
         verdicts[k] = rep.verdict
         images = rep.images
         expected = 1 if k == n else 0
@@ -347,6 +378,7 @@ __all__ = [
     "two_scale_image_along",
     "class_survives",
     "annulus_mask",
+    "schedule_inclusion",
     "schedule_two_scale",
     "EndsReport",
     "ends_estimate",

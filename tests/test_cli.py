@@ -216,6 +216,77 @@ def test_scenario_computes_each_component_set_once(monkeypatch):
     assert code == 0 and radii == [10]
 
 
+# mobility's top class and mv read P_2 of the whole window to dimension 3 rel the same collar
+SHARED_WHOLE = {
+    "schema": 1,
+    "space": {"kind": "group", "family": "Z^2", "radius": 6},
+    "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+    "analyses": [{"analysis": "mobility", "class": "fundamental"}, {"analysis": "mv", "r": 2, "A": 1, "cap": 3}],
+}
+
+
+def counting_whole_builds(monkeypatch) -> list:
+    """(scale, cap) of every whole-space complex built by the CLI or the Mayer-Vietoris assembly."""
+    import coarsetop.cli as cli
+    import coarsetop.essential as essential
+
+    whole = []
+    build_rips = cli.build_rips
+
+    def counting(X, V, r, m, **kwargs):
+        if len(V) == X.n:
+            whole.append((r, m))
+        return build_rips(X, V, r, m, **kwargs)
+
+    monkeypatch.setattr(cli, "build_rips", counting)
+    monkeypatch.setattr(essential, "build_rips", counting)
+    return whole
+
+
+def test_mobility_and_mv_share_one_whole_complex(monkeypatch):
+    whole = counting_whole_builds(monkeypatch)
+    report, code = run_scenario(SHARED_WHOLE)
+    assert code == 0 and whole == [(2, 3)]
+    for block, entry in zip(SHARED_WHOLE["analyses"], report["results"]):
+        alone, _ = run_scenario({**SHARED_WHOLE, "analyses": [block]})
+        assert alone["results"] == [entry]
+    # another key empties the slot: mv at cap 2 and a crossing class at scale 1 each build their own
+    whole.clear()
+    other = [{"analysis": "mv", "r": 2, "A": 1, "cap": 2}, {"analysis": "mobility"}, SHARED_WHOLE["analyses"][1]]
+    _, code = run_scenario({**SHARED_WHOLE, "analyses": other})
+    assert code == 0 and whole == [(2, 2), (1, 2), (2, 3)]
+
+
+def test_shared_whole_complex_fails_each_reader(monkeypatch):
+    # P_2 of the radius-6 window has 1,490 simplices to dimension 3: a build
+    # that raises leaves the slot empty, so mv meets the same cap
+    whole = counting_whole_builds(monkeypatch)
+    report, code = run_scenario({**SHARED_WHOLE, "caps": {"max_simplices": 1000}})
+    mobility, mv = report["results"]
+    assert code == 1 and whole == [(2, 3), (2, 3)]
+    assert mobility["error"] == mv["error"] == "complex-too-large"
+    assert mobility["message"] == mv["message"]
+
+
+def test_mv_tests_complementarity_before_the_shared_build(monkeypatch):
+    # the line's upper half-plane is not (2, 0)-complementary to the line:
+    # mv ends there under a cap that the whole complex exceeds, and builds nothing
+    whole = counting_whole_builds(monkeypatch)
+    scen = {
+        "schema": 1,
+        "space": {"kind": "fixture", "name": "line_in_plane", "radius": 5},
+        "caps": {"max_simplices": 1000},
+        "analyses": [
+            {"analysis": "mobility", "class": "fundamental"},
+            {"analysis": "mv", "r": 2, "A": 0, "cap": 3, "component": "upper"},
+        ],
+    }
+    report, code = run_scenario(scen)
+    mobility, mv = report["results"]
+    assert code == 1 and whole == [(2, 3)]
+    assert mobility["error"] == "complex-too-large" and mv["error"] == "not-complementary"
+
+
 Z2_CAPPED = {
     "schema": 1,
     "space": {"kind": "group", "family": "Z^2", "radius": 8},

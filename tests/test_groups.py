@@ -390,6 +390,7 @@ def test_generator_action_tables_form_no_product(family, args, R):
 @pytest.mark.parametrize(
     "scenario,family,products",
     [("amalgam_R7", amalgam_z2_z_z2, 56_936), ("lamplighter_R10", Lamplighter, 2_803)],
+    ids=["amalgam_R7", "lamplighter_R10"],
 )
 def test_group_ball_scenarios_form_a_fixed_number_of_products(tmp_path, monkeypatch, scenario, family, products):
     # a work counter on the benchmark's group-ball scenarios: the BFS's

@@ -259,3 +259,37 @@ def test_pd_signature_z_z2_f2(z_ball_24, z2_ball_16, f2_ball_6):
     repf = pd_signature_check(f2_ball_6.space, 1, zsched(6, (1, 2, 3), collar=1))
     assert not repf.passed
     assert repf.degree_verdicts[1] == "growing"
+
+
+def test_pd_gate_builds_each_schedule_once(monkeypatch, z2_ball_16):
+    # the gate builds each schedule's inner and outer complex once, to
+    # dimension n, and reads every degree off them; the ranks, verdicts and
+    # degree-n classes are those of one build per degree
+    import coarsetop.homology as homology
+
+    X = z2_ball_16.space
+    scheds = [WindowSchedule(S=s, i=2, S_out=2, j=2, R=16, collar=2) for s in (4, 5, 6)]
+    per_degree = [coarse_cohomology_dim_estimate(X, k, scheds) for k in (1, 2)]
+    built = []
+    build_rips = homology.build_rips
+
+    def counting(X, V, r, m, **kwargs):
+        built.append(m)
+        return build_rips(X, V, r, m, **kwargs)
+
+    monkeypatch.setattr(homology, "build_rips", counting)
+    rep = pd_signature_check(X, 2, scheds)
+    assert len(built) == 2 * len(scheds) and set(built) == {2}  # one build per degree made 12
+    assert rep.degree_verdicts == {k: d.verdict for k, d in zip((1, 2), per_degree)}
+    assert [img.rank for img in rep.images] == per_degree[1].ranks
+    assert [img.classes for img in rep.images] == [img.classes for img in per_degree[1].images]
+
+
+def test_pd_gate_fails_in_degree_order(z2_ball_16):
+    # under a cap of 4,000 the first schedule fits to dimension 1 (2,364 and
+    # 3,428 simplices) but not to dimension 2 (5,492 inner); degree 1 meets
+    # the second schedule's own failure before degree 2 meets the cap
+    sched = WindowSchedule(S=4, i=2, S_out=2, j=2, R=16, collar=2)
+    bad = WindowSchedule(S=3, i=1, S_out=3, j=2, R=16, collar=2)  # S_out + j > S
+    with pytest.raises(WindowTooSmallError):
+        pd_signature_check(z2_ball_16.space, 2, [sched, bad], max_simplices=4000)

@@ -103,7 +103,12 @@ def scenarios(draw, first: str):
 
 
 def ends_well(scenario) -> bool:
-    """Run a scenario: a report, or an expected up-front error. True when it ran."""
+    """Run a scenario: a report, or an expected up-front error. True when it ran.
+
+    A scenario of two or more blocks that ran gives each block the entry
+    that the block run alone gives: what the scenario shares between its
+    analyses (component sets, the whole-space complex) changes no answer.
+    """
     try:
         report, code = run_scenario(scenario)
     except CoarseTopError as err:
@@ -111,6 +116,10 @@ def ends_well(scenario) -> bool:
         return False
     assert code in (0, 1, 2)
     assert len(report["results"]) == len(scenario["analyses"])
+    if len(scenario["analyses"]) > 1:
+        for block, entry in zip(scenario["analyses"], report["results"]):
+            alone, _ = run_scenario({**scenario, "analyses": [block]})
+            assert alone["results"] == [entry], block
     return True
 
 
