@@ -20,11 +20,12 @@ and never computed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import gf2
-from .errors import MAX_SIMPLICES, CoarseTopError, NotAChainMapError, WindowTooSmallError
+from .errors import MAX_SIMPLICES, NotAChainMapError, WindowTooSmallError
 from .groups import trend_verdict
 from .metric import FiniteMetricSpace, SubsetMask
 from .rips import ChainMap, RipsComplex, build_rips, inclusion_chain_map
@@ -140,22 +141,33 @@ def annulus_mask(X: FiniteMetricSpace, lo: int, hi: Optional[int] = None, within
     return m & within if within is not None else m
 
 
-def schedule_inclusion(
+def schedule_inclusions(
     X: FiniteMetricSpace,
-    sched: WindowSchedule,
+    schedules: Sequence[WindowSchedule],
     cap: int,
     within: Optional[SubsetMask] = None,
     max_simplices: int = MAX_SIMPLICES,
-) -> ChainMap:
-    """The inclusion of the schedule's inner complement annulus into its outer one, both built to dimension cap."""
-    sched.validate()
-    inner_mask = annulus_mask(X, sched.S, sched.R - sched.collar, within)
-    outer_mask = annulus_mask(X, sched.S_out, None, within)
-    if len(inner_mask) == 0 or len(outer_mask) == 0:
-        raise WindowTooSmallError("empty annulus at this schedule")
-    inner = build_rips(X, inner_mask, sched.i, cap, max_simplices=max_simplices)
-    outer = build_rips(X, outer_mask, sched.j, cap, max_simplices=max_simplices)
-    return inclusion_chain_map(inner, outer)
+) -> list[ChainMap]:
+    """Per schedule, the inclusion of its inner complement annulus into its outer one, both built to dimension cap.
+
+    Every schedule's window checks run before any complex is built, so a
+    window failure comes before any ``complex-too-large``.
+    """
+    annuli = []
+    for sched in schedules:
+        sched.validate()
+        inner_mask = annulus_mask(X, sched.S, sched.R - sched.collar, within)
+        outer_mask = annulus_mask(X, sched.S_out, None, within)
+        if len(inner_mask) == 0 or len(outer_mask) == 0:
+            raise WindowTooSmallError("empty annulus at this schedule")
+        annuli.append((sched, inner_mask, outer_mask))
+    return [
+        inclusion_chain_map(
+            build_rips(X, inner_mask, sched.i, cap, max_simplices=max_simplices),
+            build_rips(X, outer_mask, sched.j, cap, max_simplices=max_simplices),
+        )
+        for sched, inner_mask, outer_mask in annuli
+    ]
 
 
 def schedule_two_scale(
@@ -164,14 +176,9 @@ def schedule_two_scale(
     sched: WindowSchedule,
     within: Optional[SubsetMask] = None,
     max_simplices: int = MAX_SIMPLICES,
-    inclusion: Optional[ChainMap] = None,
 ) -> TwoScaleImage:
-    """The two-scale image of H~_k between the schedule's complement annuli, built under the cap.
-
-    ``inclusion`` is the schedule's :func:`schedule_inclusion` built to
-    dimension k + 1 or higher; without it, one to k + 1 is built here.
-    """
-    f = inclusion or schedule_inclusion(X, sched, k + 1, within, max_simplices)
+    """The two-scale image of H~_k between the schedule's complement annuli, built under the cap."""
+    (f,) = schedule_inclusions(X, [sched], k + 1, within, max_simplices)
     return two_scale_image_along(f, k)
 
 
@@ -223,23 +230,21 @@ def coarse_cohomology_dim_estimate(
     schedules: Sequence[WindowSchedule],
     within: Optional[SubsetMask] = None,
     max_simplices: int = MAX_SIMPLICES,
-    inclusions: Optional[Sequence[ChainMap]] = None,
 ) -> DimEstimateReport:
     """dim H^k proxy via surviving H~_{k-1} of complement annuli.
 
     k = 0 is 0 by definition and rejected here; k >= 1 computes the
-    two-scale image rank of reduced H_{k-1} per schedule, read off
-    ``inclusions`` (one per schedule, built to dimension k or higher) when
-    given.
+    two-scale image rank of reduced H_{k-1} per schedule.
     """
     if k < 1:
         raise ValueError("degree 0 coarse cohomology is 0 by definition; require k >= 1")
-    ranks = []
-    images = []
-    for sched, f in zip(schedules, inclusions or [None] * len(schedules)):
-        img = schedule_two_scale(X, k - 1, sched, within=within, max_simplices=max_simplices, inclusion=f)
-        ranks.append(img.rank)
-        images.append(img)
+    return _dim_estimate(k, schedules, schedule_inclusions(X, schedules, k, within, max_simplices))
+
+
+def _dim_estimate(k: int, schedules: Sequence[WindowSchedule], inclusions: Sequence[ChainMap]) -> DimEstimateReport:
+    """The degree-k estimate read off the schedules' inclusions, built to dimension k or higher."""
+    images = [two_scale_image_along(f, k - 1) for f in inclusions]
+    ranks = [img.rank for img in images]
     return DimEstimateReport(k, list(schedules), ranks, _trend_value(ranks), images)
 
 
@@ -298,32 +303,37 @@ def uniform_acyclicity_probe(
     The search runs lambda ascending then mu ascending; both zero-image
     regions are upward closed, so the first hit is lexicographically
     minimal. Entries with no hit inside the bounds are recorded as
-    failures rather than extrapolated.
+    failures rather than extrapolated, one per listed (x, k, i, r).
+
+    One walk per (x, k, i) serves every r: each P_lambda(N_mu(x)) is built
+    once, from mu = the smallest r without a hit, and tested against every
+    such r <= mu.
     """
-    entries = []
-    for x in sorted(centers):
+    found: dict[tuple[int, int, int, int], tuple[int, int]] = {}  # (x, k, i, r): the first hit
+    for x in sorted(set(centers)):
         row = X.dist_row(x)
-        for k in range(k_max + 1):
-            for i in sorted(i_values):
-                for r in sorted(r_values):
-                    inner_mask = SubsetMask(X.n, (v for v in range(X.n) if 0 <= row[v] <= r))
-                    inner = build_rips(X, inner_mask, i, k + 1, max_simplices=max_simplices)
-                    found = None
-                    for lam in range(max(i, 1), lambda_max + 1):
-                        for mu in range(r, mu_max + 1):
-                            outer_mask = SubsetMask(
-                                X.n, (v for v in range(X.n) if 0 <= row[v] <= mu)
-                            )
-                            outer = build_rips(X, outer_mask, lam, k + 1, max_simplices=max_simplices)
-                            if two_scale_image(inner, outer, k).rank == 0:
-                                found = (lam, mu)
-                                break
-                        if found:
-                            break
-                    entries.append(
-                        AcyclicityEntry(x, k, i, r, *(found or (None, None)), failed=found is None)
-                    )
-    return AcyclicityProfile(entries)
+        for k, i in itertools.product(range(k_max + 1), sorted(set(i_values))):
+            inner = {r: _ball_complex(X, row, r, i, k + 1, max_simplices) for r in sorted(set(r_values))}
+            pending = list(inner)
+            for lam in range(max(i, 1), lambda_max + 1):
+                mu = -1
+                while pending and (mu := max(mu + 1, pending[0])) <= mu_max:
+                    same = lam == i and mu in inner  # P_i(N_mu(x)) is the inner complex at r = mu
+                    outer = inner[mu] if same else _ball_complex(X, row, mu, lam, k + 1, max_simplices)
+                    for r in pending:
+                        if r <= mu and two_scale_image(inner[r], outer, k).rank == 0:
+                            found[x, k, i, r] = (lam, mu)
+                    pending = [r for r in pending if (x, k, i, r) not in found]
+    keys = itertools.product(sorted(centers), range(k_max + 1), sorted(i_values), sorted(r_values))
+    return AcyclicityProfile([AcyclicityEntry(*key, *found.get(key, (None, None)), key not in found) for key in keys])
+
+
+def _ball_complex(
+    X: FiniteMetricSpace, row: Sequence[int], radius: int, scale: int, cap: int, max_simplices: int
+) -> RipsComplex:
+    """P_scale(N_radius(x)) built to dimension cap, where ``row`` is x's distance row."""
+    mask = SubsetMask(X.n, (v for v in range(X.n) if 0 <= row[v] <= radius))
+    return build_rips(X, mask, scale, cap, max_simplices=max_simplices)
 
 
 # -- PD signature -------------------------------------------------------------------
@@ -347,26 +357,13 @@ def pd_signature_check(
     """Check the coarse cohomology proxy pattern (0, ..., 0, 1) in degrees 1..n.
 
     Each schedule's inner and outer complexes are built once, to dimension
-    n, and every degree reads its image off them. When one of those builds
-    fails, the degrees build their own complexes to dimension k, as one
-    degree at a time always did, so the failure raised is the one met first
-    in that order.
+    n, and every degree reads its image off them.
     """
-    try:
-        inclusions = [schedule_inclusion(X, sched, n, within, max_simplices) for sched in schedules]
-    except CoarseTopError:
-        inclusions = None
-    verdicts: dict[int, object] = {}
-    ok = True
-    images: list[TwoScaleImage] = []
-    for k in range(1, n + 1):
-        rep = coarse_cohomology_dim_estimate(X, k, schedules, within, max_simplices, inclusions)
-        verdicts[k] = rep.verdict
-        images = rep.images
-        expected = 1 if k == n else 0
-        if rep.verdict != expected:
-            ok = False
-    return PDSignatureReport(n, verdicts, ok, images)
+    inclusions = schedule_inclusions(X, schedules, n, within, max_simplices)
+    reports = [_dim_estimate(k, schedules, inclusions) for k in range(1, n + 1)]
+    verdicts = {rep.k: rep.verdict for rep in reports}
+    passed = all(verdict == (1 if k == n else 0) for k, verdict in verdicts.items())
+    return PDSignatureReport(n, verdicts, passed, reports[-1].images if reports else [])
 
 
 __all__ = [
@@ -378,7 +375,7 @@ __all__ = [
     "two_scale_image_along",
     "class_survives",
     "annulus_mask",
-    "schedule_inclusion",
+    "schedule_inclusions",
     "schedule_two_scale",
     "EndsReport",
     "ends_estimate",

@@ -368,6 +368,38 @@ def gated_probe(X, W, C, n, schedules, name="C", probe=-1, **kwargs):
     return essential_probe(X, W, C, n, sched, images[sched], name, **kwargs)
 
 
+def acyclicity_per_radius(X, k_max, centers, i_values, r_values, lambda_max, mu_max):
+    """``uniform_acyclicity_probe``'s entries as (x, k, i, r, lambda, mu, failed), one search per listed r.
+
+    Each (x, k, i, r) builds its own P_i(N_r(x)) and walks lambda ascending,
+    then mu ascending from r, building P_lambda(N_mu(x)) afresh until the
+    two-scale image is zero.
+    """
+    from coarsetop.homology import two_scale_image
+    from coarsetop.metric import SubsetMask
+    from coarsetop.rips import build_rips
+
+    entries = []
+    for x in sorted(centers):
+        row = X.dist_row(x)
+        for k in range(k_max + 1):
+            for i in sorted(i_values):
+                for r in sorted(r_values):
+                    inner_mask = SubsetMask(X.n, (v for v in range(X.n) if 0 <= row[v] <= r))
+                    inner = build_rips(X, inner_mask, i, k + 1)
+                    found = None
+                    for lam in range(max(i, 1), lambda_max + 1):
+                        for mu in range(r, mu_max + 1):
+                            outer_mask = SubsetMask(X.n, (v for v in range(X.n) if 0 <= row[v] <= mu))
+                            if two_scale_image(inner, build_rips(X, outer_mask, lam, k + 1), k).rank == 0:
+                                found = (lam, mu)
+                                break
+                        if found:
+                            break
+                    entries.append((x, k, i, r, *(found or (None, None)), found is None))
+    return entries
+
+
 def to_rows(M):
     """A GF2Matrix as a dense list of 0/1 rows."""
     return [[(M.columns[j] >> i) & 1 for j in range(M.cols)] for i in range(M.rows)]

@@ -1,10 +1,13 @@
 """Scenario CLI: runs, reports, determinism, caps, help plumbing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from coarsetop.cli import ANALYSES, main, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 
 
 def write_scenario(tmp_path, name, payload):
@@ -386,6 +389,50 @@ def test_essential_builds_each_complex_once(monkeypatch):
     assert len(built) == len(set(built)) == 2 * len(block["schedules"]) + 2
     comps = report["results"][0]["components"]
     assert {name: c["verdict"] for name, c in comps.items()} == {"bottom": "essential", "top": "non-essential"}
+
+
+def test_scenario_builds_each_complex_once(monkeypatch):
+    # z2_R16's acyclicity once rebuilt each outer P_lambda(N_mu(x)) for every
+    # inner radius: 90 builds a pass for these 50 (mask, scale, cap)
+    import coarsetop.essential as essential
+    import coarsetop.homology as homology
+
+    built = []
+    build_rips = homology.build_rips
+
+    def counting_build_rips(X, V, r, m, **kwargs):
+        built.append((V.ids, r, m))
+        return build_rips(X, V, r, m, **kwargs)
+
+    monkeypatch.setattr(homology, "build_rips", counting_build_rips)
+    monkeypatch.setattr(essential, "build_rips", counting_build_rips)
+    scenario = json.loads((SCENARIOS / "group-balls" / "z2_R16.json").read_text())
+    _, code = run_scenario(scenario, seed=0)
+    assert code == 0
+    assert len(built) == len(set(built)) == 50
+
+
+def test_window_failure_comes_before_complex_too_large(tmp_path):
+    # every schedule's window checks run before the gate builds anything: the
+    # second schedule is invalid, and the first's complexes exceed the cap
+    schedules = [[4, 2, 2, 2, 2], [3, 1, 3, 2, 2]]
+    base = {
+        "schema": 1,
+        "space": {"kind": "group", "family": "Z^2", "radius": 12},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+        "caps": {"max_simplices": 10},
+    }
+    reason = "window-too-small: need S_out + j <= S so outer fills stay off the excised ball"
+    codes = {}
+    for name in ("essential", "pd-signature"):
+        p = write_scenario(tmp_path, name, {**base, "analyses": [{"analysis": name, "n": 1, "schedules": schedules}]})
+        codes[name] = main(["run", str(p), "--out", str(tmp_path)])
+    assert codes == {"essential": 2, "pd-signature": 1}  # complex-too-large with exit 1 for both
+    (ess,) = json.loads((tmp_path / "essential.report.json").read_text())["results"]
+    assert ess["status"] == "inconclusive"
+    assert {c["reason"] for c in ess["components"].values()} == {reason}
+    (pd,) = json.loads((tmp_path / "pd-signature.report.json").read_text())["results"]
+    assert (pd["status"], pd["error"], pd["message"]) == ("error", "window-too-small", reason)
 
 
 def test_window_too_large_cap(tmp_path, capsys):

@@ -19,7 +19,7 @@ from coarsetop.homology import (
 from coarsetop.metric import FiniteMetricSpace, SubsetMask
 from coarsetop.rips import build_rips
 
-from oracles import bfs_distances, flood_fill_components, from_graph, to_rows
+from oracles import acyclicity_per_radius, bfs_distances, flood_fill_components, from_graph, to_rows
 
 
 def zsched(R, S_values, i=1, j=1, collar=2):
@@ -240,6 +240,62 @@ def test_acyclicity_z2(z2_ball_16):
     assert all(mu == r for r, mu in bounds[(1, 1)]["mu"].items())
 
 
+def capped_tube(ring=8, levels=5):
+    """The grid C_ring x P_levels coned off at its last ring; a ring-0 cycle at scale 2 dies only past the cone."""
+    apex = levels * ring
+    edges = [(apex, apex - ring + p) for p in range(ring)]
+    for base in range(0, apex, ring):
+        edges += [(base + p, base + (p + 1) % ring) for p in range(ring)]
+        edges += [(base + p, base + ring + p) for p in range(ring) if base + ring < apex]
+    return from_graph(apex + 1, edges)
+
+
+@pytest.mark.parametrize(
+    "space, args",
+    [
+        ("z_ball_12", (0, [0, 3], [0, 1], [1, 3, 5, 8], 2, 6)),
+        ("z2_ball_10", (1, [0, 0, 5], [1, 2, 1], [1, 2, 2, 3, 8], 3, 6)),
+        ("f2_ball_6", (1, [0, 2], [0, 1], [0, 1, 2, 9], 3, 4)),
+        ("line_in_plane_8", (1, [40, 40], [1, 0], [2, 1, 7], 2, 5)),
+        ("capped_tube", (1, [0, 0], [2, 1], [3, 4, 5, 6, 12], 3, 9)),
+    ],
+    ids=["Z", "Z^2", "F_2", "line_in_plane", "capped_tube"],
+)
+def test_acyclicity_walk_matches_per_radius_search(request, space, args):
+    # one (lambda, mu) walk per (x, k, i) finds every r's first hit; with
+    # duplicate centres, i and r, i = 0 and r > mu_max among the inputs, and
+    # on the tube hits at mu > r, some of them shared by several r
+    X = capped_tube() if space == "capped_tube" else request.getfixturevalue(space).space
+    prof = uniform_acyclicity_probe(X, *args)
+    got = [(e.center, e.k, e.i, e.r, e.lam, e.mu, e.failed) for e in prof.entries]
+    assert got == acyclicity_per_radius(X, *args)
+    assert any(e.failed for e in prof.entries) and any(not e.failed for e in prof.entries)
+    if space == "capped_tube":
+        assert (0, 1, 1, 4, 2, 6, False) in got and (0, 1, 1, 5, 2, 6, False) in got
+
+
+def counting_builds(monkeypatch) -> list:
+    """(mask ids, scale, cap) of every complex that ``homology`` builds from here on."""
+    import coarsetop.homology as homology
+
+    built = []
+    build_rips = homology.build_rips
+
+    def counting(X, V, r, m, **kwargs):
+        built.append((V.ids, r, m))
+        return build_rips(X, V, r, m, **kwargs)
+
+    monkeypatch.setattr(homology, "build_rips", counting)
+    return built
+
+
+def test_acyclicity_builds_each_complex_once(monkeypatch, z2_ball_10):
+    built = counting_builds(monkeypatch)
+    prof = uniform_acyclicity_probe(z2_ball_10.space, 1, [0, 0], [1, 1], [1, 2, 2, 3], 3, 6)
+    assert len(prof.entries) == 2 * 2 * 2 * 4
+    assert len(built) == len(set(built))
+
+
 def test_acyclicity_two_point_failure():
     X = FiniteMetricSpace.from_table(
         [[0, 10], [10, 0]], labels=[0, 10], radial=[0, 10], window_radius=10, basepoint=0
@@ -287,9 +343,19 @@ def test_pd_gate_builds_each_schedule_once(monkeypatch, z2_ball_16):
 
 def test_pd_gate_fails_in_degree_order(z2_ball_16):
     # under a cap of 4,000 the first schedule fits to dimension 1 (2,364 and
-    # 3,428 simplices) but not to dimension 2 (5,492 inner); degree 1 meets
-    # the second schedule's own failure before degree 2 meets the cap
+    # 3,428 simplices) but not to dimension 2 (5,492 inner); every window
+    # check runs before any build, so the second schedule's own failure
+    # comes before the first schedule's build meets the cap
     sched = WindowSchedule(S=4, i=2, S_out=2, j=2, R=16, collar=2)
     bad = WindowSchedule(S=3, i=1, S_out=3, j=2, R=16, collar=2)  # S_out + j > S
     with pytest.raises(WindowTooSmallError):
         pd_signature_check(z2_ball_16.space, 2, [sched, bad], max_simplices=4000)
+
+
+def test_pd_gate_checks_every_window_before_building(monkeypatch, z2_ball_16):
+    built = counting_builds(monkeypatch)
+    sched = WindowSchedule(S=4, i=2, S_out=2, j=2, R=16, collar=2)
+    bad = WindowSchedule(S=3, i=1, S_out=3, j=2, R=16, collar=2)  # S_out + j > S
+    with pytest.raises(WindowTooSmallError):
+        pd_signature_check(z2_ball_16.space, 2, [sched, bad])
+    assert built == []  # the shared build and then the per-degree fallback made 4

@@ -133,3 +133,45 @@ def test_scenario_ends_as_report_or_invalid(first, data):
         # own still reaches the analyses of the well-formed ones
         for block in scenario["analyses"]:
             ends_well({**scenario, "analyses": [block]})
+
+
+MULTI_BLOCK = {
+    "z2": {
+        "schema": 1,
+        "space": {"kind": "group", "family": "Z^2", "radius": 8},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "a"}},
+        "analyses": [
+            {"analysis": "mobility", "class": "fundamental", "D_schedule": [1, 2]},
+            {"analysis": "mv", "r": 2, "cap": 3},
+            {"analysis": "pd-signature", "n": 1},
+            {"analysis": "acyclicity"},
+            {"analysis": "essential", "n": 1},
+        ],
+    },
+    "line_in_plane": {
+        "schema": 1,
+        "space": {"kind": "fixture", "name": "line_in_plane", "radius": 8},
+        "analyses": [
+            {"analysis": "mv"},
+            {"analysis": "mobility"},
+            {"analysis": "essential", "n": 1},
+            {"analysis": "almost-essential"},
+        ],
+    },
+    "amalgam": {
+        "schema": 1,
+        "space": {"kind": "group", "family": "amalgam_z2_z_z2", "radius": 5},
+        "w": {"kind": "subgroup", "spec": {"cyclic": "y"}},
+        "analyses": [
+            {"analysis": "separate", "windows": [4, 5], "invariance_generators": ["y"]},
+            {"analysis": "almost-invariant"},
+            {"analysis": "separate"},
+        ],
+    },
+}
+
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+def test_multi_block_scenario_entries_equal_each_block_alone(name):
+    # the drawn scenarios reach few multi-block reports; these share component
+    # sets, the whole-space complex and the W gate between their analyses
+    assert ends_well(MULTI_BLOCK[name])
