@@ -316,7 +316,7 @@ def run_mobility(ctx: ScenarioContext, params: dict) -> dict:
         "detector": {"covered": det.covered, "verdict": det.verdict, "D_schedule": D_schedule},
     }
     if ctx.ball is not None and params["stab_comparison"]:
-        res = stab_mob_comparison(ctx.ball, R, alpha0, D_schedule[-1], collar=collar, res=det.result)
+        res = stab_mob_comparison(ctx.ball, R, alpha0, det.result)
         h = res.stab_mob_hausdorff
         out["stab_mob_hausdorff"] = None if h is None or math.isinf(h) else h
         out["mob_size"] = len(res.mob_mask)

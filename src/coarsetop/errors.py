@@ -51,8 +51,8 @@ class NotASubcomplexError(CoarseTopError):
 
 
 class NotACycleError(CoarseTopError):
-    def __init__(self, message: str = "boundary of the input chain is nonzero"):
-        super().__init__("not-a-cycle", message)
+    def __init__(self):
+        super().__init__("not-a-cycle", "boundary of the input chain is nonzero")
 
 
 class NotAChainMapError(CoarseTopError):

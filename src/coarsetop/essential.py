@@ -188,7 +188,7 @@ def _death_or_survival(target: RipsComplex, k: int, z: int, max_witness_columns:
     """
     ncols = target.n_simplices(k + 1)
     if ncols <= max_witness_columns:
-        fill = fill_cycle(target, k, z, want_witness=True)
+        fill = fill_cycle(target, k, z)
         return {"survives_in_target": fill is None, "fill": fill, "fill_locality": "full"}
     if target.boundary_of_chain(k, z) != 0:
         raise NotACycleError()
@@ -229,9 +229,9 @@ class MVPieces:
     A: RelativeComplex  # N_A(W) ∪ C1
     B: RelativeComplex  # N_A(W) ∪ C2
     W: RelativeComplex  # N_A(W)
-    q: dict[int, GF2Matrix] = field(default_factory=dict, repr=False)  # C^k(X) -> C^k(A) ⊕ C^k(B)
-    p: dict[int, GF2Matrix] = field(default_factory=dict, repr=False)  # C^k(A) ⊕ C^k(B) -> C^k(W)
-    e_mats: dict[int, tuple[GF2Matrix, GF2Matrix]] = field(default_factory=dict, repr=False)
+    q: dict[int, GF2Matrix] = field(init=False, default_factory=dict, repr=False)  # C^k(X) -> C^k(A) ⊕ C^k(B)
+    p: dict[int, GF2Matrix] = field(init=False, default_factory=dict, repr=False)  # C^k(A) ⊕ C^k(B) -> C^k(W)
+    e_mats: dict[int, tuple[GF2Matrix, GF2Matrix]] = field(init=False, default_factory=dict, repr=False)
 
     # C^k(A) ⊕ C^k(B) is encoded as a | (b << A.n_rel(k)); only add_degree and direct_sum write it.
 
@@ -276,9 +276,9 @@ def mv_assemble(
     r: int,
     A: int,
     cap: int,
+    x_piece: Callable[[], RelativeComplex],
     collar: int = 2,
     max_simplices: int = MAX_SIMPLICES,
-    x_piece: Optional[Callable[[], RelativeComplex]] = None,
 ) -> MVReport:
     """Assemble the three-piece short exact sequence and check its exactness.
 
@@ -287,10 +287,9 @@ def mv_assemble(
     connecting map of a W-class: :func:`connecting_entry`.
 
     ``x_piece`` returns the X piece, P_r(X) to dimension cap rel the
-    collar, for a caller that shares it with other analyses; it is called
-    once C1 has passed the complementarity test, where the piece would be
-    built. Without it the piece is built here, and its factored degrees
-    are this assembly's own.
+    collar, which the caller may share with other analyses; it is called
+    once C1 has passed the complementarity test, so ``not-complementary``
+    comes before any build of it.
     """
     nA = neighborhood(X, W, A)
     if not is_coarse_complementary(X, nA, C1, r):
@@ -298,10 +297,7 @@ def mv_assemble(
     C2 = (X.full_mask() - C1) | nA
     C1p = C1 | nA
     interior = X.interior_mask(collar)
-    if x_piece is None:
-        RX = RelativeComplex(build_rips(X, X.full_mask(), r, cap, max_simplices=max_simplices), interior)
-    else:
-        RX = x_piece()
+    RX = x_piece()
     dichotomy = simplex_dichotomy_check(RX.K, nA, C1)
     if not dichotomy:
         raise CoarseTopError("dichotomy-failed", "a simplex straddles both sides; raise A")

@@ -87,9 +87,7 @@ class GF2Matrix:
 
     __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, columns: Optional[Sequence[int]] = None):
-        if columns is None:
-            columns = [0] * cols
+    def __init__(self, rows: int, cols: int, columns: Sequence[int]):
         if len(columns) != cols:
             raise ValueError("column count mismatch")
         self.rows = rows
@@ -457,14 +455,9 @@ def solve(A: GF2Matrix, b: int) -> Optional[int]:
     return image_basis(A).solve_masked(b, ())
 
 
-def solve_columns(columns: Iterable[tuple[int, int]], b: int, want_witness: bool = True) -> Optional[int]:
-    """Streaming solve over ``(packed, lo)`` columns, stopping once b is reached (see :class:`ColumnSolve`).
-
-    With want_witness=False only feasibility is decided (0 is returned for a
-    feasible system), which avoids storing combination masks for very large
-    systems.
-    """
-    return ColumnSolve(b, want_witness).feed(columns)
+def solve_columns(columns: Iterable[tuple[int, int]], b: int) -> Optional[int]:
+    """Streaming witnessed solve over ``(packed, lo)`` columns, stopping once b is reached (:class:`ColumnSolve`)."""
+    return ColumnSolve(b).feed(columns)
 
 
 def kernel_basis(A: GF2Matrix) -> list[int]:

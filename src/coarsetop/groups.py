@@ -582,22 +582,23 @@ def commensurability_probe(
         H = subgroup_trace(ball, H_spec)
         K = subgroup_trace(ball, K_spec)
         distances.append(hausdorff_distance(ball.space, H, K))
-    verdict = trend_verdict(distances)
+    verdict = trend_verdict(distances, "bounded")
     return CommensurabilityReport(list(radii), distances, verdict)
 
 
-def trend_verdict(values: Sequence) -> str:
-    """Three-valued trend over a monotone schedule family.
+def trend_verdict(values: Sequence, bounded: object) -> object:
+    """Three-valued trend over a monotone schedule family, as a report prints it.
 
-    "bounded" = identical value at the last three entries; "growing" =
-    strictly increasing over the last three; otherwise "inconclusive".
-    The tool never certifies asymptotics, it reports the windowed trend.
+    ``bounded`` when the last three entries are identical (each caller names
+    its word: "bounded", "stable", or the stable value itself); "growing"
+    when they strictly increase; otherwise "inconclusive". The tool never
+    certifies asymptotics, it reports the windowed trend.
     """
     if len(values) < 3:
         return "inconclusive"
     a, b, c = values[-3], values[-2], values[-1]
     if a == b == c:
-        return "bounded"
+        return bounded
     if a < b < c:
         return "growing"
     return "inconclusive"

@@ -90,7 +90,7 @@ def reduced_homology(K: RipsComplex, k: int) -> tuple[int, list[int]]:
     """
     if k + 1 > K.cap:
         raise ValueError("dimension cap too low: need k+1 simplices for boundaries")
-    cycles = gf2.kernel_basis(K.boundary(k))
+    cycles = K.cycle_basis(k)
     space = gf2.span_of(K.iter_boundary_columns(k + 1, K.uncone(k + 1)))
     reps = [z for z in cycles if space.extend(z)]
     return len(reps), reps
@@ -106,7 +106,7 @@ def two_scale_image_along(f: ChainMap, k: int) -> TwoScaleImage:
     inner, outer = f.source, f.target
     if k + 1 > inner.cap or k + 1 > outer.cap:
         raise ValueError("dimension caps too low for this k")
-    cycles = gf2.kernel_basis(inner.boundary(k))
+    cycles = inner.cycle_basis(k)
     images = [f.apply(k, z) for z in cycles]
     for img, z in zip(images, cycles):
         if outer.boundary_of_chain(k, img) != 0:
@@ -206,13 +206,7 @@ def ends_estimate(X: FiniteMetricSpace, schedules: Sequence[WindowSchedule]) -> 
         cut = sched.R - sched.collar
         deep = [c for c in comps if any(rad[v] > cut for v in c)]
         counts.append(len(deep))
-    return EndsReport(list(schedules), counts, _trend_value(counts))
-
-
-def _trend_value(values: Sequence[int]) -> object:
-    """The last value when the trend is bounded, else "growing" or "inconclusive"."""
-    t = trend_verdict(values)
-    return values[-1] if t == "bounded" else t
+    return EndsReport(list(schedules), counts, trend_verdict(counts, counts[-1] if counts else None))
 
 
 @dataclass
@@ -245,7 +239,7 @@ def _dim_estimate(k: int, schedules: Sequence[WindowSchedule], inclusions: Seque
     """The degree-k estimate read off the schedules' inclusions, built to dimension k or higher."""
     images = [two_scale_image_along(f, k - 1) for f in inclusions]
     ranks = [img.rank for img in images]
-    return DimEstimateReport(k, list(schedules), ranks, _trend_value(ranks), images)
+    return DimEstimateReport(k, list(schedules), ranks, trend_verdict(ranks, ranks[-1] if ranks else None), images)
 
 
 # -- uniform acyclicity ------------------------------------------------------------

@@ -40,11 +40,10 @@ class Cocycle:
     complex: RelativeComplex
     k: int
     vec: int
-    support: SubsetMask = field(default=None)
+    support: SubsetMask = field(init=False)
 
     def __post_init__(self):
-        if self.support is None:
-            self.support = self.complex.support_vertices(self.k, self.vec)
+        self.support = self.complex.support_vertices(self.k, self.vec)
 
     def validate(self) -> None:
         if not self.complex.is_cocycle(self.k, self.vec):
@@ -91,29 +90,28 @@ def local_representability(
 
 @dataclass
 class MobilityResult:
+    """The mobility set at D; :func:`stab_mob_comparison` fills in the stab fields in place."""
+
     D: int
     feasible_centers: SubsetMask
     mob_mask: SubsetMask
     witnesses: dict[int, Cocycle] = field(repr=False, default_factory=dict)
-    stab_orbit: Optional[SubsetMask] = None
-    stab_mob_hausdorff: Optional[float] = None
+    stab_orbit: Optional[SubsetMask] = field(init=False, default=None)
+    stab_mob_hausdorff: Optional[float] = field(init=False, default=None)
 
 
 def mobility_set(
     R: RelativeComplex,
     alpha0: Cocycle,
     D: int,
-    centers: Optional[Sequence[int]] = None,
     collar: int = 2,
 ) -> MobilityResult:
-    """Union of witness supports over feasible centers: the Mob approximation."""
+    """Union of witness supports over the collar-safe feasible centers: the Mob approximation."""
     X = R.K.space
-    if centers is None:
-        centers = _collar_safe_centers(R, D, collar)
     feasible = []
     witnesses: dict[int, Cocycle] = {}
     mob: set[int] = set()
-    for g in sorted(centers):
+    for g in _collar_safe_centers(R, D, collar):
         w = local_representability(R, alpha0, g, D, collar=collar)
         if w is not None:
             feasible.append(g)
@@ -178,20 +176,13 @@ def stab_trace(ball: BallModel, R: RelativeComplex, alpha0: Cocycle) -> tuple[Su
 
 
 def stab_mob_comparison(
-    ball: BallModel,
-    R: RelativeComplex,
-    alpha0: Cocycle,
-    D: int,
-    collar: int = 2,
-    res: Optional[MobilityResult] = None,
+    ball: BallModel, R: RelativeComplex, alpha0: Cocycle, res: MobilityResult
 ) -> MobilityResult:
     """Hausdorff comparison of the stab-trace orbit of supp(alpha0) with Mob.
 
-    ``res`` is the mobility set at D when the caller already has it (the
-    detector's last); it is completed in place instead of solved again.
+    ``res`` is the mobility set of alpha0 at one D (the detector's last),
+    completed in place with the orbit and the distance.
     """
-    if res is None:
-        res = mobility_set(R, alpha0, D, collar=collar)
     trace, _ = stab_trace(ball, R, alpha0)
     orbit: set[int] = set()
     for gid in trace.ids:

@@ -30,9 +30,9 @@ matrices are deterministic.
 The dimension cap defaults to n+1 for an analysis in dimension n, since no
 operation here needs higher simplices. fill_cycle solves the sparse GF(2)
 system by column reduction, optionally restricted to simplices inside a
-locality ball; feasibility-only solves stream columns and skip witness
-bookkeeping, which is what makes window-global membership tests affordable
-on the 3d fixtures.
+locality ball; the essential probe's feasibility-only solves stream columns
+and skip witness bookkeeping (``gf2.ColumnSolve``), which is what makes
+window-global membership tests affordable on the 3d fixtures.
 
 Every elimination over ∂ columns (fills, boundary spans, two-scale images)
 feeds only the columns :meth:`RipsComplex.uncone` keeps. A simplex
@@ -106,16 +106,16 @@ class PositionView:
     def __len__(self) -> int:
         return len(self.last[self.k])
 
-    def get(self, s: Sequence[int], default: Optional[int] = None) -> Optional[int]:
-        """The index of s, or ``default`` when s is no k-simplex (unsorted tuples are none)."""
+    def get(self, s: Sequence[int]) -> Optional[int]:
+        """The index of s, or None when s is no k-simplex (unsorted tuples are none)."""
         if len(s) != self.k + 1:
-            return default
+            return None
         j = 0
         for last, start, v in zip(self.last, self.start, s):
             lo, hi = start[j], start[j + 1]
             j = bisect_left(last, v, lo, hi)
             if j == hi or last[j] != v:
-                return default
+                return None
         return j
 
     def __getitem__(self, s: Sequence[int]) -> int:
@@ -140,6 +140,7 @@ class RipsComplex:
         self.simplices = [SimplexView(last, parent, k) for k in range(cap + 1)]
         self.index = [PositionView(last, start, k) for k in range(cap + 1)]
         self._boundary_cache: dict[int, GF2Matrix] = {}
+        self._cycle_cache: dict[int, list[int]] = {}
 
     # -- basic counts ---------------------------------------------------------
 
@@ -167,6 +168,13 @@ class RipsComplex:
             )
         self._boundary_cache[k] = mat
         return mat
+
+    def cycle_basis(self, k: int) -> list[int]:
+        """A basis of ker ∂_k (reduced: ∂_0 is the augmentation), eliminated once per degree; read only."""
+        basis = self._cycle_cache.get(k)
+        if basis is None:
+            basis = self._cycle_cache[k] = gf2.kernel_basis(self.boundary(k))
+        return basis
 
     def iter_banded_columns(
         self, k: int, among: Optional[Iterable[int]] = None
@@ -453,7 +461,6 @@ def fill_cycle(
     k: int,
     z: int,
     locality: Optional[tuple[int, int]] = None,
-    want_witness: bool = True,
 ) -> Optional[int]:
     """A (k+1)-chain w with ∂w = z, or None ("no-fill").
 
@@ -464,8 +471,8 @@ def fill_cycle(
     sum of columns of simplices v∗f inside it fed before it, so the pivots
     and the fill are those of the solve over every simplex inside. The
     columns are fed packed, so the solve's echelon is stored banded.
-    Returns the fill as a chain over all (k+1)-simplices, 0 for a feasible
-    feasibility-only solve, or None when z is no boundary of those columns.
+    Returns the fill as a chain over all (k+1)-simplices, or None when z is
+    no boundary of those columns.
     """
     if k + 1 > L.cap:
         raise ValueError("complex cap too low to fill at this dimension")
@@ -478,9 +485,9 @@ def fill_cycle(
         allowed = SubsetMask(L.space.n, (v for v in L.vertex_mask.ids if 0 <= row[v] <= radius))
         among = L.simplices_within(k + 1, allowed)
     cols_idx = list(L.uncone(k + 1, among, allowed))
-    x = gf2.solve_columns(L.iter_banded_columns(k + 1, cols_idx), z, want_witness=want_witness)
-    if x is None or not want_witness:
-        return x
+    x = gf2.solve_columns(L.iter_banded_columns(k + 1, cols_idx), z)
+    if x is None:
+        return None
     return gf2.vector_from_indices(cols_idx[b] for b in gf2.bits(x))
 
 

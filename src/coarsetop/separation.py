@@ -140,9 +140,7 @@ def coarse_n_separation(
         rows.append(
             WindowSeparation(cs.space.window_radius or -1, n_deep, n_deep, e_low)
         )
-    counts = [r.n_deep for r in rows]
-    t = trend_verdict(counts)
-    return SeparationReport(rows, "stable" if t == "bounded" else t)
+    return SeparationReport(rows, trend_verdict([r.n_deep for r in rows], "stable"))
 
 
 # -- group actions on components ------------------------------------------------------
@@ -268,15 +266,16 @@ def almost_invariant_extract(
     H: SubsetMask,
     C: SubsetMask,
     A: int,
-    collar: int = 2,
 ) -> tuple[SubsetMask, dict]:
     """X^ = { g : gH∩window inside C ∪ N_A(H) }, with the three checks replayed.
 
     Verifies (i) right H-invariance where defined, (ii) agreement with C
-    outside N_A(H), (iii) depth of both X^ and its complement.
+    outside N_A(H), (iii) depth of both X^ and its complement. The collar
+    is 2, that of the components its runner reads C from.
     """
     X = ball.space
     model = ball.model
+    collar = 2
     nA, depth = _separation(X, H, A, collar)  # N_A(H) and the depth test (iii)
     h_elems = [ball.elements[i] for i in H.sorted_ids()]
     allowed = C.ids | nA.ids

@@ -368,6 +368,14 @@ def gated_probe(X, W, C, n, schedules, name="C", probe=-1, **kwargs):
     return essential_probe(X, W, C, n, sched, images[sched], name, **kwargs)
 
 
+def x_piece(X, r, cap):
+    """``mv_assemble``'s X piece as ``coarsetop run`` builds it: P_r(X) to dimension cap, rel the collar 2."""
+    from coarsetop.cochains import RelativeComplex
+    from coarsetop.rips import build_rips
+
+    return lambda: RelativeComplex(build_rips(X, X.full_mask(), r, cap), X.interior_mask(2))
+
+
 def acyclicity_per_radius(X, k_max, centers, i_values, r_values, lambda_max, mu_max):
     """``uniform_acyclicity_probe``'s entries as (x, k, i, r, lambda, mu, failed), one search per listed r.
 

@@ -31,13 +31,14 @@ from coarsetop.metric import FiniteMetricSpace, SubsetMask, neighborhood
 from coarsetop.mobility import (
     Cocycle,
     coarse_manifold_detector,
+    mobility_set,
     mobset_replay,
     stab_mob_comparison,
 )
-from coarsetop.rips import build_rips, fill_cycle
+from coarsetop.rips import build_rips
 from coarsetop.separation import complement_components
 
-from oracles import dense_rank_gf2, dense_solve_gf2, flood_fill_components, gated_probe
+from oracles import dense_rank_gf2, dense_solve_gf2, flood_fill_components, gated_probe, x_piece
 
 
 def _sched(R, S_values, i=1, j=1, collar=2):
@@ -154,7 +155,7 @@ def test_accept_3_figure_classification(fig1_12, fig2_12):
             pushed = 0
             for j in gf2.bits(z):
                 pushed |= 1 << target.index[n - 1][w_img.inner.simplices[n - 1][j]]
-            feasible = fill_cycle(target, n - 1, pushed, want_witness=False)
+            feasible = gf2.ColumnSolve(pushed, track=False).feed(target.iter_banded_columns(n, target.uncone(n)))
             assert (feasible is None) == wit["survives_in_target"]
     print("ACCEPT 3 PASS figures: fig1 bottom/top, fig2 bottom/top, three book pages classified and replayed")
 
@@ -177,7 +178,7 @@ def test_accept_5_mv_connecting_map(line_in_plane_8):
     """delta~ of the point class: nonzero, localized, exact at computed spots."""
     fix = line_in_plane_8
     X = fix.space
-    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     c = connecting_entry(rep.pieces, 1, sigma)
@@ -190,7 +191,7 @@ def test_accept_5_mv_connecting_map(line_in_plane_8):
     # on the three-page book, cut off the fin, the middle spot at H^2
     # compares nonzero groups: H^2 of X, A, B, W is 2, 0, 1, 0
     book = grid_fixture("three_page_book", 6)
-    pages = mv_assemble(book.space, book.w, book.components["fin"], r=2, A=1, cap=4)
+    pages = mv_assemble(book.space, book.w, book.components["fin"], r=2, A=1, cap=4, x_piece=x_piece(book.space, 2, 4))
     P = pages.pieces
     assert [R.cohomology_dim(2) for R in (P.X, P.A, P.B, P.W)] == [2, 0, 1, 0]
     assert pages.dichotomy and all(pages.ses_ok.values())
@@ -265,7 +266,7 @@ def test_accept_7_mobility(z_ball_12, z2_ball_10, f2_ball_6):
     cut = Cocycle(Rf, 1, 1 << Rf.rel_pos[1][Kf.index[1][edge]])
     det_f = coarse_manifold_detector(Rf, 1, cut, [1, 2], collar=1)
     assert det_f.verdict == "false"
-    res = stab_mob_comparison(ball, Rf, cut, 2, collar=1)
+    res = stab_mob_comparison(ball, Rf, cut, mobility_set(Rf, cut, 2, collar=1))
     rep = mobset_replay(ball, res)
     assert rep["valid"] and rep["orbit_inside_mob"]
     assert res.stab_mob_hausdorff is not None

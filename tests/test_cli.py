@@ -412,6 +412,50 @@ def test_scenario_builds_each_complex_once(monkeypatch):
     assert len(built) == len(set(built)) == 50
 
 
+def test_acyclicity_eliminates_each_cycle_basis_once(monkeypatch):
+    # z2_R16's acyclicity walk tests each inner P_i(N_r(x)) against several
+    # outers, and each test once eliminated the inner cycle basis afresh:
+    # 60 kernel bases a pass for these 24 inner complexes
+    from coarsetop import gf2
+
+    seen = []
+    kernel_basis = gf2.kernel_basis
+    monkeypatch.setattr(gf2, "kernel_basis", lambda A: seen.append(A) or kernel_basis(A))
+    scenario = json.loads((SCENARIOS / "group-balls" / "z2_R16.json").read_text())
+    block = next(b for b in scenario["analyses"] if b["analysis"] == "acyclicity")
+    _, code = run_scenario({**scenario, "analyses": [block]}, seed=0)
+    assert code == 0
+    assert len(seen) == len({id(A) for A in seen}) == 24
+
+
+def test_mobility_exports_the_class_and_skips_the_stab_comparison():
+    # export_class and stab_comparison: false, which no benchmark scenario
+    # turns on: the entry lists the crossing class's relative edges and no
+    # stab fields, and otherwise equals the default run's
+    from coarsetop.groups import FreeAbelian, build_ball
+
+    block = {"analysis": "mobility", "class": "crossing"}
+    scenario = {**Z2_AXIS, "space": {"kind": "group", "family": "Z^2", "radius": 6}}
+    report, code = run_scenario({**scenario, "analyses": [{**block, "export_class": True, "stab_comparison": False}]})
+    default, _ = run_scenario({**scenario, "analyses": [block]})
+    (entry,), (full,) = report["results"], default["results"]
+    assert code == 0 and entry["status"] == "ok"
+    stab = {"stab_mob_hausdorff", "mob_size", "stab_orbit_size"}
+    assert stab <= full.keys() and not stab & entry.keys()
+    exported = entry.pop("class_simplices")
+    del entry["params"], full["params"]  # each echoes its own block
+    assert entry == {k: v for k, v in full.items() if k not in stab}
+    # the crossing class at scale 1 and collar 2: the unit edges from x = 0 to
+    # x = 1 with a vertex off the collar, each a sorted vertex list
+    X = build_ball(FreeAbelian(2), 6).space
+    interior = {v for v in range(X.n) if X.radial[v] <= 6 - 2}
+    support = [
+        [u, v] for u in range(X.n) for v in range(u + 1, X.n)
+        if X.dist(u, v) == 1 and {X.labels[u][0], X.labels[v][0]} == {0, 1} and {u, v} & interior
+    ]
+    assert exported == support != []
+
+
 def test_window_failure_comes_before_complex_too_large(tmp_path):
     # every schedule's window checks run before the gate builds anything: the
     # second schedule is invalid, and the first's complexes exceed the cap

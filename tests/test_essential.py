@@ -25,7 +25,7 @@ from coarsetop.metric import neighborhood
 from coarsetop.rips import build_rips
 from coarsetop.cochains import RelativeComplex
 
-from oracles import echelon_entries, gated_probe, push_by_tuples, stored_pivots, unpacked
+from oracles import echelon_entries, gated_probe, push_by_tuples, stored_pivots, unpacked, x_piece
 
 
 def fig_schedules(R=12):
@@ -310,7 +310,7 @@ def test_essential_inconclusive_when_pd_fails(f2_ball_6):
 
 def test_mv_ses_and_exactness(line_in_plane_8):
     fix = line_in_plane_8
-    rep = mv_assemble(fix.space, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    rep = mv_assemble(fix.space, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(fix.space, 2, 3))
     assert rep.dichotomy
     assert all(rep.ses_ok.values())
     assert all(rep.exactness.values())
@@ -321,13 +321,13 @@ def test_mv_requires_complementary(line_in_plane_8):
     X = fix.space
     evens = X.mask_where(lambda p: (p[0] + p[1]) % 2 == 0)
     with pytest.raises(CoarseTopError):
-        mv_assemble(X, fix.w, evens, r=2, A=1, cap=2)
+        mv_assemble(X, fix.w, evens, r=2, A=1, cap=2, x_piece=x_piece(X, 2, 2))
 
 
 def test_mv_connecting_map_nonzero(line_in_plane_8):
     fix = line_in_plane_8
     X = fix.space
-    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     RW = rep.pieces.W
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     c = connecting_entry(rep.pieces, 1, sigma)
@@ -351,7 +351,7 @@ def test_mv_builds_extension_matrices_once_per_degree(line_in_plane_8, monkeypat
         return extension(src, dst, deg)
 
     monkeypatch.setattr(essential, "extension_matrix", counting_extension)
-    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     sigma = rep.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     c = connecting_entry(rep.pieces, 1, sigma)
     degrees = {0, 1}  # the W-exactness checks in degrees 0 and 1, the class in degree 1
@@ -370,7 +370,7 @@ def test_mv_degenerate_full_component(line_in_plane_8):
     # C1 = X gives B = N_A(W); the connecting map vanishes on all classes
     fix = line_in_plane_8
     X = fix.space
-    rep = mv_assemble(X, fix.w, X.full_mask(), r=2, A=1, cap=3)
+    rep = mv_assemble(X, fix.w, X.full_mask(), r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     sigma = rep.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     c = connecting_entry(rep.pieces, 1, sigma)
     assert not c["nonzero_in_proxy"]
@@ -380,7 +380,7 @@ def test_mv_naturality_under_translation(line_in_plane_8):
     # the snake commutes with a lattice translation of the input class
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     RW, RX = base.pieces.W, base.pieces.X
     s0 = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     s5 = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 5))
@@ -417,7 +417,7 @@ def test_exactness_checker_detects_breakage(line_in_plane_8, monkeypatch):
 
     fix = line_in_plane_8
     X = fix.space
-    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    rep = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     assert rep.exactness["w-H1"] is True
     monkeypatch.setattr(essential_mod, "connecting_map", lambda pieces, deg, sigma: 0)
     from coarsetop.essential import _exact_at_w
@@ -456,7 +456,7 @@ def test_mv_eliminates_each_cocycle_basis_once(line_in_plane_8, monkeypatch):
         return kernel_basis(A)
 
     monkeypatch.setattr(gf2, "kernel_basis", counting_kernel_basis)
-    rep = mv_assemble(fix.space, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    rep = mv_assemble(fix.space, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(fix.space, 2, 3))
     assert len(rep.exactness) == 4 and all(rep.exactness.values())
     assert len(seen) <= 8
     P = rep.pieces
@@ -484,14 +484,14 @@ def test_one_flood_from_w_per_probe(line_in_plane_8, monkeypatch):
     assert almost_essential_probe(X, W, C, 1, range(4)).verdict == "B=2"
     assert sources.count(W.sorted_ids()) == 1 < len(sources)
     sources.clear()
-    mv_assemble(X, W, C, r=2, A=1, cap=2)
+    mv_assemble(X, W, C, r=2, A=1, cap=2, x_piece=x_piece(X, 2, 2))
     assert sources.count(W.sorted_ids()) == 1
 
 
 def test_two_sided_fundamental_class(line_in_plane_8):
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     RW, RX = base.pieces.W, base.pieces.X
     sigma = RW.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     omega = connecting_map(base.pieces, 1, sigma)
@@ -511,7 +511,7 @@ def test_two_sided_fundamental_class(line_in_plane_8):
 def test_two_sided_coboundary_is_zero(line_in_plane_8):
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     RX = base.pieces.X
     beta = 1 << (RX.n_rel(1) // 2)
     cb = RX.coboundary(1, beta)

@@ -240,8 +240,8 @@ def test_solve_returns_the_reference_witness(system):
 @given(packed_systems())
 def test_solve_witnessless_agrees_on_feasibility(system):
     columns, b = system
-    w = gf2.solve_columns(columns, b, want_witness=True)
-    f = gf2.solve_columns(columns, b, want_witness=False)
+    w = gf2.solve_columns(columns, b)
+    f = gf2.ColumnSolve(b, track=False).feed(columns)
     assert (w is None) == (f is None)
 
 
@@ -255,8 +255,7 @@ def test_early_exit_and_resumed_solves_match_dense(system, split):
     rows = max([b, *plain]).bit_length()
     rhs = [(b >> i) & 1 for i in range(rows)]
     feasible = dense_solve_gf2(_dense(plain, rows), rhs) is not None if columns else b == 0
-    for want_witness in (True, False):
-        x = gf2.solve_columns(iter(columns), b, want_witness=want_witness)
+    for x in (gf2.solve_columns(iter(columns), b), gf2.ColumnSolve(b, track=False).feed(iter(columns))):
         assert (x is not None) == feasible
     # the fallback of the essential probe: drop the witness after a failed prefix
     resumed = gf2.ColumnSolve(b)
@@ -273,7 +272,7 @@ def test_witnessed_early_exit_matches_tracked_full_elimination(system, split):
     columns, b = system
     split %= len(columns) + 1
     plain = [unpacked(c, lo) for c, lo in columns]
-    x = gf2.solve_columns(iter(columns), b, want_witness=True)
+    x = gf2.solve_columns(iter(columns), b)
     assert x == tracked_full_solve(plain, b)
     if x is not None:
         assert gf2.GF2Matrix(0, len(plain), plain).matvec(x) == b

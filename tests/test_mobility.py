@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_is_zero_afresh, compacted_representative_within, table_transport
+from oracles import class_is_zero_afresh, compacted_representative_within, table_transport, x_piece
 
 from coarsetop import gf2
 from coarsetop import mobility as mobility_mod
@@ -93,10 +93,10 @@ def test_zero_class_feasible_with_zero_witness(z_setup):
 
 def test_mobility_monotone_in_D(z2_setup):
     ball, R, a0 = z2_setup
-    centers = [ball.index[p] for p in [(0, 0), (1, 0), (2, 1), (0, -2)]]
-    res2 = mobility_set(R, a0, 2, centers=centers)
-    res3 = mobility_set(R, a0, 3, centers=centers)
-    assert res2.feasible_centers.issubset(res3.feasible_centers)
+    centers = SubsetMask(ball.space.n, (ball.index[p] for p in [(0, 0), (1, 0), (2, 1), (0, -2)]))
+    res2 = mobility_set(R, a0, 2)
+    res3 = mobility_set(R, a0, 3)
+    assert (res2.feasible_centers & centers).issubset(res3.feasible_centers)
 
 
 def test_witness_soundness_replayed(z2_setup):
@@ -142,7 +142,7 @@ def test_stab_trace_z_translations(z_setup):
 
 def test_stab_trace_f2_near_identity(f2_setup):
     ball, R, a0 = f2_setup
-    res = stab_mob_comparison(ball, R, a0, 2, collar=1)
+    res = stab_mob_comparison(ball, R, a0, mobility_set(R, a0, 2, collar=1))
     assert len(res.stab_orbit) <= 4
     assert res.stab_mob_hausdorff is not None and res.stab_mob_hausdorff <= 3
     rep = mobset_replay(ball, res)
@@ -226,7 +226,7 @@ def test_mv_class_agrees_with_cup_class(line_in_plane_8):
     # same mobility verdicts
     fix = line_in_plane_8
     X = fix.space
-    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3)
+    base = mv_assemble(X, fix.w, fix.components["upper"], r=2, A=1, cap=3, x_piece=x_piece(X, 2, 3))
     RX = base.pieces.X
     sigma = base.pieces.W.cochain_from_edge_predicate(crossing_cochain(X, 0, 0))
     omega = connecting_map(base.pieces, 1, sigma)
@@ -339,7 +339,7 @@ def test_transport_reads_only_the_support():
     assert sorted(trace.ids) == members and undet == undetermined
     assert members and undetermined
 
-    res = stab_mob_comparison(lean, R, a0, 2)
+    res = stab_mob_comparison(lean, R, a0, mobility_set(R, a0, 2))
     orbit = set()
     for gid in members:
         table = ball.action_table(ball.elements[gid])

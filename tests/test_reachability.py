@@ -40,6 +40,19 @@ Two more scans look inside the definitions, at the data they carry:
 
 Both match names by spelling, so they over-approximate reads as the
 reachability scan does.
+
+A last scan looks for knobs that only tests set. Of every function that
+some code in ``src/`` calls, each defaulted parameter must be passed by
+some call in ``src/``: by keyword, by position, or through ``*`` or
+``**``. A class's name calls its ``__init__``, or for a dataclass or named
+tuple its fields (those not marked ``init=False``); ``cls(...)`` calls
+the class whose code it is in, and ``super().__init__(...)`` its bases.
+Calls match by spelling, as in the other scans. The parameters in
+``KNOB_EXEMPT`` are kept for callers outside ``src/``, each for the reason
+given. The scan reads no values, so it cannot see a fork whose parameter
+every call passes but whose default only a test selects (a ``None`` that
+builds the piece a runner always hands over); such forks are found by
+reading the calls.
 """
 
 from __future__ import annotations
@@ -49,6 +62,9 @@ import functools
 import importlib.util
 import sys
 from pathlib import Path
+from typing import Optional
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsetop"
@@ -65,6 +81,12 @@ ACCEPTANCE_HELPERS = (
 )
 TEST_SPACE_METHODS = ("metric:FiniteMetricSpace.from_table", "metric:FiniteMetricSpace.dist")
 SERIALISED = ("homology:WindowSchedule", "separation:WindowSeparation")  # cli's vars(s) and vars(w)
+KNOB_EXEMPT = {
+    "cli:main(argv)": "the console entry point: the console passes no arguments, tests pass an argument list",
+    "essential:essential_probe(max_witness_columns)": (
+        "the seam that lets tests drive the local-then-resume fill on small fixtures"
+    ),
+}
 
 
 def _spans():
@@ -259,6 +281,106 @@ def unread_parameters(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def _calls(sources: dict[str, str]) -> dict[str, list[ast.Call]]:
+    """The calls in the sources, by the name they call.
+
+    ``cls(...)`` calls the class whose code it is in, and
+    ``super().__init__(...)`` the bases of that class, by their names.
+    """
+    out: dict[str, list[ast.Call]] = {}
+
+    def visit(node, owner) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name):
+                    names = [owner.name if f.id == "cls" and owner else f.id]
+                elif isinstance(f, ast.Attribute) and f.attr == "__init__" and owner:
+                    names = [b.id for b in owner.bases if isinstance(b, ast.Name)]
+                else:
+                    names = [f.attr] if isinstance(f, ast.Attribute) else []
+                for name in names:
+                    out.setdefault(name, []).append(child)
+            visit(child, child if isinstance(child, ast.ClassDef) else owner)
+
+    for text in sources.values():
+        visit(_tree(text), None)
+    return out
+
+
+def _init_fields(cls: ast.ClassDef) -> Optional[list[tuple[str, bool]]]:
+    """(name, has a default) of each constructor field of a dataclass or named tuple; None for other classes."""
+    decorators = {ast.unparse(d).split("(")[0] for d in cls.decorator_list}
+    if "dataclass" not in decorators and "NamedTuple" not in map(ast.unparse, cls.bases):
+        return None
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            value = node.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+                keywords = {k.arg: k.value for k in value.keywords}
+                if getattr(keywords.get("init"), "value", True) is False:
+                    continue
+                out.append((node.target.id, bool(keywords.keys() & {"default", "default_factory"})))
+            else:
+                out.append((node.target.id, value is not None))
+    return out
+
+
+def _signatures(sources: dict[str, str]):
+    """(key, the name a call uses, positional names, defaulted names) of every def and field-built class.
+
+    A method is called by its own name and ``__init__`` by its class's; a
+    method's ``self`` or ``cls`` is no positional name, since no call's
+    argument lands on it.
+    """
+
+    def visit(module: str, node, prefix: str, owner: Optional[ast.ClassDef]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                fields = _init_fields(child)
+                if fields is not None:
+                    names, defaulted = [n for n, _ in fields], [n for n, d in fields if d]
+                    yield f"{module}:{prefix}{child.name}", child.name, names, defaulted
+                yield from visit(module, child, f"{prefix}{child.name}.", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+                defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if owner and positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                called = owner.name if owner and child.name == "__init__" else child.name
+                yield f"{module}:{prefix}{child.name}", called, positional, defaulted
+                yield from visit(module, child, f"{prefix}{child.name}.", None)
+            else:
+                yield from visit(module, child, prefix, owner)
+
+    for module, text in sources.items():
+        yield from visit(module, _tree(text), "", None)
+
+
+def _passes(call: ast.Call, name: str, at: Optional[int]) -> bool:
+    """Whether the call passes parameter ``name``, the positional one at ``at`` (None: keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):  # by keyword, or through **
+        return True
+    return at is not None and (len(call.args) > at or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """The defaulted parameters, as "module:function(name)", of called functions that no call passes."""
+    calls = _calls(sources)
+    out = []
+    for key, called, positional, defaulted in _signatures(sources):
+        if called not in calls:
+            continue
+        for name in defaulted:
+            at = positional.index(name) if name in positional else None
+            if not any(_passes(call, name, at) for call in calls[called]):
+                out.append(f"{key}({name})")
+    return sorted(out)
+
+
 def test_every_definition_is_reached():
     start = roots()
     defined, reached = scan(_sources(), start)
@@ -334,3 +456,37 @@ def test_the_scans_flag_an_unread_field_and_parameter():
         sources[module] = sources[module].replace(old, new)
     assert unread_fields(sources) == ["gf2:GF2Subspace.ambient"]
     assert unread_parameters(sources) == ["gf2:span_of(ambient)"]
+
+
+def test_every_default_is_passed_by_some_call():
+    # a default that no call in src/ overrides is a knob that only tests
+    # set: make it a constant, or make the parameter required
+    assert unpassed_defaults(_sources()) == sorted(KNOB_EXEMPT), (
+        "defaulted parameters that no call in src/ passes, against the named exemptions"
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "",
+        "mobility_set(R, a, D, centers=c)",
+        "mobility_set(R, a, D, c)",
+        "mobility_set(*args)",
+        "mobility_set(R, a, D, **kw)",
+    ],
+    ids=["no-call", "keyword", "position", "star", "double-star"],
+)
+def test_the_knob_scan_flags_a_default_that_no_call_passes(call):
+    # mobility_set's centers, which only a test once set; a call in src/
+    # passing it by keyword, by position or through * or ** clears it
+    sources = _sources()
+    old = "    D: int,\n    collar: int = 2,\n) -> MobilityResult:"
+    assert sources["mobility"].count(old) == 1
+    sources["mobility"] = sources["mobility"].replace(
+        old, "    D: int,\n    centers: Optional[Sequence[int]] = None,\n    collar: int = 2,\n) -> MobilityResult:"
+    )
+    if call:
+        sources["cli"] += f"\n\ndef _caller(R, a, D, c, args, kw):\n    return {call}\n"
+    flagged = ["mobility:mobility_set(centers)"] if not call else []
+    assert unpassed_defaults(sources) == sorted([*KNOB_EXEMPT, *flagged])

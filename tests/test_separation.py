@@ -290,9 +290,9 @@ def test_deep_and_shallow_labels_match_the_full_field(family, R, spec, monkeypat
         shallow = [u for c in cs.shallow_components() for u in c.mask.ids]
         assert depth.get("max_depth", A) == max((full[u] for u in shallow), default=A)
         C = (cs.deep_components() or cs.components)[0].mask
-        extracted.append((C, A, collar, almost_invariant_extract(ball, W, C, A, collar=collar)))
+        extracted.append((C, A, almost_invariant_extract(ball, W, C, A)))
     # the extraction's N_A(H) and depth test (iii) also agree with full fields
     unbounded = FiniteMetricSpace.dist_to_set
     monkeypatch.setattr(FiniteMetricSpace, "dist_to_set", lambda self, ids, limit=None: unbounded(self, ids))
-    for C, A, collar, result in extracted:
-        assert almost_invariant_extract(ball, W, C, A, collar=collar) == result
+    for C, A, result in extracted:
+        assert almost_invariant_extract(ball, W, C, A) == result
