@@ -6,12 +6,12 @@ by ``bit_length``, O(1), where the lowest set bit costs O(size)).
 
 The plain form, :class:`GF2Subspace` and its reduction loop
 (:meth:`GF2Subspace._reduce`), serves the GF2Matrix work: rank, ``solve``,
-kernel and image bases, ``span_of``, the two-scale homology image ranks
-and the cochain coboundaries. A tracked echelon of columns inserted in
-order also answers the solve over the same columns with a set of rows
-masked to zero (:meth:`GF2Subspace.solve_masked`): it re-reduces only the
-pivots the mask touches, so a family of masked solves shares one
-elimination.
+kernel and image bases, ``span_of`` (the Rips boundary spaces), homology
+image ranks modulo such a span (:func:`quotient_image_rank`) and the
+cochain coboundaries. A tracked echelon of columns inserted in order also
+answers the solve over the same columns with a set of rows masked to zero
+(:meth:`GF2Subspace.solve_masked`): it re-reduces only the pivots the mask
+touches, so a family of masked solves shares one elimination.
 
 The banded form, :class:`BandedEchelon`, serves the streaming membership
 solves over Rips boundary columns (:class:`ColumnSolve`), which stop
@@ -475,18 +475,17 @@ def span_of(vectors: Iterable[int]) -> GF2Subspace:
     return _echelon(vectors)
 
 
-def quotient_image_rank(f_images: Sequence[int], outer_boundaries: Iterable[int]) -> tuple[int, list[int]]:
-    """Rank of (span(f_images) + B) / B and indices of representative images.
+def quotient_image_rank(f_images: Sequence[int], boundaries: GF2Subspace) -> tuple[int, list[int]]:
+    """Rank of (span(f_images) + B) / B and the positions of representative images.
 
     ``f_images[t]`` is the image of the t-th inner cycle in the outer chain
-    group. Returns (rank, reps) where reps lists the positions t whose images
-    form a basis of the image modulo the outer boundary space.
+    group and ``boundaries`` is B, the outer boundary space, read only.
+    Reduction mod B is linear with kernel B, so image t is kept when its
+    residue extends the span of the residues kept before it: the positions
+    that extending B itself by the images in order would keep.
     """
-    space = span_of(outer_boundaries)
-    reps: list[int] = []
-    for t, img in enumerate(f_images):
-        if space.extend(img):
-            reps.append(t)
+    residues = GF2Subspace()
+    reps = [t for t, img in enumerate(f_images) if residues.extend(boundaries.reduce(img))]
     return len(reps), reps
 
 

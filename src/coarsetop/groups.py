@@ -491,12 +491,14 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
     """Mask of ball elements lying in the specified subgroup.
 
     Spec forms:
-      {"cyclic": word-or-nf}            the generators BFS over one element (a Z^n element may be a list)
-      {"factor": i}                     the free part (0) or the axis (1) of the amalgam
-      {"sublattice": {"k": 2, "coords": [0]}}   k Z^m inside Z^n (k >= 1, axes below n)
-      {"generators": [words-or-nfs]}    in-window BFS over the listed generators
-    Any other value raises BadSubgroupSpecError. Stepping by g and g^-1 in
-    the window, the BFS reaches g's powers up to the first outside it.
+      {"cyclic": word-or-nf}            one generator (a Z^n element may be a list)
+      {"factor": i}                     the free part <x, z> (0) or the axis <y> (1) of the amalgam
+      {"sublattice": {"k": 2, "coords": [0]}}   k Z^m inside Z^n, generated by k e_j (k >= 1, axes below n)
+      {"generators": [words-or-nfs]}    the listed generators
+    Any other value raises BadSubgroupSpecError. Every kind becomes a list
+    of generators for one in-window BFS, stepping by each g and g^-1: it
+    reaches g's powers up to the first outside the window, and on the
+    convex amalgam and Z^n balls every element of a factor or sublattice.
     """
     model = ball.model
     if not isinstance(spec, dict) or len(spec) != 1:
@@ -507,9 +509,8 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
             raise BadSubgroupSpecError("factor spec requires the amalgam model")
         if type(value) is not int or value not in (0, 1):
             raise BadSubgroupSpecError(f"factor index must be 0 or 1, got {value!r}")
-        j, e = 1 - value, model.identity()  # the other part is trivial on the factor
-        return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if g[j] == e[j]))
-    if kind == "sublattice":
+        gens = [g for name, g in model.generators() if (name == "y") == (value == 1)]
+    elif kind == "sublattice":
         if not isinstance(model, FreeAbelian):
             raise BadSubgroupSpecError("sublattice spec requires a free abelian model")
         known = isinstance(value, dict) and value.keys() <= {"k", "coords"}
@@ -521,13 +522,8 @@ def subgroup_trace(ball: BallModel, spec) -> SubsetMask:
             raise BadSubgroupSpecError(
                 f'sublattice expects {{"k": integer >= 1, "coords": [axes below {model.n}]}}, got {value!r}'
             )
-        coords = set(coords)
-        def member(g):
-            return all(
-                (g[j] % k == 0) if j in coords else (g[j] == 0) for j in range(model.n)
-            )
-        return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if member(g)))
-    if kind == "cyclic":
+        gens = [tuple(k * (i == j) for i in range(model.n)) for j in coords]
+    elif kind == "cyclic":
         gens = [_element(model, value, kind)]
         if gens[0] == model.identity():
             raise BadSubgroupSpecError("cyclic generator is the identity")

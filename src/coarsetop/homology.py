@@ -8,9 +8,10 @@ complex that are artifacts of the finite window die in the outer one;
 whatever survives is the two-scale image, the computational stand-in for a
 coarse cohomology class one degree up.
 
-Boundary spans stream only the ∂ columns that :meth:`RipsComplex.uncone`
-keeps; the skipped ones are sums of earlier columns, so every echelon form,
-rank and representative is the one the whole boundary matrix gives.
+Every boundary span is :meth:`RipsComplex.boundary_space`, which streams
+only the ∂ columns that :meth:`RipsComplex.uncone` keeps; the skipped ones
+are sums of earlier columns, so every echelon form, rank and representative
+is the one the whole boundary matrix gives.
 
 Verdicts over a schedule family are three-valued: a value is "stable" when
 the last three schedules agree, "growing" when they strictly increase, and
@@ -91,9 +92,8 @@ def reduced_homology(K: RipsComplex, k: int) -> tuple[int, list[int]]:
     if k + 1 > K.cap:
         raise ValueError("dimension cap too low: need k+1 simplices for boundaries")
     cycles = K.cycle_basis(k)
-    space = gf2.span_of(K.iter_boundary_columns(k + 1, K.uncone(k + 1)))
-    reps = [z for z in cycles if space.extend(z)]
-    return len(reps), reps
+    rank, positions = gf2.quotient_image_rank(cycles, K.boundary_space(k))
+    return rank, [cycles[t] for t in positions]
 
 
 def two_scale_image(inner: RipsComplex, outer: RipsComplex, k: int) -> TwoScaleImage:
@@ -111,16 +111,14 @@ def two_scale_image_along(f: ChainMap, k: int) -> TwoScaleImage:
     for img, z in zip(images, cycles):
         if outer.boundary_of_chain(k, img) != 0:
             raise NotAChainMapError("image of a cycle is not a cycle")
-    rank, rep_positions = gf2.quotient_image_rank(images, outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)))
+    rank, rep_positions = gf2.quotient_image_rank(images, outer.boundary_space(k))
     return TwoScaleImage(inner, outer, f, k, rank, [cycles[t] for t in rep_positions])
 
 
 def class_survives(image: TwoScaleImage, z_inner: int) -> bool:
     """Direct membership test: is the image of this inner cycle a boundary outside."""
     img = image.inclusion.apply(image.k, z_inner)
-    outer, k = image.outer, image.k
-    space = gf2.span_of(outer.iter_boundary_columns(k + 1, outer.uncone(k + 1)))
-    return not space.contains(img)
+    return not image.outer.boundary_space(image.k).contains(img)
 
 
 # -- annulus machinery -----------------------------------------------------------

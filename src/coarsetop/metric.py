@@ -1,11 +1,12 @@
 """Finite metric spaces, subset masks and neighborhoods.
 
 Every analysis in the package runs over a :class:`FiniteMetricSpace`: a
-finite window with integer point ids and an integer-valued distance. Two
-backings exist here: a unit-step graph and an explicit distance table, with
-which tests build arbitrary metrics. A subclass may instead compute rows
-itself by overriding ``_compute_row``; group balls that are not convex in
-their Cayley graph do so (``groups.WordMetricBall``).
+finite window with integer point ids and an integer-valued distance. A
+space has one of two backings: a unit-step graph, handed over as
+adjacency lists, or a subclass that computes each row itself by
+overriding ``_compute_row``. Group balls that are not convex in their
+Cayley graph do so (``groups.WordMetricBall``), and so do the tests'
+explicit distance tables.
 
 Every distance and connectivity query rests on one traversal and one hook.
 ``flood`` is the one breadth-first search: hop counts from a set of
@@ -151,15 +152,14 @@ class FiniteMetricSpace:
         self,
         n: int,
         adjacency: Optional[Sequence[Sequence[int]]] = None,
-        table: Optional[Sequence[Sequence[int]]] = None,
         labels: Optional[Sequence] = None,
         radial: Optional[Sequence[int]] = None,
         window_radius: Optional[int] = None,
         basepoint: Optional[int] = None,
     ):
         computed = type(self)._compute_row is not FiniteMetricSpace._compute_row
-        if (adjacency is not None) + (table is not None) + computed != 1:
-            raise ValueError("exactly one of adjacency, table or a row computation must back the space")
+        if (adjacency is not None) == computed:
+            raise ValueError("exactly one of adjacency or a row computation must back the space")
         self.n = n
         # the one copy of the graph: sorted, without duplicates or the point
         # itself; a list handed over in that form is kept, not copied
@@ -167,7 +167,6 @@ class FiniteMetricSpace:
             a if type(a) is list and x not in a and all(map(lt, a, a[1:])) else sorted(set(a).difference((x,)))
             for x, a in enumerate(adjacency)
         ]
-        self._table = [array("i", row) for row in table] if table is not None else None
         self.labels = labels if labels is None or type(labels) is list else list(labels)
         self.window_radius = window_radius
         self.basepoint = basepoint
@@ -180,12 +179,6 @@ class FiniteMetricSpace:
         else:
             self.radial = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_table(cls, table, **kw) -> "FiniteMetricSpace":
-        return cls(len(table), table=table, **kw)
-
     # -- distances -------------------------------------------------------------
 
     def dist_row(self, x: int) -> array:
@@ -195,9 +188,7 @@ class FiniteMetricSpace:
         return row
 
     def _compute_row(self, x: int) -> array:
-        """Distances from x, uncached; subclasses override to back the space."""
-        if self._table is not None:
-            return self._table[x]
+        """Distances from x, uncached; a graph space floods, a subclass overrides this to back the space."""
         row = array("i", [UNREACHABLE]) * self.n
         for y, d in flood(self._adj, [x]).items():
             row[y] = d

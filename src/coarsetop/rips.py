@@ -34,17 +34,18 @@ locality ball; the essential probe's feasibility-only solves stream columns
 and skip witness bookkeeping (``gf2.ColumnSolve``), which is what makes
 window-global membership tests affordable on the 3d fixtures.
 
-Every elimination over ∂ columns (fills, boundary spans, two-scale images)
-feeds only the columns :meth:`RipsComplex.uncone` keeps. A simplex
-s = (s0 < s1 < ...) is coned over an apex set P when some v in P with
-v < s0 lies within the scale of every vertex of s. Then ∂(v∗s) = s + v∗∂s,
-so ∂s = Σ_f ∂(v∗f) over the facets f of s; every v∗f is a simplex of the
-same complex and lexicographically smaller than s. Fed in index order from
-simplices with all vertices in P, a coned column is therefore in the span
-of the columns fed before it: skipping it creates or moves no pivot, so
-ranks, residues, stopping columns, greedy-independent columns and hence
-witnesses are exactly those of the unskipped elimination. On the fig1/fig2
-targets two thirds to four fifths of the columns are coned.
+Every elimination over ∂ columns (fills, and the one boundary span
+:meth:`RipsComplex.boundary_space`) feeds only the columns
+:meth:`RipsComplex.uncone` keeps. A simplex s = (s0 < s1 < ...) is coned
+over an apex set P when some v in P with v < s0 lies within the scale of
+every vertex of s. Then ∂(v∗s) = s + v∗∂s, so ∂s = Σ_f ∂(v∗f) over the
+facets f of s; every v∗f is a simplex of the same complex and
+lexicographically smaller than s. Fed in index order from simplices with
+all vertices in P, a coned column is therefore in the span of the columns
+fed before it: skipping it creates or moves no pivot, so ranks, residues,
+stopping columns, greedy-independent columns and hence witnesses are
+exactly those of the unskipped elimination. On the fig1/fig2 targets two
+thirds to four fifths of the columns are coned.
 
 Boundary columns are built in one place, :meth:`RipsComplex.iter_banded_columns`,
 as packed pairs (packed, lo): lo is the column's lowest row, the parent
@@ -139,7 +140,6 @@ class RipsComplex:
         self.start = start  # per dim: children of node p are start[k][p]:start[k][p + 1]
         self.simplices = [SimplexView(last, parent, k) for k in range(cap + 1)]
         self.index = [PositionView(last, start, k) for k in range(cap + 1)]
-        self._boundary_cache: dict[int, GF2Matrix] = {}
         self._cycle_cache: dict[int, list[int]] = {}
 
     # -- basic counts ---------------------------------------------------------
@@ -155,19 +155,13 @@ class RipsComplex:
 
     def boundary(self, k: int) -> GF2Matrix:
         """∂_k : C_k -> C_{k-1}; ∂_0 is the augmentation row (all ones)."""
-        mat = self._boundary_cache.get(k)
-        if mat is not None:
-            return mat
         if k == 0:
-            mat = GF2Matrix(1, self.n_simplices(0), [1] * self.n_simplices(0))
-        else:
-            mat = GF2Matrix(
-                self.n_simplices(k - 1),
-                self.n_simplices(k),
-                list(self.iter_boundary_columns(k)),
-            )
-        self._boundary_cache[k] = mat
-        return mat
+            return GF2Matrix(1, self.n_simplices(0), [1] * self.n_simplices(0))
+        return GF2Matrix(self.n_simplices(k - 1), self.n_simplices(k), list(self.iter_boundary_columns(k)))
+
+    def boundary_space(self, k: int) -> gf2.GF2Subspace:
+        """im ∂_{k+1}, eliminated over the columns ``uncone`` keeps; built afresh on each call."""
+        return gf2.span_of(self.iter_boundary_columns(k + 1, self.uncone(k + 1)))
 
     def cycle_basis(self, k: int) -> list[int]:
         """A basis of ker ∂_k (reduced: ∂_0 is the augmentation), eliminated once per degree; read only."""

@@ -8,9 +8,12 @@ simplex enumeration for Rips complexes.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 
 import numpy as np
+
+from coarsetop.metric import FiniteMetricSpace
 
 
 def dense_rank_gf2(rows: list[list[int]]) -> int:
@@ -423,13 +426,27 @@ def chain_from_simplices(K, k, simplex_list):
 
 def from_graph(n, edges, **kw):
     """The space on ids 0..n-1 with the path metric of an undirected edge list; kw go to the space."""
-    from coarsetop.metric import FiniteMetricSpace
-
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     return FiniteMetricSpace(n, adjacency=adj, **kw)
+
+
+class TableSpace(FiniteMetricSpace):
+    """A space backed by an explicit distance table, built the way ``groups.WordMetricBall`` is.
+
+    The rows are the table's, stored as arrays before the space is set up,
+    so ``radial`` may be derived from a basepoint; ``dist_to_set`` scans
+    rows through the base class's ``_near``. kw go to the space.
+    """
+
+    def __init__(self, table, **kw):
+        self._table = [array("i", row) for row in table]
+        super().__init__(len(table), **kw)
+
+    def _compute_row(self, x):
+        return self._table[x]
 
 
 def lattice_region_by_edges(points):
@@ -527,3 +544,64 @@ def class_is_zero_afresh(R, k, vec):
     if k == 0:
         return 0 if vec == 0 else None
     return gf2.solve(R.delta(k - 1), vec)
+
+
+def quotient_image_rank_by_extension(images, boundary_columns):
+    """(rank, positions) of the images modulo the span of the columns, extending that span in place.
+
+    What ``gf2.quotient_image_rank`` computed before it took the boundary
+    space read only.
+    """
+    from coarsetop import gf2
+
+    space = gf2.span_of(boundary_columns)
+    reps = [t for t, img in enumerate(images) if space.extend(img)]
+    return len(reps), reps
+
+
+def reduced_homology_by_extension(K, k):
+    """(dim, representatives) of reduced H_k(K): a fresh kernel basis of ∂_k, extending im ∂_{k+1} in place."""
+    from coarsetop import gf2
+
+    cycles = gf2.kernel_basis(K.boundary(k))
+    space = gf2.span_of(K.iter_boundary_columns(k + 1, K.uncone(k + 1)))
+    reps = [z for z in cycles if space.extend(z)]
+    return len(reps), reps
+
+
+def two_scale_image_by_extension(inner, outer, k):
+    """(rank, representative inner cycles) of H~_k(inner) -> H~_k(outer), as ``two_scale_image`` once found them."""
+    from coarsetop import gf2
+    from coarsetop.rips import inclusion_chain_map
+
+    f = inclusion_chain_map(inner, outer)
+    cycles = gf2.kernel_basis(inner.boundary(k))
+    columns = outer.iter_boundary_columns(k + 1, outer.uncone(k + 1))
+    rank, positions = quotient_image_rank_by_extension([f.apply(k, z) for z in cycles], columns)
+    return rank, [cycles[t] for t in positions]
+
+
+def factor_trace_by_predicate(ball, value):
+    """The ball ids of the amalgam factor ``value``: those whose other part is trivial.
+
+    The membership rule ``subgroup_trace`` once applied to a factor spec.
+    """
+    from coarsetop.metric import SubsetMask
+
+    j, e = 1 - value, ball.model.identity()
+    return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if g[j] == e[j]))
+
+
+def sublattice_trace_by_predicate(ball, k, coords):
+    """The ball ids in k Z^coords: every listed axis divisible by k, every other axis 0.
+
+    The membership rule ``subgroup_trace`` once applied to a sublattice spec.
+    """
+    from coarsetop.metric import SubsetMask
+
+    n, coords = ball.model.n, set(coords)
+
+    def member(g):
+        return all((g[j] % k == 0) if j in coords else (g[j] == 0) for j in range(n))
+
+    return SubsetMask(len(ball.elements), (t for t, g in enumerate(ball.elements) if member(g)))

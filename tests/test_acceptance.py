@@ -27,7 +27,7 @@ from coarsetop.homology import (
     ends_estimate,
     uniform_acyclicity_probe,
 )
-from coarsetop.metric import FiniteMetricSpace, SubsetMask, neighborhood
+from coarsetop.metric import SubsetMask, neighborhood
 from coarsetop.mobility import (
     Cocycle,
     coarse_manifold_detector,
@@ -38,7 +38,7 @@ from coarsetop.mobility import (
 from coarsetop.rips import build_rips
 from coarsetop.separation import complement_components
 
-from oracles import dense_rank_gf2, dense_solve_gf2, flood_fill_components, gated_probe, x_piece
+from oracles import TableSpace, dense_rank_gf2, dense_solve_gf2, flood_fill_components, gated_probe, x_piece
 
 
 def _sched(R, S_values, i=1, j=1, collar=2):
@@ -334,7 +334,7 @@ def test_accept_10_acyclicity(z2_ball_16):
     bounds = prof.uniform_bounds()
     assert bounds[(1, 1)]["lambda"] == 2
     assert all(mu == r for r, mu in bounds[(1, 1)]["mu"].items())
-    X = FiniteMetricSpace.from_table(
+    X = TableSpace(
         [[0, 10], [10, 0]], labels=[0, 10], radial=[0, 10], window_radius=10, basepoint=0
     )
     prof2 = uniform_acyclicity_probe(X, 0, [0], [1], [10], 5, 12)

@@ -14,6 +14,7 @@ from oracles import (
     dense_solve_gf2,
     echelon_entries,
     pack_offsets,
+    quotient_image_rank_by_extension,
     reference_feeds,
     stored_pivots,
     tracked_full_solve,
@@ -158,9 +159,24 @@ def test_tracking_is_keyword_only():
 def test_quotient_image_rank_simple():
     # boundary space spanned by e0+e1; cycles e0+e1 (dies), e2 (survives)
     images = [0b011, 0b100]
-    r, reps = gf2.quotient_image_rank(images, [0b011])
+    r, reps = gf2.quotient_image_rank(images, gf2.span_of([0b011]))
     assert r == 1
     assert reps == [1]
+
+
+def test_quotient_image_rank_reads_the_span_only():
+    # the residues mod B keep the positions that extending B in place keeps,
+    # and B's pivots are left as they were
+    rng = random.Random(13)
+    for trial in range(200):
+        width = rng.randint(1, 12)
+        columns = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+        images = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+        images += [columns[0] ^ images[0]] if columns and images else []  # an image equal to another mod B
+        B = gf2.span_of(columns)
+        pivots = dict(B.pivots)
+        assert gf2.quotient_image_rank(images, B) == quotient_image_rank_by_extension(images, columns), trial
+        assert B.pivots == pivots, trial
 
 
 def test_matmul_and_transpose_consistency():

@@ -1,5 +1,6 @@
 """Group models: normal forms, balls, traces, commensurability, fixtures."""
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -22,7 +23,13 @@ from coarsetop.groups import (
     restrict_ball,
     subgroup_trace,
 )
-from oracles import amalgam_mul_reference, bfs_distances, cyclic_trace_by_powers
+from oracles import (
+    amalgam_mul_reference,
+    bfs_distances,
+    cyclic_trace_by_powers,
+    factor_trace_by_predicate,
+    sublattice_trace_by_predicate,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 
@@ -457,6 +464,52 @@ def test_subgroup_trace_factor():
     assert sorted(ball.elements[i] for i in axis.ids) == [((), (k,)) for k in range(-3, 4)]
     with pytest.raises(BadSubgroupSpecError):
         subgroup_trace(ball, {"factor": 2})
+
+
+def test_factor_and_sublattice_bfs_match_the_membership_rules():
+    # 506 specs: on Z^1 and Z^2 at R = 1..7 and Z^3 at R = 1..5, k = 1, 2, 3
+    # with coords absent, each subset of the axes and each nonempty subset
+    # listed twice; and the amalgam's two factors at R = 1..7
+    specs = 0
+    for n, R_max in ((1, 7), (2, 7), (3, 5)):
+        subsets = [list(c) for size in range(n + 1) for c in itertools.combinations(range(n), size)]
+        coord_lists = [None, *subsets, *(c + c for c in subsets if c)]
+        for R in range(1, R_max + 1):
+            ball = build_ball(FreeAbelian(n), R)
+            for k in (1, 2, 3):
+                for coords in coord_lists:
+                    value = {"k": k} if coords is None else {"k": k, "coords": coords}
+                    expected = sublattice_trace_by_predicate(ball, k, range(n) if coords is None else coords)
+                    assert subgroup_trace(ball, {"sublattice": value}) == expected, (n, R, value)
+                    specs += 1
+    for R in range(1, 8):
+        ball = build_ball(amalgam_z2_z_z2(), R)
+        for value in (0, 1):
+            assert subgroup_trace(ball, {"factor": value}) == factor_trace_by_predicate(ball, value), (R, value)
+            specs += 1
+    assert specs == 506
+
+
+def test_factor_and_sublattice_validation_messages(z2_ball_10):
+    amalgam = build_ball(amalgam_z2_z_z2(), 2)
+    expects = 'sublattice expects {"k": integer >= 1, "coords": [axes below 2]}, got '
+    cases = [
+        (z2_ball_10, {"factor": 0}, "factor spec requires the amalgam model"),
+        (amalgam, {"factor": 2}, "factor index must be 0 or 1, got 2"),
+        (amalgam, {"factor": True}, "factor index must be 0 or 1, got True"),
+        (amalgam, {"factor": "x"}, "factor index must be 0 or 1, got 'x'"),
+        (amalgam, {"sublattice": {"k": 1}}, "sublattice spec requires a free abelian model"),
+        (z2_ball_10, {"sublattice": 3}, expects + "3"),
+        (z2_ball_10, {"sublattice": {"k": 0}}, expects + "{'k': 0}"),
+        (z2_ball_10, {"sublattice": {"k": 2, "coords": [2]}}, expects + "{'k': 2, 'coords': [2]}"),
+        (z2_ball_10, {"sublattice": {"n": 2}}, expects + "{'n': 2}"),
+        (z2_ball_10, {"sublattice": {"coords": "01"}}, expects + "{'coords': '01'}"),
+        (z2_ball_10, {"sublattice": {"k": 1.0}}, expects + "{'k': 1.0}"),
+    ]
+    for ball, spec, message in cases:
+        with pytest.raises(BadSubgroupSpecError) as err:
+            subgroup_trace(ball, spec)
+        assert str(err.value) == "bad-subgroup-spec: " + message, spec
 
 
 def test_subgroup_trace_closed_under_own_generators(z2_ball_10):

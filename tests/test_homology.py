@@ -3,6 +3,8 @@
 import pytest
 
 from coarsetop.errors import WindowTooSmallError
+from coarsetop.fixtures import grid_fixture
+from coarsetop.groups import FreeAbelian, FreeGroup, build_ball
 from coarsetop.homology import (
     WindowSchedule,
     annulus_mask,
@@ -12,14 +14,25 @@ from coarsetop.homology import (
     ends_estimate,
     pd_signature_check,
     reduced_homology,
+    schedule_inclusions,
     schedule_two_scale,
     two_scale_image,
+    two_scale_image_along,
     uniform_acyclicity_probe,
 )
-from coarsetop.metric import FiniteMetricSpace, SubsetMask
+from coarsetop.metric import SubsetMask
 from coarsetop.rips import build_rips
 
-from oracles import acyclicity_per_radius, bfs_distances, flood_fill_components, from_graph, to_rows
+from oracles import (
+    TableSpace,
+    acyclicity_per_radius,
+    bfs_distances,
+    flood_fill_components,
+    from_graph,
+    reduced_homology_by_extension,
+    to_rows,
+    two_scale_image_by_extension,
+)
 
 
 def zsched(R, S_values, i=1, j=1, collar=2):
@@ -87,7 +100,7 @@ def test_reduced_h0_connected(z_ball_12):
 
 
 def test_reduced_h0_two_components():
-    X = FiniteMetricSpace.from_table([[0, 9], [9, 0]])
+    X = TableSpace([[0, 9], [9, 0]])
     K = build_rips(X, X.full_mask(), 1, 1)
     rank, reps = reduced_homology(K, 0)
     assert rank == 1
@@ -111,6 +124,31 @@ def test_two_scale_identity_is_full_rank(z2_ball_12):
     img = two_scale_image(K, K, 1)
     rank, _ = reduced_homology(K, 1)
     assert img.rank == rank
+
+
+@pytest.mark.parametrize(
+    "space, R, scales",
+    [
+        (lambda: build_ball(FreeAbelian(2), 8).space, 8, [(1, 1), (1, 2)]),
+        (lambda: build_ball(FreeGroup(2), 5).space, 5, [(1, 1)]),
+        (lambda: grid_fixture("fig1_halfplane_flap", 6).space, 6, [(1, 1), (1, 2)]),
+        (lambda: grid_fixture("fig2_plane_fin", 4).space, 4, [(1, 1)]),
+    ],
+    ids=["Z^2", "F_2", "fig1", "fig2"],
+)
+def test_boundary_space_reads_match_extending_it_in_place(space, R, scales):
+    # the ranks and representatives that reduced_homology and two_scale_image
+    # read modulo RipsComplex.boundary_space, against a fresh boundary span
+    # extended in place by the cycles or their images
+    X = space()
+    for i, j in scales:
+        schedules = [WindowSchedule(S=S, i=i, S_out=S - j, j=j, R=R, collar=1) for S in range(j, R - 1 - i)]
+        for f in schedule_inclusions(X, schedules, 2):
+            for k in (0, 1):
+                img = two_scale_image_along(f, k)
+                assert (img.rank, img.classes) == two_scale_image_by_extension(f.source, f.target, k), (i, j, k)
+                for K in (f.source, f.target):
+                    assert reduced_homology(K, k) == reduced_homology_by_extension(K, k), (i, j, k)
 
 
 def test_two_scale_two_points_die_in_connected_window(z_ball_12):
@@ -297,7 +335,7 @@ def test_acyclicity_builds_each_complex_once(monkeypatch, z2_ball_10):
 
 
 def test_acyclicity_two_point_failure():
-    X = FiniteMetricSpace.from_table(
+    X = TableSpace(
         [[0, 10], [10, 0]], labels=[0, 10], radial=[0, 10], window_radius=10, basepoint=0
     )
     prof = uniform_acyclicity_probe(X, 0, [0], [1], [10], 5, 12)

@@ -18,7 +18,7 @@ from coarsetop.metric import (
     neighborhood,
 )
 
-from oracles import bfs_distances, flood_fill_components, from_graph, lattice_region_by_edges, line
+from oracles import TableSpace, bfs_distances, flood_fill_components, from_graph, lattice_region_by_edges, line
 
 
 def line_space(lo=-10, hi=10):
@@ -46,6 +46,29 @@ def test_scale_adjacency_rejects_negative_scale():
     assert [list(adj[x]) for x in range(X.n)] == [[] for _ in range(X.n)]
     with pytest.raises(ValueError):
         X.adjacency_at_scale(-1)
+
+
+def test_a_space_has_exactly_one_backing():
+    # a graph, or a subclass that computes its rows; neither, or both, is refused
+    with pytest.raises(ValueError):
+        FiniteMetricSpace(3)
+    with pytest.raises(ValueError):
+        TableSpace([[0, 1], [1, 0]], adjacency=[[1], [0]])
+
+
+def test_table_space_keeps_the_table_semantics():
+    # radial comes from the basepoint's row, and dist_to_set scans the rows
+    # of S through the base class's _near without storing them
+    table = [[0, 2, 5, 7], [2, 0, 3, 5], [5, 3, 0, 2], [7, 5, 2, 0]]
+    X = TableSpace(table, basepoint=1)
+    assert X.radial == [2, 0, 3, 5]
+    assert X._adj is None and type(X)._near is FiniteMetricSpace._near
+    cached = set(X._row_cache)
+    assert X.dist_to_set([0, 3]) == [0, 2, 2, 0]
+    assert X.dist_to_set([0, 3], 2) == [0, 2, 2, 0]
+    assert X.dist_to_set([2], 2) == [math.inf, math.inf, 0, 2]
+    assert set(X._row_cache) == cached
+    assert [list(X.dist_row(x)) for x in range(4)] == table
 
 
 def test_adjacency_lists_already_normal_are_kept_as_handed_over():
@@ -177,7 +200,7 @@ def _table_space():
     # l_inf on a 7 x 7 patch of Z^2: an integer metric with no unit-step graph
     pts = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     table = [[max(abs(a - c), abs(b - d)) for c, d in pts] for a, b in pts]
-    return FiniteMetricSpace.from_table(table, radial=[max(map(abs, p)) for p in pts], window_radius=3)
+    return TableSpace(table, radial=[max(map(abs, p)) for p in pts], window_radius=3)
 
 
 # one space of each backing: graph (a fixture and a convex ball), table, word metric
@@ -198,7 +221,7 @@ def _dense_rows(X):
     if isinstance(X, WordMetricBall):
         m = X.model
         return [[m.length(m.mul(m.inv(g), h)) for h in X.elements] for g in X.elements]
-    if X._table is not None:
+    if isinstance(X, TableSpace):
         return [list(row) for row in X._table]
     return [[bfs_distances(X._adj, s).get(t, math.inf) for t in range(X.n)] for s in range(X.n)]
 

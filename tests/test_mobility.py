@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_is_zero_afresh, compacted_representative_within, table_transport, x_piece
+from oracles import TableSpace, class_is_zero_afresh, compacted_representative_within, table_transport, x_piece
 
 from coarsetop import gf2
 from coarsetop import mobility as mobility_mod
@@ -18,7 +18,7 @@ from coarsetop.errors import CollarViolationError
 from coarsetop.essential import connecting_map, mv_assemble
 from coarsetop.fixtures import crossing_cochain, grid_fixture
 from coarsetop.groups import BallModel, FreeAbelian, FreeGroup, Lamplighter, build_ball
-from coarsetop.metric import FiniteMetricSpace, SubsetMask, hausdorff_distance
+from coarsetop.metric import SubsetMask, hausdorff_distance
 
 from coarsetop.mobility import (
     Cocycle,
@@ -424,7 +424,7 @@ def test_run_mobility_solves_one_mobility_set_per_D(monkeypatch):
 def _table_z2_4():
     # Z^2 at radius 4 as an explicit distance table, with the collar data kept
     X = build_ball(FreeAbelian(2), 4).space
-    return FiniteMetricSpace.from_table(
+    return TableSpace(
         [list(X.dist_row(v)) for v in range(X.n)], radial=X.radial, window_radius=X.window_radius,
         basepoint=X.basepoint,
     )

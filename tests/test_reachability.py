@@ -7,8 +7,7 @@ analysis table and ``main``, the console entry point), from every dunder
 method, and from these roots:
 
 - the helpers that acceptance criteria call directly
-- ``FiniteMetricSpace.from_table`` and ``.dist``, which tests build and
-  read spaces with
+- ``FiniteMetricSpace.dist``, which tests read spaces with
 - the names that the benchmark's tracer wraps (``BOUNDARIES``) or must leave
   unwrapped (``NEVER_WRAPPED``), read from ``perfbench/spans.py``
 
@@ -79,7 +78,7 @@ ACCEPTANCE_HELPERS = (
     "gf2:rank",
     "homology:AcyclicityProfile.uniform_bounds",  # criterion 10
 )
-TEST_SPACE_METHODS = ("metric:FiniteMetricSpace.from_table", "metric:FiniteMetricSpace.dist")
+TEST_SPACE_METHODS = ("metric:FiniteMetricSpace.dist",)
 SERIALISED = ("homology:WindowSchedule", "separation:WindowSeparation")  # cli's vars(s) and vars(w)
 KNOB_EXEMPT = {
     "cli:main(argv)": "the console entry point: the console passes no arguments, tests pass an argument list",

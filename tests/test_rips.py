@@ -7,10 +7,11 @@ import pytest
 import coarsetop.gf2 as gf2
 from coarsetop.errors import ComplexTooLargeError, NotACycleError, NotASubcomplexError
 from coarsetop.groups import FreeAbelian, build_ball
-from coarsetop.metric import FiniteMetricSpace, SubsetMask
+from coarsetop.metric import SubsetMask
 from coarsetop.rips import build_rips, fill_cycle, inclusion_chain_map, induced_chain_map
 
 from oracles import (
+    TableSpace,
     banded_columns_by_definition,
     brute_force_simplices,
     chain_from_simplices,
@@ -26,7 +27,7 @@ from oracles import (
 
 def triangle_space():
     table = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    return FiniteMetricSpace.from_table(table)
+    return TableSpace(table)
 
 
 def test_three_point_triangle():
@@ -429,7 +430,7 @@ def small_spaces(draw):
         for a in range(n):
             for b in range(a + 1, n):
                 table[a][b] = table[b][a] = rng.randint(1, 5)
-        X = FiniteMetricSpace.from_table(table)
+        X = TableSpace(table)
     V = SubsetMask(X.n, (v for v in range(n) if rng.random() < 0.8))
     return X, V, draw(st.integers(0, 3)), draw(st.integers(0, 3))
 
